@@ -26,10 +26,10 @@ fn bench_matmul(h: &mut Harness) {
 
 fn bench_conv_forward(h: &mut Harness) {
     let mut rng_ = rng::seeded(3);
-    let conv = Conv2d::new(16, 32, 3, 1, 1, &mut rng_).unwrap();
+    let mut conv = Conv2d::new(16, 32, 3, 1, 1, &mut rng_).unwrap();
     let x = rng::normal(&[4, 16, 32, 32], 0.0, 1.0, &mut rng_);
     h.bench("conv2d/forward_4x16x32x32", || {
-        black_box(conv.forward_infer(black_box(&x)).unwrap());
+        black_box(conv.forward(black_box(&x), Mode::Eval).unwrap());
     });
 }
 

@@ -204,21 +204,21 @@ mod tests {
 
     #[test]
     fn noise_plan_changes_inference() {
-        let spec = spec();
-        let noisy = apply_noise_plan(&spec, &plan(0), 7).unwrap();
+        let mut spec = spec();
+        let mut noisy = apply_noise_plan(&spec, &plan(0), 7).unwrap();
         let x = normal(&[2, 3, 32, 32], 0.5, 0.2, &mut seeded(2));
-        let clean_out = spec.model.forward_infer(&x).unwrap();
-        let noisy_out = noisy.forward_infer(&x).unwrap();
+        let clean_out = spec.model.forward(&x, Mode::Eval).unwrap();
+        let noisy_out = noisy.forward(&x, Mode::Eval).unwrap();
         assert_ne!(clean_out, noisy_out);
     }
 
     #[test]
     fn baseline_plan_is_identity() {
-        let spec = spec();
+        let mut spec = spec();
         let mut same = apply_noise_plan(&spec, &NoisePlan::baseline(0.68), 7).unwrap();
         let x = normal(&[1, 3, 32, 32], 0.5, 0.2, &mut seeded(3));
         assert_eq!(
-            spec.model.forward_infer(&x).unwrap(),
+            spec.model.forward(&x, Mode::Eval).unwrap(),
             same.forward(&x, Mode::Eval).unwrap()
         );
     }
@@ -243,20 +243,20 @@ mod tests {
 
     #[test]
     fn weight_noise_plan_corrupts_upstream_parameters() {
-        let spec = spec();
+        let mut spec = spec();
         // site 0 is the ReLU after the first conv; the corrupted weights are
         // the conv's
-        let noisy = apply_weight_noise_plan(&spec, &plan(0), 7).unwrap();
+        let mut noisy = apply_weight_noise_plan(&spec, &plan(0), 7).unwrap();
         let x = normal(&[1, 3, 32, 32], 0.5, 0.2, &mut seeded(5));
         assert_ne!(
-            spec.model.forward_infer(&x).unwrap(),
-            noisy.forward_infer(&x).unwrap()
+            spec.model.forward(&x, Mode::Eval).unwrap(),
+            noisy.forward(&x, Mode::Eval).unwrap()
         );
         // deterministic in the seed
-        let again = apply_weight_noise_plan(&spec, &plan(0), 7).unwrap();
+        let mut again = apply_weight_noise_plan(&spec, &plan(0), 7).unwrap();
         assert_eq!(
-            noisy.forward_infer(&x).unwrap(),
-            again.forward_infer(&x).unwrap()
+            noisy.forward(&x, Mode::Eval).unwrap(),
+            again.forward(&x, Mode::Eval).unwrap()
         );
     }
 
@@ -264,10 +264,10 @@ mod tests {
     fn weight_noise_is_static_across_forwards() {
         // unlike activation noise, parameter corruption happens once at load
         let spec = spec();
-        let noisy = apply_weight_noise_plan(&spec, &plan(1), 3).unwrap();
+        let mut noisy = apply_weight_noise_plan(&spec, &plan(1), 3).unwrap();
         let x = normal(&[1, 3, 32, 32], 0.5, 0.2, &mut seeded(6));
-        let a = noisy.forward_infer(&x).unwrap();
-        let b = noisy.forward_infer(&x).unwrap();
+        let a = noisy.forward(&x, Mode::Eval).unwrap();
+        let b = noisy.forward(&x, Mode::Eval).unwrap();
         assert_eq!(a, b);
     }
 
@@ -279,14 +279,14 @@ mod tests {
 
     #[test]
     fn crossbar_variant_maps_all_matrices() {
-        let spec = spec();
-        let (hardware, report) =
+        let mut spec = spec();
+        let (mut hardware, report) =
             crossbar_variant(&spec.model, &CrossbarConfig::paper_default(16)).unwrap();
         assert_eq!(report.matrices, 8); // 6 convs + 2 linears
         let x = normal(&[1, 3, 32, 32], 0.5, 0.2, &mut seeded(4));
         assert_ne!(
-            spec.model.forward_infer(&x).unwrap(),
-            hardware.forward_infer(&x).unwrap()
+            spec.model.forward(&x, Mode::Eval).unwrap(),
+            hardware.forward(&x, Mode::Eval).unwrap()
         );
     }
 }

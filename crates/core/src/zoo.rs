@@ -147,6 +147,7 @@ pub fn train_or_load(cache_dir: &Path, config: &ZooConfig) -> Result<TrainedMode
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ahw_nn::Mode;
 
     fn tiny_config() -> ZooConfig {
         ZooConfig {
@@ -192,13 +193,13 @@ mod tests {
         let dir = temp_cache("hit");
         let mut cfg = tiny_config();
         cfg.dataset.image_size = 32; // builders assume 32px inputs
-        let first = train_or_load(&dir, &cfg).unwrap();
+        let mut first = train_or_load(&dir, &cfg).unwrap();
         assert!(!first.from_cache);
-        let second = train_or_load(&dir, &cfg).unwrap();
+        let mut second = train_or_load(&dir, &cfg).unwrap();
         assert!(second.from_cache);
         let x = first.data.test().images();
-        let a = first.spec.model.forward_infer(x).unwrap();
-        let b = second.spec.model.forward_infer(x).unwrap();
+        let a = first.spec.model.forward(x, Mode::Eval).unwrap();
+        let b = second.spec.model.forward(x, Mode::Eval).unwrap();
         assert_eq!(a, b);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,6 +1,6 @@
 use ahw_nn::{Layer, Mode, NnError, Sequential};
 use ahw_tensor::quant::QuantParams;
-use ahw_tensor::Tensor;
+use ahw_tensor::{Tensor, Workspace};
 
 /// Input-space discretization (Panda et al., *Discretization based solutions
 /// for secure machine learning against adversarial attacks*).
@@ -35,11 +35,15 @@ impl PixelDiscretization {
 
     /// Snaps a `[0, 1]` tensor onto the grid.
     pub fn apply(&self, x: &Tensor) -> Tensor {
-        // fixed [0,1] grid (input domain is known), not per-tensor fitting:
-        // the defense must be input-independent or it leaks a side channel
-        let params =
-            QuantParams::from_range(0.0, 1.0, self.bits).expect("bits validated in constructor");
-        x.map(|v| params.dequantize(params.quantize(v)))
+        let grid = self.grid();
+        x.map(|v| grid.dequantize(grid.quantize(v)))
+    }
+
+    /// The fixed `[0, 1]` grid. The input domain is known, so there is no
+    /// per-tensor fitting: the defense must be input-independent or it
+    /// leaks a side channel.
+    fn grid(&self) -> QuantParams {
+        QuantParams::from_range(0.0, 1.0, self.bits).expect("bits validated in constructor")
     }
 
     /// Returns `model` with the discretizer prepended as a layer, giving a
@@ -68,18 +72,27 @@ impl From<PixelDiscretization> for DiscretizeLayer {
 }
 
 impl Layer for DiscretizeLayer {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Result<Tensor, NnError> {
-        Ok(self.defense.apply(x))
+    fn forward_ws(
+        &mut self,
+        x: &Tensor,
+        _mode: Mode,
+        ws: &mut Workspace,
+    ) -> Result<Tensor, NnError> {
+        let grid = self.defense.grid();
+        let mut y = ws.take(x.len());
+        if let Err(e) = x.map_into(|v| grid.dequantize(grid.quantize(v)), &mut y) {
+            ws.recycle(y);
+            return Err(e.into());
+        }
+        Ok(Tensor::from_vec(y, x.dims())?)
     }
 
-    fn forward_infer(&self, x: &Tensor) -> Result<Tensor, NnError> {
-        Ok(self.defense.apply(x))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
         // straight-through: the grid is piecewise constant, so the true
         // gradient is zero a.e.; BPDA substitutes the identity
-        Ok(grad_out.clone())
+        let mut dx = ws.take(grad_out.len());
+        dx.copy_from_slice(grad_out.as_slice());
+        Ok(Tensor::from_vec(dx, grad_out.dims())?)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -141,10 +154,10 @@ mod tests {
         let mut rng = seeded(3);
         let mut model = Sequential::new();
         model.push(Linear::new(4, 2, &mut rng).unwrap());
-        let defended = PixelDiscretization::new(4).unwrap().defend(&model);
+        let mut defended = PixelDiscretization::new(4).unwrap().defend(&model);
         assert_eq!(defended.len(), 2);
         let x = uniform(&[3, 4], 0.0, 1.0, &mut rng);
-        assert_eq!(defended.forward_infer(&x).unwrap().dims(), &[3, 2]);
+        assert_eq!(defended.forward(&x, Mode::Eval).unwrap().dims(), &[3, 2]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use ahw_nn::{ActivationHook, Mode, NnError, Sequential, Site};
 use ahw_tensor::quant::fake_quantize;
-use ahw_tensor::Tensor;
+use ahw_tensor::{Tensor, Workspace};
 use std::sync::Arc;
 
 /// Deterministic activation quantization hook (fake-quantize to `bits`).
@@ -11,7 +11,7 @@ pub struct QuantizeHook {
 }
 
 impl ActivationHook for QuantizeHook {
-    fn apply(&self, x: &Tensor) -> Tensor {
+    fn apply(&self, x: &Tensor, _ws: &mut Workspace) -> Tensor {
         fake_quantize(x, self.bits).unwrap_or_else(|_| x.clone())
     }
 
@@ -96,8 +96,9 @@ impl Quanos {
         let mut clean = images.clone();
         let mut dirty = adv;
         for i in 0..model.len() {
-            clean = model.layer(i).forward_infer(&clean)?;
-            dirty = model.layer(i).forward_infer(&dirty)?;
+            let layer = grad_model.layer_mut(i);
+            clean = layer.forward(&clean, Mode::Eval)?;
+            dirty = layer.forward(&dirty, Mode::Eval)?;
             let diff = dirty.sub(&clean)?.norm();
             let base = clean.norm().max(1e-12);
             sens.push(LayerSensitivity {
@@ -253,11 +254,11 @@ mod tests {
     fn defended_model_still_classifies() {
         let model = convnet(7);
         let (x, y) = calib(8);
-        let (defended, _) = Quanos::default().apply(&model, &x, &y).unwrap();
-        let out = defended.forward_infer(&x).unwrap();
+        let (mut defended, _) = Quanos::default().apply(&model, &x, &y).unwrap();
+        let out = defended.forward(&x, Mode::Eval).unwrap();
         assert_eq!(out.dims(), &[6, 3]);
         // quantization changes the computation
-        assert_ne!(out, model.forward_infer(&x).unwrap());
+        assert_ne!(out, model.clone().forward(&x, Mode::Eval).unwrap());
     }
 
     #[test]
@@ -272,7 +273,8 @@ mod tests {
     fn quantize_hook_is_deterministic() {
         let h = QuantizeHook { bits: 4 };
         let x = uniform(&[32], -1.0, 1.0, &mut seeded(10));
-        assert_eq!(h.apply(&x), h.apply(&x));
+        let mut ws = Workspace::new();
+        assert_eq!(h.apply(&x, &mut ws), h.apply(&x, &mut ws));
         assert!(ActivationHook::describe(&h).contains("4b"));
     }
 }

@@ -394,7 +394,7 @@ mod tests {
         use std::sync::Arc;
         struct Identity;
         impl ActivationHook for Identity {
-            fn apply(&self, x: &Tensor) -> Tensor {
+            fn apply(&self, x: &Tensor, _ws: &mut ahw_tensor::Workspace) -> Tensor {
                 x.clone()
             }
         }

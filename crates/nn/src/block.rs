@@ -1,5 +1,5 @@
-use crate::layer::{apply_hook, apply_hook_ws, ActivationHook, HookSlot, Layer, Mode};
-use crate::layers::{BatchNorm2d, Conv2d, ReLU};
+use crate::layer::{apply_hook_ws, ActivationHook, HookSlot, Layer, Mode};
+use crate::layers::{BatchNorm2d, Conv2d, ReLU, ReluMask};
 use crate::{NnError, Param};
 use ahw_tensor::rng::Rng;
 use ahw_tensor::{Tensor, Workspace};
@@ -26,10 +26,8 @@ pub struct BasicBlock {
     hook_conv1: Option<Arc<dyn ActivationHook>>,
     hook_shortcut: Option<Arc<dyn ActivationHook>>,
     hook_out: Option<Arc<dyn ActivationHook>>,
-    /// relu mask of the final activation; retained across iterations so the
-    /// planned path re-fills it without reallocating
-    mask: Vec<bool>,
-    mask_valid: bool,
+    /// the final activation and its mask cache
+    relu_out: ReluMask,
     in_channels: usize,
     out_channels: usize,
     stride: usize,
@@ -79,8 +77,7 @@ impl BasicBlock {
             hook_conv1: None,
             hook_shortcut: None,
             hook_out: None,
-            mask: Vec::new(),
-            mask_valid: false,
+            relu_out: ReluMask::default(),
             in_channels,
             out_channels,
             stride,
@@ -91,50 +88,9 @@ impl BasicBlock {
     pub fn has_projection(&self) -> bool {
         self.shortcut.is_some()
     }
-
-    fn note_mask(&mut self, pre: &Tensor) {
-        self.mask.clear();
-        self.mask.extend(pre.as_slice().iter().map(|&v| v > 0.0));
-        self.mask_valid = true;
-    }
-
-    fn masked_grad_into(&mut self, grad_out: &Tensor, out: &mut [f32]) -> Result<(), NnError> {
-        if !self.mask_valid {
-            return Err(NnError::NoForwardCache {
-                layer: self.describe(),
-            });
-        }
-        self.mask_valid = false;
-        debug_assert_eq!(self.mask.len(), grad_out.len());
-        for ((o, &g), &m) in out.iter_mut().zip(grad_out.as_slice()).zip(&self.mask) {
-            *o = if m { g } else { 0.0 };
-        }
-        Ok(())
-    }
 }
 
 impl Layer for BasicBlock {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
-        let h = self.conv1.forward(x, mode)?;
-        let h = self.bn1.forward(&h, mode)?;
-        let h = self.relu1.forward(&h, mode)?;
-        let h = apply_hook(&self.hook_conv1, h);
-        let a = self.conv2.forward(&h, mode)?;
-        let a = self.bn2.forward(&a, mode)?;
-        let s = match &mut self.shortcut {
-            Some((conv, bn)) => {
-                let s = conv.forward(x, mode)?;
-                bn.forward(&s, mode)?
-            }
-            None => x.clone(),
-        };
-        let s = apply_hook(&self.hook_shortcut, s);
-        let pre = a.add(&s)?;
-        self.note_mask(&pre);
-        let y = pre.map(|v| v.max(0.0));
-        Ok(apply_hook(&self.hook_out, y))
-    }
-
     fn forward_ws(
         &mut self,
         x: &Tensor,
@@ -169,62 +125,18 @@ impl Layer for BasicBlock {
         let mut pre = a;
         pre.add_scaled(&s, 1.0)?;
         ws.recycle_tensor(s);
-        self.note_mask(&pre);
-        let mut y = ws.take(pre.len());
-        if let Err(e) = pre.map_into(|v| v.max(0.0), &mut y) {
-            ws.recycle(y);
-            ws.recycle_tensor(pre);
-            return Err(e.into());
-        }
-        let y = Tensor::from_vec(y, pre.dims())?;
+        let y = self.relu_out.forward(&pre, ws);
         ws.recycle_tensor(pre);
-        Ok(apply_hook_ws(&self.hook_out, y, ws))
-    }
-
-    fn forward_infer(&self, x: &Tensor) -> Result<Tensor, NnError> {
-        let h = self.conv1.forward_infer(x)?;
-        let h = self.bn1.forward_infer(&h)?;
-        let h = self.relu1.forward_infer(&h)?;
-        let h = apply_hook(&self.hook_conv1, h);
-        let a = self.conv2.forward_infer(&h)?;
-        let a = self.bn2.forward_infer(&a)?;
-        let s = match &self.shortcut {
-            Some((conv, bn)) => bn.forward_infer(&conv.forward_infer(x)?)?,
-            None => x.clone(),
-        };
-        let s = apply_hook(&self.hook_shortcut, s);
-        let y = a.add(&s)?.map(|v| v.max(0.0));
-        Ok(apply_hook(&self.hook_out, y))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let mut dpre_buf = vec![0.0f32; grad_out.len()];
-        self.masked_grad_into(grad_out, &mut dpre_buf)?;
-        let dpre = Tensor::from_vec(dpre_buf, grad_out.dims())?;
-        // main branch
-        let da = self.bn2.backward(&dpre)?;
-        let dh = self.conv2.backward(&da)?;
-        let dh = self.relu1.backward(&dh)?;
-        let dh = self.bn1.backward(&dh)?;
-        let dx_main = self.conv1.backward(&dh)?;
-        // shortcut branch
-        let dx_short = match &mut self.shortcut {
-            Some((conv, bn)) => {
-                let ds = bn.backward(&dpre)?;
-                conv.backward(&ds)?
-            }
-            None => dpre,
-        };
-        Ok(dx_main.add(&dx_short)?)
+        Ok(apply_hook_ws(&self.hook_out, y?, ws))
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
-        let mut dpre_buf = ws.take(grad_out.len());
-        if let Err(e) = self.masked_grad_into(grad_out, &mut dpre_buf) {
-            ws.recycle(dpre_buf);
-            return Err(e);
-        }
-        let dpre = Tensor::from_vec(dpre_buf, grad_out.dims())?;
+        let dpre = self.relu_out.backward(grad_out, ws).map_err(|e| match e {
+            NnError::NoForwardCache { .. } => NnError::NoForwardCache {
+                layer: self.describe(),
+            },
+            e => e,
+        })?;
         // main branch
         let da = self.bn2.backward_ws(&dpre, ws)?;
         let dh = self.conv2.backward_ws(&da, ws)?;
@@ -355,7 +267,7 @@ mod tests {
             let mut xm = x.clone();
             xm.as_mut_slice()[idx] -= eps;
             let lp: f32 = block
-                .forward_infer(&xp)
+                .forward(&xp, Mode::Eval)
                 .unwrap()
                 .as_slice()
                 .iter()
@@ -363,7 +275,7 @@ mod tests {
                 .map(|(a, b)| a * b)
                 .sum();
             let lm: f32 = block
-                .forward_infer(&xm)
+                .forward(&xm, Mode::Eval)
                 .unwrap()
                 .as_slice()
                 .iter()
@@ -380,32 +292,26 @@ mod tests {
     }
 
     #[test]
-    fn planned_path_matches_plain_path_bitwise() {
-        for (ic, oc, stride) in [(4, 4, 1), (4, 8, 2)] {
-            let mut rng = seeded(7);
-            let mut a = BasicBlock::new(ic, oc, stride, &mut rng).unwrap();
-            let mut b = a.clone();
-            let x = normal(&[2, ic, 8, 8], 0.0, 1.0, &mut rng);
-            let mut ws = ahw_tensor::Workspace::new();
-            for mode in [Mode::Train, Mode::Eval] {
-                let ya = a.forward(&x, mode).unwrap();
-                let yb = b.forward_ws(&x, mode, &mut ws).unwrap();
-                assert_eq!(ya, yb);
-                let dy = normal(ya.dims(), 0.0, 1.0, &mut seeded(8));
-                let dxa = a.backward(&dy).unwrap();
-                let dxb = b.backward_ws(&dy, &mut ws).unwrap();
-                assert_eq!(dxa, dxb);
-                ws.recycle_tensor(yb);
-                ws.recycle_tensor(dxb);
-            }
-        }
+    fn backward_rejects_misshaped_grad() {
+        let mut rng = seeded(6);
+        let mut block = BasicBlock::new(2, 2, 1, &mut rng).unwrap();
+        let mut ws = ahw_tensor::Workspace::new();
+        let x = normal(&[2, 2, 4, 4], 0.0, 1.0, &mut rng);
+        let y = block.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
+        ws.recycle_tensor(y);
+        assert!(matches!(
+            block.backward_ws(&Tensor::zeros(&[1, 2, 4, 4]), &mut ws),
+            Err(NnError::Tensor(
+                ahw_tensor::TensorError::ShapeMismatch { .. }
+            ))
+        ));
     }
 
     #[test]
     fn all_three_hook_slots_accepted() {
         struct Zero;
         impl ActivationHook for Zero {
-            fn apply(&self, x: &Tensor) -> Tensor {
+            fn apply(&self, x: &Tensor, _ws: &mut Workspace) -> Tensor {
                 Tensor::zeros(x.dims())
             }
         }
@@ -420,7 +326,7 @@ mod tests {
         }
         // output hook zeroes everything
         let x = normal(&[1, 2, 4, 4], 0.0, 1.0, &mut rng);
-        let y = block.forward_infer(&x).unwrap();
+        let y = block.forward(&x, Mode::Eval).unwrap();
         assert_eq!(y.sum(), 0.0);
     }
 

@@ -104,8 +104,8 @@ mod tests {
         load_model(&mut b, &path).unwrap();
         let probe = normal(&[2, 1, 4, 4], 0.0, 1.0, &mut seeded(3));
         assert_eq!(
-            a.forward_infer(&probe).unwrap(),
-            b.forward_infer(&probe).unwrap()
+            a.forward(&probe, Mode::Eval).unwrap(),
+            b.forward(&probe, Mode::Eval).unwrap()
         );
         std::fs::remove_file(&path).unwrap();
     }

@@ -24,21 +24,11 @@ pub enum Mode {
 /// treats them as identity (straight-through), matching the paper's protocol
 /// of excluding bit-error noise from the attacker's gradient computation.
 pub trait ActivationHook: Send + Sync {
-    /// Transforms an activation tensor.
-    fn apply(&self, x: &Tensor) -> Tensor;
-
-    /// Workspace-aware variant of [`apply`](ActivationHook::apply): scratch
-    /// and output buffers may be checked out of `ws` (the returned tensor's
-    /// storage is then a `ws` buffer the caller recycles downstream), so a
-    /// hooked shape-stable loop stays allocation-free in steady state.
-    ///
-    /// Must be bit-identical to `apply`. The default delegates to `apply`,
-    /// so existing hook impls keep compiling — they simply don't reuse
-    /// memory.
-    fn apply_ws(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let _ = ws;
-        self.apply(x)
-    }
+    /// Transforms an activation tensor. Scratch and output buffers may be
+    /// checked out of `ws`; the returned tensor's storage then belongs to
+    /// the caller, which recycles it downstream, so a hooked shape-stable
+    /// loop stays allocation-free in steady state.
+    fn apply(&self, x: &Tensor, ws: &mut Workspace) -> Tensor;
 
     /// Human-readable description for experiment logs.
     fn describe(&self) -> String {
@@ -63,67 +53,54 @@ pub enum HookSlot {
 
 /// A differentiable network component.
 ///
-/// Layers own their parameters and a forward cache; `forward` stores whatever
-/// `backward` needs, and `backward` both accumulates parameter gradients and
-/// returns the gradient with respect to its input. `forward_infer` is the
-/// shared-reference, cache-free path used for (parallel) evaluation.
+/// Every layer has exactly one implementation: the arena-backed
+/// [`forward_ws`](Layer::forward_ws) / [`backward_ws`](Layer::backward_ws)
+/// pair. Outputs, gradients and scratch come from the caller's
+/// [`Workspace`], so a shape-stable loop reuses the same buffers on every
+/// call. `forward_ws` keeps exactly one cache of what `backward_ws` needs;
+/// `backward_ws` consumes it, accumulates parameter gradients, returns
+/// `dL/dinput` and recycles the cached scratch into `ws`.
+///
+/// [`forward`](Layer::forward) and [`backward`](Layer::backward) are the
+/// same code over a throwaway arena, for one-off calls and tests.
 pub trait Layer: Send + Sync {
-    /// Forward pass that caches intermediates for a following [`backward`].
+    /// Forward pass that caches intermediates for a following
+    /// [`backward_ws`](Layer::backward_ws). The returned tensor's storage
+    /// comes from `ws`; recycle it when done to keep the loop
+    /// allocation-free.
     ///
     /// # Errors
     ///
     /// Returns [`NnError`] if the input shape is incompatible.
-    ///
-    /// [`backward`]: Layer::backward
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor, NnError>;
+    fn forward_ws(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace)
+        -> Result<Tensor, NnError>;
 
-    /// Cache-free, eval-mode forward usable from multiple threads.
+    /// Backward pass: consumes the cache from the last
+    /// [`forward_ws`](Layer::forward_ws), accumulates parameter gradients
+    /// and returns `dL/dinput` in a `ws` buffer.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError`] if the input shape is incompatible.
-    fn forward_infer(&self, x: &Tensor) -> Result<Tensor, NnError>;
+    /// Returns [`NnError::NoForwardCache`] if no forward pass preceded, or
+    /// a shape mismatch if `grad_out` does not match the forward's output.
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError>;
 
-    /// Backward pass: consumes the cache from the last [`forward`],
-    /// accumulates parameter gradients and returns `dL/dinput`.
+    /// [`forward_ws`](Layer::forward_ws) over a throwaway arena.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::NoForwardCache`] if no forward pass preceded.
-    ///
-    /// [`forward`]: Layer::forward
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError>;
-
-    /// Workspace-aware forward pass: like [`forward`](Layer::forward), but
-    /// output and scratch buffers come from `ws` so a shape-stable loop
-    /// reuses them across calls. Results are bit-identical to `forward`.
-    ///
-    /// The default implementation delegates to `forward`, so existing layer
-    /// impls keep compiling (they simply don't reuse memory).
-    ///
-    /// # Errors
-    ///
-    /// As [`forward`](Layer::forward).
-    fn forward_ws(
-        &mut self,
-        x: &Tensor,
-        mode: Mode,
-        ws: &mut Workspace,
-    ) -> Result<Tensor, NnError> {
-        let _ = ws;
-        self.forward(x, mode)
+    /// As [`forward_ws`](Layer::forward_ws).
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
+        self.forward_ws(x, mode, &mut Workspace::new())
     }
 
-    /// Workspace-aware backward pass; see [`forward_ws`](Layer::forward_ws).
-    /// Returned gradients are backed by `ws` buffers where the layer
-    /// supports it, and scratch taken during `forward_ws` is recycled here.
+    /// [`backward_ws`](Layer::backward_ws) over a throwaway arena.
     ///
     /// # Errors
     ///
-    /// As [`backward`](Layer::backward).
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
-        let _ = ws;
-        self.backward(grad_out)
+    /// As [`backward_ws`](Layer::backward_ws).
+    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+        self.backward_ws(grad_out, &mut Workspace::new())
     }
 
     /// Visits every trainable parameter.
@@ -170,18 +147,9 @@ impl Clone for Box<dyn Layer> {
     }
 }
 
-/// Applies an optional hook to an owned activation tensor.
-pub(crate) fn apply_hook(hook: &Option<Arc<dyn ActivationHook>>, x: Tensor) -> Tensor {
-    match hook {
-        Some(h) => h.apply(&x),
-        None => x,
-    }
-}
-
-/// Workspace-aware sibling of [`apply_hook`] for `forward_ws` paths: the
-/// hook draws its output from `ws` and the pre-hook tensor (itself a `ws`
-/// buffer on those paths) is recycled, so a hooked planned forward keeps
-/// the zero-alloc steady state.
+/// Applies an optional hook to an owned activation tensor: the hook draws
+/// its output from `ws` and the pre-hook tensor (itself a `ws` buffer) is
+/// recycled, so a hooked forward keeps the zero-alloc steady state.
 pub(crate) fn apply_hook_ws(
     hook: &Option<Arc<dyn ActivationHook>>,
     x: Tensor,
@@ -189,12 +157,22 @@ pub(crate) fn apply_hook_ws(
 ) -> Tensor {
     match hook {
         Some(h) => {
-            let y = h.apply_ws(&x, ws);
+            let y = h.apply(&x, ws);
             ws.recycle_tensor(x);
             y
         }
         None => x,
     }
+}
+
+/// The shape-mismatch error a backward pass returns for a `grad_out` that
+/// does not match the forward's output.
+pub(crate) fn grad_shape_error(op: &'static str, grad_out: &Tensor, expected: &[usize]) -> NnError {
+    NnError::Tensor(ahw_tensor::TensorError::ShapeMismatch {
+        op,
+        lhs: grad_out.dims().to_vec(),
+        rhs: expected.to_vec(),
+    })
 }
 
 #[cfg(test)]
@@ -203,7 +181,7 @@ mod tests {
 
     struct Doubler;
     impl ActivationHook for Doubler {
-        fn apply(&self, x: &Tensor) -> Tensor {
+        fn apply(&self, x: &Tensor, _ws: &mut Workspace) -> Tensor {
             x.scale(2.0)
         }
     }
@@ -211,14 +189,23 @@ mod tests {
     #[test]
     fn apply_hook_identity_when_none() {
         let x = Tensor::from_slice(&[1.0, 2.0]);
-        assert_eq!(apply_hook(&None, x.clone()), x);
+        let mut ws = Workspace::new();
+        assert_eq!(apply_hook_ws(&None, x.clone(), &mut ws), x);
+        assert_eq!(
+            ws.resident_bytes(),
+            0,
+            "unhooked input must not be recycled"
+        );
     }
 
     #[test]
-    fn apply_hook_invokes_transform() {
+    fn apply_hook_invokes_transform_and_recycles_input() {
         let hook: Arc<dyn ActivationHook> = Arc::new(Doubler);
         let x = Tensor::from_slice(&[1.0, 2.0]);
-        assert_eq!(apply_hook(&Some(hook), x).as_slice(), &[2.0, 4.0]);
+        let mut ws = Workspace::new();
+        let y = apply_hook_ws(&Some(hook), x, &mut ws);
+        assert_eq!(y.as_slice(), &[2.0, 4.0]);
+        assert_eq!(ws.resident_bytes(), 8, "pre-hook tensor not recycled");
     }
 
     #[test]

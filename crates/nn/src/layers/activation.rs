@@ -1,6 +1,6 @@
-use crate::layer::{apply_hook, apply_hook_ws, ActivationHook, HookSlot, Layer, Mode};
+use crate::layer::{apply_hook_ws, grad_shape_error, ActivationHook, HookSlot, Layer, Mode};
 use crate::NnError;
-use ahw_tensor::{Tensor, Workspace};
+use ahw_tensor::{Shape, Tensor, Workspace};
 use std::sync::Arc;
 
 /// Rectified linear unit, `max(0, x)`, elementwise over any shape.
@@ -12,10 +12,7 @@ use std::sync::Arc;
 #[derive(Clone, Default)]
 pub struct ReLU {
     hook: Option<Arc<dyn ActivationHook>>,
-    /// Sign mask from the last forward; retained across iterations so the
-    /// planned path re-fills it without reallocating.
-    mask: Vec<bool>,
-    mask_valid: bool,
+    mask: ReluMask,
 }
 
 impl std::fmt::Debug for ReLU {
@@ -29,69 +26,72 @@ impl ReLU {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    fn note_mask(&mut self, x: &Tensor) {
+/// The ReLU arithmetic plus its one forward cache — the sign mask and the
+/// shape it was recorded at — shared by [`ReLU`] and a residual block's
+/// closing activation. The mask vector is retained across iterations, so
+/// each forward re-fills it without reallocating.
+#[derive(Clone, Default)]
+pub(crate) struct ReluMask {
+    mask: Vec<bool>,
+    /// Shape of the last forward, `None` once a backward consumed it.
+    dims: Option<Shape>,
+}
+
+impl ReluMask {
+    /// `max(0, pre)` in a `ws` buffer, recording the sign mask of `pre`.
+    pub(crate) fn forward(&mut self, pre: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
         self.mask.clear();
-        self.mask.extend(x.as_slice().iter().map(|&v| v > 0.0));
-        self.mask_valid = true;
+        self.mask.extend(pre.as_slice().iter().map(|&v| v > 0.0));
+        self.dims = Some(Shape::new(pre.dims()));
+        let mut y = ws.take(pre.len());
+        if let Err(e) = pre.map_into(|v| v.max(0.0), &mut y) {
+            ws.recycle(y);
+            return Err(e.into());
+        }
+        Ok(Tensor::from_vec(y, pre.dims())?)
     }
 
-    fn masked_grad_into(&mut self, grad_out: &Tensor, out: &mut [f32]) -> Result<(), NnError> {
-        if !self.mask_valid {
-            return Err(NnError::NoForwardCache {
-                layer: self.describe(),
-            });
+    /// Consumes the mask: `dL/dpre` for `grad_out` in a `ws` buffer.
+    ///
+    /// # Errors
+    ///
+    /// [`NnError::NoForwardCache`] without a preceding forward, or a shape
+    /// mismatch if `grad_out` does not match the forward's shape.
+    pub(crate) fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        ws: &mut Workspace,
+    ) -> Result<Tensor, NnError> {
+        let dims = self.dims.take().ok_or_else(|| NnError::NoForwardCache {
+            layer: "relu".to_string(),
+        })?;
+        if grad_out.dims() != dims.dims() {
+            return Err(grad_shape_error("relu", grad_out, dims.dims()));
         }
-        self.mask_valid = false;
-        debug_assert_eq!(self.mask.len(), grad_out.len());
+        let mut out = ws.take(grad_out.len());
         for ((o, &g), &m) in out.iter_mut().zip(grad_out.as_slice()).zip(&self.mask) {
             // branch-select, not multiply: g * 0.0 would flip -0.0 signs
             *o = if m { g } else { 0.0 };
         }
-        Ok(())
+        Ok(Tensor::from_vec(out, dims.dims())?)
     }
 }
 
 impl Layer for ReLU {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Result<Tensor, NnError> {
-        self.note_mask(x);
-        let y = x.map(|v| v.max(0.0));
-        Ok(apply_hook(&self.hook, y))
-    }
-
-    fn forward_infer(&self, x: &Tensor) -> Result<Tensor, NnError> {
-        Ok(apply_hook(&self.hook, x.map(|v| v.max(0.0))))
-    }
-
     fn forward_ws(
         &mut self,
         x: &Tensor,
         _mode: Mode,
         ws: &mut Workspace,
     ) -> Result<Tensor, NnError> {
-        self.note_mask(x);
-        let mut y = ws.take(x.len());
-        if let Err(e) = x.map_into(|v| v.max(0.0), &mut y) {
-            ws.recycle(y);
-            return Err(e.into());
-        }
-        let y = Tensor::from_vec(y, x.dims())?;
+        let y = self.mask.forward(x, ws)?;
         Ok(apply_hook_ws(&self.hook, y, ws))
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let mut data = vec![0.0f32; grad_out.len()];
-        self.masked_grad_into(grad_out, &mut data)?;
-        Ok(Tensor::from_vec(data, grad_out.dims())?)
-    }
-
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
-        let mut data = ws.take(grad_out.len());
-        if let Err(e) = self.masked_grad_into(grad_out, &mut data) {
-            ws.recycle(data);
-            return Err(e);
-        }
-        Ok(Tensor::from_vec(data, grad_out.dims())?)
+        self.mask.backward(grad_out, ws)
     }
 
     fn set_hook(
@@ -157,21 +157,38 @@ mod tests {
     }
 
     #[test]
-    fn planned_path_matches_plain_path() {
-        let mut a = ReLU::new();
-        let mut b = ReLU::new();
+    fn repeated_cycles_reuse_workspace_buffers() {
+        let mut relu = ReLU::new();
         let x = Tensor::from_slice(&[-2.0, -0.0, 0.0, 1.5, 3.0]);
         let dy = Tensor::from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0]);
         let mut ws = ahw_tensor::Workspace::new();
         for _ in 0..2 {
-            let ya = a.forward(&x, Mode::Eval).unwrap();
-            let yb = b.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
-            assert_eq!(ya, yb);
-            let dxa = a.backward(&dy).unwrap();
-            let dxb = b.backward_ws(&dy, &mut ws).unwrap();
-            assert_eq!(dxa, dxb);
-            ws.recycle_tensor(yb);
-            ws.recycle_tensor(dxb);
+            let y = relu.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
+            assert_eq!(y.as_slice(), &[0.0, 0.0, 0.0, 1.5, 3.0]);
+            let dx = relu.backward_ws(&dy, &mut ws).unwrap();
+            // masked entries are +0.0, never a sign-flipped -0.0
+            let bits: Vec<u32> = dx.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, [0, 0, 0, 4.0f32.to_bits(), 5.0f32.to_bits()]);
+            ws.recycle_tensor(y);
+            ws.recycle_tensor(dx);
         }
+        assert_eq!(ws.outstanding(), 0);
+    }
+
+    #[test]
+    fn backward_rejects_misshaped_grad() {
+        let mut relu = ReLU::new();
+        let mut ws = ahw_tensor::Workspace::new();
+        let y = relu
+            .forward_ws(&Tensor::from_slice(&[1.0, -1.0, 2.0]), Mode::Eval, &mut ws)
+            .unwrap();
+        ws.recycle_tensor(y);
+        assert!(matches!(
+            relu.backward_ws(&Tensor::from_slice(&[1.0, 1.0]), &mut ws),
+            Err(NnError::Tensor(
+                ahw_tensor::TensorError::ShapeMismatch { .. }
+            ))
+        ));
+        assert_eq!(ws.outstanding(), 0, "no buffer may leak on the error path");
     }
 }

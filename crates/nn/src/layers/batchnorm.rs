@@ -1,4 +1,4 @@
-use crate::layer::{apply_hook, apply_hook_ws, ActivationHook, HookSlot, Layer, Mode};
+use crate::layer::{apply_hook_ws, grad_shape_error, ActivationHook, HookSlot, Layer, Mode};
 use crate::{NnError, Param};
 use ahw_tensor::{Tensor, TensorError, Workspace};
 use std::sync::Arc;
@@ -23,16 +23,13 @@ pub struct BatchNorm2d {
 
 #[derive(Clone)]
 struct BnCache {
-    /// Normalized activations x̂.
+    /// Normalized activations x̂, in a workspace buffer.
     xhat: Tensor,
     /// Per-channel 1/σ used in the forward pass.
     inv_std: Vec<f32>,
     /// Whether batch statistics were used (full backward) or running
     /// statistics (affine backward).
     train: bool,
-    /// Whether `xhat` is backed by a workspace buffer (planned path), so
-    /// the planned backward can recycle it.
-    from_ws: bool,
 }
 
 impl std::fmt::Debug for BatchNorm2d {
@@ -77,7 +74,7 @@ impl BatchNorm2d {
         Ok((x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]))
     }
 
-    fn normalize_into(
+    fn normalize(
         &self,
         x: &Tensor,
         mean: &[f32],
@@ -103,16 +100,6 @@ impl BatchNorm2d {
         }
     }
 
-    fn normalize(&self, x: &Tensor, mean: &[f32], inv_std: &[f32]) -> (Tensor, Tensor) {
-        let mut xhat = vec![0.0f32; x.len()];
-        let mut y = vec![0.0f32; x.len()];
-        self.normalize_into(x, mean, inv_std, &mut xhat, &mut y);
-        (
-            Tensor::from_vec(xhat, x.dims()).expect("same volume"),
-            Tensor::from_vec(y, x.dims()).expect("same volume"),
-        )
-    }
-
     /// Forward statistics for `mode`, updating running estimates in train
     /// mode. Returns `(mean, var, used_batch_stats)`.
     fn forward_stats(&mut self, x: &Tensor, mode: Mode) -> (Vec<f32>, Vec<f32>, bool) {
@@ -136,8 +123,9 @@ impl BatchNorm2d {
         }
     }
 
-    /// Shared backward arithmetic: accumulates γ/β gradients and writes
-    /// `dL/dx` into `dx` (every element is assigned).
+    /// Backward arithmetic: accumulates γ/β gradients and writes `dL/dx`
+    /// into `dx` (every element is assigned). `grad_out` must match the
+    /// cached `x̂` shape.
     fn backward_core(&mut self, grad_out: &Tensor, cache: &BnCache, dx: &mut [f32]) {
         let dims = cache.xhat.dims();
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -234,20 +222,6 @@ impl BatchNorm2d {
 }
 
 impl Layer for BatchNorm2d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
-        self.check(x)?;
-        let (mean, var, train) = self.forward_stats(x, mode);
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let (xhat, y) = self.normalize(x, &mean, &inv_std);
-        self.cache = Some(BnCache {
-            xhat,
-            inv_std,
-            train,
-            from_ws: false,
-        });
-        Ok(apply_hook(&self.hook, y))
-    }
-
     fn forward_ws(
         &mut self,
         x: &Tensor,
@@ -255,58 +229,37 @@ impl Layer for BatchNorm2d {
         ws: &mut Workspace,
     ) -> Result<Tensor, NnError> {
         self.check(x)?;
-        // a leftover planned cache (forward-only loops) donates its buffer
+        // a leftover cache (forward-only loops) donates its buffer
         if let Some(old) = self.cache.take() {
-            if old.from_ws {
-                ws.recycle_tensor(old.xhat);
-            }
+            ws.recycle_tensor(old.xhat);
         }
         let (mean, var, train) = self.forward_stats(x, mode);
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
         let mut xhat = ws.take(x.len());
         let mut y = ws.take(x.len());
-        self.normalize_into(x, &mean, &inv_std, &mut xhat, &mut y);
+        self.normalize(x, &mean, &inv_std, &mut xhat, &mut y);
         self.cache = Some(BnCache {
             xhat: Tensor::from_vec(xhat, x.dims())?,
             inv_std,
             train,
-            from_ws: true,
         });
         let y = Tensor::from_vec(y, x.dims())?;
         Ok(apply_hook_ws(&self.hook, y, ws))
-    }
-
-    fn forward_infer(&self, x: &Tensor) -> Result<Tensor, NnError> {
-        self.check(x)?;
-        let inv_std: Vec<f32> = self
-            .running_var
-            .as_slice()
-            .iter()
-            .map(|&v| 1.0 / (v + self.eps).sqrt())
-            .collect();
-        let (_, y) = self.normalize(x, self.running_mean.as_slice(), &inv_std);
-        Ok(apply_hook(&self.hook, y))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let cache = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
-            layer: self.describe(),
-        })?;
-        let mut dx = vec![0.0f32; grad_out.len()];
-        self.backward_core(grad_out, &cache, &mut dx);
-        Ok(Tensor::from_vec(dx, cache.xhat.dims())?)
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
         let cache = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
             layer: self.describe(),
         })?;
+        if grad_out.dims() != cache.xhat.dims() {
+            let err = grad_shape_error("batchnorm2d", grad_out, cache.xhat.dims());
+            ws.recycle_tensor(cache.xhat);
+            return Err(err);
+        }
         let mut dx = ws.take(grad_out.len());
         self.backward_core(grad_out, &cache, &mut dx);
         let out = Tensor::from_vec(dx, cache.xhat.dims())?;
-        if cache.from_ws {
-            ws.recycle_tensor(cache.xhat);
-        }
+        ws.recycle_tensor(cache.xhat);
         Ok(out)
     }
 
@@ -441,26 +394,19 @@ mod tests {
     }
 
     #[test]
-    fn planned_path_matches_plain_path_bitwise() {
-        let mut a = BatchNorm2d::new(2);
-        let mut b = BatchNorm2d::new(2);
-        let x = normal(&[3, 2, 3, 3], 1.0, 2.0, &mut seeded(9));
-        let dy = normal(&[3, 2, 3, 3], 0.0, 1.0, &mut seeded(10));
+    fn backward_rejects_misshaped_grad() {
+        let mut bn = BatchNorm2d::new(2);
         let mut ws = ahw_tensor::Workspace::new();
-        for mode in [Mode::Train, Mode::Eval, Mode::Train] {
-            let ya = a.forward(&x, mode).unwrap();
-            let yb = b.forward_ws(&x, mode, &mut ws).unwrap();
-            assert_eq!(ya, yb);
-            let dxa = a.backward(&dy).unwrap();
-            let dxb = b.backward_ws(&dy, &mut ws).unwrap();
-            assert_eq!(dxa, dxb);
-            ws.recycle_tensor(yb);
-            ws.recycle_tensor(dxb);
-        }
-        assert_eq!(a.running_mean, b.running_mean);
-        assert_eq!(a.running_var, b.running_var);
-        assert_eq!(a.gamma.grad, b.gamma.grad);
-        assert_eq!(a.beta.grad, b.beta.grad);
+        let x = normal(&[2, 2, 3, 3], 0.0, 1.0, &mut seeded(11));
+        let y = bn.forward_ws(&x, Mode::Train, &mut ws).unwrap();
+        ws.recycle_tensor(y);
+        let short = Tensor::zeros(&[1, 2, 3, 3]);
+        assert!(matches!(
+            bn.backward_ws(&short, &mut ws),
+            Err(NnError::Tensor(TensorError::ShapeMismatch { .. }))
+        ));
+        // the cached x̂ went back to the arena
+        assert_eq!(ws.outstanding(), 0);
     }
 
     #[test]

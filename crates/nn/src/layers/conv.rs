@@ -1,9 +1,9 @@
-use crate::layer::{apply_hook, apply_hook_ws, ActivationHook, HookSlot, Layer, Mode};
-use crate::util::{par_items2_mut, par_items_mut, par_map_reduce, ErrCell};
+use crate::layer::{apply_hook_ws, ActivationHook, HookSlot, Layer, Mode};
+use crate::util::{par_items2_mut, par_map_reduce, ErrCell};
 use crate::{NnError, Param};
 use ahw_tensor::ops::{self, ConvGeometry};
 use ahw_tensor::rng::Rng;
-use ahw_tensor::{rng, workspace, Tensor, Workspace};
+use ahw_tensor::{rng, Tensor, Workspace};
 use std::sync::Arc;
 
 /// 2-D convolution with square kernels, implemented as `im2col` + GEMM.
@@ -24,12 +24,11 @@ pub struct Conv2d {
     padding: usize,
     hook: Option<Arc<dyn ActivationHook>>,
     param_grads: bool,
-    cache: Option<(Tensor, ConvGeometry)>,
-    /// Planned-path cache: the `(n · patch · span)` im2col columns computed
-    /// during `forward_ws`, kept so `backward_ws` reuses them for `dL/dW`
-    /// instead of re-lowering every input, then overwrites them in place
-    /// with `dcols` for `dL/dx`.
-    ws_cache: Option<(Vec<f32>, ConvGeometry, usize)>,
+    /// The `(n · patch · span)` im2col columns computed during
+    /// `forward_ws`, kept so `backward_ws` reuses them for `dL/dW` instead
+    /// of re-lowering every input, then overwrites them in place with
+    /// `dcols` for `dL/dx`.
+    cache: Option<(Vec<f32>, ConvGeometry, usize)>,
 }
 
 impl std::fmt::Debug for Conv2d {
@@ -76,7 +75,6 @@ impl Conv2d {
             hook: None,
             param_grads: true,
             cache: None,
-            ws_cache: None,
         })
     }
 
@@ -130,42 +128,10 @@ impl Conv2d {
         Ok(g)
     }
 
-    fn run_forward(&self, x: &Tensor, g: &ConvGeometry) -> Result<Tensor, NnError> {
-        let n = x.dims()[0];
-        let (oh, ow) = (g.out_height(), g.out_width());
-        let span = g.out_height() * g.out_width();
-        let item_in = g.channels * g.height * g.width;
-        let item_out = self.out_channels * span;
-        let mut out = vec![0.0f32; n * item_out];
-        let xv = x.as_slice();
-        let weight = &self.weight.value;
-        let bias = self.bias.value.as_slice();
-        let err = ErrCell::new();
-        par_items_mut(&mut out, item_out, |i, chunk| {
-            err.run(|| {
-                let xi = Tensor::from_vec(
-                    xv[i * item_in..(i + 1) * item_in].to_vec(),
-                    &[g.channels, g.height, g.width],
-                )?;
-                let cols = ops::im2col(&xi, g)?;
-                let y = ops::matmul(weight, &cols)?;
-                chunk.copy_from_slice(y.as_slice());
-                for (oc, b) in bias.iter().enumerate() {
-                    for v in &mut chunk[oc * span..(oc + 1) * span] {
-                        *v += b;
-                    }
-                }
-                Ok::<(), NnError>(())
-            });
-        });
-        err.into_result()?;
-        Ok(Tensor::from_vec(out, &[n, self.out_channels, oh, ow])?)
-    }
-
-    /// Shared planned backward: consumes the forward's cached im2col columns.
-    /// `dL/dW` reads them first; `dL/dx` then overwrites them in place with
-    /// `dcols` before scattering back to input geometry, so the whole
-    /// backward needs exactly one extra workspace buffer (for `dx`).
+    /// Backward from the forward's cached im2col columns. `dL/dW` reads
+    /// them first; `dL/dx` then overwrites them in place with `dcols` before
+    /// scattering back to input geometry, so the whole backward needs
+    /// exactly one extra workspace buffer (for `dx`).
     fn backward_from_cols(
         &mut self,
         grad_out: &Tensor,
@@ -191,8 +157,8 @@ impl Conv2d {
         let oc = self.out_channels;
 
         // pass 1: dL/dW, dL/db from the cached columns (must run before the
-        // dx pass overwrites them). Accumulator layout and fold order match
-        // the unplanned backward exactly, so gradients stay bit-identical.
+        // dx pass overwrites them). Items fold into fixed chunks in chunk
+        // order, so gradients are bit-identical at any thread count.
         if self.param_grads {
             let colsv = &cols[..];
             let err = ErrCell::new();
@@ -265,14 +231,6 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Result<Tensor, NnError> {
-        let g = self.geometry(x)?;
-        let y = self.run_forward(x, &g)?;
-        self.ws_cache = None;
-        self.cache = Some((x.clone(), g));
-        Ok(apply_hook(&self.hook, y))
-    }
-
     fn forward_ws(
         &mut self,
         x: &Tensor,
@@ -286,10 +244,9 @@ impl Layer for Conv2d {
         let item_in = g.channels * g.height * g.width;
         let item_out = self.out_channels * span;
         let item_cols = patch * span;
-        if let Some((old, _, _)) = self.ws_cache.take() {
+        if let Some((old, _, _)) = self.cache.take() {
             ws.recycle(old);
         }
-        self.cache = None;
         let mut out = ws.take(n * item_out);
         let mut cols = ws.take(n * item_cols);
         let xv = x.as_slice();
@@ -314,115 +271,16 @@ impl Layer for Conv2d {
             ws.recycle(cols);
             return Err(e);
         }
-        self.ws_cache = Some((cols, g, n));
+        self.cache = Some((cols, g, n));
         let y = Tensor::from_vec(out, &[n, oc, g.out_height(), g.out_width()])?;
         Ok(apply_hook_ws(&self.hook, y, ws))
     }
 
-    fn forward_infer(&self, x: &Tensor) -> Result<Tensor, NnError> {
-        let g = self.geometry(x)?;
-        let y = self.run_forward(x, &g)?;
-        Ok(apply_hook(&self.hook, y))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        // a planned forward may precede an unplanned backward; serve it from
-        // the cached columns with a checked-out global workspace
-        if let Some((cols, g, n)) = self.ws_cache.take() {
-            return workspace::with_global(|ws| self.backward_from_cols(grad_out, cols, g, n, ws));
-        }
-        let (x, g) = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
+        let (cols, g, n) = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
             layer: self.describe(),
         })?;
-        let n = x.dims()[0];
-        let span = g.out_height() * g.out_width();
-        let item_in = g.channels * g.height * g.width;
-        let item_out = self.out_channels * span;
-        debug_assert_eq!(grad_out.len(), n * item_out);
-        let dyv = grad_out.as_slice();
-        let xv = x.as_slice();
-        let weight = &self.weight.value;
-        let patch = g.patch_len();
-
-        // pass 1: dL/dx per item (parallel, disjoint writes)
-        let mut dx = vec![0.0f32; n * item_in];
-        let err = ErrCell::new();
-        par_items_mut(&mut dx, item_in, |i, chunk| {
-            err.run(|| {
-                let dyi = Tensor::from_vec(
-                    dyv[i * item_out..(i + 1) * item_out].to_vec(),
-                    &[self.out_channels, span],
-                )?;
-                let dcols = ops::matmul_transa(weight, &dyi)?;
-                let dxi = ops::col2im(&dcols, &g)?;
-                chunk.copy_from_slice(dxi.as_slice());
-                Ok::<(), NnError>(())
-            });
-        });
-        err.into_result()?;
-
-        // pass 2: dL/dW, dL/db (parallel map-reduce over items)
-        if self.param_grads {
-            let err = ErrCell::new();
-            let (dw, db) = par_map_reduce(
-                n,
-                || {
-                    (
-                        vec![0.0f32; self.out_channels * patch],
-                        vec![0.0f32; self.out_channels],
-                    )
-                },
-                |i, (dw, db)| {
-                    err.run(|| {
-                        let xi = Tensor::from_vec(
-                            xv[i * item_in..(i + 1) * item_in].to_vec(),
-                            &[g.channels, g.height, g.width],
-                        )?;
-                        let cols = ops::im2col(&xi, &g)?;
-                        let dyi = Tensor::from_vec(
-                            dyv[i * item_out..(i + 1) * item_out].to_vec(),
-                            &[self.out_channels, span],
-                        )?;
-                        let dwi = ops::matmul_transb(&dyi, &cols)?;
-                        for (a, b) in dw.iter_mut().zip(dwi.as_slice()) {
-                            *a += b;
-                        }
-                        for (oc, d) in db.iter_mut().enumerate() {
-                            *d += dyi.as_slice()[oc * span..(oc + 1) * span]
-                                .iter()
-                                .sum::<f32>();
-                        }
-                        Ok::<(), NnError>(())
-                    });
-                },
-                |(mut aw, mut ab), (bw, bb)| {
-                    for (a, b) in aw.iter_mut().zip(&bw) {
-                        *a += b;
-                    }
-                    for (a, b) in ab.iter_mut().zip(&bb) {
-                        *a += b;
-                    }
-                    (aw, ab)
-                },
-            );
-            err.into_result()?;
-            for (a, b) in self.weight.grad.as_mut_slice().iter_mut().zip(&dw) {
-                *a += b;
-            }
-            for (a, b) in self.bias.grad.as_mut_slice().iter_mut().zip(&db) {
-                *a += b;
-            }
-        }
-        Ok(Tensor::from_vec(dx, x.dims())?)
-    }
-
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
-        match self.ws_cache.take() {
-            Some((cols, g, n)) => self.backward_from_cols(grad_out, cols, g, n, ws),
-            // planned backward after an unplanned forward: fall through to
-            // the input-cache path (allocating, but correct)
-            None => self.backward(grad_out),
-        }
+        self.backward_from_cols(grad_out, cols, g, n, ws)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -537,6 +395,23 @@ mod tests {
     }
 
     #[test]
+    fn backward_rejects_misshaped_grad_and_recycles_columns() {
+        let mut rng = seeded(11);
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng).unwrap();
+        let x = ahw_tensor::rng::normal(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
+        let mut ws = Workspace::new();
+        let y = conv.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
+        ws.recycle_tensor(y);
+        assert!(matches!(
+            conv.backward_ws(&Tensor::zeros(&[1, 3, 5, 5]), &mut ws),
+            Err(NnError::Tensor(
+                ahw_tensor::TensorError::ShapeMismatch { .. }
+            ))
+        ));
+        assert_eq!(ws.outstanding(), 0, "cached columns not recycled");
+    }
+
+    #[test]
     fn input_gradient_matches_finite_difference() {
         let mut rng = seeded(5);
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng).unwrap();
@@ -567,7 +442,7 @@ mod tests {
         for idx in [0, 5, 11] {
             let orig = conv.weight.value.as_slice()[idx];
             conv.weight.value.as_mut_slice()[idx] = orig + eps;
-            let yp = conv.forward_infer(&x).unwrap();
+            let yp = conv.forward(&x, Mode::Eval).unwrap();
             let lp: f32 = yp
                 .as_slice()
                 .iter()
@@ -575,7 +450,7 @@ mod tests {
                 .map(|(a, b)| a * b)
                 .sum();
             conv.weight.value.as_mut_slice()[idx] = orig - eps;
-            let ym = conv.forward_infer(&x).unwrap();
+            let ym = conv.forward(&x, Mode::Eval).unwrap();
             let lm: f32 = ym
                 .as_slice()
                 .iter()
@@ -615,69 +490,20 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_train_forward() {
-        let mut rng = seeded(9);
-        let mut conv = Conv2d::new(2, 2, 3, 1, 1, &mut rng).unwrap();
-        let x = ahw_tensor::rng::normal(&[3, 2, 6, 6], 0.0, 1.0, &mut rng);
-        let a = conv.forward(&x, Mode::Train).unwrap();
-        let b = conv.forward_infer(&x).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn planned_path_matches_plain_path_bitwise() {
-        let mut rng = seeded(11);
-        let mut a = Conv2d::new(2, 4, 3, 1, 1, &mut rng).unwrap();
-        let mut b = a.clone();
-        let x = ahw_tensor::rng::normal(&[3, 2, 6, 6], 0.0, 1.0, &mut rng);
-        let dy = ahw_tensor::rng::normal(&[3, 4, 6, 6], 0.0, 1.0, &mut rng);
-        let mut ws = ahw_tensor::Workspace::new();
-        // two rounds so the second one runs entirely on recycled buffers
-        for _ in 0..2 {
-            let ya = a.forward(&x, Mode::Train).unwrap();
-            let yb = b.forward_ws(&x, Mode::Train, &mut ws).unwrap();
-            assert_eq!(ya, yb);
-            let dxa = a.backward(&dy).unwrap();
-            let dxb = b.backward_ws(&dy, &mut ws).unwrap();
-            assert_eq!(dxa, dxb);
-            ws.recycle_tensor(yb);
-            ws.recycle_tensor(dxb);
-        }
-        let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
-        assert_eq!(bits(&a.weight.grad), bits(&b.weight.grad));
-        assert_eq!(bits(&a.bias.grad), bits(&b.bias.grad));
-    }
-
-    #[test]
-    fn planned_forward_then_plain_backward_works() {
-        let mut rng = seeded(12);
-        let mut conv = Conv2d::new(1, 2, 3, 1, 1, &mut rng).unwrap();
-        let mut plain = conv.clone();
-        let x = ahw_tensor::rng::normal(&[2, 1, 5, 5], 0.0, 1.0, &mut rng);
-        let dy = ahw_tensor::rng::normal(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
-        let mut ws = ahw_tensor::Workspace::new();
-        conv.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
-        plain.forward(&x, Mode::Eval).unwrap();
-        let dxa = conv.backward(&dy).unwrap();
-        let dxb = plain.backward(&dy).unwrap();
-        assert_eq!(dxa, dxb);
-    }
-
-    #[test]
     fn hook_applies_to_output() {
         struct Negate;
         impl ActivationHook for Negate {
-            fn apply(&self, x: &Tensor) -> Tensor {
+            fn apply(&self, x: &Tensor, _ws: &mut Workspace) -> Tensor {
                 x.scale(-1.0)
             }
         }
         let mut rng = seeded(10);
         let mut conv = Conv2d::new(1, 1, 1, 1, 0, &mut rng).unwrap();
         let x = Tensor::ones(&[1, 1, 2, 2]);
-        let plain = conv.forward_infer(&x).unwrap();
+        let plain = conv.forward(&x, Mode::Eval).unwrap();
         conv.set_hook(HookSlot::Output, Some(Arc::new(Negate)))
             .unwrap();
-        let hooked = conv.forward_infer(&x).unwrap();
+        let hooked = conv.forward(&x, Mode::Eval).unwrap();
         assert_eq!(hooked.scale(-1.0), plain);
         assert!(conv.set_hook(HookSlot::BlockConv1, None).is_err());
     }

@@ -1,12 +1,12 @@
-use crate::layer::{Layer, Mode};
+use crate::layer::{grad_shape_error, Layer, Mode};
 use crate::NnError;
 use ahw_tensor::{Shape, Tensor, Workspace};
 
 /// Flattens `(N, …)` to `(N, prod(…))` — the bridge from convolutional
 /// features to the classifier head.
 ///
-/// The input shape is cached as a [`Shape`] (inline for rank ≤ 4), so the
-/// planned path caches and restores geometry without heap traffic.
+/// The input shape is cached as a [`Shape`] (inline for rank ≤ 4), so
+/// geometry is cached and restored without heap traffic.
 #[derive(Debug, Clone, Default)]
 pub struct Flatten {
     cache: Option<Shape>,
@@ -29,23 +29,9 @@ impl Flatten {
         let n = x.dims()[0];
         Ok([n, x.dims()[1..].iter().product()])
     }
-
-    fn flatten(x: &Tensor) -> Result<Tensor, NnError> {
-        let out = Self::out_dims(x)?;
-        Ok(x.reshape(&out)?)
-    }
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Result<Tensor, NnError> {
-        self.cache = Some(Shape::new(x.dims()));
-        Self::flatten(x)
-    }
-
-    fn forward_infer(&self, x: &Tensor) -> Result<Tensor, NnError> {
-        Self::flatten(x)
-    }
-
     fn forward_ws(
         &mut self,
         x: &Tensor,
@@ -59,23 +45,12 @@ impl Layer for Flatten {
         Ok(Tensor::from_vec(buf, &out)?)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let dims = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
-            layer: self.describe(),
-        })?;
-        Ok(grad_out.reshape(dims.dims())?)
-    }
-
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
         let dims = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
             layer: self.describe(),
         })?;
         if grad_out.len() != dims.volume() {
-            return Err(NnError::Tensor(ahw_tensor::TensorError::ShapeMismatch {
-                op: "flatten",
-                lhs: grad_out.dims().to_vec(),
-                rhs: dims.dims().to_vec(),
-            }));
+            return Err(grad_shape_error("flatten", grad_out, dims.dims()));
         }
         let mut buf = ws.take(grad_out.len());
         buf.copy_from_slice(grad_out.as_slice());

@@ -1,8 +1,8 @@
-use crate::layer::{apply_hook, apply_hook_ws, ActivationHook, HookSlot, Layer, Mode};
+use crate::layer::{apply_hook_ws, ActivationHook, HookSlot, Layer, Mode};
 use crate::{NnError, Param};
 use ahw_tensor::ops;
 use ahw_tensor::rng::Rng;
-use ahw_tensor::{rng, workspace, Tensor, Workspace};
+use ahw_tensor::{rng, Tensor, Workspace};
 use std::sync::Arc;
 
 /// Fully-connected layer: `y = x · Wᵀ + b` over `(N, in_features)` inputs.
@@ -17,12 +17,11 @@ pub struct Linear {
     out_features: usize,
     hook: Option<Arc<dyn ActivationHook>>,
     param_grads: bool,
-    cache: Option<Tensor>,
-    /// Planned-path cache: a workspace copy of the input when parameter
-    /// gradients are enabled, or an empty (non-allocating) vec as the
-    /// "forward happened" marker when they are not — `dL/dx` only needs the
-    /// weights, so attack loops never copy the input at all.
-    ws_cache: Option<Vec<f32>>,
+    /// A workspace copy of the input when parameter gradients are enabled,
+    /// or an empty (non-allocating) vec as the "forward happened" marker
+    /// when they are not — `dL/dx` only needs the weights, so attack loops
+    /// never copy the input at all.
+    cache: Option<Vec<f32>>,
 }
 
 impl std::fmt::Debug for Linear {
@@ -59,7 +58,6 @@ impl Linear {
             hook: None,
             param_grads: true,
             cache: None,
-            ws_cache: None,
         })
     }
 
@@ -83,29 +81,9 @@ impl Linear {
         self.out_features
     }
 
-    fn run_forward(&self, x: &Tensor) -> Result<Tensor, NnError> {
-        if x.rank() != 2 || x.dims()[1] != self.in_features {
-            return Err(NnError::Tensor(ahw_tensor::TensorError::ShapeMismatch {
-                op: "linear",
-                lhs: x.dims().to_vec(),
-                rhs: vec![0, self.in_features],
-            }));
-        }
-        let mut y = ops::matmul_transb(x, &self.weight.value)?;
-        let n = y.dims()[0];
-        let bias = self.bias.value.as_slice();
-        let yv = y.as_mut_slice();
-        for r in 0..n {
-            for (c, b) in bias.iter().enumerate() {
-                yv[r * self.out_features + c] += b;
-            }
-        }
-        Ok(y)
-    }
-
-    /// Shared planned backward: consumes the forward's cached input copy
-    /// (empty when parameter gradients are disabled).
-    fn backward_with_ws(
+    /// Backward from the forward's cached input copy (empty when parameter
+    /// gradients are disabled).
+    fn backward_from_input(
         &mut self,
         grad_out: &Tensor,
         xbuf: Vec<f32>,
@@ -173,13 +151,6 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Result<Tensor, NnError> {
-        let y = self.run_forward(x)?;
-        self.ws_cache = None;
-        self.cache = Some(x.clone());
-        Ok(apply_hook(&self.hook, y))
-    }
-
     fn forward_ws(
         &mut self,
         x: &Tensor,
@@ -193,12 +164,11 @@ impl Layer for Linear {
                 rhs: vec![0, self.in_features],
             }));
         }
-        if let Some(old) = self.ws_cache.take() {
+        if let Some(old) = self.cache.take() {
             if !old.is_empty() {
                 ws.recycle(old);
             }
         }
-        self.cache = None;
         let n = x.dims()[0];
         let mut y = ws.take(n * self.out_features);
         if let Err(e) = ops::matmul_transb_slices(
@@ -218,7 +188,7 @@ impl Layer for Linear {
                 y[r * self.out_features + c] += b;
             }
         }
-        self.ws_cache = Some(if self.param_grads {
+        self.cache = Some(if self.param_grads {
             let mut xc = ws.take(x.len());
             xc.copy_from_slice(x.as_slice());
             xc
@@ -229,39 +199,11 @@ impl Layer for Linear {
         Ok(apply_hook_ws(&self.hook, y, ws))
     }
 
-    fn forward_infer(&self, x: &Tensor) -> Result<Tensor, NnError> {
-        let y = self.run_forward(x)?;
-        Ok(apply_hook(&self.hook, y))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        if let Some(xbuf) = self.ws_cache.take() {
-            return workspace::with_global(|ws| self.backward_with_ws(grad_out, xbuf, ws));
-        }
-        let x = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
+        let xbuf = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
             layer: self.describe(),
         })?;
-        let dx = ops::matmul(grad_out, &self.weight.value)?;
-        if self.param_grads {
-            let dw = ops::matmul_transa(grad_out, &x)?;
-            self.weight.grad.add_scaled(&dw, 1.0)?;
-            let n = grad_out.dims()[0];
-            let gv = grad_out.as_slice();
-            let db = self.bias.grad.as_mut_slice();
-            for r in 0..n {
-                for (c, d) in db.iter_mut().enumerate() {
-                    *d += gv[r * self.out_features + c];
-                }
-            }
-        }
-        Ok(dx)
-    }
-
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
-        match self.ws_cache.take() {
-            Some(xbuf) => self.backward_with_ws(grad_out, xbuf, ws),
-            None => self.backward(grad_out),
-        }
+        self.backward_from_input(grad_out, xbuf, ws)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -343,7 +285,7 @@ mod tests {
             let mut xm = x.clone();
             xm.as_mut_slice()[idx] -= eps;
             let lp: f32 = lin
-                .forward_infer(&xp)
+                .forward(&xp, Mode::Eval)
                 .unwrap()
                 .as_slice()
                 .iter()
@@ -351,7 +293,7 @@ mod tests {
                 .map(|(a, b)| a * b)
                 .sum();
             let lm: f32 = lin
-                .forward_infer(&xm)
+                .forward(&xm, Mode::Eval)
                 .unwrap()
                 .as_slice()
                 .iter()
@@ -366,7 +308,7 @@ mod tests {
             let orig = lin.weight.value.as_slice()[idx];
             lin.weight.value.as_mut_slice()[idx] = orig + eps;
             let lp: f32 = lin
-                .forward_infer(&x)
+                .forward(&x, Mode::Eval)
                 .unwrap()
                 .as_slice()
                 .iter()
@@ -375,7 +317,7 @@ mod tests {
                 .sum();
             lin.weight.value.as_mut_slice()[idx] = orig - eps;
             let lm: f32 = lin
-                .forward_infer(&x)
+                .forward(&x, Mode::Eval)
                 .unwrap()
                 .as_slice()
                 .iter()
@@ -400,35 +342,25 @@ mod tests {
     }
 
     #[test]
-    fn planned_path_matches_plain_path_bitwise() {
-        let mut rng = seeded(6);
-        let mut a = Linear::new(5, 3, &mut rng).unwrap();
-        let mut b = a.clone();
-        let x = ahw_tensor::rng::normal(&[4, 5], 0.0, 1.0, &mut rng);
-        let dy = ahw_tensor::rng::normal(&[4, 3], 0.0, 1.0, &mut rng);
-        let mut ws = ahw_tensor::Workspace::new();
-        for _ in 0..2 {
-            let ya = a.forward(&x, Mode::Eval).unwrap();
-            let yb = b.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
-            assert_eq!(ya, yb);
-            let dxa = a.backward(&dy).unwrap();
-            let dxb = b.backward_ws(&dy, &mut ws).unwrap();
-            assert_eq!(dxa, dxb);
-            ws.recycle_tensor(yb);
-            ws.recycle_tensor(dxb);
-        }
-        let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
-        assert_eq!(bits(&a.weight.grad), bits(&b.weight.grad));
-        assert_eq!(bits(&a.bias.grad), bits(&b.bias.grad));
+    fn backward_rejects_misshaped_grad_and_recycles_input_copy() {
+        let mut rng = seeded(8);
+        let mut lin = Linear::new(3, 2, &mut rng).unwrap();
+        let mut ws = Workspace::new();
+        let y = lin
+            .forward_ws(&Tensor::ones(&[4, 3]), Mode::Eval, &mut ws)
+            .unwrap();
+        ws.recycle_tensor(y);
+        assert!(lin.backward_ws(&Tensor::ones(&[4, 3]), &mut ws).is_err());
+        assert_eq!(ws.outstanding(), 0, "cached input copy not recycled");
     }
 
     #[test]
-    fn planned_backward_skips_input_copy_without_param_grads() {
+    fn backward_skips_input_copy_without_param_grads() {
         let mut rng = seeded(7);
         let mut lin = Linear::new(3, 2, &mut rng).unwrap();
         lin.set_param_grads(false);
         let x = Tensor::ones(&[2, 3]);
-        let mut ws = ahw_tensor::Workspace::new();
+        let mut ws = Workspace::new();
         lin.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
         let dx = lin.backward_ws(&Tensor::ones(&[2, 2]), &mut ws).unwrap();
         assert_eq!(dx.dims(), &[2, 3]);

@@ -8,6 +8,7 @@ mod linear;
 mod pool;
 
 pub use activation::ReLU;
+pub(crate) use activation::ReluMask;
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
 pub use flatten::Flatten;

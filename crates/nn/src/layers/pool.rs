@@ -1,4 +1,4 @@
-use crate::layer::{apply_hook, apply_hook_ws, ActivationHook, HookSlot, Layer, Mode};
+use crate::layer::{apply_hook_ws, grad_shape_error, ActivationHook, HookSlot, Layer, Mode};
 use crate::NnError;
 use ahw_tensor::{Shape, Tensor, TensorError, Workspace};
 use std::sync::Arc;
@@ -7,12 +7,23 @@ fn pool_out(extent: usize, kernel: usize, stride: usize) -> usize {
     (extent - kernel) / stride + 1
 }
 
+/// Output dims of a pool over a (validated) `(N, C, H, W)` input shape.
+fn pool_out_dims(in_dims: &[usize], kernel: usize, stride: usize) -> [usize; 4] {
+    [
+        in_dims[0],
+        in_dims[1],
+        pool_out(in_dims[2], kernel, stride),
+        pool_out(in_dims[3], kernel, stride),
+    ]
+}
+
+/// Validates a pool input and returns the output dims.
 fn check_pool_input(
     x: &Tensor,
     kernel: usize,
     stride: usize,
     op: &'static str,
-) -> Result<(usize, usize, usize, usize), NnError> {
+) -> Result<[usize; 4], NnError> {
     if x.rank() != 4 {
         return Err(NnError::Tensor(TensorError::RankMismatch {
             op,
@@ -20,13 +31,13 @@ fn check_pool_input(
             actual: x.rank(),
         }));
     }
-    let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
+    let (h, w) = (x.dims()[2], x.dims()[3]);
     if kernel == 0 || stride == 0 || h < kernel || w < kernel {
         return Err(NnError::Tensor(TensorError::InvalidArgument(format!(
             "{op}: kernel {kernel}/stride {stride} invalid for {h}x{w} input"
         ))));
     }
-    Ok((n, c, h, w))
+    Ok(pool_out_dims(x.dims(), kernel, stride))
 }
 
 /// Max pooling over square windows of a `(N, C, H, W)` tensor.
@@ -68,13 +79,10 @@ impl MaxPool2d {
     }
 
     /// Fills `out` (already sized `n·c·oh·ow`) and rewrites `argmax` to the
-    /// same length. Returns the output dims.
-    fn run_core(&self, x: &Tensor, out: &mut [f32], argmax: &mut Vec<u32>) -> [usize; 4] {
-        let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-        let (oh, ow) = (
-            pool_out(h, self.kernel, self.stride),
-            pool_out(w, self.kernel, self.stride),
-        );
+    /// same length.
+    fn run_core(&self, x: &Tensor, out: &mut [f32], argmax: &mut Vec<u32>) {
+        let [n, c, oh, ow] = pool_out_dims(x.dims(), self.kernel, self.stride);
+        let (h, w) = (x.dims()[2], x.dims()[3]);
         let xv = x.as_slice();
         argmax.clear();
         argmax.resize(out.len(), 0);
@@ -104,77 +112,39 @@ impl MaxPool2d {
                 }
             }
         }
-        [n, c, oh, ow]
-    }
-
-    fn run(&self, x: &Tensor) -> Result<(Tensor, Vec<u32>), NnError> {
-        let (n, c, h, w) = check_pool_input(x, self.kernel, self.stride, "maxpool2d")?;
-        let (oh, ow) = (
-            pool_out(h, self.kernel, self.stride),
-            pool_out(w, self.kernel, self.stride),
-        );
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        let mut argmax = Vec::new();
-        let od = self.run_core(x, &mut out, &mut argmax);
-        Ok((Tensor::from_vec(out, &od)?, argmax))
     }
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Result<Tensor, NnError> {
-        let (y, argmax) = self.run(x)?;
-        self.cache = Some((Shape::new(x.dims()), argmax));
-        Ok(apply_hook(&self.hook, y))
-    }
-
-    fn forward_infer(&self, x: &Tensor) -> Result<Tensor, NnError> {
-        let (y, _) = self.run(x)?;
-        Ok(apply_hook(&self.hook, y))
-    }
-
     fn forward_ws(
         &mut self,
         x: &Tensor,
         _mode: Mode,
         ws: &mut Workspace,
     ) -> Result<Tensor, NnError> {
-        let (n, c, h, w) = check_pool_input(x, self.kernel, self.stride, "maxpool2d")?;
-        let (oh, ow) = (
-            pool_out(h, self.kernel, self.stride),
-            pool_out(w, self.kernel, self.stride),
-        );
+        let od = check_pool_input(x, self.kernel, self.stride, "maxpool2d")?;
         // reclaim the previous cycle's argmax storage (forward-only loops
         // leave it in `cache`, forward/backward cycles in `spare`)
         let mut argmax = match self.cache.take() {
             Some((_, a)) => a,
             None => std::mem::take(&mut self.spare),
         };
-        let mut out = ws.take(n * c * oh * ow);
-        let od = self.run_core(x, &mut out, &mut argmax);
+        let mut out = ws.take(od.iter().product());
+        self.run_core(x, &mut out, &mut argmax);
         self.cache = Some((Shape::new(x.dims()), argmax));
         let y = Tensor::from_vec(out, &od)?;
         Ok(apply_hook_ws(&self.hook, y, ws))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let (in_shape, argmax) = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
-            layer: self.describe(),
-        })?;
-        debug_assert_eq!(argmax.len(), grad_out.len());
-        let mut dx = Tensor::zeros(in_shape.dims());
-        let dxv = dx.as_mut_slice();
-        for (&g, &idx) in grad_out.as_slice().iter().zip(&argmax) {
-            dxv[idx as usize] += g;
-        }
-        self.spare = argmax;
-        Ok(dx)
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
         let (in_shape, argmax) = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
             layer: self.describe(),
         })?;
-        debug_assert_eq!(argmax.len(), grad_out.len());
+        let out_dims = pool_out_dims(in_shape.dims(), self.kernel, self.stride);
+        if grad_out.dims() != out_dims {
+            self.spare = argmax;
+            return Err(grad_shape_error("maxpool2d", grad_out, &out_dims));
+        }
         let mut dx = ws.take(in_shape.volume());
         dx.fill(0.0);
         for (&g, &idx) in grad_out.as_slice().iter().zip(&argmax) {
@@ -240,13 +210,10 @@ impl AvgPool2d {
         }
     }
 
-    /// Fills `out` (already sized `n·c·oh·ow`) and returns the output dims.
-    fn run_core(&self, x: &Tensor, out: &mut [f32]) -> [usize; 4] {
-        let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-        let (oh, ow) = (
-            pool_out(h, self.kernel, self.stride),
-            pool_out(w, self.kernel, self.stride),
-        );
+    /// Fills `out` (already sized `n·c·oh·ow`).
+    fn run_core(&self, x: &Tensor, out: &mut [f32]) {
+        let [n, c, oh, ow] = pool_out_dims(x.dims(), self.kernel, self.stride);
+        let (h, w) = (x.dims()[2], x.dims()[3]);
         let xv = x.as_slice();
         let inv = 1.0 / (self.kernel * self.kernel) as f32;
         let mut o = 0usize;
@@ -269,28 +236,13 @@ impl AvgPool2d {
                 }
             }
         }
-        [n, c, oh, ow]
     }
 
-    fn run(&self, x: &Tensor) -> Result<Tensor, NnError> {
-        let (n, c, h, w) = check_pool_input(x, self.kernel, self.stride, "avgpool2d")?;
-        let (oh, ow) = (
-            pool_out(h, self.kernel, self.stride),
-            pool_out(w, self.kernel, self.stride),
-        );
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        let od = self.run_core(x, &mut out);
-        Ok(Tensor::from_vec(out, &od)?)
-    }
-
-    /// Scatters `grad_out` back over the input windows; `dx` must be
-    /// zero-filled on entry.
+    /// Scatters `grad_out` (already checked against the output shape) back
+    /// over the input windows; `dx` must be zero-filled on entry.
     fn backward_core(&self, grad_out: &Tensor, in_dims: &[usize], dx: &mut [f32]) {
-        let (n, c, h, w) = (in_dims[0], in_dims[1], in_dims[2], in_dims[3]);
-        let (oh, ow) = (
-            pool_out(h, self.kernel, self.stride),
-            pool_out(w, self.kernel, self.stride),
-        );
+        let [n, c, oh, ow] = pool_out_dims(in_dims, self.kernel, self.stride);
+        let (h, w) = (in_dims[2], in_dims[3]);
         let inv = 1.0 / (self.kernel * self.kernel) as f32;
         let gv = grad_out.as_slice();
         let mut o = 0usize;
@@ -316,47 +268,28 @@ impl AvgPool2d {
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Result<Tensor, NnError> {
-        let y = self.run(x)?;
-        self.cache = Some(Shape::new(x.dims()));
-        Ok(apply_hook(&self.hook, y))
-    }
-
-    fn forward_infer(&self, x: &Tensor) -> Result<Tensor, NnError> {
-        Ok(apply_hook(&self.hook, self.run(x)?))
-    }
-
     fn forward_ws(
         &mut self,
         x: &Tensor,
         _mode: Mode,
         ws: &mut Workspace,
     ) -> Result<Tensor, NnError> {
-        let (n, c, h, w) = check_pool_input(x, self.kernel, self.stride, "avgpool2d")?;
-        let (oh, ow) = (
-            pool_out(h, self.kernel, self.stride),
-            pool_out(w, self.kernel, self.stride),
-        );
-        let mut out = ws.take(n * c * oh * ow);
-        let od = self.run_core(x, &mut out);
+        let od = check_pool_input(x, self.kernel, self.stride, "avgpool2d")?;
+        let mut out = ws.take(od.iter().product());
+        self.run_core(x, &mut out);
         self.cache = Some(Shape::new(x.dims()));
         let y = Tensor::from_vec(out, &od)?;
         Ok(apply_hook_ws(&self.hook, y, ws))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let in_shape = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
-            layer: self.describe(),
-        })?;
-        let mut dx = Tensor::zeros(in_shape.dims());
-        self.backward_core(grad_out, in_shape.dims(), dx.as_mut_slice());
-        Ok(dx)
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
         let in_shape = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
             layer: self.describe(),
         })?;
+        let out_dims = pool_out_dims(in_shape.dims(), self.kernel, self.stride);
+        if grad_out.dims() != out_dims {
+            return Err(grad_shape_error("avgpool2d", grad_out, &out_dims));
+        }
         let mut dx = ws.take(in_shape.volume());
         dx.fill(0.0);
         self.backward_core(grad_out, in_shape.dims(), &mut dx);
@@ -453,38 +386,25 @@ mod tests {
     }
 
     #[test]
-    fn planned_pool_paths_match_plain_paths() {
-        let x = Tensor::from_vec(
-            (0..32).map(|i| (i % 7) as f32 - 3.0).collect(),
-            &[2, 1, 4, 4],
-        )
-        .unwrap();
-        let dy = Tensor::from_vec((0..8).map(|i| i as f32 + 1.0).collect(), &[2, 1, 2, 2]).unwrap();
-        let mut ws = ahw_tensor::Workspace::new();
-
-        let mut ma = MaxPool2d::new(2, 2);
-        let mut mb = MaxPool2d::new(2, 2);
-        let mut aa = AvgPool2d::new(2, 2);
-        let mut ab = AvgPool2d::new(2, 2);
-        for _ in 0..2 {
-            let ya = ma.forward(&x, Mode::Eval).unwrap();
-            let yb = mb.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
-            assert_eq!(ya, yb);
-            let dxa = ma.backward(&dy).unwrap();
-            let dxb = mb.backward_ws(&dy, &mut ws).unwrap();
-            assert_eq!(dxa, dxb);
-            ws.recycle_tensor(yb);
-            ws.recycle_tensor(dxb);
-
-            let ya = aa.forward(&x, Mode::Eval).unwrap();
-            let yb = ab.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
-            assert_eq!(ya, yb);
-            let dxa = aa.backward(&dy).unwrap();
-            let dxb = ab.backward_ws(&dy, &mut ws).unwrap();
-            assert_eq!(dxa, dxb);
-            ws.recycle_tensor(yb);
-            ws.recycle_tensor(dxb);
-        }
+    fn backward_rejects_misshaped_grad() {
+        let x = Tensor::from_vec((0..32).map(|i| i as f32).collect(), &[2, 1, 4, 4]).unwrap();
+        let short = Tensor::ones(&[1, 1, 2, 2]);
+        let mut max = MaxPool2d::new(2, 2);
+        max.forward(&x, Mode::Eval).unwrap();
+        assert!(matches!(
+            max.backward(&short),
+            Err(NnError::Tensor(TensorError::ShapeMismatch { .. }))
+        ));
+        let mut avg = AvgPool2d::new(2, 2);
+        avg.forward(&x, Mode::Eval).unwrap();
+        assert!(matches!(
+            avg.backward(&short),
+            Err(NnError::Tensor(TensorError::ShapeMismatch { .. }))
+        ));
+        // a well-shaped gradient after a fresh forward still works
+        max.forward(&x, Mode::Eval).unwrap();
+        let dx = max.backward(&Tensor::ones(&[2, 1, 2, 2])).unwrap();
+        assert_eq!(dx.sum(), 8.0);
     }
 
     #[test]

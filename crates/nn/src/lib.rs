@@ -35,7 +35,6 @@
 //! # }
 //! ```
 
-mod adam;
 mod block;
 mod error;
 mod layer;
@@ -49,7 +48,6 @@ pub mod layers;
 pub mod train;
 pub mod util;
 
-pub use adam::{AdamConfig, AdamTrainer};
 pub use block::BasicBlock;
 pub use error::NnError;
 pub use layer::{ActivationHook, HookSlot, Layer, Mode};

@@ -115,44 +115,25 @@ impl Sequential {
         std::mem::replace(&mut self.layers[i], layer)
     }
 
-    /// Caching forward pass through every layer.
+    /// Caching forward pass through every layer:
+    /// [`forward_ws`](Sequential::forward_ws) over a throwaway arena.
     ///
     /// # Errors
     ///
     /// Propagates the first layer error.
     pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
-        let mut cur = x.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur, mode)?;
-        }
-        Ok(cur)
+        self.forward_ws(x, mode, &mut Workspace::new())
     }
 
-    /// Cache-free eval-mode forward pass (usable from several threads).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first layer error.
-    pub fn forward_infer(&self, x: &Tensor) -> Result<Tensor, NnError> {
-        let mut cur = x.clone();
-        for layer in &self.layers {
-            cur = layer.forward_infer(&cur)?;
-        }
-        Ok(cur)
-    }
-
-    /// Backward pass; returns `dL/dinput`.
+    /// Backward pass returning `dL/dinput`:
+    /// [`backward_ws`](Sequential::backward_ws) over a throwaway arena.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::NoForwardCache`] if [`forward`](Sequential::forward)
     /// did not precede.
     pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let mut cur = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            cur = layer.backward(&cur)?;
-        }
-        Ok(cur)
+        self.backward_ws(grad_out.clone(), &mut Workspace::new())
     }
 
     /// Workspace-backed forward pass: every intermediate activation is
@@ -223,8 +204,8 @@ impl Sequential {
     }
 
     /// Predicted class index per row, running through the plan cache's
-    /// arena (eval mode). Equivalent to [`predict`](Sequential::predict)
-    /// but allocation-free in the steady state.
+    /// arena (eval mode); allocation-free in the steady state apart from
+    /// the returned vector.
     ///
     /// # Errors
     ///
@@ -235,32 +216,21 @@ impl Sequential {
         cache: &mut PlanCache,
     ) -> Result<Vec<usize>, NnError> {
         let logits = self.forward_planned(x, Mode::Eval, cache)?;
-        let (n, c) = (logits.dims()[0], logits.dims()[1]);
-        let lv = logits.as_slice();
-        let preds = (0..n)
-            .map(|r| {
-                let row = &lv[r * c..(r + 1) * c];
-                row.iter()
-                    .enumerate()
-                    .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
-                        if v > bv {
-                            (i, v)
-                        } else {
-                            (bi, bv)
-                        }
-                    })
-                    .0
-            })
+        let preds = logits
+            .as_slice()
+            .chunks(logits.dims()[1])
+            .map(argmax)
             .collect();
         cache.workspace().recycle_tensor(logits);
         Ok(preds)
     }
 
-    /// Planned variant of [`input_gradient`](Sequential::input_gradient):
-    /// same loss and gradient bit-for-bit, but every activation, gradient,
-    /// and conv scratch buffer comes from the plan cache's arena. The
-    /// returned gradient's storage is workspace-backed — recycle it into
-    /// `cache.workspace()` when finished with it.
+    /// Mean cross-entropy loss and the gradient of the loss with respect to
+    /// the *input*, computed in the given mode. Parameter gradients are not
+    /// accumulated — this is the attack primitive (`∇ₓ L(θ, x, y)`). Every
+    /// activation, gradient, and conv scratch buffer comes from the plan
+    /// cache's arena; the returned gradient's storage is workspace-backed —
+    /// recycle it into `cache.workspace()` when finished with it.
     ///
     /// # Errors
     ///
@@ -277,18 +247,9 @@ impl Sequential {
         let result = (|| {
             let ws = cache.workspace();
             let logits = self.forward_ws(x, mode, ws)?;
-            let ws = cache.workspace();
-            let mut grad = ws.take(logits.len());
-            let loss = match ops::cross_entropy_with_grad_into(&logits, labels, &mut grad) {
-                Ok(l) => l,
-                Err(e) => {
-                    ws.recycle(grad);
-                    ws.recycle_tensor(logits);
-                    return Err(e.into());
-                }
-            };
-            let dlogits = Tensor::from_vec(grad, logits.dims())?;
+            let loss_grad = cross_entropy_ws(&logits, labels, ws);
             ws.recycle_tensor(logits);
+            let (loss, dlogits) = loss_grad?;
             let dx = self.backward_ws(dlogits, ws)?;
             Ok((loss, dx))
         })();
@@ -387,9 +348,8 @@ impl Sequential {
         out
     }
 
-    /// Mean cross-entropy loss and the gradient of the loss with respect to
-    /// the *input*, computed in the given mode. Parameter gradients are not
-    /// accumulated — this is the attack primitive (`∇ₓ L(θ, x, y)`).
+    /// [`input_gradient_planned`](Sequential::input_gradient_planned)
+    /// through a fresh plan cache.
     ///
     /// # Errors
     ///
@@ -400,41 +360,18 @@ impl Sequential {
         labels: &[usize],
         mode: Mode,
     ) -> Result<(f32, Tensor), NnError> {
-        self.set_param_grads(false);
-        let result = (|| {
-            let logits = self.forward(x, mode)?;
-            let (loss, dlogits) = ops::cross_entropy_with_grad(&logits, labels)?;
-            let dx = self.backward(&dlogits)?;
-            Ok((loss, dx))
-        })();
-        self.set_param_grads(true);
-        result
+        self.input_gradient_planned(x, labels, mode, &mut PlanCache::new())
     }
 
-    /// Predicted class index for every row of a batch (eval mode, no cache).
+    /// Predicted class index for every row of a batch (eval mode):
+    /// [`predict_planned`](Sequential::predict_planned) through a fresh plan
+    /// cache.
     ///
     /// # Errors
     ///
     /// Propagates layer errors.
-    pub fn predict(&self, x: &Tensor) -> Result<Vec<usize>, NnError> {
-        let logits = self.forward_infer(x)?;
-        let (n, c) = (logits.dims()[0], logits.dims()[1]);
-        let lv = logits.as_slice();
-        Ok((0..n)
-            .map(|r| {
-                let row = &lv[r * c..(r + 1) * c];
-                row.iter()
-                    .enumerate()
-                    .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
-                        if v > bv {
-                            (i, v)
-                        } else {
-                            (bi, bv)
-                        }
-                    })
-                    .0
-            })
-            .collect())
+    pub fn predict(&mut self, x: &Tensor) -> Result<Vec<usize>, NnError> {
+        self.predict_planned(x, &mut PlanCache::new())
     }
 
     /// Classification accuracy over `(images, labels)`, evaluated in
@@ -471,18 +408,24 @@ impl Sequential {
             .collect();
         let xv = images.as_slice();
         let dims = images.dims();
-        // integer counts commute, so any chunk schedule gives the same total
+        // integer counts commute, so any chunk schedule gives the same total;
+        // each pool range predicts through its own model clone and arena
         let correct = AtomicUsize::new(0);
         let first_err: Mutex<Option<NnError>> = Mutex::new(None);
         pool::parallel_for_ranges(chunks.len(), 1, |r| {
+            let mut model = self.clone();
+            let mut plan = PlanCache::new();
             for ci in r {
                 let (lo, hi) = chunks[ci];
                 let res = (|| -> Result<usize, NnError> {
                     let mut bd = dims.to_vec();
                     bd[0] = hi - lo;
-                    let xb = Tensor::from_vec(xv[lo * item..hi * item].to_vec(), &bd)?;
-                    let preds = self.predict(&xb)?;
-                    Ok(preds
+                    let mut xbuf = plan.workspace().take((hi - lo) * item);
+                    xbuf.copy_from_slice(&xv[lo * item..hi * item]);
+                    let xb = Tensor::from_vec(xbuf, &bd)?;
+                    let preds = model.predict_planned(&xb, &mut plan);
+                    plan.workspace().recycle_tensor(xb);
+                    Ok(preds?
                         .iter()
                         .zip(&labels[lo..hi])
                         .filter(|(p, l)| p == l)
@@ -505,6 +448,49 @@ impl Sequential {
             return Err(e);
         }
         Ok(correct.into_inner() as f32 / n as f32)
+    }
+}
+
+/// Index of the first maximum of `row` (0 for an all-NaN or empty row).
+pub(crate) fn argmax(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
+            if v > bv {
+                (i, v)
+            } else {
+                (bi, bv)
+            }
+        })
+        .0
+}
+
+/// Mean cross-entropy of rank-2 `logits` against `labels` and its gradient
+/// with respect to the logits, the gradient in a `ws` buffer.
+pub(crate) fn cross_entropy_ws(
+    logits: &Tensor,
+    labels: &[usize],
+    ws: &mut Workspace,
+) -> Result<(f32, Tensor), NnError> {
+    if logits.rank() != 2 {
+        return Err(NnError::Tensor(ahw_tensor::TensorError::RankMismatch {
+            op: "cross_entropy",
+            expected: 2,
+            actual: logits.rank(),
+        }));
+    }
+    let mut grad = ws.take(logits.len());
+    match ops::cross_entropy_with_grad_slices(
+        logits.as_slice(),
+        labels,
+        logits.dims()[1],
+        &mut grad,
+    ) {
+        Ok(loss) => Ok((loss, Tensor::from_vec(grad, logits.dims())?)),
+        Err(e) => {
+            ws.recycle(grad);
+            Err(e.into())
+        }
     }
 }
 
@@ -543,11 +529,11 @@ mod tests {
             let mut xm = x.clone();
             xm.as_mut_slice()[idx] -= eps;
             let lp = {
-                let logits = m.forward_infer(&xp).unwrap();
+                let logits = m.forward(&xp, Mode::Eval).unwrap();
                 ops::cross_entropy_with_grad(&logits, &labels).unwrap().0
             };
             let lm = {
-                let logits = m.forward_infer(&xm).unwrap();
+                let logits = m.forward(&xm, Mode::Eval).unwrap();
                 ops::cross_entropy_with_grad(&logits, &labels).unwrap().0
             };
             let fd = (lp - lm) / (2.0 * eps);
@@ -571,7 +557,7 @@ mod tests {
 
     #[test]
     fn predict_and_accuracy_agree() {
-        let m = tiny_model(6);
+        let mut m = tiny_model(6);
         let x = normal(&[10, 3], 0.0, 1.0, &mut seeded(7));
         let preds = m.predict(&x).unwrap();
         let acc = m.accuracy(&x, &preds, 3).unwrap();
@@ -615,7 +601,7 @@ mod tests {
         let x = normal(&[1, 3], 0.0, 1.0, &mut seeded(12));
         // mutate original's params
         m.visit_params(&mut |p| p.value.map_in_place(|v| v + 1.0));
-        let ym = m.forward_infer(&x).unwrap();
+        let ym = m.forward(&x, Mode::Eval).unwrap();
         let yc = c.forward(&x, Mode::Eval).unwrap();
         assert_ne!(ym, yc);
     }
@@ -641,38 +627,27 @@ mod tests {
     }
 
     #[test]
-    fn planned_input_gradient_matches_plain_bitwise() {
-        let mut plain = conv_model(20);
-        let mut planned = plain.clone();
+    fn planned_rounds_on_recycled_buffers_are_bit_identical() {
+        // later rounds run entirely on buffers earlier rounds recycled, so a
+        // read of stale arena contents would change the bits
+        let mut m = conv_model(20);
         let mut cache = PlanCache::new();
         let labels = [0usize, 2, 1, 0];
+        let x = normal(&[4, 2, 6, 6], 0.0, 1.0, &mut seeded(30));
+        let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let (l0, g0) = m.input_gradient(&x, &labels, Mode::Eval).unwrap();
+        let p0 = m.predict(&x).unwrap();
         for round in 0..3 {
-            let x = normal(&[4, 2, 6, 6], 0.0, 1.0, &mut seeded(30 + round));
-            let (la, ga) = plain.input_gradient(&x, &labels, Mode::Eval).unwrap();
-            let (lb, gb) = planned
+            let (l, g) = m
                 .input_gradient_planned(&x, &labels, Mode::Eval, &mut cache)
                 .unwrap();
-            assert_eq!(la.to_bits(), lb.to_bits(), "round {round}: loss differs");
-            assert_eq!(ga.dims(), gb.dims());
-            for (a, b) in ga.as_slice().iter().zip(gb.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "round {round}: grad differs");
-            }
-            cache.workspace().recycle_tensor(gb);
+            assert_eq!(l.to_bits(), l0.to_bits(), "round {round}: loss differs");
+            assert_eq!(bits(&g), bits(&g0), "round {round}: grad differs");
+            cache.workspace().recycle_tensor(g);
+            assert_eq!(m.predict_planned(&x, &mut cache).unwrap(), p0);
         }
-        // one geometry, so rounds 2 and 3 were plan-cache hits
+        // one geometry, so every round after the first was a plan-cache hit
         assert_eq!(cache.compiled_geometries(), 1);
-    }
-
-    #[test]
-    fn planned_predict_matches_plain() {
-        let mut m = conv_model(21);
-        let mut cache = PlanCache::new();
-        let x = normal(&[5, 2, 6, 6], 0.0, 1.0, &mut seeded(22));
-        let plain = m.predict(&x).unwrap();
-        for _ in 0..2 {
-            let planned = m.predict_planned(&x, &mut cache).unwrap();
-            assert_eq!(plain, planned);
-        }
     }
 
     #[test]

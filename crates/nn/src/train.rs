@@ -1,9 +1,10 @@
 //! SGD training loop.
 
+use crate::sequential::{argmax, cross_entropy_ws};
 use crate::{Mode, NnError, PlanCache, Sequential};
 use ahw_telemetry as telemetry;
 use ahw_tensor::rng::Rng;
-use ahw_tensor::{ops, Tensor};
+use ahw_tensor::Tensor;
 
 /// Mini-batches processed across all `fit` calls.
 static BATCHES: telemetry::LazyCounter = telemetry::LazyCounter::new("nn.train.batches");
@@ -165,37 +166,21 @@ impl Trainer {
                 let xb = Tensor::from_vec(data, &bd)?;
                 let logits = model.forward_planned(&xb, Mode::Train, &mut plan)?;
                 let ws = plan.workspace();
-                let mut dlogits = ws.take(logits.len());
-                let loss =
-                    match ops::cross_entropy_with_grad_into(&logits, &batch_labels, &mut dlogits) {
-                        Ok(l) => l,
-                        Err(e) => {
-                            ws.recycle(dlogits);
-                            ws.recycle_tensor(logits);
-                            ws.recycle_tensor(xb);
-                            return Err(e.into());
-                        }
-                    };
+                let (loss, dlogits) = match cross_entropy_ws(&logits, &batch_labels, ws) {
+                    Ok(r) => r,
+                    Err(e) => {
+                        ws.recycle_tensor(logits);
+                        ws.recycle_tensor(xb);
+                        return Err(e);
+                    }
+                };
                 // batch accuracy from the logits we already have
                 let c = logits.dims()[1];
-                for (r, &label) in batch_labels.iter().enumerate() {
-                    let row = &logits.as_slice()[r * c..(r + 1) * c];
-                    let pred = row
-                        .iter()
-                        .enumerate()
-                        .fold((0, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
-                            if v > bv {
-                                (i, v)
-                            } else {
-                                (bi, bv)
-                            }
-                        })
-                        .0;
-                    if pred == label {
+                for (row, &label) in logits.as_slice().chunks(c).zip(&batch_labels) {
+                    if argmax(row) == label {
                         correct += 1;
                     }
                 }
-                let dlogits = Tensor::from_vec(dlogits, logits.dims())?;
                 ws.recycle_tensor(logits);
                 let dx = model.backward_ws(dlogits, ws)?;
                 ws.recycle_tensor(dx);

@@ -23,33 +23,11 @@ pub use ahw_tensor::pool::num_threads;
 /// `AHW_THREADS`.
 const MAP_REDUCE_CHUNKS: usize = 16;
 
-/// Runs `f(item_index, item_chunk)` for every `item_len`-sized chunk of
-/// `out`, distributing contiguous runs of items across the worker pool.
-///
-/// `out.len()` must be a multiple of `item_len`.
-///
-/// # Panics
-///
-/// Panics if a worker task panics.
-pub fn par_items_mut<F>(out: &mut [f32], item_len: usize, f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    if item_len == 0 || out.is_empty() {
-        return;
-    }
-    debug_assert_eq!(out.len() % item_len, 0);
-    pool::par_row_chunks_mut(out, item_len, 1, |first, rows| {
-        for (j, chunk) in rows.chunks_mut(item_len).enumerate() {
-            f(first + j, chunk);
-        }
-    });
-}
-
-/// Like [`par_items_mut`] over two buffers partitioned by the same item
-/// index: `f(i, a_item, b_item)` gets item `i`'s chunk of both `a` and `b`.
-/// The planned conv paths use this to fill an output buffer and an `im2col`
-/// column cache (or read one and write the other) in a single parallel pass.
+/// Runs `f(i, a_item, b_item)` for every item index `i` of two buffers
+/// partitioned by the same item count, distributing contiguous runs of items
+/// across the worker pool. The conv layer uses this to fill an output buffer
+/// and an `im2col` column cache (or read one and write the other) in a
+/// single parallel pass.
 ///
 /// `a.len()` must be a multiple of `a_item`, and `b` must hold the same
 /// number of `b_item`-sized items.
@@ -191,24 +169,9 @@ mod tests {
     use ahw_tensor::pool::set_thread_override;
 
     #[test]
-    fn par_items_mut_touches_every_item() {
-        let mut out = vec![0.0f32; 7 * 3];
-        par_items_mut(&mut out, 3, |i, chunk| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v = (i * 10 + k) as f32;
-            }
-        });
-        for i in 0..7 {
-            for k in 0..3 {
-                assert_eq!(out[i * 3 + k], (i * 10 + k) as f32);
-            }
-        }
-    }
-
-    #[test]
-    fn par_items_mut_handles_empty() {
-        let mut out: Vec<f32> = vec![];
-        par_items_mut(&mut out, 4, |_, _| panic!("must not run"));
+    fn par_items2_mut_handles_empty() {
+        let (mut a, mut b): (Vec<f32>, Vec<f32>) = (vec![], vec![]);
+        par_items2_mut(&mut a, 4, &mut b, 2, |_, _, _| panic!("must not run"));
     }
 
     #[test]

@@ -81,25 +81,16 @@ impl BitErrorInjector {
         self.ber
     }
 
-    /// One store/load round trip through the hybrid memory.
-    ///
-    /// This is `apply` with an explicit name for use outside hook contexts —
-    /// e.g. corrupting a *weight* tensor once at load time for the
-    /// [`NoiseTarget::Weights`] ablation. Allocates fresh code and output
-    /// buffers; hot loops should prefer [`BitErrorInjector::corrupt_into`].
+    /// One store/load round trip through the hybrid memory, for use outside
+    /// hook contexts — e.g. corrupting a *weight* tensor once at load time
+    /// for the [`NoiseTarget::Weights`] ablation. Runs
+    /// [`BitErrorInjector::corrupt_into`] over a throwaway arena; hot loops
+    /// should call that directly.
     pub fn corrupt(&self, x: &Tensor) -> Tensor {
-        let _span = telemetry::span_labeled("sram.injector.corrupt", || self.config.describe());
-        let params = Self::fit_8bit(x);
-        let mut codes = vec![0u8; x.len()];
-        let h = quant::quantize_with_into(x.as_slice(), params, &mut codes);
-        WORDS_STORED.add(codes.len() as u64);
-        self.inject_sparse(&mut codes, h);
-        let mut out = vec![0.0f32; x.len()];
-        quant::dequantize_into(&codes, params, &mut out);
-        Tensor::from_vec(out, x.shape().dims()).expect("length preserved by round trip")
+        self.corrupt_into(x, &mut Workspace::new())
     }
 
-    /// [`BitErrorInjector::corrupt`] with workspace-backed buffers: the code
+    /// One store/load round trip with workspace-backed buffers: the code
     /// buffer is checked out of (and recycled into) `ws`, and the returned
     /// tensor's storage is a `ws` buffer the caller recycles downstream —
     /// zero heap allocations once the arena is warm.
@@ -176,11 +167,7 @@ fn nth_set_bit(mask: u8, mut n: u32) -> u8 {
 }
 
 impl ActivationHook for BitErrorInjector {
-    fn apply(&self, x: &Tensor) -> Tensor {
-        self.corrupt(x)
-    }
-
-    fn apply_ws(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+    fn apply(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         self.corrupt_into(x, ws)
     }
 
@@ -288,13 +275,13 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_into_matches_corrupt_and_reuses_buffers() {
+    fn corrupt_into_reuses_buffers() {
         let inj = injector(4, 4, 0.62, 14);
         let x = ahw_tensor::rng::uniform(&[1024], 0.0, 1.0, &mut ahw_tensor::rng::seeded(15));
         let baseline = inj.corrupt(&x);
         let mut ws = Workspace::new();
         let a = inj.corrupt_into(&x, &mut ws);
-        assert_eq!(a, baseline, "workspace path must be bit-identical");
+        assert_eq!(a, baseline);
         let out_ptr = a.as_slice().as_ptr();
         ws.recycle_tensor(a);
         assert_eq!(ws.outstanding(), 0, "codes and output both accounted");

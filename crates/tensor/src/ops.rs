@@ -14,15 +14,14 @@
 //! preserve IEEE non-finite semantics — `0·∞` and `0·NaN` contribute NaN
 //! instead of being silently dropped.
 //!
-//! Every op comes in three forms sharing one kernel, so results are
-//! bit-identical across all of them:
+//! Every op comes in two forms sharing one kernel, so results are
+//! bit-identical across both:
 //!
-//! - the allocating form (`matmul`) returning a fresh [`Tensor`];
-//! - an `_into` form (`matmul_into`) writing into a caller-provided slice,
-//!   typically checked out of a [`crate::Workspace`];
-//! - a `_slices` form (`matmul_slices`) taking raw slices plus explicit
-//!   dimensions, for per-item use inside pool tasks where no `Tensor`
-//!   wrapper exists.
+//! - a `_slices` core (`matmul_slices`) taking raw slices plus explicit
+//!   dimensions and writing into a caller-provided buffer, typically
+//!   checked out of a [`crate::Workspace`];
+//! - a [`Tensor`] wrapper (`matmul`) that checks shapes and returns a
+//!   fresh tensor.
 
 use crate::{pool, Tensor, TensorError};
 use ahw_telemetry as telemetry;
@@ -285,20 +284,8 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// [`matmul`] writing into a caller-provided `(m·n)` buffer. Bit-identical
-/// to the allocating form; prior contents of `out` are discarded.
-///
-/// # Errors
-///
-/// As [`matmul`], plus [`TensorError::LengthMismatch`] if `out` is not
-/// `m·n` elements.
-pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<(), TensorError> {
-    let (m, k, n) = gemm_dims(a, b, "matmul", false, false)?;
-    matmul_slices(a.as_slice(), b.as_slice(), m, k, n, out)
-}
-
-/// [`matmul`] on raw slices with explicit dimensions, for per-item calls
-/// inside pool tasks. Prior contents of `out` are discarded.
+/// [`matmul`] on raw slices with explicit dimensions, writing into a
+/// caller-provided `(m·n)` buffer. Prior contents of `out` are discarded.
 ///
 /// # Errors
 ///
@@ -349,17 +336,6 @@ pub fn matmul_transb(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let mut out = vec![0.0f32; m * n];
     matmul_transb_kernel(a.as_slice(), b.as_slice(), m, k, n, &mut out);
     Tensor::from_vec(out, &[m, n])
-}
-
-/// [`matmul_transb`] writing into a caller-provided `(m·n)` buffer.
-///
-/// # Errors
-///
-/// As [`matmul_transb`], plus [`TensorError::LengthMismatch`] for a wrong
-/// `out` length.
-pub fn matmul_transb_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<(), TensorError> {
-    let (m, k, n) = gemm_dims(a, b, "matmul_transb", false, true)?;
-    matmul_transb_slices(a.as_slice(), b.as_slice(), m, k, n, out)
 }
 
 /// [`matmul_transb`] on raw slices (`a` is `(m×k)`, `b` is stored `(n×k)`).
@@ -434,18 +410,6 @@ pub fn matmul_transa(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let mut out = vec![0.0f32; m * n];
     matmul_transa_kernel(a.as_slice(), b.as_slice(), m, k, n, &mut out);
     Tensor::from_vec(out, &[m, n])
-}
-
-/// [`matmul_transa`] writing into a caller-provided `(m·n)` buffer. Prior
-/// contents of `out` are discarded.
-///
-/// # Errors
-///
-/// As [`matmul_transa`], plus [`TensorError::LengthMismatch`] for a wrong
-/// `out` length.
-pub fn matmul_transa_into(a: &Tensor, b: &Tensor, out: &mut [f32]) -> Result<(), TensorError> {
-    let (m, k, n) = gemm_dims(a, b, "matmul_transa", true, false)?;
-    matmul_transa_slices(a.as_slice(), b.as_slice(), m, k, n, out)
 }
 
 /// [`matmul_transa`] on raw slices (`a` is stored `(k×m)`, `b` is `(k×n)`).
@@ -597,25 +561,6 @@ pub fn im2col(input: &Tensor, g: &ConvGeometry) -> Result<Tensor, TensorError> {
     Tensor::from_vec(out, &[g.patch_len(), cols])
 }
 
-/// [`im2col`] writing into a caller-provided `(C·K·K · OH·OW)` buffer.
-/// Prior contents of `out` are discarded.
-///
-/// # Errors
-///
-/// As [`im2col`], plus [`TensorError::LengthMismatch`] for a wrong `out`
-/// length.
-pub fn im2col_into(input: &Tensor, g: &ConvGeometry, out: &mut [f32]) -> Result<(), TensorError> {
-    g.validate()?;
-    if input.dims() != [g.channels, g.height, g.width] {
-        return Err(TensorError::ShapeMismatch {
-            op: "im2col",
-            lhs: input.dims().to_vec(),
-            rhs: vec![g.channels, g.height, g.width],
-        });
-    }
-    im2col_slices(input.as_slice(), g, out)
-}
-
 /// [`im2col`] on raw slices, for per-item calls inside pool tasks. Prior
 /// contents of `out` are discarded.
 ///
@@ -698,26 +643,6 @@ pub fn col2im(cols_t: &Tensor, g: &ConvGeometry) -> Result<Tensor, TensorError> 
     Tensor::from_vec(out, &[g.channels, g.height, g.width])
 }
 
-/// [`col2im`] writing into a caller-provided `(C·H·W)` buffer. Prior
-/// contents of `out` are discarded.
-///
-/// # Errors
-///
-/// As [`col2im`], plus [`TensorError::LengthMismatch`] for a wrong `out`
-/// length.
-pub fn col2im_into(cols_t: &Tensor, g: &ConvGeometry, out: &mut [f32]) -> Result<(), TensorError> {
-    g.validate()?;
-    let cols = g.out_height() * g.out_width();
-    if cols_t.dims() != [g.patch_len(), cols] {
-        return Err(TensorError::ShapeMismatch {
-            op: "col2im",
-            lhs: cols_t.dims().to_vec(),
-            rhs: vec![g.patch_len(), cols],
-        });
-    }
-    col2im_slices(cols_t.as_slice(), g, out)
-}
-
 /// [`col2im`] on raw slices, for per-item calls inside pool tasks. Prior
 /// contents of `out` are discarded.
 ///
@@ -766,39 +691,6 @@ pub fn softmax_rows(logits: &Tensor) -> Result<Tensor, TensorError> {
     Tensor::from_vec(out, &[rows, cols])
 }
 
-/// [`softmax_rows`] writing into a caller-provided `(rows·cols)` buffer.
-/// Prior contents of `out` are discarded.
-///
-/// # Errors
-///
-/// As [`softmax_rows`], plus [`TensorError::LengthMismatch`] for a wrong
-/// `out` length.
-pub fn softmax_rows_into(logits: &Tensor, out: &mut [f32]) -> Result<(), TensorError> {
-    require_rank2(logits, "softmax_rows")?;
-    require_len(out.len(), logits.len())?;
-    out.copy_from_slice(logits.as_slice());
-    softmax_kernel(out, logits.dims()[1]);
-    Ok(())
-}
-
-fn cross_entropy_dims(logits: &Tensor, labels: &[usize]) -> Result<(usize, usize), TensorError> {
-    require_rank2(logits, "cross_entropy")?;
-    let (rows, cols) = (logits.dims()[0], logits.dims()[1]);
-    if labels.len() != rows {
-        return Err(TensorError::InvalidArgument(format!(
-            "{} labels for {} logit rows",
-            labels.len(),
-            rows
-        )));
-    }
-    if let Some(&bad) = labels.iter().find(|&&l| l >= cols) {
-        return Err(TensorError::InvalidArgument(format!(
-            "label {bad} out of range for {cols} classes"
-        )));
-    }
-    Ok((rows, cols))
-}
-
 /// Mean cross-entropy of row-wise `logits` against integer `labels`, together
 /// with the gradient of that loss with respect to the logits.
 ///
@@ -813,31 +705,47 @@ pub fn cross_entropy_with_grad(
     logits: &Tensor,
     labels: &[usize],
 ) -> Result<(f32, Tensor), TensorError> {
-    let (rows, cols) = cross_entropy_dims(logits, labels)?;
+    require_rank2(logits, "cross_entropy")?;
+    let (rows, cols) = (logits.dims()[0], logits.dims()[1]);
+    if labels.len() != rows {
+        return Err(TensorError::InvalidArgument(format!(
+            "{} labels for {} logit rows",
+            labels.len(),
+            rows
+        )));
+    }
     let mut grad = vec![0.0f32; rows * cols];
-    let loss = cross_entropy_with_grad_into(logits, labels, &mut grad)?;
+    let loss = cross_entropy_with_grad_slices(logits.as_slice(), labels, cols, &mut grad)?;
     Ok((loss, Tensor::from_vec(grad, &[rows, cols])?))
 }
 
-/// [`cross_entropy_with_grad`] writing the gradient into a caller-provided
-/// `(rows·cols)` buffer and returning only the loss. Prior contents of
-/// `grad` are discarded.
+/// [`cross_entropy_with_grad`] on raw slices: `logits` is the row-major
+/// `(labels.len() × cols)` matrix; the gradient is written into `grad` (same
+/// length) and the loss returned. Prior contents of `grad` are discarded.
 ///
 /// # Errors
 ///
-/// As [`cross_entropy_with_grad`], plus [`TensorError::LengthMismatch`] for
-/// a wrong `grad` length.
-pub fn cross_entropy_with_grad_into(
-    logits: &Tensor,
+/// Returns [`TensorError::LengthMismatch`] if `logits` or `grad` is not
+/// `labels.len()·cols` long, or [`TensorError::InvalidArgument`] for a label
+/// out of range.
+pub fn cross_entropy_with_grad_slices(
+    logits: &[f32],
     labels: &[usize],
+    cols: usize,
     grad: &mut [f32],
 ) -> Result<f32, TensorError> {
-    let (rows, cols) = cross_entropy_dims(logits, labels)?;
+    let rows = labels.len();
+    require_len(logits.len(), rows * cols)?;
     require_len(grad.len(), rows * cols)?;
+    if let Some(&bad) = labels.iter().find(|&&l| l >= cols) {
+        return Err(TensorError::InvalidArgument(format!(
+            "label {bad} out of range for {cols} classes"
+        )));
+    }
     // grad holds the softmax probabilities first; the label probability is
     // read before the in-place `-1`, so the arithmetic (and therefore the
     // bits) match the two-buffer formulation exactly.
-    grad.copy_from_slice(logits.as_slice());
+    grad.copy_from_slice(logits);
     softmax_kernel(grad, cols);
     let mut loss = 0.0f32;
     for (r, &label) in labels.iter().enumerate() {
@@ -1012,10 +920,10 @@ mod tests {
     }
 
     #[test]
-    fn gemm_into_variants_match_allocating_bitwise() {
-        // Property: the `_into` forms write the exact bits the allocating
-        // forms return, even into a buffer full of garbage.
-        check::cases(32).run("ops::gemm_into_equivalence", |g| {
+    fn gemm_slices_match_tensor_wrappers_bitwise() {
+        // Property: the `_slices` cores write the exact bits the tensor
+        // wrappers return, even into a buffer full of garbage.
+        check::cases(32).run("ops::gemm_slices_equivalence", |g| {
             let m = g.usize_in("m", 1, 9);
             let k = g.usize_in("k", 1, 70);
             let n = g.usize_in("n", 1, 9);
@@ -1026,26 +934,26 @@ mod tests {
             let at = crate::rng::uniform(&[k, m], -1.0, 1.0, &mut r);
             let bt = crate::rng::uniform(&[n, k], -1.0, 1.0, &mut r);
             let mut out = vec![f32::NAN; m * n];
-            matmul_into(&a, &b, &mut out).unwrap();
-            ensure(out == matmul(&a, &b).unwrap().as_slice(), "matmul_into")?;
+            matmul_slices(a.as_slice(), b.as_slice(), m, k, n, &mut out).unwrap();
+            ensure(out == matmul(&a, &b).unwrap().as_slice(), "matmul_slices")?;
             out.fill(f32::NAN);
-            matmul_transa_into(&at, &b, &mut out).unwrap();
+            matmul_transa_slices(at.as_slice(), b.as_slice(), m, k, n, &mut out).unwrap();
             ensure(
                 out == matmul_transa(&at, &b).unwrap().as_slice(),
-                "matmul_transa_into",
+                "matmul_transa_slices",
             )?;
             out.fill(f32::NAN);
-            matmul_transb_into(&a, &bt, &mut out).unwrap();
+            matmul_transb_slices(a.as_slice(), bt.as_slice(), m, k, n, &mut out).unwrap();
             ensure(
                 out == matmul_transb(&a, &bt).unwrap().as_slice(),
-                "matmul_transb_into",
+                "matmul_transb_slices",
             )
         });
     }
 
     #[test]
-    fn conv_lowering_into_variants_match_allocating_bitwise() {
-        check::cases(32).run("ops::conv_into_equivalence", |g| {
+    fn conv_lowering_slices_match_tensor_wrappers_bitwise() {
+        check::cases(32).run("ops::conv_slices_equivalence", |g| {
             let geo = ConvGeometry {
                 channels: g.usize_in("channels", 1, 3),
                 height: g.usize_in("height", 4, 9),
@@ -1061,50 +969,48 @@ mod tests {
             let span = geo.out_height() * geo.out_width();
             let cols = crate::rng::uniform(&[geo.patch_len(), span], -1.0, 1.0, &mut r);
             let mut cbuf = vec![f32::NAN; geo.patch_len() * span];
-            im2col_into(&x, &geo, &mut cbuf).unwrap();
-            ensure(cbuf == im2col(&x, &geo).unwrap().as_slice(), "im2col_into")?;
+            im2col_slices(x.as_slice(), &geo, &mut cbuf).unwrap();
+            ensure(
+                cbuf == im2col(&x, &geo).unwrap().as_slice(),
+                "im2col_slices",
+            )?;
             let mut ibuf = vec![f32::NAN; geo.channels * geo.height * geo.width];
-            col2im_into(&cols, &geo, &mut ibuf).unwrap();
+            col2im_slices(cols.as_slice(), &geo, &mut ibuf).unwrap();
             ensure(
                 ibuf == col2im(&cols, &geo).unwrap().as_slice(),
-                "col2im_into",
+                "col2im_slices",
             )
         });
     }
 
     #[test]
-    fn softmax_and_cross_entropy_into_match_allocating_bitwise() {
-        check::cases(32).run("ops::softmax_ce_into_equivalence", |g| {
+    fn cross_entropy_slices_match_tensor_wrapper_bitwise() {
+        check::cases(32).run("ops::cross_entropy_slices_equivalence", |g| {
             let rows = g.usize_in("rows", 1, 8);
             let cols = g.usize_in("cols", 1, 12);
             let seed = g.seed("seed");
             let mut r = crate::rng::seeded(seed);
             let logits = crate::rng::uniform(&[rows, cols], -4.0, 4.0, &mut r);
             let labels: Vec<usize> = (0..rows).map(|i| (seed as usize + i) % cols).collect();
-            let mut sm = vec![f32::NAN; rows * cols];
-            softmax_rows_into(&logits, &mut sm).unwrap();
-            ensure(
-                sm == softmax_rows(&logits).unwrap().as_slice(),
-                "softmax_rows_into",
-            )?;
             let (loss, grad) = cross_entropy_with_grad(&logits, &labels).unwrap();
             let mut gbuf = vec![f32::NAN; rows * cols];
-            let loss2 = cross_entropy_with_grad_into(&logits, &labels, &mut gbuf).unwrap();
+            let loss2 = cross_entropy_with_grad_slices(logits.as_slice(), &labels, cols, &mut gbuf)
+                .unwrap();
             ensure(loss.to_bits() == loss2.to_bits(), "loss bits")?;
             ensure(gbuf == grad.as_slice(), "grad bits")
         });
     }
 
     #[test]
-    fn into_variants_reject_wrong_output_length() {
+    fn slice_cores_reject_wrong_output_length() {
         let a = rand_tensor(&[2, 3], 61);
         let b = rand_tensor(&[3, 4], 62);
         let mut short = vec![0.0f32; 7];
         assert!(matches!(
-            matmul_into(&a, &b, &mut short),
+            matmul_slices(a.as_slice(), b.as_slice(), 2, 3, 4, &mut short),
             Err(TensorError::LengthMismatch { expected: 8, .. })
         ));
-        assert!(matmul_slices(a.as_slice(), b.as_slice(), 2, 3, 4, &mut short).is_err());
+        assert!(matmul_transa_slices(a.as_slice(), b.as_slice(), 2, 3, 4, &mut short).is_err());
         let g = ConvGeometry {
             channels: 1,
             height: 4,
@@ -1114,9 +1020,9 @@ mod tests {
             padding: 0,
         };
         let x = rand_tensor(&[1, 4, 4], 63);
-        assert!(im2col_into(&x, &g, &mut short).is_err());
-        assert!(softmax_rows_into(&a, &mut short).is_err());
-        assert!(cross_entropy_with_grad_into(&a, &[0, 1], &mut short).is_err());
+        assert!(im2col_slices(x.as_slice(), &g, &mut short).is_err());
+        assert!(col2im_slices(&short, &g, &mut [0.0; 16]).is_err());
+        assert!(cross_entropy_with_grad_slices(a.as_slice(), &[0, 1], 3, &mut short).is_err());
     }
 
     #[test]

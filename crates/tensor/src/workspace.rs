@@ -12,7 +12,7 @@
 //!   drifts and a returned slice is always fully addressable.
 //! - `take` returns a buffer with **unspecified contents** (fresh buffers
 //!   happen to be zeroed, recycled ones carry stale data). Callers must
-//!   fully overwrite it or use [`Workspace::take_zeroed`]. The `_into`
+//!   fully overwrite it or use [`Workspace::take_zeroed`]. The `_slices`
 //!   kernels in [`crate::ops`] zero their outputs themselves where their
 //!   accumulation pattern requires it.
 //! - The arena is deliberately *not* thread-safe (`&mut self` everywhere):

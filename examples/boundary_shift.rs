@@ -44,7 +44,7 @@ fn moons(n: usize, seed: u64) -> (Tensor, Vec<usize>) {
 }
 
 /// Renders the model's decision regions over the unit square.
-fn render(model: &Sequential, title: &str) -> Result<(), Box<dyn std::error::Error>> {
+fn render(model: &mut Sequential, title: &str) -> Result<(), Box<dyn std::error::Error>> {
     println!("\n{title}");
     let mut grid = Vec::with_capacity(GRID * GRID * 2);
     for gy in 0..GRID {
@@ -82,13 +82,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the "hardware" twin: map every weight matrix through a noisy crossbar
     let mut config = CrossbarConfig::paper_default(32);
     config.nonideal.variation_sigma = 0.15; // exaggerate for visibility
-    let (hardware, _) = crossbar_variant(&software, &config)?;
+    let (mut hardware, _) = crossbar_variant(&software, &config)?;
 
     render(
-        &software,
+        &mut software,
         "software decision regions ('.' = class 0, '#' = class 1):",
     )?;
-    render(&hardware, "hardware (crossbar-mapped) decision regions:")?;
+    render(
+        &mut hardware,
+        "hardware (crossbar-mapped) decision regions:",
+    )?;
 
     // adversaries built against the software boundary, tested on both
     let (tx, ty) = moons(200, 4);

@@ -7,6 +7,10 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo build --release --offline
 cargo test -q --offline
+# benchmark/ is a workspace of its own, so the root build and tests never
+# compile it; test it explicitly so a public-API change cannot break the
+# benchmark unnoticed.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --workspace --offline -- -D warnings
 # The planned execution engine's core contract: a steady-state PGD craft
 # performs zero heap allocations (counting global allocator).

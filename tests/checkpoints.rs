@@ -3,7 +3,7 @@
 
 use ahw_core::zoo::ArchId;
 use ahw_nn::io::{load_model, save_model};
-use ahw_nn::NnError;
+use ahw_nn::{Mode, NnError};
 use ahw_tensor::rng;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -32,8 +32,8 @@ fn every_architecture_round_trips() {
         load_model(&mut restored.model, &path).unwrap();
         let x = rng::normal(&[2, 3, 32, 32], 0.3, 0.2, &mut rng::seeded(2));
         assert_eq!(
-            original.model.forward_infer(&x).unwrap(),
-            restored.model.forward_infer(&x).unwrap(),
+            original.model.forward(&x, Mode::Eval).unwrap(),
+            restored.model.forward(&x, Mode::Eval).unwrap(),
             "{} round trip mismatch",
             arch.name()
         );

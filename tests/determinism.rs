@@ -86,11 +86,11 @@ fn worker_count_does_not_change_the_result() {
 #[test]
 fn conv_forward_is_bit_identical_across_thread_counts() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
-    let m = model(SEED);
+    let mut m = model(SEED);
     let x = noisy_images(SEED);
-    let reference = with_threads(1, || m.forward_infer(&x).unwrap());
+    let reference = with_threads(1, || m.forward(&x, Mode::Eval).unwrap());
     for threads in [2usize, 4, 7] {
-        let y = with_threads(threads, || m.forward_infer(&x).unwrap());
+        let y = with_threads(threads, || m.forward(&x, Mode::Eval).unwrap());
         assert_eq!(y, reference, "conv forward differs at {threads} threads");
     }
 }

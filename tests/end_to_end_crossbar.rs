@@ -128,13 +128,13 @@ fn hh_gradients_are_exact_for_the_mapped_model() {
         let mut xm = x.clone();
         xm.as_mut_slice()[idx] -= eps;
         let lp = {
-            let logits = hardware.forward_infer(&xp).unwrap();
+            let logits = hardware.forward(&xp, Mode::Eval).unwrap();
             ahw_tensor::ops::cross_entropy_with_grad(&logits, y)
                 .unwrap()
                 .0
         };
         let lm = {
-            let logits = hardware.forward_infer(&xm).unwrap();
+            let logits = hardware.forward(&xm, Mode::Eval).unwrap();
             ahw_tensor::ops::cross_entropy_with_grad(&logits, y)
                 .unwrap()
                 .0

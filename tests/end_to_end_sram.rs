@@ -123,10 +123,10 @@ fn mu_ordering_predicts_damage_ordering() {
     // analytic μ and actual inference damage must agree in ordering:
     // a higher-μ configuration perturbs logits more
     let data = small_dataset();
-    let spec = trained_vgg8(&data);
+    let mut spec = trained_vgg8(&data);
     let (images, _) = data.test().batch(0, 16);
     let model = BitErrorModel::srinivasan22nm();
-    let logits_clean = spec.model.forward_infer(&images).unwrap();
+    let logits_clean = spec.model.forward(&images, Mode::Eval).unwrap();
     let mut damages = Vec::new();
     for six_t in [1u8, 4, 8] {
         let cfg = HybridMemoryConfig::new(HybridWordConfig::new(8 - six_t, six_t).unwrap(), 0.62)
@@ -138,8 +138,8 @@ fn mu_ordering_predicts_damage_ordering() {
                 config: cfg,
             }],
         };
-        let hardware = apply_noise_plan(&spec, &plan, 13).unwrap();
-        let logits = hardware.forward_infer(&images).unwrap();
+        let mut hardware = apply_noise_plan(&spec, &plan, 13).unwrap();
+        let logits = hardware.forward(&images, Mode::Eval).unwrap();
         damages.push((cfg.mu(&model), logits.sub(&logits_clean).unwrap().norm()));
     }
     assert!(damages[0].0 < damages[1].0 && damages[1].0 < damages[2].0);

@@ -47,10 +47,22 @@ use ahw_nn::layers::{Conv2d, Flatten, Linear, MaxPool2d, ReLU};
 use ahw_nn::{Mode, PlanCache, Sequential, Site};
 use ahw_sram::{BitErrorInjector, BitErrorModel, HybridMemoryConfig, HybridWordConfig};
 use ahw_tensor::{pool, rng};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Serializes the tests in this binary: both pin the process-wide pool
+/// thread override and read the process-global allocation counter, so one
+/// test's allocations (or its override reset) must not land inside the
+/// other's measurement window.
+static LOCK: Mutex<()> = Mutex::new(());
+
+fn lock() -> std::sync::MutexGuard<'static, ()> {
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 #[test]
 fn steady_state_pgd_craft_allocates_nothing() {
+    let _g = lock();
     // single-threaded so the whole craft runs inline on this thread (the
     // worker pool's task hand-off machinery is outside this contract), and
     // telemetry pinned off so no counter registration happens mid-measure
@@ -96,6 +108,7 @@ fn steady_state_pgd_craft_allocates_nothing() {
 
 #[test]
 fn steady_state_hooked_sh_eval_allocates_nothing() {
+    let _g = lock();
     // The SH-mode hot loop: a hardware model with a bit-error injector
     // hooked at an activation site, evaluated through the planned forward
     // path. The sparse-event injector checks its code/output buffers out of
@@ -125,7 +138,7 @@ fn steady_state_hooked_sh_eval_allocates_nothing() {
         let y = model.forward_planned(&x, Mode::Eval, &mut cache).unwrap();
         cache.workspace().recycle_tensor(y);
     }
-    // forward-only loops keep the layers' retained scratch (conv columns,
+    // forward-only loops keep the layers' forward caches (conv columns,
     // linear input copy) checked out between calls; steady state means the
     // count stays constant, not that it reaches zero
     let outstanding = cache.workspace().outstanding();
