@@ -33,16 +33,11 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out = value("--out");
+    let args = ahw_bench::Args::from_env();
+    let value = |flag: &str| args.get::<String>(flag);
+    let out = value("out");
 
-    let md = if let Some(addr) = value("--scrape") {
+    let md = if let Some(addr) = value("scrape") {
         match http_get_body(&addr, "/report.md") {
             Ok(body) => body,
             Err(e) => {
@@ -51,9 +46,9 @@ fn main() {
             }
         }
     } else {
-        let trace = value("--trace");
-        let snapshot = value("--snapshot");
-        let bench = value("--bench");
+        let trace = value("trace");
+        let snapshot = value("snapshot");
+        let bench = value("bench");
         if trace.is_none() && snapshot.is_none() && bench.is_none() {
             usage();
         }

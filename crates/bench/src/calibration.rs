@@ -19,7 +19,7 @@
 //! the measurement entirely ([`roofline_from_env`]) — useful on shared
 //! hosts where a fresh measurement would be noisy.
 
-use ahw_telemetry::Roofline;
+use ahw_telemetry::{json, Roofline};
 use ahw_tensor::{ops, pool, rng};
 use std::time::Instant;
 
@@ -129,46 +129,38 @@ fn measure_stream_gbps() -> f64 {
     best
 }
 
+/// A roof figure is usable only when positive and finite.
+fn usable_roof(v: f64) -> Option<f64> {
+    (v.is_finite() && v > 0.0).then_some(v)
+}
+
 /// The roof from `AHW_ROOF_GFLOPS` / `AHW_ROOF_GBPS`, when both are set to
-/// positive numbers.
+/// positive finite numbers.
 pub fn roofline_from_env() -> Option<Roofline> {
-    let get = |key: &str| {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|v| *v > 0.0)
-    };
+    let get = |key: &str| usable_roof(std::env::var(key).ok()?.parse().ok()?);
     Some(Roofline {
         peak_gflops: get("AHW_ROOF_GFLOPS")?,
         stream_gbps: get("AHW_ROOF_GBPS")?,
     })
 }
 
-/// Extracts a JSON number field `"field":123.45` from a flat object line.
-fn f64_field(line: &str, field: &str) -> Option<f64> {
-    let pat = format!("\"{field}\":");
-    let start = line.find(&pat)? + pat.len();
-    let num: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == 'E')
-        .collect();
-    num.parse().ok()
-}
-
-/// The most recent `calibration/roofline` row in a `BENCH_kernels.json`
-/// history, if any — the offline fallback roof for `ahw_report` when no
-/// live calibration ran in this process.
+/// The newest well-formed `calibration/roofline` row in a
+/// `BENCH_kernels.json` history whose roof is usable (positive and finite),
+/// if any — the offline fallback roof for `ahw_report` when no live
+/// calibration ran in this process.
 pub fn parse_latest_calibration(history: &str) -> Option<Calibration> {
-    history
-        .lines()
-        .rfind(|l| l.contains("\"name\":\"calibration/roofline\""))
-        .and_then(|line| {
-            Some(Calibration {
-                peak_gflops: f64_field(line, "peak_gflops")?,
-                stream_gbps: f64_field(line, "stream_gbps")?,
-                threads: f64_field(line, "threads")? as usize,
-            })
+    history.lines().rev().find_map(|line| {
+        let row = json::parse(line).ok()?;
+        if row.get("name")?.as_str()? != "calibration/roofline" {
+            return None;
+        }
+        let roof = |field: &str| usable_roof(row.get(field)?.as_f64()?);
+        Some(Calibration {
+            peak_gflops: roof("peak_gflops")?,
+            stream_gbps: roof("stream_gbps")?,
+            threads: usize::try_from(row.get("threads")?.as_u64()?).ok()?,
         })
+    })
 }
 
 /// Resolution order for the roof a report should use: an explicitly
@@ -226,6 +218,26 @@ mod tests {
         assert_eq!(cal.threads, 2);
         assert!((cal.peak_gflops - 3.5).abs() < 1e-12);
         assert!(parse_latest_calibration("no calibration here").is_none());
+    }
+
+    #[test]
+    fn history_rows_with_an_unusable_roof_are_skipped() {
+        let good = "{\"name\":\"calibration/roofline\",\"threads\":1,\"gemm_dim\":256,\"peak_gflops\":9.0,\"stream_gbps\":4.0}";
+        for bad in [
+            "{\"name\":\"calibration/roofline\",\"threads\":2,\"gemm_dim\":256,\"peak_gflops\":-1,\"stream_gbps\":4.0}",
+            "{\"name\":\"calibration/roofline\",\"threads\":2,\"gemm_dim\":256,\"peak_gflops\":9.0,\"stream_gbps\":0.000}",
+            "{\"name\":\"calibration/roofline\",\"threads\":2,\"gemm_dim\":256,\"peak_gflops\":1e999,\"stream_gbps\":4.0}",
+        ] {
+            assert!(parse_latest_calibration(bad).is_none(), "{bad}");
+            let cal = parse_latest_calibration(&format!("{good}\n{bad}\n")).expect("older row");
+            assert_eq!((cal.peak_gflops, cal.threads), (9.0, 1), "{bad}");
+        }
+        let _g = lock();
+        ahw_telemetry::set_roofline(None);
+        if roofline_from_env().is_none() {
+            let bad = "{\"name\":\"calibration/roofline\",\"threads\":1,\"gemm_dim\":256,\"peak_gflops\":-1,\"stream_gbps\":4.0}";
+            assert_eq!(resolve_roofline(Some(bad)), None, "negative roof resolved");
+        }
     }
 
     #[test]

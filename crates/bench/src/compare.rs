@@ -39,6 +39,7 @@
 //! move beyond threshold with the best sample inside it is reported as
 //! [`Verdict::Noisy`] instead of failing the gate.
 
+use ahw_telemetry::json;
 use std::fmt;
 
 /// One parsed timing row from the bench history.
@@ -133,39 +134,6 @@ impl fmt::Display for Comparison {
     }
 }
 
-/// Extracts the JSON string field `"field":"..."` from a flat object line.
-/// Handles `\\`-escapes conservatively (bench names never contain them,
-/// but a malformed line must not panic).
-fn string_field(line: &str, field: &str) -> Option<String> {
-    let pat = format!("\"{field}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extracts the JSON integer field `"field":123` from a flat object line.
-fn u128_field(line: &str, field: &str) -> Option<u128> {
-    let pat = format!("\"{field}\":");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    if digits.is_empty() {
-        return None;
-    }
-    digits.parse().ok()
-}
-
 /// Parses the bench history: one [`BenchRow`] per well-formed timing line,
 /// skipping metrics-snapshot rows (`"name":"telemetry/metrics"`) and
 /// anything unparsable — the file is append-only across many revisions and
@@ -173,18 +141,21 @@ fn u128_field(line: &str, field: &str) -> Option<u128> {
 pub fn parse_rows(text: &str) -> Vec<BenchRow> {
     text.lines()
         .filter_map(|line| {
-            let name = string_field(line, "name")?;
+            let row = json::parse(line).ok()?;
+            let text = |field: &str| Some(row.get(field)?.as_str()?.to_string());
+            let ns = |field: &str| Some(u128::from(row.get(field)?.as_u64()?));
+            let name = text("name")?;
             if name == "telemetry/metrics" {
                 return None;
             }
             Some(BenchRow {
-                rev: string_field(line, "rev").unwrap_or_default(),
-                threads: u128_field(line, "threads")? as u64,
-                telemetry: string_field(line, "telemetry"),
+                rev: text("rev").unwrap_or_default(),
+                threads: row.get("threads")?.as_u64()?,
+                telemetry: text("telemetry"),
                 name,
-                median_ns: u128_field(line, "median_ns")?,
-                min_ns: u128_field(line, "min_ns")?,
-                max_ns: u128_field(line, "max_ns")?,
+                median_ns: ns("median_ns")?,
+                min_ns: ns("min_ns")?,
+                max_ns: ns("max_ns")?,
             })
         })
         .collect()

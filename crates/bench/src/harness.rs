@@ -78,8 +78,8 @@ impl Summary {
     /// The JSON line printed for this result.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"name\":\"{}\",\"samples\":{},\"iters\":{},\"median_ns\":{},\"p75_ns\":{},\"p95_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
-            self.name,
+            "{{\"name\":{},\"samples\":{},\"iters\":{},\"median_ns\":{},\"p75_ns\":{},\"p95_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
+            ahw_telemetry::json::quote(&self.name),
             self.samples,
             self.iters,
             self.median_ns,

@@ -15,10 +15,11 @@
 //!    `/report.md` from a running process's metrics server.
 //! 3. **Offline** — `ahw_report --trace trace.json --snapshot
 //!    snapshot.json` re-renders the report from the files a previous run
-//!    exported (`AHW_TRACE`, `/snapshot.json`), re-parsing them with the
-//!    hand-rolled readers in this module (the workspace is std-only).
+//!    exported (`AHW_TRACE`, `/snapshot.json`), re-parsing them with
+//!    `ahw_telemetry::json`.
 
 use crate::compare::{compare, parse_rows, Verdict, DEFAULT_THRESHOLD};
+use ahw_telemetry::json::{self, Value};
 use ahw_telemetry::{HistogramSnapshot, MetricsSnapshot, Roofline, SpanEvent};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -42,86 +43,31 @@ fn intern_name(name: &str) -> &'static str {
     leaked
 }
 
-/// Extracts the JSON string field `"field":"..."` from `obj`.
-fn string_field(obj: &str, field: &str) -> Option<String> {
-    let pat = format!("\"{field}\":\"");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extracts the JSON number field `"field":123.45` from `obj`.
-fn num_field(obj: &str, field: &str) -> Option<f64> {
-    let pat = format!("\"{field}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let num: String = obj[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        .collect();
-    num.parse().ok()
-}
-
-/// Splits the body of a JSON array of flat objects (`{...},{...}`) into
-/// per-object slices. Only tracks brace depth inside/outside strings —
-/// enough for the machine-written exports this module re-reads.
-fn split_objects(body: &str) -> Vec<&str> {
-    let mut objs = Vec::new();
-    let (mut depth, mut start, mut in_str, mut escaped) = (0usize, 0usize, false, false);
-    for (i, c) in body.char_indices() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        match c {
-            '\\' if in_str => escaped = true,
-            '"' => in_str = !in_str,
-            '{' if !in_str => {
-                if depth == 0 {
-                    start = i;
-                }
-                depth += 1;
-            }
-            '}' if !in_str => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    objs.push(&body[start..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    objs
-}
-
 /// Re-parses a trace-event JSON export (`ahw_telemetry::trace_json`) back
-/// into span events. Metadata (`"ph":"M"`) records are skipped; `ts`/`dur`
-/// are on the export's µs timebase with 3 decimals, so the ns round-trip
-/// is exact.
+/// into span events. Metadata (`"ph":"M"`) records and malformed events are
+/// skipped, and an unparsable file yields no spans; `ts`/`dur` are on the
+/// export's µs timebase with 3 decimals, so the ns round-trip is exact.
 pub fn parse_trace_json(text: &str) -> Vec<SpanEvent> {
-    let body = match text.find('[') {
-        Some(i) => &text[i + 1..text.rfind(']').unwrap_or(text.len())],
-        None => return Vec::new(),
+    let Ok(doc) = json::parse(text) else {
+        return Vec::new();
     };
-    let mut spans: Vec<SpanEvent> = split_objects(body)
-        .into_iter()
-        .filter(|obj| string_field(obj, "ph").as_deref() == Some("X"))
-        .filter_map(|obj| {
+    let events = doc.get("traceEvents").and_then(Value::as_array);
+    let mut spans: Vec<SpanEvent> = events
+        .unwrap_or_default()
+        .iter()
+        .filter(|ev| ev.get("ph").and_then(Value::as_str) == Some("X"))
+        .filter_map(|ev| {
+            let arg = |field: &str| ev.get("args")?.get(field);
+            let us_to_ns = |field: &str| Some((ev.get(field)?.as_f64()? * 1000.0).round() as u64);
             Some(SpanEvent {
-                name: intern_name(&string_field(obj, "name")?),
-                label: string_field(obj, "label"),
-                tid: num_field(obj, "tid")? as u32,
-                start_ns: (num_field(obj, "ts")? * 1000.0).round() as u64,
-                dur_ns: (num_field(obj, "dur")? * 1000.0).round() as u64,
-                depth: num_field(obj, "depth").map_or(1, |d| d as u16),
+                name: intern_name(ev.get("name")?.as_str()?),
+                label: arg("label").and_then(Value::as_str).map(str::to_string),
+                tid: u32::try_from(ev.get("tid")?.as_u64()?).ok()?,
+                start_ns: us_to_ns("ts")?,
+                dur_ns: us_to_ns("dur")?,
+                depth: arg("depth")
+                    .and_then(Value::as_u64)
+                    .map_or(Some(1), |d| u16::try_from(d).ok())?,
             })
         })
         .collect();
@@ -135,88 +81,35 @@ pub fn parse_trace_json(text: &str) -> Vec<SpanEvent> {
     spans
 }
 
-/// Extracts the `"key":{...}` object bodies of a `{"name":{...},...}` map.
-fn object_entries(body: &str) -> Vec<(String, &str)> {
-    split_objects(body)
-        .into_iter()
-        .filter_map(|obj| {
-            // The key is the last string immediately before this object:
-            // `..."key":{...}`.
-            let head = &body[..body.find(obj)? + 1];
-            let colon = head.rfind(":{")?;
-            let quoted = &head[..colon];
-            let close = quoted.rfind('"')?;
-            let open = quoted[..close].rfind('"')?;
-            Some((quoted[open + 1..close].to_string(), obj))
-        })
-        .collect()
-}
-
-/// Slices the body of `"section":{...}` out of a JSON object.
-fn section<'a>(text: &'a str, name: &str) -> Option<&'a str> {
-    let pat = format!("\"{name}\":{{");
-    let start = text.find(&pat)? + pat.len() - 1;
-    let rest = &text[start..];
-    let (mut depth, mut in_str, mut escaped) = (0usize, false, false);
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        match c {
-            '\\' if in_str => escaped = true,
-            '"' => in_str = !in_str,
-            '{' if !in_str => depth += 1,
-            '}' if !in_str => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 /// Re-parses a metrics snapshot export (`ahw_telemetry::snapshot_json`).
-/// Gauges are ignored — no report section reads them — and malformed
-/// entries are skipped rather than failing the whole report.
+/// Gauges are ignored — no report section reads them — malformed entries
+/// are skipped, and an unparsable file yields an empty snapshot.
 pub fn parse_snapshot_json(text: &str) -> MetricsSnapshot {
     let mut snap = MetricsSnapshot::default();
-    if let Some(counters) = section(text, "counters") {
-        let inner = &counters[1..counters.len().saturating_sub(1)];
-        for entry in inner.split(',') {
-            let mut parts = entry.splitn(2, ':');
-            let (Some(key), Some(value)) = (parts.next(), parts.next()) else {
-                continue;
-            };
-            let key = key.trim().trim_matches('"');
-            if let Ok(v) = value.trim().parse::<u64>() {
-                snap.counters.insert(key.to_string(), v);
-            }
+    let Ok(doc) = json::parse(text) else {
+        return snap;
+    };
+    let section = |name: &str| doc.get(name).and_then(Value::as_object).unwrap_or_default();
+    for (name, v) in section("counters") {
+        if let Some(v) = v.as_u64() {
+            snap.counters.insert(name.clone(), v);
         }
     }
-    if let Some(hists) = section(text, "histograms") {
-        for (name, obj) in object_entries(&hists[1..hists.len().saturating_sub(1)]) {
-            let (Some(count), Some(sum)) = (num_field(obj, "count"), num_field(obj, "sum")) else {
-                continue;
-            };
-            let mut h = HistogramSnapshot {
-                count: count as u64,
-                sum: sum as u64,
-                buckets: [0; ahw_telemetry::metrics::HISTOGRAM_BUCKETS],
-            };
-            if let (Some(open), Some(close)) = (obj.find('['), obj.rfind(']')) {
-                for (i, b) in obj[open + 1..close].split(',').enumerate() {
-                    if i >= h.buckets.len() {
-                        break;
-                    }
-                    h.buckets[i] = b.trim().parse().unwrap_or(0);
-                }
-            }
-            snap.histograms.insert(name, h);
+    for (name, h) in section("histograms") {
+        let field = |f: &str| h.get(f).and_then(Value::as_u64);
+        let (Some(count), Some(sum)) = (field("count"), field("sum")) else {
+            continue;
+        };
+        let mut hist = HistogramSnapshot {
+            count,
+            sum,
+            buckets: [0; ahw_telemetry::metrics::HISTOGRAM_BUCKETS],
+        };
+        let stored = h.get("buckets").and_then(Value::as_array);
+        for (slot, b) in hist.buckets.iter_mut().zip(stored.unwrap_or_default()) {
+            *slot = b.as_u64().unwrap_or(0);
         }
+        snap.histograms.insert(name.clone(), hist);
     }
     snap
 }
@@ -363,6 +256,30 @@ mod tests {
         let parsed = parse_snapshot_json(&json);
         assert_eq!(parsed.counters, snap.counters);
         assert_eq!(parsed.histograms, snap.histograms);
+    }
+
+    #[test]
+    fn reversed_brackets_are_not_a_trace() {
+        assert!(parse_trace_json("][").is_empty());
+        assert!(parse_trace_json("x]y[").is_empty());
+    }
+
+    #[test]
+    fn identical_histograms_keep_their_own_names() {
+        // reset() keeps registrations, so untouched histograms share one
+        // all-zero body
+        let mut snap = MetricsSnapshot::default();
+        let zero = HistogramSnapshot {
+            count: 0,
+            sum: 0,
+            buckets: [0; ahw_telemetry::metrics::HISTOGRAM_BUCKETS],
+        };
+        snap.histograms
+            .insert("a.one.dur_ns".to_string(), zero.clone());
+        snap.histograms.insert("b.two.dur_ns".to_string(), zero);
+        let parsed = parse_snapshot_json(&ahw_telemetry::export::metrics_snapshot_json(&snap));
+        let names: Vec<&str> = parsed.histograms.keys().map(String::as_str).collect();
+        assert_eq!(names, ["a.one.dur_ns", "b.two.dur_ns"]);
     }
 
     #[test]

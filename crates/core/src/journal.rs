@@ -17,14 +17,18 @@
 //! {"key":"sweep site=3 six_t=5","clean_bits":1061997773,"adv_bits":1056964608,"clean":0.75,"adv":0.5}
 //! ```
 //!
-//! A fingerprint mismatch (different model, data, or search configuration)
-//! discards the stale journal and starts a fresh one — resuming across
-//! *different* searches would silently splice wrong numbers into a table.
+//! Every line is valid JSON (non-finite `clean`/`adv` are written as
+//! `null`; only the `_bits` fields are read back) and is read with
+//! [`ahw_telemetry::json`]. A fingerprint mismatch (different model, data,
+//! or search configuration) discards the stale journal and starts a fresh
+//! one — resuming across *different* searches would silently splice wrong
+//! numbers into a table.
 //!
 //! [`SelectionConfig::journal`]: crate::selection::SelectionConfig::journal
 
 use ahw_attacks::AttackOutcome;
 use ahw_nn::NnError;
+use ahw_telemetry::json::{self, Value};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -77,7 +81,12 @@ impl SearchJournal {
         let mut ends_on_newline = true;
         if let Ok(text) = std::fs::read_to_string(path) {
             let mut lines = text.lines();
-            compatible = lines.next().and_then(parse_fingerprint).as_deref() == Some(fingerprint);
+            compatible = lines
+                .next()
+                .and_then(|l| json::parse(l).ok())
+                .is_some_and(|header| {
+                    header.get("fingerprint").and_then(Value::as_str) == Some(fingerprint)
+                });
             ends_on_newline = text.is_empty() || text.ends_with('\n');
             if compatible {
                 for line in lines {
@@ -101,7 +110,7 @@ impl SearchJournal {
             f
         } else {
             let mut f = File::create(path).map_err(|e| io_err("create", &e))?;
-            writeln!(f, "{{\"fingerprint\":{}}}", json_string(fingerprint))
+            writeln!(f, "{{\"fingerprint\":{}}}", json::quote(fingerprint))
                 .map_err(|e| io_err("write header", &e))?;
             f
         };
@@ -137,11 +146,11 @@ impl SearchJournal {
         if let Some(file) = &self.file {
             let line = format!(
                 "{{\"key\":{},\"clean_bits\":{},\"adv_bits\":{},\"clean\":{},\"adv\":{}}}",
-                json_string(key),
+                json::quote(key),
                 outcome.clean_accuracy.to_bits(),
                 outcome.adversarial_accuracy.to_bits(),
-                outcome.clean_accuracy,
-                outcome.adversarial_accuracy,
+                json::number(outcome.clean_accuracy),
+                json::number(outcome.adversarial_accuracy),
             );
             let mut f = file
                 .lock()
@@ -158,84 +167,21 @@ impl SearchJournal {
     }
 }
 
-/// Minimal JSON string escaping for keys/fingerprints (ASCII control chars,
-/// quotes, and backslashes; our keys are plain ASCII identifiers).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Extracts the value of a `"field":"..."` string written by [`json_string`]
-/// (no nested quotes beyond the escapes we emit).
-fn parse_string_field(line: &str, field: &str) -> Option<String> {
-    let tag = format!("\"{field}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extracts a `"field":<u32>` numeric value.
-fn parse_u32_field(line: &str, field: &str) -> Option<u32> {
-    let tag = format!("\"{field}\":");
-    let start = line.find(&tag)? + tag.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-fn parse_fingerprint(line: &str) -> Option<String> {
-    parse_string_field(line, "fingerprint")
-}
-
-/// Parses one candidate record; `None` for malformed/truncated lines (a
-/// kill mid-write leaves at most one partial trailing line, which is simply
-/// re-evaluated). The closing brace is required so a line cut mid-number
-/// cannot parse as a shorter — but valid-looking — value.
+/// Parses one candidate record; `None` for malformed lines. A kill
+/// mid-write leaves at most one partial trailing line, which fails to parse
+/// and is simply re-evaluated.
 fn parse_record(line: &str) -> Option<(String, AttackOutcome)> {
-    if !line.trim_end().ends_with('}') {
-        return None;
-    }
-    let key = parse_string_field(line, "key")?;
-    let clean = f32::from_bits(parse_u32_field(line, "clean_bits")?);
-    let adv = f32::from_bits(parse_u32_field(line, "adv_bits")?);
+    let record = json::parse(line).ok()?;
+    let bits = |field: &str| {
+        Some(f32::from_bits(
+            record.get(field)?.as_u64()?.try_into().ok()?,
+        ))
+    };
     Some((
-        key,
+        record.get("key")?.as_str()?.to_string(),
         AttackOutcome {
-            clean_accuracy: clean,
-            adversarial_accuracy: adv,
+            clean_accuracy: bits("clean_bits")?,
+            adversarial_accuracy: bits("adv_bits")?,
         },
     ))
 }
@@ -323,11 +269,35 @@ mod tests {
 
     #[test]
     fn keys_with_escapes_round_trip() {
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(json::quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
         let line = format!(
             "{{\"key\":{},\"clean_bits\":0,\"adv_bits\":0}}",
-            json_string("a\"b\\c\td")
+            json::quote("a\"b\\c\td")
         );
         assert_eq!(parse_record(&line).unwrap().0, "a\"b\\c\td");
+    }
+
+    #[test]
+    fn non_finite_outcomes_write_valid_json_and_reopen_bit_exactly() {
+        let path = temp_path("nonfinite");
+        let _ = std::fs::remove_file(&path);
+        let o = outcome(f32::NAN, f32::NEG_INFINITY);
+        SearchJournal::open(&path, "fp")
+            .unwrap()
+            .record("nan", o)
+            .unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        for line in text.lines() {
+            assert!(json::parse(line).is_ok(), "invalid JSON line {line:?}");
+        }
+        assert!(text.contains("\"clean\":null,\"adv\":null"));
+        let back = SearchJournal::open(&path, "fp").unwrap().lookup("nan");
+        let _ = std::fs::remove_file(&path);
+        let back = back.expect("record resumed");
+        assert_eq!(back.clean_accuracy.to_bits(), o.clean_accuracy.to_bits());
+        assert_eq!(
+            back.adversarial_accuracy.to_bits(),
+            o.adversarial_accuracy.to_bits()
+        );
     }
 }

@@ -306,16 +306,6 @@ impl Sequential {
         layer.set_hook(site.slot, hook)
     }
 
-    /// Removes every installed hook (best effort; layers without slots are
-    /// skipped).
-    pub fn clear_hooks(&mut self) {
-        for layer in &mut self.layers {
-            let _ = layer.set_hook(HookSlot::Output, None);
-            let _ = layer.set_hook(HookSlot::BlockConv1, None);
-            let _ = layer.set_hook(HookSlot::BlockShortcut, None);
-        }
-    }
-
     /// A human-readable architecture summary: one line per layer with its
     /// description and parameter count, plus a total.
     ///

@@ -1,41 +1,16 @@
 //! Exporters: JSON metrics snapshot, chrome://tracing / Perfetto
 //! trace-event JSON, and a human-readable stderr summary.
 //!
-//! All serialization is hand-rolled (the workspace is std-only). Output is
+//! Strings and floats are written through [`crate::json`]. Output is
 //! deterministic for deterministic input: metric maps are sorted, spans are
 //! pre-sorted by [`drain_spans`], and floats are formatted with fixed
 //! precision.
 
+use crate::json;
 use crate::metrics::{bucket_upper, snapshot, MetricsSnapshot, HISTOGRAM_BUCKETS};
 use crate::span::{drain_spans, SpanEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// Serializes the current metrics snapshot as one JSON object:
 /// `{"counters":{...},"gauges":{...},"histograms":{"name":{"count":..,"sum":..,"buckets":[..]}}}`.
@@ -45,37 +20,24 @@ pub fn snapshot_json() -> String {
 
 /// Serializes a given [`MetricsSnapshot`] (see [`snapshot_json`]).
 pub fn metrics_snapshot_json(snap: &MetricsSnapshot) -> String {
-    let mut out = String::from("{\"counters\":{");
-    for (i, (name, v)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", json_escape(name), v);
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, v)) in snap.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", json_escape(name), json_f64(*v));
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, h)) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let buckets: Vec<String> = h.buckets.iter().map(|b| b.to_string()).collect();
-        let _ = write!(
-            out,
-            "\"{}\":{{\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
-            json_escape(name),
-            h.count,
-            h.sum,
-            buckets.join(",")
-        );
-    }
-    out.push_str("}}");
-    out
+    let entry = |name: &str, value: String| format!("{}:{value}", json::quote(name));
+    let counters = snap.counters.iter().map(|(n, v)| entry(n, v.to_string()));
+    let gauges = snap.gauges.iter().map(|(n, v)| entry(n, json::number(*v)));
+    let histograms = snap.histograms.iter().map(|(n, h)| {
+        let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
+        let (count, sum, buckets) = (h.count, h.sum, buckets.join(","));
+        entry(
+            n,
+            format!("{{\"count\":{count},\"sum\":{sum},\"buckets\":[{buckets}]}}"),
+        )
+    });
+    let object = |entries: Vec<String>| format!("{{{}}}", entries.join(","));
+    format!(
+        "{{\"counters\":{},\"gauges\":{},\"histograms\":{}}}",
+        object(counters.collect()),
+        object(gauges.collect()),
+        object(histograms.collect())
+    )
 }
 
 /// Maps a dotted `crate.component.metric` name onto the Prometheus metric
@@ -173,65 +135,42 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
 /// on a µs timebase plus one thread-name metadata record per thread — that
 /// loads directly in <https://ui.perfetto.dev> or chrome://tracing.
 pub fn trace_json(spans: &[SpanEvent]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
     let mut tids: Vec<u32> = spans.iter().map(|e| e.tid).collect();
     tids.sort_unstable();
     tids.dedup();
-    for tid in tids {
-        if !first {
-            out.push(',');
-        }
-        first = false;
+    let threads = tids.into_iter().map(|tid| {
         let label = if tid == 0 {
             "main".to_string()
         } else {
             format!("worker-{tid}")
         };
-        let _ = write!(
-            out,
+        format!(
             "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":{tid},\
              \"args\":{{\"name\":\"{label}\"}}}}"
-        );
-    }
-    for ev in spans {
-        if !first {
-            out.push(',');
-        }
-        first = false;
+        )
+    });
+    let events = spans.iter().map(|ev| {
         let cat = ev.name.split('.').next().unwrap_or(ev.name);
-        let _ = write!(
-            out,
-            "{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"{}\",\"pid\":1,\"tid\":{},\
-             \"ts\":{:.3},\"dur\":{:.3}",
-            json_escape(ev.name),
-            json_escape(cat),
+        let label = match &ev.label {
+            Some(label) => format!("\"label\":{},", json::quote(label)),
+            None => String::new(),
+        };
+        format!(
+            "{{\"ph\":\"X\",\"name\":{},\"cat\":{},\"pid\":1,\"tid\":{},\
+             \"ts\":{:.3},\"dur\":{:.3},\"args\":{{{label}\"depth\":{}}}}}",
+            json::quote(ev.name),
+            json::quote(cat),
             ev.tid,
             ev.start_ns as f64 / 1000.0,
             ev.dur_ns as f64 / 1000.0,
-        );
-        match &ev.label {
-            Some(label) => {
-                let _ = write!(
-                    out,
-                    ",\"args\":{{\"label\":\"{}\",\"depth\":{}}}}}",
-                    json_escape(label),
-                    ev.depth
-                );
-            }
-            None => {
-                let _ = write!(out, ",\"args\":{{\"depth\":{}}}}}", ev.depth);
-            }
-        }
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
-}
-
-/// Drains all buffered spans and writes them as trace-event JSON to `path`.
-pub fn write_trace(path: &str) -> std::io::Result<()> {
-    let spans = drain_spans();
-    std::fs::write(path, trace_json(&spans))
+            ev.depth
+        )
+    });
+    let records: Vec<String> = threads.chain(events).collect();
+    format!(
+        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
+        records.join(",")
+    )
 }
 
 /// Per-span-name aggregate used by the summary table.
@@ -394,14 +333,6 @@ mod tests {
         assert!(json.contains("\"test.export.gauge\":1.5"));
         assert!(json.starts_with("{\"counters\":{"));
         assert!(json.ends_with("}}"));
-    }
-
-    #[test]
-    fn json_escaping_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(2.25), "2.25");
     }
 
     #[test]

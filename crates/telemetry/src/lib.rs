@@ -4,7 +4,8 @@
 //! wall-clock **spans**, a global registry of atomic **metrics** (counters,
 //! gauges, fixed-bucket histograms), and **exporters** — a human-readable
 //! summary table on stderr, a machine-readable JSON snapshot, and a
-//! chrome://tracing / Perfetto-compatible trace-event file.
+//! chrome://tracing / Perfetto-compatible trace-event file — plus
+//! [`json`], the one JSON reader/writer that re-reads those exports.
 //!
 //! ## Guarantees
 //!
@@ -67,6 +68,7 @@
 //! ```
 
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod progress;
@@ -75,7 +77,7 @@ pub mod span;
 
 pub use export::{
     finish, is_prometheus_name, prometheus_name, prometheus_text, render_summary, snapshot_json,
-    trace_json, write_trace,
+    trace_json,
 };
 pub use metrics::{
     counter, gauge, histogram, snapshot, Counter, Gauge, Histogram, HistogramSnapshot, LazyCounter,

@@ -660,8 +660,8 @@ pub fn col2im_slices(cv: &[f32], g: &ConvGeometry, out: &mut [f32]) -> Result<()
     Ok(())
 }
 
-/// Core of [`softmax_rows`]: normalizes `out` (which already holds the
-/// logits) in place, row by row.
+/// Numerically-stable row-wise softmax: normalizes `out` (which already
+/// holds the logits) in place, row by row.
 fn softmax_kernel(out: &mut [f32], cols: usize) {
     pool::par_row_chunks_mut(out, cols.max(1), par_min_rows(cols), |_, rows_block| {
         for row in rows_block.chunks_mut(cols.max(1)) {
@@ -676,19 +676,6 @@ fn softmax_kernel(out: &mut [f32], cols: usize) {
             }
         }
     });
-}
-
-/// Numerically-stable row-wise softmax of a `(rows, cols)` matrix.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] unless the input is rank 2.
-pub fn softmax_rows(logits: &Tensor) -> Result<Tensor, TensorError> {
-    require_rank2(logits, "softmax_rows")?;
-    let (rows, cols) = (logits.dims()[0], logits.dims()[1]);
-    let mut out = logits.as_slice().to_vec();
-    softmax_kernel(&mut out, cols);
-    Tensor::from_vec(out, &[rows, cols])
 }
 
 /// Mean cross-entropy of row-wise `logits` against integer `labels`, together
@@ -1153,25 +1140,27 @@ mod tests {
     }
 
     #[test]
-    fn softmax_rows_sums_to_one() {
+    fn cross_entropy_grad_rows_sum_to_zero() {
+        // dlogits = (softmax - onehot) / rows and softmax rows sum to one
         let t = rand_tensor(&[4, 10], 31);
-        let s = softmax_rows(&t).unwrap();
+        let (_, grad) = cross_entropy_with_grad(&t, &[0, 3, 9, 3]).unwrap();
         for r in 0..4 {
-            let sum: f32 = s.as_slice()[r * 10..(r + 1) * 10].iter().sum();
-            assert!((sum - 1.0).abs() < 1e-5);
+            let sum: f32 = grad.as_slice()[r * 10..(r + 1) * 10].iter().sum();
+            assert!(sum.abs() < 1e-6, "row {r} sums to {sum}");
         }
-        assert!(s.min() >= 0.0);
     }
 
     #[test]
-    fn softmax_is_shift_invariant() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]).unwrap();
-        let shifted = t.map(|v| v + 100.0);
-        assert_close(
-            &softmax_rows(&t).unwrap(),
-            &softmax_rows(&shifted).unwrap(),
-            1e-6,
-        );
+    fn cross_entropy_is_shift_invariant() {
+        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, -4.0, 0.5, 2.0], &[2, 3]).unwrap();
+        let mut shifted = t.clone();
+        for (i, v) in shifted.as_mut_slice().iter_mut().enumerate() {
+            *v += if i < 3 { 100.0 } else { -37.0 };
+        }
+        let (loss, grad) = cross_entropy_with_grad(&t, &[2, 0]).unwrap();
+        let (loss_s, grad_s) = cross_entropy_with_grad(&shifted, &[2, 0]).unwrap();
+        assert!((loss - loss_s).abs() < 1e-5, "{loss} vs {loss_s}");
+        assert_close(&grad, &grad_s, 1e-6);
     }
 
     #[test]

@@ -148,23 +148,6 @@ impl Tensor {
         Tensor::from_vec(self.data.clone(), dims)
     }
 
-    /// Reshapes in place (no data movement).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the volumes differ.
-    pub fn reshape_in_place(&mut self, dims: &[usize]) -> Result<(), TensorError> {
-        let shape = Shape::new(dims);
-        if shape.volume() != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.volume(),
-                actual: self.data.len(),
-            });
-        }
-        self.shape = shape;
-        Ok(())
-    }
-
     /// Applies `f` to every element, returning a new tensor. Large tensors
     /// partition over the worker pool (elementwise maps are trivially
     /// deterministic under any partition).

@@ -3,6 +3,7 @@
 
 use ahw_tensor::check::{self, ensure};
 use ahw_tensor::ops::{self, ConvGeometry};
+use ahw_tensor::rng::Rng;
 use ahw_tensor::{io, rng, Shape, Tensor};
 
 /// Row-major offsets are a bijection onto 0..volume.
@@ -108,22 +109,29 @@ fn conv_coverage_count() {
     });
 }
 
-/// softmax rows are probability vectors for any finite input.
+/// Cross-entropy's softmax rows are probability vectors for any finite
+/// input: `rows · dlogits + onehot` recovers them.
 #[test]
-fn softmax_rows_are_distributions() {
-    check::cases(64).run("softmax_rows_are_distributions", |g| {
+fn cross_entropy_softmax_rows_are_distributions() {
+    check::cases(64).run("cross_entropy_softmax_rows_are_distributions", |g| {
         let rows = g.usize_in("rows", 1, 5);
         let cols = g.usize_in("cols", 1, 8);
         let seed = g.seed("seed");
-        let t = rng::uniform(&[rows, cols], -50.0, 50.0, &mut rng::seeded(seed));
-        let s = ops::softmax_rows(&t).unwrap();
-        for r in 0..rows {
-            let row = &s.as_slice()[r * cols..(r + 1) * cols];
+        let mut r = rng::seeded(seed);
+        let t = rng::uniform(&[rows, cols], -50.0, 50.0, &mut r);
+        let labels: Vec<usize> = (0..rows).map(|_| r.gen_range(0..cols)).collect();
+        let (_, grad) = ops::cross_entropy_with_grad(&t, &labels).unwrap();
+        for (i, &label) in labels.iter().enumerate() {
+            let mut row: Vec<f32> = grad.as_slice()[i * cols..(i + 1) * cols]
+                .iter()
+                .map(|&d| d * rows as f32)
+                .collect();
+            row[label] += 1.0;
             let sum: f32 = row.iter().sum();
-            ensure((sum - 1.0).abs() < 1e-4, format!("row {r} sums to {sum}"))?;
+            ensure((sum - 1.0).abs() < 1e-4, format!("row {i} sums to {sum}"))?;
             ensure(
-                row.iter().all(|&p| (0.0..=1.0).contains(&p)),
-                format!("row {r} has a value outside [0, 1]"),
+                row.iter().all(|&p| (-1e-6..=1.0 + 1e-6).contains(&p)),
+                format!("row {i} has a value outside [0, 1]"),
             )?;
         }
         Ok(())

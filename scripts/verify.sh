@@ -104,6 +104,23 @@ if [ -n "$ok" ]; then
         report_ok=1
     fi
 fi
+# Smoke: the offline report round-trip. Save the live trace and snapshot,
+# re-render them with ahw_report offline (re-parsed by
+# ahw_telemetry::json) against the committed bench history, and require
+# the same profiling sections plus the bench trend.
+offline_ok=""
+if [ -n "$report_ok" ]; then
+    if target/release/ahw_bench --scrape "$addr" /trace.json >"$tmp/trace.json" 2>/dev/null \
+        && target/release/ahw_bench --scrape "$addr" /snapshot.json >"$tmp/snapshot.json" 2>/dev/null \
+        && target/release/ahw_report --trace "$tmp/trace.json" --snapshot "$tmp/snapshot.json" \
+            --bench BENCH_kernels.json --out "$tmp/offline.md" 2>/dev/null \
+        && grep -q 'self_ms' "$tmp/offline.md" \
+        && grep -q '^## Worker utilization' "$tmp/offline.md" \
+        && grep -q '^## Roofline' "$tmp/offline.md" \
+        && grep -q '^## Bench trend' "$tmp/offline.md"; then
+        offline_ok=1
+    fi
+fi
 kill "$exp_pid" 2>/dev/null || true
 wait "$exp_pid" 2>/dev/null || true
 if [ -z "$ok" ]; then
@@ -116,6 +133,12 @@ if [ -z "$report_ok" ]; then
     head -n 60 "$tmp/report.md" 2>/dev/null >&2 || true
     exit 1
 fi
+if [ -z "$offline_ok" ]; then
+    echo "verify: offline run report from saved trace/snapshot missing sections" >&2
+    head -n 60 "$tmp/offline.md" 2>/dev/null >&2 || true
+    exit 1
+fi
 echo "verify: live /metrics scrape OK ($addr, span p99 series from nn/tensor/attacks/sram)" >&2
 echo "verify: live run report OK (span tree + utilization + roofline via ahw_report --scrape)" >&2
+echo "verify: offline run report OK (saved trace + snapshot + bench trend via ahw_report)" >&2
 rm -rf "$tmp"
