@@ -17,7 +17,10 @@
 //! 3. A resistive-mesh solve (exact dense nodal analysis for validation, a
 //!    fast ladder-relaxation for experiments) turns each programmed tile
 //!    into its *effective* conductance matrix `G_nonideal` under unit drive
-//!    — Fig. 3(b) of the paper.
+//!    — Fig. 3(b) of the paper. The relaxation eliminates every wire ladder
+//!    once and solves a tile's ladders in lockstep; tiles draw their process
+//!    variation serially in tile order, then solve in parallel on the worker
+//!    pool, with the same bits at any thread count.
 //! 4. Because the crossbar is a linear circuit, the whole non-ideal network
 //!    is exactly represented by an **effective weight matrix**
 //!    `W_eff ≠ W`; [`map_model`] rewrites a trained [`ahw_nn::Sequential`]

@@ -34,8 +34,9 @@ impl CrossbarTile {
     ///
     /// # Errors
     ///
-    /// Returns [`CrossbarError::BadParams`] for invalid configs or a
-    /// sub-matrix exceeding the array size.
+    /// Returns [`CrossbarError::BadParams`] for invalid configs, a
+    /// sub-matrix exceeding the array size or a non-finite weight, and
+    /// propagates mesh-solver failures.
     pub fn program<R: Rng>(
         weights: &[f32],
         rows: usize,
@@ -45,58 +46,8 @@ impl CrossbarTile {
         rng: &mut R,
     ) -> Result<Self, CrossbarError> {
         config.validate()?;
-        if rows == 0 || cols == 0 || rows > config.size || cols > config.size {
-            return Err(CrossbarError::BadParams(format!(
-                "tile {rows}x{cols} does not fit a {0}x{0} array",
-                config.size
-            )));
-        }
-        if weights.len() != rows * cols {
-            return Err(CrossbarError::BadParams(format!(
-                "weight buffer {} does not match {rows}x{cols}",
-                weights.len()
-            )));
-        }
-        let (g_min, g_max) = (config.device.g_min(), config.device.g_max());
-        let span = g_max - g_min;
-        let w_max = if w_max > 0.0 { w_max } else { 1.0 };
-        let sigma = config.nonideal.variation_sigma;
-        let vary = |g: f32, rng: &mut R| -> f32 {
-            if sigma == 0.0 {
-                g
-            } else {
-                // Box–Muller normal draw; conductance floors at a tenth of
-                // G_MIN so a deep negative tail cannot flip the device sign.
-                let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-                let u2: f32 = rng.gen_range(0.0f32..1.0);
-                let n = (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos();
-                (g * (1.0 + sigma * n)).max(g_min * 0.1)
-            }
-        };
-        let mut g_pos = vec![0.0f32; rows * cols];
-        let mut g_neg = vec![0.0f32; rows * cols];
-        for idx in 0..rows * cols {
-            let w = weights[idx].clamp(-w_max, w_max);
-            let frac = w.abs() / w_max;
-            let (p, n) = if w >= 0.0 {
-                (g_min + frac * span, g_min)
-            } else {
-                (g_min, g_min + frac * span)
-            };
-            g_pos[idx] = vary(p, rng);
-            g_neg[idx] = vary(n, rng);
-        }
-        let eff_pos =
-            extract_effective_conductance(&g_pos, rows, cols, &config.nonideal, config.solver)?;
-        let eff_neg =
-            extract_effective_conductance(&g_neg, rows, cols, &config.nonideal, config.solver)?;
-        let g_eff_diff = eff_pos.iter().zip(&eff_neg).map(|(p, n)| p - n).collect();
-        Ok(CrossbarTile {
-            rows,
-            cols,
-            g_eff_diff,
-            weight_per_siemens: w_max / span,
-        })
+        reject_non_finite(weights)?;
+        DrawnTile::draw(weights, rows, cols, w_max, config, rng)?.solve(config)
     }
 
     /// Tile input count (crossbar rows).
@@ -165,6 +116,109 @@ impl CrossbarTile {
     }
 }
 
+/// Rejects non-finite weights: clamping, `f32::max` and the variation floor
+/// would otherwise program a NaN or infinity as a valid conductance.
+fn reject_non_finite(weights: &[f32]) -> Result<(), CrossbarError> {
+    match weights.iter().position(|w| !w.is_finite()) {
+        Some(idx) => Err(CrossbarError::BadParams(format!(
+            "weight {idx} is not finite: {}",
+            weights[idx]
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// A tile between its two programming steps: conductances drawn, mesh not
+/// yet solved. The draw consumes the chip's RNG stream, so tiles draw
+/// serially in a fixed order; the solve is a pure function of the drawn
+/// conductances, so tiles can solve on any thread.
+struct DrawnTile {
+    rows: usize,
+    cols: usize,
+    g_pos: Vec<f32>,
+    g_neg: Vec<f32>,
+    weight_per_siemens: f32,
+}
+
+impl DrawnTile {
+    /// Maps weights onto differential conductance pairs and applies the
+    /// process variation.
+    fn draw<R: Rng>(
+        weights: &[f32],
+        rows: usize,
+        cols: usize,
+        w_max: f32,
+        config: &CrossbarConfig,
+        rng: &mut R,
+    ) -> Result<Self, CrossbarError> {
+        if rows == 0 || cols == 0 || rows > config.size || cols > config.size {
+            return Err(CrossbarError::BadParams(format!(
+                "tile {rows}x{cols} does not fit a {0}x{0} array",
+                config.size
+            )));
+        }
+        if weights.len() != rows * cols {
+            return Err(CrossbarError::BadParams(format!(
+                "weight buffer {} does not match {rows}x{cols}",
+                weights.len()
+            )));
+        }
+        let (g_min, g_max) = (config.device.g_min(), config.device.g_max());
+        let span = g_max - g_min;
+        let w_max = if w_max > 0.0 { w_max } else { 1.0 };
+        let sigma = config.nonideal.variation_sigma;
+        let vary = |g: f32, rng: &mut R| -> f32 {
+            if sigma == 0.0 {
+                g
+            } else {
+                // Box–Muller normal draw; conductance floors at a tenth of
+                // G_MIN so a deep negative tail cannot flip the device sign.
+                let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+                let u2: f32 = rng.gen_range(0.0f32..1.0);
+                let n = (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos();
+                (g * (1.0 + sigma * n)).max(g_min * 0.1)
+            }
+        };
+        let mut g_pos = vec![0.0f32; rows * cols];
+        let mut g_neg = vec![0.0f32; rows * cols];
+        for idx in 0..rows * cols {
+            let w = weights[idx].clamp(-w_max, w_max);
+            let frac = w.abs() / w_max;
+            let (p, n) = if w >= 0.0 {
+                (g_min + frac * span, g_min)
+            } else {
+                (g_min, g_min + frac * span)
+            };
+            g_pos[idx] = vary(p, rng);
+            g_neg[idx] = vary(n, rng);
+        }
+        Ok(DrawnTile {
+            rows,
+            cols,
+            g_pos,
+            g_neg,
+            weight_per_siemens: w_max / span,
+        })
+    }
+
+    /// Solves both arrays of the pair for their effective conductances.
+    fn solve(&self, config: &CrossbarConfig) -> Result<CrossbarTile, CrossbarError> {
+        let effective = |g: &[f32]| {
+            extract_effective_conductance(g, self.rows, self.cols, &config.nonideal, config.solver)
+        };
+        let mut g_eff_diff = effective(&self.g_pos)?;
+        for (p, n) in g_eff_diff.iter_mut().zip(effective(&self.g_neg)?) {
+            *p -= n;
+        }
+        Ok(CrossbarTile {
+            rows: self.rows,
+            cols: self.cols,
+            g_eff_diff,
+            weight_per_siemens: self.weight_per_siemens,
+        })
+    }
+}
+
 /// A full weight matrix mapped onto a grid of [`CrossbarTile`]s.
 ///
 /// The logical weight is `W (out, in)`; crossbar rows take inputs, so tile
@@ -182,11 +236,15 @@ pub struct TiledMatrix {
 impl TiledMatrix {
     /// Maps a `(out, in)` weight matrix onto tiles of `config.size`.
     ///
-    /// `rng` supplies the process-variation draw (one chip instance).
+    /// `rng` supplies the process-variation draw (one chip instance), taken
+    /// tile by tile in `(bi, bj)` order. The tiles' mesh solves run on the
+    /// worker pool; the result is the same at any thread count.
     ///
     /// # Errors
     ///
-    /// Returns [`CrossbarError`] for invalid configs or a non-matrix tensor.
+    /// Returns [`CrossbarError`] for invalid configs, a non-matrix tensor or
+    /// a non-finite weight; when tiles fail to solve, the error of the first
+    /// failing tile in `(bi, bj)` order.
     pub fn program<R: Rng>(
         weight: &Tensor,
         config: &CrossbarConfig,
@@ -204,18 +262,24 @@ impl TiledMatrix {
         let _span = telemetry::span_labeled("crossbar.tile.program", || {
             format!("{out_f}x{in_f} tiles={}", config.size)
         });
-        let k = config.size;
-        let w_max = weight
-            .as_slice()
-            .iter()
-            .fold(0.0f32, |m, &v| m.max(v.abs()));
         let wv = weight.as_slice();
-        let mut tiles = Vec::new();
-        for bi in (0..in_f).step_by(k) {
-            let rows = k.min(in_f - bi);
-            let mut row_tiles = Vec::new();
-            for bj in (0..out_f).step_by(k) {
-                let cols = k.min(out_f - bj);
+        reject_non_finite(wv)?;
+        let k = config.size;
+        let w_max = wv.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+        let (in_blocks, out_blocks) = (in_f.div_ceil(k), out_f.div_ceil(k));
+        let mut tiles: Vec<Vec<CrossbarTile>> = (0..in_blocks)
+            .map(|_| Vec::with_capacity(out_blocks))
+            .collect();
+        // Draw a wave of tiles serially, in (bi, bj) order, then solve the
+        // wave on the pool. One tile per worker and wave bounds the drawn
+        // conductances held at once.
+        let (n_tiles, wave) = (in_blocks * out_blocks, pool::num_threads());
+        let mut drawn = Vec::with_capacity(wave);
+        for first in (0..n_tiles).step_by(wave) {
+            drawn.clear();
+            for t in first..n_tiles.min(first + wave) {
+                let (bi, bj) = (t / out_blocks * k, t % out_blocks * k);
+                let (rows, cols) = (k.min(in_f - bi), k.min(out_f - bj));
                 // gather transposed block: tile[i][j] = W[bj + j][bi + i]
                 let mut block = vec![0.0f32; rows * cols];
                 for i in 0..rows {
@@ -223,11 +287,14 @@ impl TiledMatrix {
                         block[i * cols + j] = wv[(bj + j) * in_f + (bi + i)];
                     }
                 }
-                row_tiles.push(CrossbarTile::program(
-                    &block, rows, cols, w_max, config, rng,
-                )?);
+                drawn.push(DrawnTile::draw(&block, rows, cols, w_max, config, rng)?);
             }
-            tiles.push(row_tiles);
+            // results come back in tile order, so the first error is the
+            // first failing tile's
+            let solved = pool::parallel_map(drawn.len(), 1, |t| drawn[t].solve(config));
+            for (t, tile) in (first..).zip(solved) {
+                tiles[t / out_blocks].push(tile?);
+            }
         }
         Ok(TiledMatrix {
             out_features: out_f,
@@ -448,6 +515,25 @@ mod tests {
         for (o, &yo) in y.iter().enumerate() {
             let expect: f32 = (0..24).map(|i| eff.as_slice()[o * 24 + i] * x[i]).sum();
             assert!((yo - expect).abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn non_finite_weights_are_rejected() {
+        // with variation on, the draw's floor used to turn a NaN conductance
+        // into 0.1·G_MIN; with it off, the NaN reached the solver
+        for sigma in [0.1f32, 0.0] {
+            let mut cfg = CrossbarConfig::paper_default(8);
+            cfg.nonideal.variation_sigma = sigma;
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut w = uniform(&[4, 12], -1.0, 1.0, &mut seeded(17));
+                w.as_mut_slice()[13] = bad;
+                let got = TiledMatrix::program(&w, &cfg, &mut seeded(18));
+                assert!(
+                    matches!(got, Err(CrossbarError::BadParams(_))),
+                    "sigma {sigma}, weight {bad}: {got:?}"
+                );
+            }
         }
     }
 

@@ -16,7 +16,10 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_kernels.json}"
 shift || true
 
+# rows measured on a modified tree are tagged <rev>-dirty, so before/after
+# recordings on top of the same commit stay distinguishable
 rev="$(git rev-parse --short HEAD)"
+git diff --quiet HEAD || rev="$rev-dirty"
 threads="${AHW_THREADS:-$(nproc)}"
 export AHW_BENCH_SAMPLES="${AHW_BENCH_SAMPLES:-5}"
 export AHW_BENCH_WARMUP_MS="${AHW_BENCH_WARMUP_MS:-150}"

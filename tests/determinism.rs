@@ -5,6 +5,7 @@
 
 use adversarial_hw::prelude::*;
 use ahw_attacks::{evaluate_attack_sharded, sweep_epsilons, Attack, AttackOutcome};
+use ahw_crossbar::{map_model, CrossbarError, CrossbarTile, SolverKind};
 use ahw_nn::train::{TrainConfig, Trainer};
 use ahw_sram::{HybridMemoryConfig, HybridWordConfig};
 use ahw_tensor::{pool, rng, Tensor};
@@ -142,6 +143,97 @@ fn training_and_epsilon_sweep_are_bit_identical_1_vs_4_threads() {
             o1.adversarial_accuracy.to_bits(),
             o4.adversarial_accuracy.to_bits(),
             "adversarial accuracy differs at eps {e1}"
+        );
+    }
+}
+
+/// A VGG8 that maps in milliseconds, with several tiles per matrix.
+fn vgg8() -> Sequential {
+    archs::vgg8(10, 0.0625, &mut rng::seeded(SEED))
+        .unwrap()
+        .model
+}
+
+/// Bit patterns of every crossbar-mappable weight of `model`.
+fn weight_bits(model: &mut Sequential) -> Vec<u32> {
+    let mut bits = Vec::new();
+    model.visit_state(&mut |name, t| {
+        if name.ends_with(".weight") && t.rank() == 2 {
+            bits.extend(t.as_slice().iter().map(|v| v.to_bits()));
+        }
+    });
+    bits
+}
+
+/// Crossbar tiles are solved on the pool: every effective weight and the
+/// mapping report are bit-identical at any worker count.
+#[test]
+fn crossbar_mapping_is_bit_identical_across_thread_counts() {
+    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let software = vgg8();
+    let config = CrossbarConfig::paper_default(16);
+    let map = |threads: usize| {
+        let (mut hardware, report) =
+            with_threads(threads, || crossbar_variant(&software, &config).unwrap());
+        (weight_bits(&mut hardware), report)
+    };
+    let reference = map(1);
+    for threads in [2usize, 4, 7] {
+        assert!(
+            map(threads) == reference,
+            "crossbar mapping differs at {threads} threads"
+        );
+    }
+}
+
+/// One relaxation sweep cannot settle, so every tile fails. `map_model`
+/// returns the error of the first tile in `(bi, bj)` order at any worker
+/// count and leaves the model's weights as they were.
+#[test]
+fn crossbar_mapping_error_is_the_first_tiles() {
+    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let config = CrossbarConfig {
+        solver: SolverKind::Relaxation { sweeps: 1 },
+        ..CrossbarConfig::paper_default(4)
+    };
+    let mut software = vgg8();
+    let mut first = None;
+    software.visit_state(&mut |name, t| {
+        if first.is_none() && name.ends_with(".weight") && t.rank() == 2 {
+            first = Some(t.clone());
+        }
+    });
+    // the first matrix is the 4x27 stem conv: 7 tiles in one output block,
+    // drawn from the chip's stream in order
+    let w = first.unwrap();
+    let (out_f, in_f) = (w.dims()[0], w.dims()[1]);
+    assert!(out_f <= config.size && in_f > config.size);
+    let w_max = w.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+    let mut stream = rng::seeded(config.seed);
+    let mut tile_error = |bi: usize| {
+        let (rows, cols) = (config.size.min(in_f - bi), out_f);
+        let block: Vec<f32> = (0..rows * cols)
+            .map(|idx| w.as_slice()[(idx % cols) * in_f + bi + idx / cols])
+            .collect();
+        CrossbarTile::program(&block, rows, cols, w_max, &config, &mut stream).unwrap_err()
+    };
+    let bits = |e: &CrossbarError| match e {
+        CrossbarError::SolverDiverged {
+            residual,
+            iterations,
+        } => (residual.to_bits(), *iterations),
+        other => panic!("expected a diverged solve, got {other}"),
+    };
+    let first_tile = bits(&tile_error(0));
+    assert_ne!(first_tile, bits(&tile_error(config.size)));
+    let before = weight_bits(&mut software);
+    for threads in [1usize, 4] {
+        let mut model = software.clone();
+        let err = with_threads(threads, || map_model(&mut model, &config)).unwrap_err();
+        assert_eq!(bits(&err), first_tile, "error at {threads} threads");
+        assert!(
+            weight_bits(&mut model) == before,
+            "failed mapping rewrote weights at {threads} threads"
         );
     }
 }
