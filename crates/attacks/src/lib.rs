@@ -43,6 +43,5 @@ pub use methods::{
 };
 pub use metrics::AttackOutcome;
 pub use modes::{
-    clear_plan_pool, evaluate_attack, evaluate_attack_sharded, evaluate_mode, parked_plan_count,
-    sweep_epsilons, AttackMode,
+    clear_plan_pool, evaluate_attack, evaluate_mode, parked_plan_count, sweep_epsilons, AttackMode,
 };

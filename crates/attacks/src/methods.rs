@@ -1,4 +1,4 @@
-use ahw_nn::{Mode, NnError, PlanCache, Sequential};
+use ahw_nn::{NnError, PlanCache, Sequential};
 use ahw_telemetry as telemetry;
 use ahw_tensor::rng::Rng;
 use ahw_tensor::Tensor;
@@ -118,7 +118,7 @@ pub fn fgsm_ws(
     cache: &mut PlanCache,
 ) -> Result<Tensor, NnError> {
     GRADIENT_QUERIES.incr();
-    let (_, grad) = model.input_gradient_planned(x, labels, Mode::Eval, cache)?;
+    let (_, grad) = model.input_gradient_planned(x, labels, cache)?;
     let ws = cache.workspace();
     let mut adv = ws.take(x.len());
     adv.copy_from_slice(x.as_slice());
@@ -199,7 +199,7 @@ pub fn pgd_ws<R: Rng>(
     };
     for _ in 0..steps {
         GRADIENT_QUERIES.incr();
-        let (_, grad) = model.input_gradient_planned(&adv, labels, Mode::Eval, cache)?;
+        let (_, grad) = model.input_gradient_planned(&adv, labels, cache)?;
         let av = adv.as_mut_slice();
         let gv = grad.as_slice();
         let xv = x.as_slice();
@@ -252,7 +252,7 @@ pub fn craft<R: Rng>(
 }
 
 /// [`craft`] through a caller-owned plan cache; the shard loops in
-/// [`crate::evaluate_attack_sharded`] hold one cache per worker so all
+/// [`crate::evaluate_attack`] hold one cache per worker so all
 /// attack steps, batches, and sweep points reuse the same arena.
 ///
 /// # Errors
@@ -324,9 +324,9 @@ mod tests {
     fn fgsm_moves_loss_uphill() {
         let mut m = model(3);
         let (x, y) = batch(4);
-        let (clean_loss, _) = m.input_gradient(&x, &y, Mode::Eval).unwrap();
+        let (clean_loss, _) = m.input_gradient(&x, &y).unwrap();
         let adv = fgsm(&mut m, &x, &y, 0.05).unwrap();
-        let (adv_loss, _) = m.input_gradient(&adv, &y, Mode::Eval).unwrap();
+        let (adv_loss, _) = m.input_gradient(&adv, &y).unwrap();
         assert!(
             adv_loss > clean_loss,
             "adv loss {adv_loss} not above clean {clean_loss}"
@@ -352,8 +352,8 @@ mod tests {
             assert!((a - b).abs() <= eps + 1e-5);
             assert!((0.0..=1.0).contains(a));
         }
-        let (loss_f, _) = m.input_gradient(&adv_f, &y, Mode::Eval).unwrap();
-        let (loss_p, _) = m.input_gradient(&adv_p, &y, Mode::Eval).unwrap();
+        let (loss_f, _) = m.input_gradient(&adv_f, &y).unwrap();
+        let (loss_p, _) = m.input_gradient(&adv_p, &y).unwrap();
         assert!(
             loss_p >= loss_f * 0.95,
             "pgd loss {loss_p} well below fgsm loss {loss_f}"
@@ -378,8 +378,8 @@ mod tests {
         let eps = 0.15;
         let adv = fgsm(&mut m, &x, &y, eps).unwrap();
         let rnd = random_noise(&x, eps, &mut seeded(22));
-        let (loss_adv, _) = m.input_gradient(&adv, &y, Mode::Eval).unwrap();
-        let (loss_rnd, _) = m.input_gradient(&rnd, &y, Mode::Eval).unwrap();
+        let (loss_adv, _) = m.input_gradient(&adv, &y).unwrap();
+        let (loss_rnd, _) = m.input_gradient(&rnd, &y).unwrap();
         assert!(loss_adv > loss_rnd, "{loss_adv} vs {loss_rnd}");
         for (a, b) in rnd.as_slice().iter().zip(x.as_slice()) {
             assert!((a - b).abs() <= eps + 1e-6);

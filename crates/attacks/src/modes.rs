@@ -1,6 +1,6 @@
 use crate::methods::{craft_ws, Attack};
 use crate::AttackOutcome;
-use ahw_nn::util::num_threads;
+use ahw_nn::util::ErrCell;
 use ahw_nn::{NnError, PlanCache, Sequential};
 use ahw_telemetry as telemetry;
 use ahw_tensor::{pool, Tensor};
@@ -111,13 +111,18 @@ impl AttackMode {
 }
 
 /// Attacks `eval_model` with perturbations crafted from `grad_model`'s loss,
-/// over `(images, labels)` in parallel batches of `batch`, using the default
-/// worker count ([`num_threads`], overridable via `AHW_THREADS`).
+/// over `(images, labels)` in batches of `batch`.
+///
+/// Batches run on the shared [`ahw_tensor::pool`] worker pool. Per-batch
+/// attack RNG (PGD random starts) is derived from the batch index via the
+/// workspace stream-derivation scheme, and per-batch correct-prediction
+/// counts are integers, so the result is bit-identical for every thread
+/// count and independent of thread scheduling.
 ///
 /// # Errors
 ///
 /// Returns [`NnError::BadConfig`] for empty/mismatched data or zero batch;
-/// propagates model errors.
+/// propagates the model error of the first failing batch.
 pub fn evaluate_attack(
     grad_model: &Sequential,
     eval_model: &Sequential,
@@ -125,39 +130,6 @@ pub fn evaluate_attack(
     labels: &[usize],
     attack: Attack,
     batch: usize,
-) -> Result<AttackOutcome, NnError> {
-    evaluate_attack_sharded(
-        grad_model,
-        eval_model,
-        images,
-        labels,
-        attack,
-        batch,
-        num_threads(),
-    )
-}
-
-/// [`evaluate_attack`] with an explicit worker count.
-///
-/// Batches run on the shared [`ahw_tensor::pool`] worker pool (`workers == 1`
-/// forces a serial pass on the calling thread). Per-batch attack RNG (PGD
-/// random starts) is derived from the batch index via the workspace
-/// stream-derivation scheme, and per-batch correct-prediction counts are
-/// integers, so the result is bit-identical for every worker count and
-/// independent of thread scheduling.
-///
-/// # Errors
-///
-/// As [`evaluate_attack`]; additionally rejects `workers == 0`.
-#[allow(clippy::too_many_arguments)] // one knob past the canonical signature
-pub fn evaluate_attack_sharded(
-    grad_model: &Sequential,
-    eval_model: &Sequential,
-    images: &Tensor,
-    labels: &[usize],
-    attack: Attack,
-    batch: usize,
-    workers: usize,
 ) -> Result<AttackOutcome, NnError> {
     let n = images.dims()[0];
     if labels.len() != n {
@@ -169,11 +141,8 @@ pub fn evaluate_attack_sharded(
     if batch == 0 || n == 0 {
         return Err(NnError::BadConfig("empty dataset or zero batch".into()));
     }
-    if workers == 0 {
-        return Err(NnError::BadConfig("zero attack workers".into()));
-    }
     let _span = telemetry::span_labeled("attacks.evaluate", || {
-        format!("{} n={n} batch={batch} workers={workers}", attack.name())
+        format!("{} n={n} batch={batch}", attack.name())
     });
     EXAMPLES.add(n as u64);
     let item = images.len() / n;
@@ -221,32 +190,23 @@ pub fn evaluate_attack_sharded(
         result
     };
 
-    let (clean_ok, adv_ok) = if workers <= 1 {
-        shard_range(0..chunks.len())?
-    } else {
-        let clean = AtomicUsize::new(0);
-        let adv = AtomicUsize::new(0);
-        let first_err: Mutex<Option<NnError>> = Mutex::new(None);
-        pool::parallel_for_ranges(chunks.len(), 1, |r| match shard_range(r) {
-            Ok((c, a)) => {
-                clean.fetch_add(c, Ordering::Relaxed);
-                adv.fetch_add(a, Ordering::Relaxed);
-            }
-            Err(e) => {
-                let mut slot = first_err.lock().expect("attack error slot");
-                if slot.is_none() {
-                    *slot = Some(e);
-                }
-            }
+    let clean = AtomicUsize::new(0);
+    let adv = AtomicUsize::new(0);
+    // ranges are disjoint and each stops at its own first failing batch, so
+    // the failing range with the lowest start holds the lowest failing batch
+    let err = ErrCell::<NnError>::new();
+    pool::parallel_for_ranges(chunks.len(), 1, |r| {
+        err.run(r.start, || {
+            let (c, a) = shard_range(r)?;
+            clean.fetch_add(c, Ordering::Relaxed);
+            adv.fetch_add(a, Ordering::Relaxed);
+            Ok(())
         });
-        if let Some(e) = first_err.into_inner().expect("attack error slot") {
-            return Err(e);
-        }
-        (clean.into_inner(), adv.into_inner())
-    };
+    });
+    err.into_result()?;
     Ok(AttackOutcome {
-        clean_accuracy: clean_ok as f32 / n as f32,
-        adversarial_accuracy: adv_ok as f32 / n as f32,
+        clean_accuracy: clean.into_inner() as f32 / n as f32,
+        adversarial_accuracy: adv.into_inner() as f32 / n as f32,
     })
 }
 
@@ -451,21 +411,6 @@ mod tests {
         assert!(evaluate_attack(&model, &model, &x, &[0, 1], Attack::fgsm(0.1), 8).is_err());
         let y: Vec<usize> = (0..x.dims()[0]).map(|i| i % 2).collect();
         assert!(evaluate_attack(&model, &model, &x, &y, Attack::fgsm(0.1), 0).is_err());
-        assert!(evaluate_attack_sharded(&model, &model, &x, &y, Attack::fgsm(0.1), 8, 0).is_err());
-    }
-
-    #[test]
-    fn result_is_invariant_to_worker_count() {
-        let (model, x, y) = trained_setup();
-        let outcomes: Vec<AttackOutcome> = [1usize, 2, 4, 7]
-            .iter()
-            .map(|&w| {
-                evaluate_attack_sharded(&model, &model, &x, &y, Attack::pgd(0.1), 8, w).unwrap()
-            })
-            .collect();
-        for o in &outcomes[1..] {
-            assert_eq!(*o, outcomes[0], "sharded result depends on worker count");
-        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! injection, attack crafting). Runs on the std-only harness
 //! ([`ahw_bench::harness`]); see that module for filters and env knobs.
 
-use ahw_attacks::{evaluate_attack_sharded, Attack};
+use ahw_attacks::{evaluate_attack, Attack};
 use ahw_bench::harness::{black_box, Harness};
 use ahw_core::selection::{select_noise_sites, SelectionConfig};
 use ahw_crossbar::{
@@ -118,14 +118,13 @@ fn bench_pgd_eval(h: &mut Harness) {
     let attack = Attack::pgd(0.05);
     h.bench("attacks/pgd_eval_24x3x16x16", || {
         black_box(
-            evaluate_attack_sharded(
+            evaluate_attack(
                 black_box(&model),
                 black_box(&model),
                 black_box(&x),
                 &labels,
                 attack,
                 8,
-                2,
             )
             .unwrap(),
         );

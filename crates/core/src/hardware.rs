@@ -4,7 +4,7 @@ use ahw_crossbar::{map_model, CrossbarConfig, MappingReport};
 use ahw_nn::archs::ModelSpec;
 use ahw_nn::{NnError, Sequential};
 use ahw_sram::{BitErrorInjector, BitErrorModel, HybridMemoryConfig};
-use ahw_tensor::workspace;
+use ahw_tensor::Workspace;
 use std::sync::Arc;
 
 /// One site of a noise plan: which activation memory gets which hybrid
@@ -128,7 +128,10 @@ pub fn apply_weight_noise_plan(
         }
     });
     // corrupt the parameters feeding each planned site: the nearest
-    // weight-bearing layer at or before the site's layer
+    // weight-bearing layer at or before the site's layer; one arena serves
+    // the round-trip scratch of every site (the persistent weight is a
+    // fresh clone, the scratch goes back to the arena)
+    let mut ws = Workspace::new();
     for planned in &plan.sites {
         let site = &spec.sites[planned.site_index];
         let Some(&target) = weighted_layers
@@ -144,20 +147,12 @@ pub fn apply_weight_noise_plan(
             seed ^ (planned.site_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
         let target_prefix = format!("layers.{target}.");
-        // route the round trip through a checked-out global workspace so the
-        // code/output scratch is shared across sites (the persistent weight
-        // is a fresh clone; the scratch goes back to the arena)
-        workspace::with_global(|ws| {
-            hardware.visit_state(&mut |name, tensor| {
-                if name.starts_with(&target_prefix)
-                    && name.ends_with(".weight")
-                    && tensor.rank() == 2
-                {
-                    let noisy = injector.corrupt_into(tensor, ws);
-                    *tensor = noisy.clone();
-                    ws.recycle_tensor(noisy);
-                }
-            });
+        hardware.visit_state(&mut |name, tensor| {
+            if name.starts_with(&target_prefix) && name.ends_with(".weight") && tensor.rank() == 2 {
+                let noisy = injector.corrupt_into(tensor, &mut ws);
+                *tensor = noisy.clone();
+                ws.recycle_tensor(noisy);
+            }
         });
     }
     Ok(hardware)

@@ -206,7 +206,7 @@ mod tests {
         let mut hardware = small_convnet(9);
         map_model(&mut hardware, &CrossbarConfig::paper_default(16)).unwrap();
         let x = normal(&[2, 3, 8, 8], 0.0, 1.0, &mut seeded(10));
-        let (loss, dx) = hardware.input_gradient(&x, &[0, 1], Mode::Eval).unwrap();
+        let (loss, dx) = hardware.input_gradient(&x, &[0, 1]).unwrap();
         assert!(loss.is_finite());
         assert!(dx.norm() > 0.0);
     }

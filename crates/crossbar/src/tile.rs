@@ -1,14 +1,10 @@
 //! Tile-level crossbar machinery: differential conductance programming,
-//! process variation, and tiled matrix-vector multiplication.
+//! process variation, and the tiling of a full weight matrix.
 
 use crate::{extract_effective_conductance, CrossbarConfig, CrossbarError};
 use ahw_telemetry as telemetry;
 use ahw_tensor::rng::Rng;
-use ahw_tensor::{ops, pool, workspace, Tensor, TensorError};
-use std::sync::Mutex;
-
-/// Single-tile analog MVMs performed (every tile of every [`TiledMatrix::mvm`]).
-static TILE_MVMS: telemetry::LazyCounter = telemetry::LazyCounter::new("crossbar.tile.tile_mvms");
+use ahw_tensor::{pool, Tensor, TensorError};
 
 /// One programmed `K×K` (or smaller, at matrix edges) crossbar array pair.
 ///
@@ -68,51 +64,6 @@ impl CrossbarTile {
             .iter()
             .map(|&g| g * self.weight_per_siemens)
             .collect()
-    }
-
-    /// Analog MVM: sensed differential column outputs for the given row
-    /// voltages, already rescaled to weight·input units.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::BadParams`] if `v.len() != rows`.
-    pub fn mvm(&self, v: &[f32]) -> Result<Vec<f32>, CrossbarError> {
-        let mut out = vec![0.0f32; self.cols];
-        self.mvm_into(v, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`mvm`](CrossbarTile::mvm) writing into a caller-provided buffer of
-    /// exactly `cols` elements (fully overwritten), so tiled MVM loops can
-    /// reuse workspace scratch instead of allocating per tile.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::BadParams`] if `v.len() != rows` or
-    /// `out.len() != cols`.
-    pub fn mvm_into(&self, v: &[f32], out: &mut [f32]) -> Result<(), CrossbarError> {
-        if v.len() != self.rows {
-            return Err(CrossbarError::BadParams(format!(
-                "input length {} does not match {} rows",
-                v.len(),
-                self.rows
-            )));
-        }
-        if out.len() != self.cols {
-            return Err(CrossbarError::BadParams(format!(
-                "output length {} does not match {} cols",
-                out.len(),
-                self.cols
-            )));
-        }
-        out.fill(0.0);
-        // branch-free shared microkernel (no zero skip: 0·inf and 0·NaN
-        // drives must propagate NaN just like the software GEMM)
-        ops::vecmat_accumulate(v, &self.g_eff_diff, self.cols, out);
-        for o in out {
-            *o *= self.weight_per_siemens;
-        }
-        Ok(())
     }
 }
 
@@ -338,76 +289,6 @@ impl TiledMatrix {
         }
         Tensor::from_vec(out, &[self.out_features, self.in_features]).expect("dimensions preserved")
     }
-
-    /// Analog MVM across all tiles: `y = W_eff · x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::BadParams`] if `x.len() != in_features`.
-    pub fn mvm(&self, x: &[f32]) -> Result<Vec<f32>, CrossbarError> {
-        if x.len() != self.in_features {
-            return Err(CrossbarError::BadParams(format!(
-                "input length {} does not match {}",
-                x.len(),
-                self.in_features
-            )));
-        }
-        let _span = telemetry::span_labeled("crossbar.tile.mvm", || {
-            format!("{}x{}", self.out_features, self.in_features)
-        });
-        TILE_MVMS.add(self.tile_count() as u64);
-        let k = self.tile_size;
-        let mut y = vec![0.0f32; self.out_features];
-        let n_blocks = self.tiles.first().map_or(0, Vec::len);
-        let first_err: Mutex<Option<CrossbarError>> = Mutex::new(None);
-        // Output blocks are disjoint y ranges; within a block the input-tile
-        // contributions are folded in bi order regardless of which worker
-        // runs the block, so the sum is bit-identical at any thread count.
-        struct SendPtr(*mut f32);
-        unsafe impl Send for SendPtr {}
-        unsafe impl Sync for SendPtr {}
-        let base = SendPtr(y.as_mut_ptr());
-        let base = &base;
-        pool::parallel_for_ranges(n_blocks, 1, |r| {
-            // tile scratch comes from a checked-out workspace arena, so the
-            // per-tile partial-output buffer is reused across tiles, blocks,
-            // and successive MVM calls instead of allocated each time
-            workspace::with_global(|ws| {
-                for bj in r.clone() {
-                    let lo = bj * k;
-                    let hi = (lo + k).min(self.out_features);
-                    // SAFETY: each block index is claimed by exactly one task
-                    // and blocks cover disjoint ranges of `y`.
-                    let yb = unsafe { std::slice::from_raw_parts_mut(base.0.add(lo), hi - lo) };
-                    let mut part = ws.take(hi - lo);
-                    for (ti, row_tiles) in self.tiles.iter().enumerate() {
-                        let bi = ti * k;
-                        let tile = &row_tiles[bj];
-                        match tile.mvm_into(&x[bi..bi + tile.rows()], &mut part) {
-                            Ok(()) => {
-                                for (o, p) in yb.iter_mut().zip(&part) {
-                                    *o += p;
-                                }
-                            }
-                            Err(e) => {
-                                let mut slot = first_err.lock().expect("tiled mvm error slot");
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                                ws.recycle(part);
-                                return;
-                            }
-                        }
-                    }
-                    ws.recycle(part);
-                }
-            });
-        });
-        if let Some(e) = first_err.into_inner().expect("tiled mvm error slot") {
-            return Err(e);
-        }
-        Ok(y)
-    }
 }
 
 #[cfg(test)]
@@ -422,20 +303,6 @@ mod tests {
         let tile = CrossbarTile::program(&w, 8, 8, 2.0, &cfg, &mut seeded(2)).unwrap();
         for (a, b) in w.iter().zip(tile.effective_weights()) {
             assert!((a - b).abs() < 2.0 * 1e-3, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn tile_mvm_matches_effective_weights() {
-        let cfg = CrossbarConfig::paper_default(16);
-        let w = uniform(&[12 * 9], -1.0, 1.0, &mut seeded(3)).into_vec();
-        let tile = CrossbarTile::program(&w, 12, 9, 1.0, &cfg, &mut seeded(4)).unwrap();
-        let v = uniform(&[12], 0.0, 1.0, &mut seeded(5)).into_vec();
-        let y = tile.mvm(&v).unwrap();
-        let eff = tile.effective_weights();
-        for j in 0..9 {
-            let expect: f32 = (0..12).map(|i| eff[i * 9 + j] * v[i]).sum();
-            assert!((y[j] - expect).abs() < 1e-5, "{} vs {expect}", y[j]);
         }
     }
 
@@ -501,20 +368,6 @@ mod tests {
                 assert!(b.abs() > 0.05, "weight {a} mapped to {b}");
                 assert_eq!(a.signum(), b.signum());
             }
-        }
-    }
-
-    #[test]
-    fn tiled_mvm_matches_effective_matmul() {
-        let cfg = CrossbarConfig::paper_default(16);
-        let w = uniform(&[10, 24], -1.0, 1.0, &mut seeded(13));
-        let tiled = TiledMatrix::program(&w, &cfg, &mut seeded(14)).unwrap();
-        let x = uniform(&[24], 0.0, 1.0, &mut seeded(15)).into_vec();
-        let y = tiled.mvm(&x).unwrap();
-        let eff = tiled.effective_weight();
-        for (o, &yo) in y.iter().enumerate() {
-            let expect: f32 = (0..24).map(|i| eff.as_slice()[o * 24 + i] * x[i]).sum();
-            assert!((yo - expect).abs() < 1e-4);
         }
     }
 

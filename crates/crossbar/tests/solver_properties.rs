@@ -101,33 +101,3 @@ fn calibration_reduces_residual() {
         )
     });
 }
-
-/// The extracted operator is genuinely linear: the tile MVM of a sum is
-/// the sum of MVMs.
-#[test]
-fn tiled_mvm_is_linear() {
-    check::cases(32).run("tiled_mvm_is_linear", |g| {
-        use ahw_crossbar::TiledMatrix;
-        let seed = g.u64_in("seed", 0, 200);
-        let w = rng::uniform(&[6, 10], -1.0, 1.0, &mut rng::seeded(seed));
-        let cfg = CrossbarConfig::paper_default(8);
-        let tiled = TiledMatrix::program(&w, &cfg, &mut rng::seeded(seed + 1)).unwrap();
-        let x = rng::uniform(&[10], 0.0, 1.0, &mut rng::seeded(seed + 2)).into_vec();
-        let y = rng::uniform(&[10], 0.0, 1.0, &mut rng::seeded(seed + 3)).into_vec();
-        let sum: Vec<f32> = x.iter().zip(&y).map(|(a, b)| a + b).collect();
-        let mvm_sum = tiled.mvm(&sum).unwrap();
-        let mvm_x = tiled.mvm(&x).unwrap();
-        let mvm_y = tiled.mvm(&y).unwrap();
-        for i in 0..6 {
-            ensure(
-                (mvm_sum[i] - mvm_x[i] - mvm_y[i]).abs() < 1e-4,
-                format!(
-                    "row {i}: mvm(x+y) = {} vs mvm(x)+mvm(y) = {}",
-                    mvm_sum[i],
-                    mvm_x[i] + mvm_y[i]
-                ),
-            )?;
-        }
-        Ok(())
-    });
-}

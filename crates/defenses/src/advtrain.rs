@@ -109,7 +109,7 @@ fn ahw_attacks_free_fgsm(
     labels: &[usize],
     epsilon: f32,
 ) -> Result<Tensor, NnError> {
-    let (_, grad) = model.input_gradient(x, labels, Mode::Eval)?;
+    let (_, grad) = model.input_gradient(x, labels)?;
     let mut adv = x.clone();
     for (a, g) in adv.as_mut_slice().iter_mut().zip(grad.as_slice()) {
         if *g != 0.0 {

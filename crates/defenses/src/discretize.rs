@@ -95,10 +95,6 @@ impl Layer for DiscretizeLayer {
         Ok(Tensor::from_vec(dx, grad_out.dims())?)
     }
 
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(*self)
-    }
-
     fn describe(&self) -> String {
         format!("discretize({}b)", self.defense.bits())
     }
@@ -167,7 +163,7 @@ mod tests {
         model.push(Linear::new(4, 2, &mut rng).unwrap());
         let mut defended = PixelDiscretization::new(4).unwrap().defend(&model);
         let x = uniform(&[2, 4], 0.0, 1.0, &mut rng);
-        let (_, dx) = defended.input_gradient(&x, &[0, 1], Mode::Eval).unwrap();
+        let (_, dx) = defended.input_gradient(&x, &[0, 1]).unwrap();
         assert!(dx.norm() > 0.0);
     }
 }

@@ -84,7 +84,7 @@ impl Quanos {
         }
         // craft calibration adversaries against the model itself
         let mut grad_model = model.clone();
-        let (_, grad) = grad_model.input_gradient(images, labels, Mode::Eval)?;
+        let (_, grad) = grad_model.input_gradient(images, labels)?;
         let mut adv = images.clone();
         for (a, g) in adv.as_mut_slice().iter_mut().zip(grad.as_slice()) {
             if *g != 0.0 {

@@ -415,7 +415,7 @@ mod tests {
     fn gradients_flow_to_input_through_resnet() {
         let mut spec = resnet18(10, 0.0625, &mut seeded(8)).unwrap();
         let x = normal(&[2, 3, 32, 32], 0.0, 1.0, &mut seeded(9));
-        let (loss, dx) = spec.model.input_gradient(&x, &[1, 2], Mode::Eval).unwrap();
+        let (loss, dx) = spec.model.input_gradient(&x, &[1, 2]).unwrap();
         assert!(loss.is_finite());
         assert_eq!(dx.dims(), x.dims());
         assert!(dx.norm() > 0.0);

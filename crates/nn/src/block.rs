@@ -1,4 +1,4 @@
-use crate::layer::{apply_hook_ws, ActivationHook, HookSlot, Layer, Mode};
+use crate::layer::{ActivationHook, HookCell, HookSlot, Layer, Mode};
 use crate::layers::{BatchNorm2d, Conv2d, ReLU, ReluMask};
 use crate::{NnError, Param};
 use ahw_tensor::rng::Rng;
@@ -23,9 +23,9 @@ pub struct BasicBlock {
     conv2: Conv2d,
     bn2: BatchNorm2d,
     shortcut: Option<(Conv2d, BatchNorm2d)>,
-    hook_conv1: Option<Arc<dyn ActivationHook>>,
-    hook_shortcut: Option<Arc<dyn ActivationHook>>,
-    hook_out: Option<Arc<dyn ActivationHook>>,
+    hook_conv1: HookCell,
+    hook_shortcut: HookCell,
+    hook_out: HookCell,
     /// the final activation and its mask cache
     relu_out: ReluMask,
     in_channels: usize,
@@ -74,9 +74,9 @@ impl BasicBlock {
             conv2,
             bn2: BatchNorm2d::new(out_channels),
             shortcut,
-            hook_conv1: None,
-            hook_shortcut: None,
-            hook_out: None,
+            hook_conv1: HookCell::default(),
+            hook_shortcut: HookCell::default(),
+            hook_out: HookCell::default(),
             relu_out: ReluMask::default(),
             in_channels,
             out_channels,
@@ -102,7 +102,7 @@ impl Layer for BasicBlock {
         ws.recycle_tensor(h);
         let h3 = self.relu1.forward_ws(&h2, mode, ws)?;
         ws.recycle_tensor(h2);
-        let h3 = apply_hook_ws(&self.hook_conv1, h3, ws);
+        let h3 = self.hook_conv1.apply(h3, ws);
         let a1 = self.conv2.forward_ws(&h3, mode, ws)?;
         ws.recycle_tensor(h3);
         let a = self.bn2.forward_ws(&a1, mode, ws)?;
@@ -120,14 +120,14 @@ impl Layer for BasicBlock {
                 Tensor::from_vec(b, x.dims())?
             }
         };
-        let s = apply_hook_ws(&self.hook_shortcut, s, ws);
+        let s = self.hook_shortcut.apply(s, ws);
         // in-place `a += 1.0·s` matches `a.add(&s)` bit-for-bit
         let mut pre = a;
         pre.add_scaled(&s, 1.0)?;
         ws.recycle_tensor(s);
         let y = self.relu_out.forward(&pre, ws);
         ws.recycle_tensor(pre);
-        Ok(apply_hook_ws(&self.hook_out, y?, ws))
+        Ok(self.hook_out.apply(y?, ws))
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
@@ -192,23 +192,11 @@ impl Layer for BasicBlock {
         hook: Option<Arc<dyn ActivationHook>>,
     ) -> Result<(), NnError> {
         match slot {
-            HookSlot::BlockConv1 => self.hook_conv1 = hook,
-            HookSlot::BlockShortcut => self.hook_shortcut = hook,
-            HookSlot::Output | HookSlot::BlockConv2 => self.hook_out = hook,
+            HookSlot::Output => self.hook_out.set(hook),
+            HookSlot::BlockConv1 => self.hook_conv1.set(hook),
+            HookSlot::BlockShortcut => self.hook_shortcut.set(hook),
         }
         Ok(())
-    }
-
-    fn set_param_grads(&mut self, enabled: bool) {
-        self.conv1.set_param_grads(enabled);
-        self.conv2.set_param_grads(enabled);
-        if let Some((conv, _)) = &mut self.shortcut {
-            conv.set_param_grads(enabled);
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
     }
 
     fn describe(&self) -> String {

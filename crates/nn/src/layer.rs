@@ -2,15 +2,21 @@ use crate::{NnError, Param};
 use ahw_tensor::{Tensor, Workspace};
 use std::sync::Arc;
 
-/// Whether a forward pass uses batch statistics (`Train`) or running
-/// statistics (`Eval`). Only batch normalization distinguishes the two;
-/// adversarial-attack gradients are taken in `Eval` mode, matching how the
-/// deployed (hardware) network behaves.
+/// How a forward pass runs, and so what the backward after it computes.
+///
+/// `Train` normalizes batch norm with batch statistics (updating the running
+/// estimates), and the following backward accumulates every parameter
+/// gradient as well as returning `dL/dx`. `Eval` uses the running
+/// statistics, and the following backward computes only `dL/dx`, touching no
+/// parameter gradient. Adversarial-attack gradients are taken in `Eval`
+/// mode, matching how the deployed (hardware) network behaves; the mode is
+/// the only switch for parameter gradients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
-    /// Batch statistics; running stats are updated.
+    /// Batch statistics; running stats are updated; the backward
+    /// accumulates parameter gradients.
     Train,
-    /// Running statistics; nothing is updated.
+    /// Running statistics; nothing is updated, not even by the backward.
     #[default]
     Eval,
 }
@@ -37,7 +43,7 @@ pub trait ActivationHook: Send + Sync {
 }
 
 /// A hook slot within a layer. Plain layers only expose [`HookSlot::Output`];
-/// residual blocks additionally expose their two internal convolution outputs
+/// residual blocks additionally expose their first convolution's activation
 /// and the shortcut path (the `S` sites of the paper's Table II).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HookSlot {
@@ -45,10 +51,48 @@ pub enum HookSlot {
     Output,
     /// After the first convolution + activation inside a residual block.
     BlockConv1,
-    /// After the second convolution (pre-add) inside a residual block.
-    BlockConv2,
     /// After the shortcut branch inside a residual block.
     BlockShortcut,
+}
+
+/// One hook slot: the installed [`ActivationHook`], if any. Plain layers
+/// keep their [`HookSlot::Output`] slot in one and hand it out through
+/// [`Layer::output_hook`].
+#[derive(Clone, Default)]
+pub struct HookCell(Option<Arc<dyn ActivationHook>>);
+
+impl HookCell {
+    /// Installs (or clears, with `None`) the hook.
+    pub fn set(&mut self, hook: Option<Arc<dyn ActivationHook>>) {
+        self.0 = hook;
+    }
+
+    /// Applies the hook to an owned activation, or passes it through when
+    /// the slot is empty. The hook draws its output from `ws` and the
+    /// pre-hook tensor (itself a `ws` buffer) is recycled, so a hooked
+    /// forward keeps the zero-alloc steady state.
+    pub fn apply(&self, x: Tensor, ws: &mut Workspace) -> Tensor {
+        match &self.0 {
+            Some(h) => {
+                let y = h.apply(&x, ws);
+                ws.recycle_tensor(x);
+                y
+            }
+            None => x,
+        }
+    }
+}
+
+/// Boxed cloning for layers, provided for every `Layer + Clone` type.
+pub trait CloneLayer {
+    /// Clones the layer into a boxed trait object.
+    fn clone_box(&self) -> Box<dyn Layer>;
+}
+
+impl<L: Layer + Clone + 'static> CloneLayer for L {
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
 }
 
 /// A differentiable network component.
@@ -58,12 +102,16 @@ pub enum HookSlot {
 /// pair. Outputs, gradients and scratch come from the caller's
 /// [`Workspace`], so a shape-stable loop reuses the same buffers on every
 /// call. `forward_ws` keeps exactly one cache of what `backward_ws` needs;
-/// `backward_ws` consumes it, accumulates parameter gradients, returns
-/// `dL/dinput` and recycles the cached scratch into `ws`.
+/// `backward_ws` consumes it, returns `dL/dinput` and recycles the cached
+/// scratch into `ws`.
+///
+/// The forward's [`Mode`] decides what the backward computes: after a
+/// `Train` forward it also accumulates parameter gradients, after an `Eval`
+/// forward it leaves them untouched. There is no other switch.
 ///
 /// [`forward`](Layer::forward) and [`backward`](Layer::backward) are the
 /// same code over a throwaway arena, for one-off calls and tests.
-pub trait Layer: Send + Sync {
+pub trait Layer: CloneLayer + Send + Sync {
     /// Forward pass that caches intermediates for a following
     /// [`backward_ws`](Layer::backward_ws). The returned tensor's storage
     /// comes from `ws`; recycle it when done to keep the loop
@@ -76,8 +124,9 @@ pub trait Layer: Send + Sync {
         -> Result<Tensor, NnError>;
 
     /// Backward pass: consumes the cache from the last
-    /// [`forward_ws`](Layer::forward_ws), accumulates parameter gradients
-    /// and returns `dL/dinput` in a `ws` buffer.
+    /// [`forward_ws`](Layer::forward_ws), accumulates parameter gradients if
+    /// that forward ran in [`Mode::Train`], and returns `dL/dinput` in a
+    /// `ws` buffer.
     ///
     /// # Errors
     ///
@@ -111,7 +160,14 @@ pub trait Layer: Send + Sync {
     /// checkpointing.
     fn visit_state(&mut self, _prefix: &str, _f: &mut dyn FnMut(&str, &mut Tensor)) {}
 
-    /// Installs (or clears) an activation hook.
+    /// The layer's [`HookSlot::Output`] slot, or `None` for a layer
+    /// without one.
+    fn output_hook(&mut self) -> Option<&mut HookCell> {
+        None
+    }
+
+    /// Installs (or clears) an activation hook. The provided body serves
+    /// the [`output_hook`](Layer::output_hook) slot.
     ///
     /// # Errors
     ///
@@ -121,21 +177,17 @@ pub trait Layer: Send + Sync {
         slot: HookSlot,
         hook: Option<Arc<dyn ActivationHook>>,
     ) -> Result<(), NnError> {
-        let _ = hook;
-        Err(NnError::InvalidSite(format!(
-            "{} has no hook slot {slot:?}",
-            self.describe()
-        )))
+        match (slot, self.output_hook()) {
+            (HookSlot::Output, Some(cell)) => {
+                cell.set(hook);
+                Ok(())
+            }
+            _ => Err(NnError::InvalidSite(format!(
+                "{} has no hook slot {slot:?}",
+                self.describe()
+            ))),
+        }
     }
-
-    /// Enables or disables accumulation of parameter gradients in
-    /// `backward`. Input gradients are always produced; attack loops disable
-    /// parameter gradients since they only need `dL/dx`. Default: no-op for
-    /// parameter-free layers.
-    fn set_param_grads(&mut self, _enabled: bool) {}
-
-    /// Clones the layer into a boxed trait object.
-    fn clone_box(&self) -> Box<dyn Layer>;
 
     /// Short human-readable description (e.g. `conv2d(16->32,k3,s1,p1)`).
     fn describe(&self) -> String;
@@ -144,24 +196,6 @@ pub trait Layer: Send + Sync {
 impl Clone for Box<dyn Layer> {
     fn clone(&self) -> Self {
         self.clone_box()
-    }
-}
-
-/// Applies an optional hook to an owned activation tensor: the hook draws
-/// its output from `ws` and the pre-hook tensor (itself a `ws` buffer) is
-/// recycled, so a hooked forward keeps the zero-alloc steady state.
-pub(crate) fn apply_hook_ws(
-    hook: &Option<Arc<dyn ActivationHook>>,
-    x: Tensor,
-    ws: &mut Workspace,
-) -> Tensor {
-    match hook {
-        Some(h) => {
-            let y = h.apply(&x, ws);
-            ws.recycle_tensor(x);
-            y
-        }
-        None => x,
     }
 }
 
@@ -187,10 +221,10 @@ mod tests {
     }
 
     #[test]
-    fn apply_hook_identity_when_none() {
+    fn empty_hook_cell_is_identity() {
         let x = Tensor::from_slice(&[1.0, 2.0]);
         let mut ws = Workspace::new();
-        assert_eq!(apply_hook_ws(&None, x.clone(), &mut ws), x);
+        assert_eq!(HookCell::default().apply(x.clone(), &mut ws), x);
         assert_eq!(
             ws.resident_bytes(),
             0,
@@ -199,11 +233,12 @@ mod tests {
     }
 
     #[test]
-    fn apply_hook_invokes_transform_and_recycles_input() {
-        let hook: Arc<dyn ActivationHook> = Arc::new(Doubler);
+    fn hook_cell_invokes_transform_and_recycles_input() {
+        let mut cell = HookCell::default();
+        cell.set(Some(Arc::new(Doubler)));
         let x = Tensor::from_slice(&[1.0, 2.0]);
         let mut ws = Workspace::new();
-        let y = apply_hook_ws(&Some(hook), x, &mut ws);
+        let y = cell.apply(x, &mut ws);
         assert_eq!(y.as_slice(), &[2.0, 4.0]);
         assert_eq!(ws.resident_bytes(), 8, "pre-hook tensor not recycled");
     }

@@ -1,7 +1,6 @@
-use crate::layer::{apply_hook_ws, grad_shape_error, ActivationHook, HookSlot, Layer, Mode};
+use crate::layer::{grad_shape_error, HookCell, Layer, Mode};
 use crate::NnError;
 use ahw_tensor::{Shape, Tensor, Workspace};
-use std::sync::Arc;
 
 /// Rectified linear unit, `max(0, x)`, elementwise over any shape.
 ///
@@ -11,7 +10,7 @@ use std::sync::Arc;
 /// post-ReLU map.
 #[derive(Clone, Default)]
 pub struct ReLU {
-    hook: Option<Arc<dyn ActivationHook>>,
+    hook: HookCell,
     mask: ReluMask,
 }
 
@@ -87,29 +86,15 @@ impl Layer for ReLU {
         ws: &mut Workspace,
     ) -> Result<Tensor, NnError> {
         let y = self.mask.forward(x, ws)?;
-        Ok(apply_hook_ws(&self.hook, y, ws))
+        Ok(self.hook.apply(y, ws))
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
         self.mask.backward(grad_out, ws)
     }
 
-    fn set_hook(
-        &mut self,
-        slot: HookSlot,
-        hook: Option<Arc<dyn ActivationHook>>,
-    ) -> Result<(), NnError> {
-        match slot {
-            HookSlot::Output => {
-                self.hook = hook;
-                Ok(())
-            }
-            other => Err(NnError::InvalidSite(format!("relu has no slot {other:?}"))),
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
+    fn output_hook(&mut self) -> Option<&mut HookCell> {
+        Some(&mut self.hook)
     }
 
     fn describe(&self) -> String {

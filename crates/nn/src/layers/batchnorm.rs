@@ -1,7 +1,6 @@
-use crate::layer::{apply_hook_ws, grad_shape_error, ActivationHook, HookSlot, Layer, Mode};
+use crate::layer::{grad_shape_error, HookCell, Layer, Mode};
 use crate::{NnError, Param};
 use ahw_tensor::{Tensor, TensorError, Workspace};
-use std::sync::Arc;
 
 /// Batch normalization over the channel dimension of `(N, C, H, W)` tensors.
 ///
@@ -17,7 +16,7 @@ pub struct BatchNorm2d {
     running_var: Tensor,
     momentum: f32,
     eps: f32,
-    hook: Option<Arc<dyn ActivationHook>>,
+    hook: HookCell,
     cache: Option<BnCache>,
 }
 
@@ -27,8 +26,8 @@ struct BnCache {
     xhat: Tensor,
     /// Per-channel 1/σ used in the forward pass.
     inv_std: Vec<f32>,
-    /// Whether batch statistics were used (full backward) or running
-    /// statistics (affine backward).
+    /// Whether batch statistics were used (full backward with γ/β
+    /// gradients) or running statistics (affine backward, `dL/dx` only).
     train: bool,
 }
 
@@ -53,7 +52,7 @@ impl BatchNorm2d {
             running_var: Tensor::ones(&[channels]),
             momentum: 0.1,
             eps: 1e-5,
-            hook: None,
+            hook: HookCell::default(),
             cache: None,
         }
     }
@@ -123,17 +122,30 @@ impl BatchNorm2d {
         }
     }
 
-    /// Backward arithmetic: accumulates γ/β gradients and writes `dL/dx`
-    /// into `dx` (every element is assigned). `grad_out` must match the
-    /// cached `x̂` shape.
+    /// Backward arithmetic: writes `dL/dx` into `dx` (every element is
+    /// assigned) and, after a `Train` forward, accumulates γ/β gradients.
+    /// `grad_out` must match the cached `x̂` shape.
     fn backward_core(&mut self, grad_out: &Tensor, cache: &BnCache, dx: &mut [f32]) {
         let dims = cache.xhat.dims();
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let plane = h * w;
-        let count = (n * plane) as f32;
         let gy = grad_out.as_slice();
-        let xh = cache.xhat.as_slice();
         let gv = self.gamma.value.as_slice();
+        if !cache.train {
+            // eval mode: affine map, dx = dy · γ/σ
+            for i in 0..n {
+                for (ch, (&g, &inv)) in gv.iter().zip(&cache.inv_std).enumerate() {
+                    let base = (i * c + ch) * plane;
+                    let scale = g * inv;
+                    for k in 0..plane {
+                        dx[base + k] = gy[base + k] * scale;
+                    }
+                }
+            }
+            return;
+        }
+        let count = (n * plane) as f32;
+        let xh = cache.xhat.as_slice();
 
         // per-channel reductions: Σdy and Σ(dy·x̂)
         let mut sum_dy = vec![0.0f32; c];
@@ -159,29 +171,16 @@ impl BatchNorm2d {
             *b += sd;
         }
 
-        if cache.train {
-            // full batch-norm backward
-            for i in 0..n {
-                for ch in 0..c {
-                    let base = (i * c + ch) * plane;
-                    let scale = gv[ch] * cache.inv_std[ch];
-                    for k in 0..plane {
-                        dx[base + k] = scale
-                            * (gy[base + k]
-                                - sum_dy[ch] / count
-                                - xh[base + k] * sum_dy_xhat[ch] / count);
-                    }
-                }
-            }
-        } else {
-            // eval mode: affine map, dx = dy · γ/σ
-            for i in 0..n {
-                for (ch, (&g, &inv)) in gv.iter().zip(&cache.inv_std).enumerate() {
-                    let base = (i * c + ch) * plane;
-                    let scale = g * inv;
-                    for k in 0..plane {
-                        dx[base + k] = gy[base + k] * scale;
-                    }
+        // full batch-norm backward
+        for i in 0..n {
+            for ch in 0..c {
+                let base = (i * c + ch) * plane;
+                let scale = gv[ch] * cache.inv_std[ch];
+                for k in 0..plane {
+                    dx[base + k] = scale
+                        * (gy[base + k]
+                            - sum_dy[ch] / count
+                            - xh[base + k] * sum_dy_xhat[ch] / count);
                 }
             }
         }
@@ -244,7 +243,7 @@ impl Layer for BatchNorm2d {
             train,
         });
         let y = Tensor::from_vec(y, x.dims())?;
-        Ok(apply_hook_ws(&self.hook, y, ws))
+        Ok(self.hook.apply(y, ws))
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
@@ -275,24 +274,8 @@ impl Layer for BatchNorm2d {
         f(&format!("{prefix}.running_var"), &mut self.running_var);
     }
 
-    fn set_hook(
-        &mut self,
-        slot: HookSlot,
-        hook: Option<Arc<dyn ActivationHook>>,
-    ) -> Result<(), NnError> {
-        match slot {
-            HookSlot::Output => {
-                self.hook = hook;
-                Ok(())
-            }
-            other => Err(NnError::InvalidSite(format!(
-                "batchnorm2d has no slot {other:?}"
-            ))),
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
+    fn output_hook(&mut self) -> Option<&mut HookCell> {
+        Some(&mut self.hook)
     }
 
     fn describe(&self) -> String {

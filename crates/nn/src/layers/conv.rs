@@ -1,10 +1,9 @@
-use crate::layer::{apply_hook_ws, ActivationHook, HookSlot, Layer, Mode};
+use crate::layer::{HookCell, Layer, Mode};
 use crate::util::{par_items2_mut, par_map_reduce, ErrCell};
 use crate::{NnError, Param};
 use ahw_tensor::ops::{self, ConvGeometry};
 use ahw_tensor::rng::Rng;
 use ahw_tensor::{rng, Tensor, Workspace};
-use std::sync::Arc;
 
 /// 2-D convolution with square kernels, implemented as `im2col` + GEMM.
 ///
@@ -22,13 +21,13 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     padding: usize,
-    hook: Option<Arc<dyn ActivationHook>>,
-    param_grads: bool,
+    hook: HookCell,
     /// The `(n · patch · span)` im2col columns computed during
-    /// `forward_ws`, kept so `backward_ws` reuses them for `dL/dW` instead
-    /// of re-lowering every input, then overwrites them in place with
-    /// `dcols` for `dL/dx`.
-    cache: Option<(Vec<f32>, ConvGeometry, usize)>,
+    /// `forward_ws` and the forward's mode. After a `Train` forward,
+    /// `backward_ws` reuses them for `dL/dW` instead of re-lowering every
+    /// input; either way it then overwrites them in place with `dcols` for
+    /// `dL/dx`.
+    cache: Option<(Vec<f32>, ConvGeometry, usize, Mode)>,
 }
 
 impl std::fmt::Debug for Conv2d {
@@ -72,8 +71,7 @@ impl Conv2d {
             kernel,
             stride,
             padding,
-            hook: None,
-            param_grads: true,
+            hook: HookCell::default(),
             cache: None,
         })
     }
@@ -128,16 +126,14 @@ impl Conv2d {
         Ok(g)
     }
 
-    /// Backward from the forward's cached im2col columns. `dL/dW` reads
-    /// them first; `dL/dx` then overwrites them in place with `dcols` before
-    /// scattering back to input geometry, so the whole backward needs
-    /// exactly one extra workspace buffer (for `dx`).
+    /// Backward from the forward's cached im2col columns. After a `Train`
+    /// forward, `dL/dW` reads them first; `dL/dx` then overwrites them in
+    /// place with `dcols` before scattering back to input geometry, so the
+    /// whole backward needs exactly one extra workspace buffer (for `dx`).
     fn backward_from_cols(
         &mut self,
         grad_out: &Tensor,
-        mut cols: Vec<f32>,
-        g: ConvGeometry,
-        n: usize,
+        (mut cols, g, n, mode): (Vec<f32>, ConvGeometry, usize, Mode),
         ws: &mut Workspace,
     ) -> Result<Tensor, NnError> {
         let span = g.out_height() * g.out_width();
@@ -159,7 +155,7 @@ impl Conv2d {
         // pass 1: dL/dW, dL/db from the cached columns (must run before the
         // dx pass overwrites them). Items fold into fixed chunks in chunk
         // order, so gradients are bit-identical at any thread count.
-        if self.param_grads {
+        if mode == Mode::Train {
             let colsv = &cols[..];
             let err = ErrCell::new();
             let (dw, db, _) = par_map_reduce(
@@ -173,7 +169,7 @@ impl Conv2d {
                     )
                 },
                 |i, (dw, db, dwi)| {
-                    err.run(|| {
+                    err.run(i, || {
                         let dyi = &dyv[i * item_out..(i + 1) * item_out];
                         let ci = &colsv[i * item_cols..(i + 1) * item_cols];
                         ops::matmul_transb_slices(dyi, ci, oc, span, patch, dwi)?;
@@ -213,7 +209,7 @@ impl Conv2d {
         let wv = self.weight.value.as_slice();
         let err = ErrCell::new();
         par_items2_mut(&mut dx, item_in, &mut cols, item_cols, |i, dxi, ci| {
-            err.run(|| {
+            err.run(i, || {
                 let dyi = &dyv[i * item_out..(i + 1) * item_out];
                 ops::matmul_transa_slices(wv, dyi, patch, oc, span, ci)?;
                 ops::col2im_slices(ci, &g, dxi)?;
@@ -234,7 +230,7 @@ impl Layer for Conv2d {
     fn forward_ws(
         &mut self,
         x: &Tensor,
-        _mode: Mode,
+        mode: Mode,
         ws: &mut Workspace,
     ) -> Result<Tensor, NnError> {
         let g = self.geometry(x)?;
@@ -244,7 +240,7 @@ impl Layer for Conv2d {
         let item_in = g.channels * g.height * g.width;
         let item_out = self.out_channels * span;
         let item_cols = patch * span;
-        if let Some((old, _, _)) = self.cache.take() {
+        if let Some((old, ..)) = self.cache.take() {
             ws.recycle(old);
         }
         let mut out = ws.take(n * item_out);
@@ -255,7 +251,7 @@ impl Layer for Conv2d {
         let oc = self.out_channels;
         let err = ErrCell::new();
         par_items2_mut(&mut out, item_out, &mut cols, item_cols, |i, out_i, ci| {
-            err.run(|| {
+            err.run(i, || {
                 ops::im2col_slices(&xv[i * item_in..(i + 1) * item_in], &g, ci)?;
                 ops::matmul_slices(wv, ci, oc, patch, span, out_i)?;
                 for (c, b) in bias.iter().enumerate() {
@@ -271,16 +267,16 @@ impl Layer for Conv2d {
             ws.recycle(cols);
             return Err(e);
         }
-        self.cache = Some((cols, g, n));
+        self.cache = Some((cols, g, n, mode));
         let y = Tensor::from_vec(out, &[n, oc, g.out_height(), g.out_width()])?;
-        Ok(apply_hook_ws(&self.hook, y, ws))
+        Ok(self.hook.apply(y, ws))
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
-        let (cols, g, n) = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
+        let cache = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
             layer: self.describe(),
         })?;
-        self.backward_from_cols(grad_out, cols, g, n, ws)
+        self.backward_from_cols(grad_out, cache, ws)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -293,28 +289,8 @@ impl Layer for Conv2d {
         f(&format!("{prefix}.bias"), &mut self.bias.value);
     }
 
-    fn set_hook(
-        &mut self,
-        slot: HookSlot,
-        hook: Option<Arc<dyn ActivationHook>>,
-    ) -> Result<(), NnError> {
-        match slot {
-            HookSlot::Output => {
-                self.hook = hook;
-                Ok(())
-            }
-            other => Err(NnError::InvalidSite(format!(
-                "conv2d has no slot {other:?}"
-            ))),
-        }
-    }
-
-    fn set_param_grads(&mut self, enabled: bool) {
-        self.param_grads = enabled;
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
+    fn output_hook(&mut self) -> Option<&mut HookCell> {
+        Some(&mut self.hook)
     }
 
     fn describe(&self) -> String {
@@ -328,7 +304,9 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ActivationHook, HookSlot};
     use ahw_tensor::rng::seeded;
+    use std::sync::Arc;
 
     fn finite_diff_input_grad(
         layer: &mut Conv2d,
@@ -435,7 +413,7 @@ mod tests {
         let mut conv = Conv2d::new(1, 2, 3, 1, 1, &mut rng).unwrap();
         let x = ahw_tensor::rng::normal(&[2, 1, 4, 4], 0.0, 1.0, &mut rng);
         let dy = ahw_tensor::rng::normal(&[2, 2, 4, 4], 0.0, 1.0, &mut rng);
-        conv.forward(&x, Mode::Eval).unwrap();
+        conv.forward(&x, Mode::Train).unwrap();
         conv.backward(&dy).unwrap();
         let analytic = conv.weight.grad.clone();
         let eps = 1e-2;
@@ -473,20 +451,21 @@ mod tests {
         let mut conv = Conv2d::new(1, 2, 1, 1, 0, &mut rng).unwrap();
         let x = Tensor::ones(&[1, 1, 2, 2]);
         let dy = Tensor::ones(&[1, 2, 2, 2]);
-        conv.forward(&x, Mode::Eval).unwrap();
+        conv.forward(&x, Mode::Train).unwrap();
         conv.backward(&dy).unwrap();
         assert_eq!(conv.bias.grad.as_slice(), &[4.0, 4.0]);
     }
 
     #[test]
-    fn param_grads_can_be_disabled() {
+    fn eval_backward_accumulates_no_param_grads() {
         let mut rng = seeded(8);
         let mut conv = Conv2d::new(1, 1, 3, 1, 1, &mut rng).unwrap();
-        conv.set_param_grads(false);
         let x = Tensor::ones(&[1, 1, 4, 4]);
         conv.forward(&x, Mode::Eval).unwrap();
-        conv.backward(&Tensor::ones(&[1, 1, 4, 4])).unwrap();
+        let dx = conv.backward(&Tensor::ones(&[1, 1, 4, 4])).unwrap();
+        assert_ne!(dx.sum(), 0.0);
         assert_eq!(conv.weight.grad.sum(), 0.0);
+        assert_eq!(conv.bias.grad.sum(), 0.0);
     }
 
     #[test]

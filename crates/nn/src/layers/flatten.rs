@@ -57,10 +57,6 @@ impl Layer for Flatten {
         Ok(Tensor::from_vec(buf, dims.dims())?)
     }
 
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
     fn describe(&self) -> String {
         "flatten".to_string()
     }

@@ -1,9 +1,8 @@
-use crate::layer::{apply_hook_ws, ActivationHook, HookSlot, Layer, Mode};
+use crate::layer::{HookCell, Layer, Mode};
 use crate::{NnError, Param};
 use ahw_tensor::ops;
 use ahw_tensor::rng::Rng;
 use ahw_tensor::{rng, Tensor, Workspace};
-use std::sync::Arc;
 
 /// Fully-connected layer: `y = x · Wᵀ + b` over `(N, in_features)` inputs.
 ///
@@ -15,13 +14,11 @@ pub struct Linear {
     bias: Param,
     in_features: usize,
     out_features: usize,
-    hook: Option<Arc<dyn ActivationHook>>,
-    param_grads: bool,
-    /// A workspace copy of the input when parameter gradients are enabled,
-    /// or an empty (non-allocating) vec as the "forward happened" marker
-    /// when they are not — `dL/dx` only needs the weights, so attack loops
-    /// never copy the input at all.
-    cache: Option<Vec<f32>>,
+    hook: HookCell,
+    /// After a `Train` forward, a workspace copy of the input for `dL/dW`;
+    /// after an `Eval` forward, `None` — `dL/dx` only needs the weights, so
+    /// attack loops never copy the input at all.
+    cache: Option<Option<Vec<f32>>>,
 }
 
 impl std::fmt::Debug for Linear {
@@ -55,8 +52,7 @@ impl Linear {
             bias: Param::new(Tensor::zeros(&[out_features]), false),
             in_features,
             out_features,
-            hook: None,
-            param_grads: true,
+            hook: HookCell::default(),
             cache: None,
         })
     }
@@ -81,18 +77,15 @@ impl Linear {
         self.out_features
     }
 
-    /// Backward from the forward's cached input copy (empty when parameter
-    /// gradients are disabled).
+    /// Backward given the forward's input copy (`None` after an `Eval`
+    /// forward, which skips the parameter gradients).
     fn backward_from_input(
         &mut self,
         grad_out: &Tensor,
-        xbuf: Vec<f32>,
+        input: Option<&[f32]>,
         ws: &mut Workspace,
     ) -> Result<Tensor, NnError> {
         if grad_out.rank() != 2 || grad_out.dims()[1] != self.out_features {
-            if !xbuf.is_empty() {
-                ws.recycle(xbuf);
-            }
             return Err(NnError::Tensor(ahw_tensor::TensorError::ShapeMismatch {
                 op: "linear",
                 lhs: grad_out.dims().to_vec(),
@@ -111,24 +104,15 @@ impl Linear {
             &mut dx,
         ) {
             ws.recycle(dx);
-            if !xbuf.is_empty() {
-                ws.recycle(xbuf);
-            }
             return Err(e.into());
         }
-        if self.param_grads {
+        if let Some(xv) = input {
             let mut dw = ws.take(self.out_features * self.in_features);
-            if let Err(e) = ops::matmul_transa_slices(
-                gv,
-                &xbuf,
-                self.out_features,
-                n,
-                self.in_features,
-                &mut dw,
-            ) {
+            if let Err(e) =
+                ops::matmul_transa_slices(gv, xv, self.out_features, n, self.in_features, &mut dw)
+            {
                 ws.recycle(dw);
                 ws.recycle(dx);
-                ws.recycle(xbuf);
                 return Err(e.into());
             }
             // same element-wise accumulation as `add_scaled(&dw, 1.0)`
@@ -143,9 +127,6 @@ impl Linear {
                 }
             }
         }
-        if !xbuf.is_empty() {
-            ws.recycle(xbuf);
-        }
         Ok(Tensor::from_vec(dx, &[n, self.in_features])?)
     }
 }
@@ -154,7 +135,7 @@ impl Layer for Linear {
     fn forward_ws(
         &mut self,
         x: &Tensor,
-        _mode: Mode,
+        mode: Mode,
         ws: &mut Workspace,
     ) -> Result<Tensor, NnError> {
         if x.rank() != 2 || x.dims()[1] != self.in_features {
@@ -164,10 +145,8 @@ impl Layer for Linear {
                 rhs: vec![0, self.in_features],
             }));
         }
-        if let Some(old) = self.cache.take() {
-            if !old.is_empty() {
-                ws.recycle(old);
-            }
+        if let Some(Some(old)) = self.cache.take() {
+            ws.recycle(old);
         }
         let n = x.dims()[0];
         let mut y = ws.take(n * self.out_features);
@@ -188,22 +167,24 @@ impl Layer for Linear {
                 y[r * self.out_features + c] += b;
             }
         }
-        self.cache = Some(if self.param_grads {
+        self.cache = Some((mode == Mode::Train).then(|| {
             let mut xc = ws.take(x.len());
             xc.copy_from_slice(x.as_slice());
             xc
-        } else {
-            Vec::new()
-        });
+        }));
         let y = Tensor::from_vec(y, &[n, self.out_features])?;
-        Ok(apply_hook_ws(&self.hook, y, ws))
+        Ok(self.hook.apply(y, ws))
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
-        let xbuf = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
+        let input = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
             layer: self.describe(),
         })?;
-        self.backward_from_input(grad_out, xbuf, ws)
+        let dx = self.backward_from_input(grad_out, input.as_deref(), ws);
+        if let Some(x) = input {
+            ws.recycle(x);
+        }
+        dx
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -216,28 +197,8 @@ impl Layer for Linear {
         f(&format!("{prefix}.bias"), &mut self.bias.value);
     }
 
-    fn set_hook(
-        &mut self,
-        slot: HookSlot,
-        hook: Option<Arc<dyn ActivationHook>>,
-    ) -> Result<(), NnError> {
-        match slot {
-            HookSlot::Output => {
-                self.hook = hook;
-                Ok(())
-            }
-            other => Err(NnError::InvalidSite(format!(
-                "linear has no slot {other:?}"
-            ))),
-        }
-    }
-
-    fn set_param_grads(&mut self, enabled: bool) {
-        self.param_grads = enabled;
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
+    fn output_hook(&mut self) -> Option<&mut HookCell> {
+        Some(&mut self.hook)
     }
 
     fn describe(&self) -> String {
@@ -275,7 +236,7 @@ mod tests {
         let mut lin = Linear::new(3, 2, &mut rng).unwrap();
         let x = ahw_tensor::rng::normal(&[4, 3], 0.0, 1.0, &mut rng);
         let dy = ahw_tensor::rng::normal(&[4, 2], 0.0, 1.0, &mut rng);
-        lin.forward(&x, Mode::Eval).unwrap();
+        lin.forward(&x, Mode::Train).unwrap();
         let dx = lin.backward(&dy).unwrap();
         let eps = 1e-3;
         // input gradient
@@ -335,7 +296,7 @@ mod tests {
         let mut rng = seeded(4);
         let mut lin = Linear::new(2, 2, &mut rng).unwrap();
         let x = Tensor::zeros(&[3, 2]);
-        lin.forward(&x, Mode::Eval).unwrap();
+        lin.forward(&x, Mode::Train).unwrap();
         let dy = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]).unwrap();
         lin.backward(&dy).unwrap();
         assert_eq!(lin.bias.grad.as_slice(), &[9.0, 12.0]);
@@ -347,7 +308,7 @@ mod tests {
         let mut lin = Linear::new(3, 2, &mut rng).unwrap();
         let mut ws = Workspace::new();
         let y = lin
-            .forward_ws(&Tensor::ones(&[4, 3]), Mode::Eval, &mut ws)
+            .forward_ws(&Tensor::ones(&[4, 3]), Mode::Train, &mut ws)
             .unwrap();
         ws.recycle_tensor(y);
         assert!(lin.backward_ws(&Tensor::ones(&[4, 3]), &mut ws).is_err());
@@ -355,16 +316,19 @@ mod tests {
     }
 
     #[test]
-    fn backward_skips_input_copy_without_param_grads() {
+    fn eval_backward_copies_no_input_and_accumulates_nothing() {
         let mut rng = seeded(7);
         let mut lin = Linear::new(3, 2, &mut rng).unwrap();
-        lin.set_param_grads(false);
         let x = Tensor::ones(&[2, 3]);
         let mut ws = Workspace::new();
-        lin.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
+        let y = lin.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
+        // the output is the only buffer the forward took
+        assert_eq!(ws.outstanding(), 1);
+        ws.recycle_tensor(y);
         let dx = lin.backward_ws(&Tensor::ones(&[2, 2]), &mut ws).unwrap();
         assert_eq!(dx.dims(), &[2, 3]);
         assert_eq!(lin.weight.grad.sum(), 0.0);
+        assert_eq!(lin.bias.grad.sum(), 0.0);
     }
 
     #[test]

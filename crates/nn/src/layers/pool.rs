@@ -1,7 +1,6 @@
-use crate::layer::{apply_hook_ws, grad_shape_error, ActivationHook, HookSlot, Layer, Mode};
+use crate::layer::{grad_shape_error, HookCell, Layer, Mode};
 use crate::NnError;
 use ahw_tensor::{Shape, Tensor, TensorError, Workspace};
-use std::sync::Arc;
 
 fn pool_out(extent: usize, kernel: usize, stride: usize) -> usize {
     (extent - kernel) / stride + 1
@@ -49,7 +48,7 @@ fn check_pool_input(
 pub struct MaxPool2d {
     kernel: usize,
     stride: usize,
-    hook: Option<Arc<dyn ActivationHook>>,
+    hook: HookCell,
     /// (input shape, flat index into the input chosen per output element)
     cache: Option<(Shape, Vec<u32>)>,
     /// Retired argmax storage, reused by the next planned forward so the
@@ -72,7 +71,7 @@ impl MaxPool2d {
         MaxPool2d {
             kernel,
             stride,
-            hook: None,
+            hook: HookCell::default(),
             cache: None,
             spare: Vec::new(),
         }
@@ -133,7 +132,7 @@ impl Layer for MaxPool2d {
         self.run_core(x, &mut out, &mut argmax);
         self.cache = Some((Shape::new(x.dims()), argmax));
         let y = Tensor::from_vec(out, &od)?;
-        Ok(apply_hook_ws(&self.hook, y, ws))
+        Ok(self.hook.apply(y, ws))
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
@@ -154,24 +153,8 @@ impl Layer for MaxPool2d {
         Ok(Tensor::from_vec(dx, in_shape.dims())?)
     }
 
-    fn set_hook(
-        &mut self,
-        slot: HookSlot,
-        hook: Option<Arc<dyn ActivationHook>>,
-    ) -> Result<(), NnError> {
-        match slot {
-            HookSlot::Output => {
-                self.hook = hook;
-                Ok(())
-            }
-            other => Err(NnError::InvalidSite(format!(
-                "maxpool2d has no slot {other:?}"
-            ))),
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
+    fn output_hook(&mut self) -> Option<&mut HookCell> {
+        Some(&mut self.hook)
     }
 
     fn describe(&self) -> String {
@@ -186,7 +169,7 @@ impl Layer for MaxPool2d {
 pub struct AvgPool2d {
     kernel: usize,
     stride: usize,
-    hook: Option<Arc<dyn ActivationHook>>,
+    hook: HookCell,
     cache: Option<Shape>,
 }
 
@@ -205,7 +188,7 @@ impl AvgPool2d {
         AvgPool2d {
             kernel,
             stride,
-            hook: None,
+            hook: HookCell::default(),
             cache: None,
         }
     }
@@ -279,7 +262,7 @@ impl Layer for AvgPool2d {
         self.run_core(x, &mut out);
         self.cache = Some(Shape::new(x.dims()));
         let y = Tensor::from_vec(out, &od)?;
-        Ok(apply_hook_ws(&self.hook, y, ws))
+        Ok(self.hook.apply(y, ws))
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
@@ -296,24 +279,8 @@ impl Layer for AvgPool2d {
         Ok(Tensor::from_vec(dx, in_shape.dims())?)
     }
 
-    fn set_hook(
-        &mut self,
-        slot: HookSlot,
-        hook: Option<Arc<dyn ActivationHook>>,
-    ) -> Result<(), NnError> {
-        match slot {
-            HookSlot::Output => {
-                self.hook = hook;
-                Ok(())
-            }
-            other => Err(NnError::InvalidSite(format!(
-                "avgpool2d has no slot {other:?}"
-            ))),
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
+    fn output_hook(&mut self) -> Option<&mut HookCell> {
+        Some(&mut self.hook)
     }
 
     fn describe(&self) -> String {

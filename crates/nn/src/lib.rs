@@ -50,7 +50,7 @@ pub mod util;
 
 pub use block::BasicBlock;
 pub use error::NnError;
-pub use layer::{ActivationHook, HookSlot, Layer, Mode};
+pub use layer::{ActivationHook, CloneLayer, HookCell, HookSlot, Layer, Mode};
 pub use param::Param;
 pub use plan::PlanCache;
 pub use sequential::{Sequential, Site};

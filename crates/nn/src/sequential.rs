@@ -1,8 +1,9 @@
 use crate::layer::{ActivationHook, HookSlot, Layer, Mode};
+use crate::util::ErrCell;
 use crate::{NnError, Param, PlanCache};
 use ahw_tensor::{ops, pool, Tensor, Workspace};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Addresses one hook location in a [`Sequential`] model: the `layer`-th
 /// top-level layer, at one of its [`HookSlot`]s.
@@ -226,11 +227,12 @@ impl Sequential {
     }
 
     /// Mean cross-entropy loss and the gradient of the loss with respect to
-    /// the *input*, computed in the given mode. Parameter gradients are not
-    /// accumulated — this is the attack primitive (`∇ₓ L(θ, x, y)`). Every
-    /// activation, gradient, and conv scratch buffer comes from the plan
-    /// cache's arena; the returned gradient's storage is workspace-backed —
-    /// recycle it into `cache.workspace()` when finished with it.
+    /// the *input*, computed in [`Mode::Eval`], so no parameter gradient is
+    /// touched — this is the attack primitive (`∇ₓ L(θ, x, y)`) of a frozen
+    /// model. Every activation, gradient, and conv scratch buffer comes from
+    /// the plan cache's arena; the returned gradient's storage is
+    /// workspace-backed — recycle it into `cache.workspace()` when finished
+    /// with it.
     ///
     /// # Errors
     ///
@@ -239,22 +241,16 @@ impl Sequential {
         &mut self,
         x: &Tensor,
         labels: &[usize],
-        mode: Mode,
         cache: &mut PlanCache,
     ) -> Result<(f32, Tensor), NnError> {
         cache.note(x.dims());
-        self.set_param_grads(false);
-        let result = (|| {
-            let ws = cache.workspace();
-            let logits = self.forward_ws(x, mode, ws)?;
-            let loss_grad = cross_entropy_ws(&logits, labels, ws);
-            ws.recycle_tensor(logits);
-            let (loss, dlogits) = loss_grad?;
-            let dx = self.backward_ws(dlogits, ws)?;
-            Ok((loss, dx))
-        })();
-        self.set_param_grads(true);
-        result
+        let ws = cache.workspace();
+        let logits = self.forward_ws(x, Mode::Eval, ws)?;
+        let loss_grad = cross_entropy_ws(&logits, labels, ws);
+        ws.recycle_tensor(logits);
+        let (loss, dlogits) = loss_grad?;
+        let dx = self.backward_ws(dlogits, ws)?;
+        Ok((loss, dx))
     }
 
     /// Visits every trainable parameter of every layer.
@@ -281,13 +277,6 @@ impl Sequential {
     /// Zeroes every accumulated gradient.
     pub fn zero_grads(&mut self) {
         self.visit_params(&mut |p| p.zero_grad());
-    }
-
-    /// Enables/disables parameter-gradient accumulation model-wide.
-    pub fn set_param_grads(&mut self, enabled: bool) {
-        for layer in &mut self.layers {
-            layer.set_param_grads(enabled);
-        }
     }
 
     /// Installs (or clears, with `None`) an activation hook at `site`.
@@ -348,9 +337,8 @@ impl Sequential {
         &mut self,
         x: &Tensor,
         labels: &[usize],
-        mode: Mode,
     ) -> Result<(f32, Tensor), NnError> {
-        self.input_gradient_planned(x, labels, mode, &mut PlanCache::new())
+        self.input_gradient_planned(x, labels, &mut PlanCache::new())
     }
 
     /// Predicted class index for every row of a batch (eval mode):
@@ -369,8 +357,8 @@ impl Sequential {
     ///
     /// # Errors
     ///
-    /// Propagates layer errors; returns [`NnError::BadConfig`] if lengths
-    /// disagree or `batch` is zero.
+    /// Propagates the layer error of the first failing chunk; returns
+    /// [`NnError::BadConfig`] if lengths disagree or `batch` is zero.
     pub fn accuracy(
         &self,
         images: &Tensor,
@@ -401,13 +389,13 @@ impl Sequential {
         // integer counts commute, so any chunk schedule gives the same total;
         // each pool range predicts through its own model clone and arena
         let correct = AtomicUsize::new(0);
-        let first_err: Mutex<Option<NnError>> = Mutex::new(None);
+        let err = ErrCell::<NnError>::new();
         pool::parallel_for_ranges(chunks.len(), 1, |r| {
             let mut model = self.clone();
             let mut plan = PlanCache::new();
             for ci in r {
                 let (lo, hi) = chunks[ci];
-                let res = (|| -> Result<usize, NnError> {
+                err.run(ci, || {
                     let mut bd = dims.to_vec();
                     bd[0] = hi - lo;
                     let mut xbuf = plan.workspace().take((hi - lo) * item);
@@ -415,28 +403,17 @@ impl Sequential {
                     let xb = Tensor::from_vec(xbuf, &bd)?;
                     let preds = model.predict_planned(&xb, &mut plan);
                     plan.workspace().recycle_tensor(xb);
-                    Ok(preds?
+                    let c = preds?
                         .iter()
                         .zip(&labels[lo..hi])
                         .filter(|(p, l)| p == l)
-                        .count())
-                })();
-                match res {
-                    Ok(c) => {
-                        correct.fetch_add(c, Ordering::Relaxed);
-                    }
-                    Err(e) => {
-                        let mut slot = first_err.lock().expect("accuracy error slot");
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                    }
-                }
+                        .count();
+                    correct.fetch_add(c, Ordering::Relaxed);
+                    Ok(())
+                });
             }
         });
-        if let Some(e) = first_err.into_inner().expect("accuracy error slot") {
-            return Err(e);
-        }
+        err.into_result()?;
         Ok(correct.into_inner() as f32 / n as f32)
     }
 }
@@ -511,7 +488,7 @@ mod tests {
         let mut m = tiny_model(2);
         let x = normal(&[2, 3], 0.0, 1.0, &mut seeded(3));
         let labels = [0usize, 1];
-        let (_, dx) = m.input_gradient(&x, &labels, Mode::Eval).unwrap();
+        let (_, dx) = m.input_gradient(&x, &labels).unwrap();
         let eps = 1e-3;
         for idx in 0..x.len() {
             let mut xp = x.clone();
@@ -537,12 +514,36 @@ mod tests {
 
     #[test]
     fn input_gradient_leaves_param_grads_untouched() {
-        let mut m = tiny_model(4);
-        let x = normal(&[2, 3], 0.0, 1.0, &mut seeded(5));
-        m.input_gradient(&x, &[0, 1], Mode::Eval).unwrap();
-        let mut total = 0.0;
-        m.visit_params(&mut |p| total += p.grad.norm());
-        assert_eq!(total, 0.0);
+        use crate::layers::{BatchNorm2d, Conv2d, Flatten};
+        use crate::BasicBlock;
+        let mut rng = seeded(40);
+        let mut bn = Sequential::new();
+        bn.push(Conv2d::new(2, 4, 3, 1, 1, &mut rng).unwrap());
+        bn.push(BatchNorm2d::new(4));
+        bn.push(ReLU::new());
+        bn.push(Flatten::new());
+        bn.push(Linear::new(4 * 4 * 4, 3, &mut rng).unwrap());
+        let mut res = Sequential::new();
+        res.push(BasicBlock::new(2, 4, 2, &mut rng).unwrap());
+        res.push(Flatten::new());
+        res.push(Linear::new(4 * 2 * 2, 3, &mut rng).unwrap());
+        let x = normal(&[2, 2, 4, 4], 0.0, 1.0, &mut seeded(41));
+        let cases = [
+            (tiny_model(4), normal(&[2, 3], 0.0, 1.0, &mut seeded(5))),
+            (bn, x.clone()),
+            (res, x),
+        ];
+        for (i, (mut m, x)) in cases.into_iter().enumerate() {
+            let (_, dx) = m.input_gradient(&x, &[0, 1]).unwrap();
+            assert_ne!(dx.norm(), 0.0, "case {i}: no input gradient");
+            m.visit_params(&mut |p| {
+                assert!(
+                    p.grad.as_slice().iter().all(|&g| g == 0.0),
+                    "case {i}: a {:?} gradient moved",
+                    p.value.dims()
+                );
+            });
+        }
     }
 
     #[test]
@@ -625,12 +626,10 @@ mod tests {
         let labels = [0usize, 2, 1, 0];
         let x = normal(&[4, 2, 6, 6], 0.0, 1.0, &mut seeded(30));
         let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
-        let (l0, g0) = m.input_gradient(&x, &labels, Mode::Eval).unwrap();
+        let (l0, g0) = m.input_gradient(&x, &labels).unwrap();
         let p0 = m.predict(&x).unwrap();
         for round in 0..3 {
-            let (l, g) = m
-                .input_gradient_planned(&x, &labels, Mode::Eval, &mut cache)
-                .unwrap();
+            let (l, g) = m.input_gradient_planned(&x, &labels, &mut cache).unwrap();
             assert_eq!(l.to_bits(), l0.to_bits(), "round {round}: loss differs");
             assert_eq!(bits(&g), bits(&g0), "round {round}: grad differs");
             cache.workspace().recycle_tensor(g);
@@ -647,9 +646,7 @@ mod tests {
         let x = normal(&[3, 2, 6, 6], 0.0, 1.0, &mut seeded(24));
         let labels = [1usize, 0, 2];
         for _ in 0..2 {
-            let (_, g) = m
-                .input_gradient_planned(&x, &labels, Mode::Eval, &mut cache)
-                .unwrap();
+            let (_, g) = m.input_gradient_planned(&x, &labels, &mut cache).unwrap();
             cache.workspace().recycle_tensor(g);
         }
         assert_eq!(cache.workspace().outstanding(), 0);

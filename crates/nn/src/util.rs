@@ -10,13 +10,6 @@ use std::sync::Mutex;
 
 use ahw_tensor::pool;
 
-/// Number of worker threads to use for batch parallelism.
-///
-/// Re-exported from [`ahw_tensor::pool::num_threads`], the single source of
-/// truth for the `AHW_THREADS` knob (unparsable or zero values mean 1;
-/// unset falls back to the machine's available parallelism).
-pub use ahw_tensor::pool::num_threads;
-
 /// Fixed number of reduction chunks for [`par_map_reduce`]: accumulator
 /// boundaries depend only on `n`, never on the thread count, so folding the
 /// per-chunk partials in chunk order gives bit-identical results at any
@@ -69,38 +62,41 @@ where
     });
 }
 
-/// First-error slot for fallible bodies inside parallel regions. Workers
-/// run their fallible body through [`ErrCell::run`]; the caller converts
-/// the cell back into a `Result` with [`ErrCell::into_result`] afterwards.
-/// Only the first recorded error is kept.
-pub struct ErrCell<E>(Mutex<Option<E>>);
+/// Error slot for fallible bodies inside parallel regions. Workers run
+/// their fallible body through [`ErrCell::run`] with the index of the work
+/// item; the caller converts the cell back into a `Result` with
+/// [`ErrCell::into_result`] afterwards. The error of the lowest index is
+/// kept, so the error a parallel region returns does not depend on which
+/// worker failed first.
+pub struct ErrCell<E>(Mutex<Option<(usize, E)>>);
 
 impl<E> ErrCell<E> {
     pub fn new() -> Self {
         ErrCell(Mutex::new(None))
     }
 
-    /// Runs `f`, recording its error if the cell is still empty.
-    pub fn run(&self, f: impl FnOnce() -> Result<(), E>) {
+    /// Runs `f` for work item `index`, recording its error unless an error
+    /// of a lower index is already recorded.
+    pub fn run(&self, index: usize, f: impl FnOnce() -> Result<(), E>) {
         if let Err(e) = f() {
             let mut slot = self
                 .0
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if slot.is_none() {
-                *slot = Some(e);
+            if slot.as_ref().is_none_or(|(i, _)| index < *i) {
+                *slot = Some((index, e));
             }
         }
     }
 
-    /// Returns the first recorded error, if any.
+    /// Returns the recorded error of the lowest index, if any.
     pub fn into_result(self) -> Result<(), E> {
         match self
             .0
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
         {
-            Some(e) => Err(e),
+            Some((_, e)) => Err(e),
             None => Ok(()),
         }
     }
@@ -117,7 +113,7 @@ impl<E> Default for ErrCell<E> {
 ///
 /// Used for gradient accumulation: each chunk sums its batch items into a
 /// private buffer, then the buffers are folded together in chunk order.
-/// Chunk boundaries depend only on `n` (at most [`MAP_REDUCE_CHUNKS`]
+/// Chunk boundaries depend only on `n` (at most `MAP_REDUCE_CHUNKS`
 /// chunks), so the result is bit-identical at any thread count.
 ///
 /// # Panics
@@ -189,12 +185,13 @@ mod tests {
     }
 
     #[test]
-    fn err_cell_keeps_first_error_only() {
+    fn err_cell_keeps_the_lowest_index_error() {
         let cell: ErrCell<&'static str> = ErrCell::new();
-        cell.run(|| Ok(()));
-        cell.run(|| Err("first"));
-        cell.run(|| Err("second"));
-        assert_eq!(cell.into_result(), Err("first"));
+        cell.run(0, || Ok(()));
+        cell.run(5, || Err("five"));
+        cell.run(2, || Err("two"));
+        cell.run(3, || Err("three"));
+        assert_eq!(cell.into_result(), Err("two"));
         assert_eq!(ErrCell::<()>::new().into_result(), Ok(()));
     }
 

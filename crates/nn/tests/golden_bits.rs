@@ -39,7 +39,7 @@ struct Golden {
 
 fn record(model: &mut Sequential, x: &Tensor, labels: &[usize]) -> Golden {
     let eval_logits = digest(model.forward(x, Mode::Eval).unwrap().as_slice());
-    let (loss, dx) = model.input_gradient(x, labels, Mode::Eval).unwrap();
+    let (loss, dx) = model.input_gradient(x, labels).unwrap();
     let input_grad = digest(dx.as_slice());
 
     model.zero_grads();

@@ -88,7 +88,7 @@ pub fn bucket_lower(i: usize) -> u64 {
 }
 
 /// Exclusive upper edge of bucket `i`: `4^(i+1)`. The last bucket is
-/// open-ended in [`bucket_index`]; this returns its nominal edge, which the
+/// open-ended in `bucket_index`; this returns its nominal edge, which the
 /// percentile interpolation uses as a finite cap.
 pub fn bucket_upper(i: usize) -> u64 {
     1u64 << (2 * (i + 1))

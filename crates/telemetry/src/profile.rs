@@ -241,7 +241,7 @@ const TIMELINE_BINS: usize = 60;
 const TIMELINE_RAMP: &[char] = &[' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
 
 /// Renders one `tid -> coverage row` per worker that recorded
-/// participation spans: each of the [`TIMELINE_BINS`] bins shades the
+/// participation spans: each of the `TIMELINE_BINS` bins shades the
 /// fraction of that bin covered by `tensor.pool.participate` intervals.
 /// Empty when no participation spans exist (e.g. a one-thread run).
 pub fn utilization_timeline(spans: &[SpanEvent]) -> Vec<(u32, String)> {

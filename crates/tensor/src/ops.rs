@@ -2,8 +2,8 @@
 //! softmax utilities.
 //!
 //! These are the hot paths for both software inference/training and for the
-//! hardware models (the crossbar substrate lowers convolutions with the same
-//! `im2col` so that every dot-product flows through its tiled MVM).
+//! hardware models (a crossbar-mapped model computes through the same GEMM
+//! with its effective weights).
 //!
 //! All matrix kernels partition their **output rows** over the persistent
 //! worker pool ([`crate::pool`]). Each output row is accumulated in the
@@ -120,33 +120,6 @@ fn dot4(x: &[f32], y: &[f32]) -> f32 {
         tail += a * b;
     }
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
-/// Accumulates the vector–matrix product `out[j] += Σ_i v[i] · mat[i·cols + j]`
-/// over an `(rows × cols)` row-major matrix — the kernel behind the crossbar
-/// tile MVM. `v.len()` rows are consumed; `out.len()` must be `cols`.
-///
-/// Accumulation is 4-way unrolled over `i` with a fixed fold order and no
-/// zero skip, matching the GEMM microkernel's numeric behavior.
-pub fn vecmat_accumulate(v: &[f32], mat: &[f32], cols: usize, out: &mut [f32]) {
-    debug_assert_eq!(out.len(), cols);
-    debug_assert!(mat.len() >= v.len() * cols);
-    let mut i = 0usize;
-    while i + 4 <= v.len() {
-        axpy4(
-            out,
-            [v[i], v[i + 1], v[i + 2], v[i + 3]],
-            &mat[i * cols..(i + 1) * cols],
-            &mat[(i + 1) * cols..(i + 2) * cols],
-            &mat[(i + 2) * cols..(i + 3) * cols],
-            &mat[(i + 3) * cols..(i + 4) * cols],
-        );
-        i += 4;
-    }
-    while i < v.len() {
-        axpy1(out, v[i], &mat[i * cols..(i + 1) * cols]);
-        i += 1;
-    }
 }
 
 fn require_rank2(t: &Tensor, op: &'static str) -> Result<(), TensorError> {
@@ -830,26 +803,6 @@ mod tests {
         let tb = Tensor::from_vec(vec![f32::INFINITY, 1.0, 2.0], &[1, 3]).unwrap();
         let yb = matmul_transb(&a, &tb).unwrap();
         assert!(yb.as_slice()[0].is_nan());
-    }
-
-    #[test]
-    fn vecmat_accumulate_matches_naive_and_keeps_nan() {
-        let rows = 7;
-        let cols = 5;
-        let mat = rand_tensor(&[rows, cols], 77);
-        let v = rand_tensor(&[rows], 78);
-        let mut out = vec![0.0f32; cols];
-        vecmat_accumulate(v.as_slice(), mat.as_slice(), cols, &mut out);
-        for (j, &o) in out.iter().enumerate() {
-            let expect: f32 = (0..rows)
-                .map(|i| v.as_slice()[i] * mat.as_slice()[i * cols + j])
-                .sum();
-            assert!((o - expect).abs() < 1e-4, "{o} vs {expect}");
-        }
-        // zero input element times an infinite weight must poison the column
-        let mut out = vec![0.0f32; 1];
-        vecmat_accumulate(&[0.0, 1.0], &[f32::INFINITY, 1.0], 1, &mut out);
-        assert!(out[0].is_nan());
     }
 
     #[test]

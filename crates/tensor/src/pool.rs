@@ -2,7 +2,7 @@
 //!
 //! Every parallel code path in the workspace — the GEMM/`im2col` kernels in
 //! [`crate::ops`], batch parallelism in `ahw-nn`, attack sharding in
-//! `ahw-attacks`, and the crossbar tiled MVM — runs on this one pool instead
+//! `ahw-attacks`, and the crossbar tile solves — runs on this one pool instead
 //! of spawning fresh `std::thread::scope` threads per call, so thread
 //! creation is paid once per process rather than once per batch.
 //!

@@ -16,9 +16,7 @@
 //!   kernels in [`crate::ops`] zero their outputs themselves where their
 //!   accumulation pattern requires it.
 //! - The arena is deliberately *not* thread-safe (`&mut self` everywhere):
-//!   each worker shard owns its own `Workspace`. Code that runs inside pool
-//!   tasks and cannot carry one through the closure checks one out of the
-//!   process-wide pool via [`with_global`].
+//!   each worker shard owns its own `Workspace`.
 //!
 //! Reuse is observable through telemetry: `tensor.workspace.reused` /
 //! `tensor.workspace.allocated` count `take` outcomes and the
@@ -29,7 +27,6 @@ use crate::Tensor;
 use ahw_telemetry::{LazyCounter, LazyGauge};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 static WS_REUSED: LazyCounter = LazyCounter::new("tensor.workspace.reused");
 static WS_ALLOCATED: LazyCounter = LazyCounter::new("tensor.workspace.allocated");
@@ -178,25 +175,6 @@ impl Drop for Workspace {
     }
 }
 
-/// Process-wide pool of idle workspaces for code that runs inside worker
-/// tasks and cannot thread a caller-owned arena through (e.g. crossbar
-/// tile MVMs). Checks one out for the duration of `f` and parks it again
-/// afterwards, so parallel callers each get a private arena while the
-/// buffers still persist across calls.
-pub fn with_global<T>(f: impl FnOnce(&mut Workspace) -> T) -> T {
-    static POOL: Mutex<Vec<Workspace>> = Mutex::new(Vec::new());
-    let mut ws = POOL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .pop()
-        .unwrap_or_default();
-    let out = f(&mut ws);
-    POOL.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .push(ws);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,16 +261,5 @@ mod tests {
         assert_eq!(ws.outstanding(), 0);
         ws.clear();
         assert_eq!(ws.resident_bytes(), 0);
-    }
-
-    #[test]
-    fn global_pool_hands_out_persistent_workspaces() {
-        // a buffer recycled inside the checkout is parked in that arena
-        let bytes = with_global(|ws| {
-            let b = ws.take(4096);
-            ws.recycle(b);
-            ws.resident_bytes()
-        });
-        assert!(bytes >= 4 * 4096);
     }
 }

@@ -4,11 +4,12 @@
 //! paper number in `ahw-bench` reproducible on any machine.
 
 use adversarial_hw::prelude::*;
-use ahw_attacks::{evaluate_attack_sharded, sweep_epsilons, Attack, AttackOutcome};
+use ahw_attacks::{evaluate_attack, sweep_epsilons, Attack, AttackOutcome};
 use ahw_crossbar::{map_model, CrossbarError, CrossbarTile, SolverKind};
 use ahw_nn::train::{TrainConfig, Trainer};
+use ahw_nn::NnError;
 use ahw_sram::{HybridMemoryConfig, HybridWordConfig};
-use ahw_tensor::{pool, rng, Tensor};
+use ahw_tensor::{pool, rng, Tensor, TensorError};
 use std::sync::Mutex;
 
 const SEED: u64 = 0x000D_E7E2;
@@ -44,28 +45,19 @@ fn noisy_images(seed: u64) -> Tensor {
     injector.corrupt(&clean)
 }
 
-/// The whole pipeline as a function of (seed, workers): SRAM-corrupted
-/// inputs, FGSM crafted against the model, accuracy on both.
-fn run(seed: u64, workers: usize) -> AttackOutcome {
+/// The whole pipeline as a function of the seed: SRAM-corrupted inputs,
+/// FGSM (or PGD) crafted against the model, accuracy on both.
+fn run(seed: u64, attack: Attack) -> AttackOutcome {
     let m = model(seed);
     let images = noisy_images(seed);
     let labels: Vec<usize> = (0..24).map(|i| i % 3).collect();
-    evaluate_attack_sharded(
-        &m,
-        &m,
-        &images,
-        &labels,
-        Attack::Fgsm { epsilon: 0.06 },
-        5,
-        workers,
-    )
-    .unwrap()
+    evaluate_attack(&m, &m, &images, &labels, attack, 5).unwrap()
 }
 
 #[test]
 fn same_seed_is_bit_identical() {
-    let a = run(SEED, 1);
-    let b = run(SEED, 1);
+    let a = run(SEED, Attack::Fgsm { epsilon: 0.06 });
+    let b = run(SEED, Attack::Fgsm { epsilon: 0.06 });
     assert_eq!(a.clean_accuracy.to_bits(), b.clean_accuracy.to_bits());
     assert_eq!(
         a.adversarial_accuracy.to_bits(),
@@ -75,13 +67,71 @@ fn same_seed_is_bit_identical() {
 
 #[test]
 fn worker_count_does_not_change_the_result() {
-    let one = run(SEED, 1);
-    let four = run(SEED, 4);
-    assert_eq!(one.clean_accuracy.to_bits(), four.clean_accuracy.to_bits());
-    assert_eq!(
-        one.adversarial_accuracy.to_bits(),
-        four.adversarial_accuracy.to_bits()
-    );
+    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    for attack in [Attack::Fgsm { epsilon: 0.06 }, Attack::pgd(0.06)] {
+        let reference = with_threads(1, || run(SEED, attack));
+        for threads in [2usize, 4, 7] {
+            let o = with_threads(threads, || run(SEED, attack));
+            assert_eq!(
+                o.clean_accuracy.to_bits(),
+                reference.clean_accuracy.to_bits(),
+                "{} clean accuracy differs at {threads} threads",
+                attack.name()
+            );
+            assert_eq!(
+                o.adversarial_accuracy.to_bits(),
+                reference.adversarial_accuracy.to_bits(),
+                "{} adversarial accuracy differs at {threads} threads",
+                attack.name()
+            );
+        }
+    }
+}
+
+/// Out-of-range labels in batches 2 and 3 (of five): the evaluation fails
+/// with batch 2's error at every thread count and on every run, not with
+/// whichever failing batch finished first.
+#[test]
+fn attack_error_is_the_first_failing_batchs() {
+    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let m = model(SEED);
+    let images = noisy_images(SEED);
+    let mut labels: Vec<usize> = (0..24).map(|i| i % 3).collect();
+    labels[12] = 7;
+    labels[17] = 9;
+    let expected = NnError::Tensor(TensorError::InvalidArgument(
+        "label 7 out of range for 3 classes".into(),
+    ));
+    for threads in [1usize, 2, 4, 7] {
+        for _ in 0..10 {
+            let err = with_threads(threads, || {
+                evaluate_attack(&m, &m, &images, &labels, Attack::pgd(0.06), 5).unwrap_err()
+            });
+            assert_eq!(err, expected, "at {threads} threads");
+        }
+    }
+}
+
+/// Every batch has the wrong channel count, and the ragged last batch
+/// reports a different batch size: accuracy fails with the first batch's
+/// error at every thread count and on every run.
+#[test]
+fn accuracy_error_is_the_first_failing_batchs() {
+    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let m = model(SEED);
+    let images = Tensor::zeros(&[24, 2, 8, 8]);
+    let labels = vec![0usize; 24];
+    let expected = NnError::Tensor(TensorError::ShapeMismatch {
+        op: "conv2d",
+        lhs: vec![5, 2, 8, 8],
+        rhs: vec![0, 1, 0, 0],
+    });
+    for threads in [1usize, 2, 4, 7] {
+        for _ in 0..10 {
+            let err = with_threads(threads, || m.accuracy(&images, &labels, 5).unwrap_err());
+            assert_eq!(err, expected, "at {threads} threads");
+        }
+    }
 }
 
 #[test]

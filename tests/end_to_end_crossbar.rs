@@ -120,7 +120,7 @@ fn hh_gradients_are_exact_for_the_mapped_model() {
     let item = images.len() / images.dims()[0];
     let x = Tensor::from_vec(images.as_slice()[..n * item].to_vec(), &[n, 3, 32, 32]).unwrap();
     let y = &labels[..n];
-    let (_, grad) = hardware.input_gradient(&x, y, Mode::Eval).unwrap();
+    let (_, grad) = hardware.input_gradient(&x, y).unwrap();
     let eps = 1e-2;
     for idx in [0usize, 500, 1500] {
         let mut xp = x.clone();
