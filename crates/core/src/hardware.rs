@@ -114,19 +114,12 @@ pub fn apply_weight_noise_plan(
     // live on ReLU/pool layers, whose parameters sit a couple of layers
     // earlier in the stack)
     let mut weighted_layers: Vec<usize> = Vec::new();
-    hardware.visit_state(&mut |name, tensor| {
-        if name.ends_with(".weight") && tensor.rank() == 2 {
-            if let Some(idx) = name
-                .strip_prefix("layers.")
-                .and_then(|rest| rest.split('.').next())
-                .and_then(|tok| tok.parse::<usize>().ok())
-            {
-                if weighted_layers.last() != Some(&idx) {
-                    weighted_layers.push(idx);
-                }
-            }
+    hardware.visit_weights(|layer, _| {
+        if weighted_layers.last() != Some(&layer) {
+            weighted_layers.push(layer);
         }
-    });
+        Ok::<_, NnError>(())
+    })?;
     // corrupt the parameters feeding each planned site: the nearest
     // weight-bearing layer at or before the site's layer; one arena serves
     // the round-trip scratch of every site (the persistent weight is a
@@ -146,14 +139,14 @@ pub fn apply_weight_noise_plan(
             &model,
             seed ^ (planned.site_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
-        let target_prefix = format!("layers.{target}.");
-        hardware.visit_state(&mut |name, tensor| {
-            if name.starts_with(&target_prefix) && name.ends_with(".weight") && tensor.rank() == 2 {
+        hardware.visit_weights(|layer, tensor| {
+            if layer == target {
                 let noisy = injector.corrupt_into(tensor, &mut ws);
                 *tensor = noisy.clone();
                 ws.recycle_tensor(noisy);
             }
-        });
+            Ok::<_, NnError>(())
+        })?;
     }
     Ok(hardware)
 }

@@ -3,11 +3,12 @@
 //! Because every crossbar tile realizes a *linear* map, the entire non-ideal
 //! network is exactly captured by replacing each weight matrix `W` with the
 //! effective matrix `W_eff` its tiles realize. [`map_model`] performs that
-//! rewrite on a [`Sequential`] clone's state: every rank-2 tensor named
-//! `*.weight` (convolutions are stored pre-lowered as `(out, in·k·k)`
-//! matrices, linear layers as `(out, in)`) is programmed onto tiles and
-//! replaced. Biases and batch-norm parameters stay digital, matching how
-//! crossbar accelerators split analog MVM from digital periphery.
+//! rewrite on a [`Sequential`] clone's state: every weight matrix of
+//! [`Sequential::visit_weights`] (convolutions are stored pre-lowered as
+//! `(out, in·k·k)` matrices, linear layers as `(out, in)`) is programmed
+//! onto tiles and replaced. Biases and batch-norm parameters stay digital,
+//! matching how crossbar accelerators split analog MVM from digital
+//! periphery.
 
 use crate::{Calibration, CrossbarConfig, CrossbarError, TiledMatrix};
 use ahw_nn::Sequential;
@@ -98,25 +99,15 @@ pub fn map_model(
     config.validate()?;
     let mut rng = ahw_tensor::rng::seeded(config.seed);
     let mut report = MappingReport::default();
-    let mut first_error: Option<CrossbarError> = None;
-    model.visit_state(&mut |name, tensor| {
-        if first_error.is_some() || !name.ends_with(".weight") || tensor.rank() != 2 {
-            return;
-        }
-        match map_matrix_with(tensor, config, &mut rng) {
-            Ok((effective, tiles)) => {
-                report.matrices += 1;
-                report.tiles += tiles;
-                report.cells += tensor.len();
-                *tensor = effective;
-            }
-            Err(e) => first_error = Some(e),
-        }
-    });
-    match first_error {
-        Some(e) => Err(e),
-        None => Ok(report),
-    }
+    model.visit_weights(|_, tensor| {
+        let (effective, tiles) = map_matrix_with(tensor, config, &mut rng)?;
+        report.matrices += 1;
+        report.tiles += tiles;
+        report.cells += tensor.len();
+        *tensor = effective;
+        Ok::<_, CrossbarError>(())
+    })?;
+    Ok(report)
 }
 
 #[cfg(test)]

@@ -5,23 +5,22 @@
 //! *current* model, so the decision boundary is pushed away from the data.
 //! Included so hardware-noise robustness can be compared against the
 //! gold-standard software defense, not just the efficiency-driven ones.
+//! Only the perturbation lives here: the loop is the [`Trainer`]'s and the
+//! FGSM step is `ahw_attacks::fgsm_ws`.
 
-use ahw_nn::train::Trainer;
-use ahw_nn::{Mode, NnError, Sequential};
+use ahw_nn::train::{EpochStats, Trainer};
+use ahw_nn::{NnError, Sequential};
 use ahw_tensor::rng::Rng;
-use ahw_tensor::{ops, Tensor};
+use ahw_tensor::Tensor;
 
-/// Configuration for [`adversarial_fit`].
+/// Configuration for [`adversarial_fit`]. Epochs, batch size and the
+/// learning-rate schedule are the [`Trainer`]'s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdvTrainConfig {
     /// FGSM strength used to craft the training adversaries.
     pub epsilon: f32,
     /// Fraction of each batch replaced by adversarial examples (0..=1).
     pub adversarial_fraction: f32,
-    /// Mini-batch size.
-    pub batch_size: usize,
-    /// Number of passes over the training set.
-    pub epochs: usize,
 }
 
 impl Default for AdvTrainConfig {
@@ -29,19 +28,20 @@ impl Default for AdvTrainConfig {
         AdvTrainConfig {
             epsilon: 0.05,
             adversarial_fraction: 0.5,
-            batch_size: 32,
-            epochs: 8,
         }
     }
 }
 
-/// Adversarially trains `model` in place using the supplied SGD `trainer`
-/// for the parameter updates. Returns per-epoch mean losses.
+/// Adversarially trains `model` in place with `trainer`'s loop and
+/// configuration: before each SGD step, the leading
+/// `adversarial_fraction` of the mini-batch is replaced by its FGSM
+/// examples against the current model. Returns what
+/// [`Trainer::fit`] returns.
 ///
 /// # Errors
 ///
-/// Returns [`NnError::BadConfig`] for inconsistent inputs; propagates layer
-/// errors.
+/// Returns [`NnError::BadConfig`] for a fraction outside `[0, 1]`, and as
+/// [`Trainer::fit`] otherwise.
 pub fn adversarial_fit<R: Rng>(
     model: &mut Sequential,
     trainer: &mut Trainer,
@@ -49,74 +49,26 @@ pub fn adversarial_fit<R: Rng>(
     labels: &[usize],
     config: &AdvTrainConfig,
     rng: &mut R,
-) -> Result<Vec<f32>, NnError> {
-    let n = images.dims()[0];
-    if labels.len() != n || n == 0 || config.batch_size == 0 {
-        return Err(NnError::BadConfig(
-            "empty dataset, zero batch, or label/image mismatch".into(),
-        ));
-    }
+) -> Result<Vec<EpochStats>, NnError> {
     if !(0.0..=1.0).contains(&config.adversarial_fraction) {
         return Err(NnError::BadConfig(format!(
             "adversarial_fraction {} outside [0, 1]",
             config.adversarial_fraction
         )));
     }
-    let item = images.len() / n;
-    let xv = images.as_slice();
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut losses = Vec::with_capacity(config.epochs);
-    for _ in 0..config.epochs {
-        rng.shuffle(&mut order);
-        let mut epoch_loss = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in order.chunks(config.batch_size) {
-            let mut bd = images.dims().to_vec();
-            bd[0] = chunk.len();
-            let mut data = Vec::with_capacity(chunk.len() * item);
-            let mut batch_labels = Vec::with_capacity(chunk.len());
-            for &i in chunk {
-                data.extend_from_slice(&xv[i * item..(i + 1) * item]);
-                batch_labels.push(labels[i]);
-            }
-            let mut xb = Tensor::from_vec(data, &bd)?;
-            // perturb the leading fraction of the batch against the current
-            // model (one FGSM step, the classic Goodfellow recipe)
-            let adv_count = ((chunk.len() as f32) * config.adversarial_fraction).round() as usize;
-            if adv_count > 0 && config.epsilon > 0.0 {
-                let adv = ahw_attacks_free_fgsm(model, &xb, &batch_labels, config.epsilon)?;
-                let xbv = xb.as_mut_slice();
-                xbv[..adv_count * item].copy_from_slice(&adv.as_slice()[..adv_count * item]);
-            }
-            let logits = model.forward(&xb, Mode::Train)?;
-            let (loss, dlogits) = ops::cross_entropy_with_grad(&logits, &batch_labels)?;
-            model.backward(&dlogits)?;
-            trainer.step(model);
-            epoch_loss += loss as f64;
-            batches += 1;
+    trainer.fit_with(model, images, labels, rng, |model, batch, targets, plan| {
+        let rows = batch.dims()[0];
+        let adv_count = ((rows as f32) * config.adversarial_fraction).round() as usize;
+        if adv_count > 0 && config.epsilon > 0.0 {
+            // the attacked loss is the whole batch's mean, so FGSM runs on
+            // every row and only the leading ones are kept
+            let adv = ahw_attacks::fgsm_ws(model, batch, targets, config.epsilon, plan)?;
+            let keep = adv_count * (batch.len() / rows);
+            batch.as_mut_slice()[..keep].copy_from_slice(&adv.as_slice()[..keep]);
+            plan.workspace().recycle_tensor(adv);
         }
-        losses.push((epoch_loss / batches.max(1) as f64) as f32);
-    }
-    Ok(losses)
-}
-
-/// FGSM without depending on `ahw-attacks` (which depends on nothing here,
-/// but keeping `ahw-defenses` free of that edge avoids a cycle if attacks
-/// ever want the defenses as baselines).
-fn ahw_attacks_free_fgsm(
-    model: &mut Sequential,
-    x: &Tensor,
-    labels: &[usize],
-    epsilon: f32,
-) -> Result<Tensor, NnError> {
-    let (_, grad) = model.input_gradient(x, labels)?;
-    let mut adv = x.clone();
-    for (a, g) in adv.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-        if *g != 0.0 {
-            *a = (*a + epsilon * g.signum()).clamp(0.0, 1.0);
-        }
-    }
-    Ok(adv)
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -168,11 +120,12 @@ mod tests {
         });
         t1.fit(&mut plain, &x, &y, &mut seeded(4)).unwrap();
 
-        // adversarial training
+        // adversarial training, at a constant learning rate
         let mut robust = mlp(3);
         let mut t2 = Trainer::new(TrainConfig {
             epochs: 10,
             lr: 0.1,
+            lr_decay: 1.0,
             ..TrainConfig::default()
         });
         adversarial_fit(
@@ -182,7 +135,6 @@ mod tests {
             &y,
             &AdvTrainConfig {
                 epsilon: eps,
-                epochs: 10,
                 ..AdvTrainConfig::default()
             },
             &mut seeded(5),
@@ -191,8 +143,7 @@ mod tests {
 
         // attack both with the same FGSM strength
         let attack_acc = |m: &Sequential| {
-            let mut grad_model = m.clone();
-            let adv = ahw_attacks_free_fgsm(&mut grad_model, &tx, &ty, eps).unwrap();
+            let adv = ahw_attacks::fgsm(&mut m.clone(), &tx, &ty, eps).unwrap();
             m.accuracy(&adv, &ty, 60).unwrap()
         };
         let plain_adv = attack_acc(&plain);
@@ -221,15 +172,41 @@ mod tests {
     fn zero_epsilon_equals_standard_training_loss_scale() {
         let (x, y) = blobs(64, 9);
         let mut model = mlp(10);
-        let mut trainer = Trainer::new(TrainConfig::default());
+        let mut trainer = Trainer::new(TrainConfig {
+            epochs: 2,
+            ..TrainConfig::default()
+        });
         let config = AdvTrainConfig {
             epsilon: 0.0,
-            epochs: 2,
             ..AdvTrainConfig::default()
         };
-        let losses =
+        let stats =
             adversarial_fit(&mut model, &mut trainer, &x, &y, &config, &mut seeded(11)).unwrap();
-        assert_eq!(losses.len(), 2);
-        assert!(losses[1] <= losses[0] + 0.1);
+        assert_eq!(stats.len(), 2);
+        assert!(stats[1].loss <= stats[0].loss + 0.1);
+    }
+
+    #[test]
+    fn follows_the_trainer_config() {
+        let (x, y) = blobs(32, 12);
+        let mut model = mlp(13);
+        let mut trainer = Trainer::new(TrainConfig {
+            epochs: 1,
+            batch_size: 4,
+            lr: 0.1,
+            lr_decay: 0.5,
+            ..TrainConfig::default()
+        });
+        let stats = adversarial_fit(
+            &mut model,
+            &mut trainer,
+            &x,
+            &y,
+            &AdvTrainConfig::default(),
+            &mut seeded(14),
+        )
+        .unwrap();
+        assert_eq!(stats.len(), 1, "one epoch");
+        assert_eq!(trainer.lr(), 0.05, "lr decayed once");
     }
 }

@@ -1,3 +1,6 @@
+//! Input pixel discretization. [`PixelDiscretization::apply`] and the
+//! defended model's first layer, [`DiscretizeLayer`], run one grid map.
+
 use ahw_nn::{Layer, Mode, NnError, Sequential};
 use ahw_tensor::quant::QuantParams;
 use ahw_tensor::{Tensor, Workspace};
@@ -35,15 +38,19 @@ impl PixelDiscretization {
 
     /// Snaps a `[0, 1]` tensor onto the grid.
     pub fn apply(&self, x: &Tensor) -> Tensor {
-        let grid = self.grid();
-        x.map(|v| grid.dequantize(grid.quantize(v)))
+        self.snap_into(x, vec![0.0; x.len()])
     }
 
-    /// The fixed `[0, 1]` grid. The input domain is known, so there is no
+    /// Snaps `x` onto the fixed `[0, 1]` grid, writing into `out` (of
+    /// `x.len()` elements). The input domain is known, so there is no
     /// per-tensor fitting: the defense must be input-independent or it
     /// leaks a side channel.
-    fn grid(&self) -> QuantParams {
-        QuantParams::from_range(0.0, 1.0, self.bits).expect("bits validated in constructor")
+    fn snap_into(&self, x: &Tensor, mut out: Vec<f32>) -> Tensor {
+        let grid =
+            QuantParams::from_range(0.0, 1.0, self.bits).expect("bits validated in constructor");
+        x.map_into(|v| grid.dequantize(grid.quantize(v)), &mut out)
+            .expect("callers pass x.len() elements");
+        Tensor::from_vec(out, x.dims()).expect("one output per input")
     }
 
     /// Returns `model` with the discretizer prepended as a layer, giving a
@@ -78,13 +85,7 @@ impl Layer for DiscretizeLayer {
         _mode: Mode,
         ws: &mut Workspace,
     ) -> Result<Tensor, NnError> {
-        let grid = self.defense.grid();
-        let mut y = ws.take(x.len());
-        if let Err(e) = x.map_into(|v| grid.dequantize(grid.quantize(v)), &mut y) {
-            ws.recycle(y);
-            return Err(e.into());
-        }
-        Ok(Tensor::from_vec(y, x.dims())?)
+        Ok(self.defense.snap_into(x, ws.take(x.len())))
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {

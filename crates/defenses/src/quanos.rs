@@ -1,9 +1,15 @@
+//! QUANOS: ANS-ranked hybrid quantization of weights and activations. The
+//! calibration FGSM is `ahw_attacks::fgsm`, the weights come from
+//! [`Sequential::visit_weights`], and the quantizer is `ahw_tensor::quant`.
+
 use ahw_nn::{ActivationHook, Mode, NnError, Sequential, Site};
-use ahw_tensor::quant::fake_quantize;
+use ahw_tensor::quant::{dequantize_into, fake_quantize, quantize_with_into, QuantParams};
 use ahw_tensor::{Tensor, Workspace};
 use std::sync::Arc;
 
 /// Deterministic activation quantization hook (fake-quantize to `bits`).
+/// Code and output buffers come from the hook's arena; a width outside
+/// `1..=8` passes the activation through unchanged.
 #[derive(Debug, Clone, Copy)]
 pub struct QuantizeHook {
     /// Bit width of the activation grid.
@@ -11,8 +17,18 @@ pub struct QuantizeHook {
 }
 
 impl ActivationHook for QuantizeHook {
-    fn apply(&self, x: &Tensor, _ws: &mut Workspace) -> Tensor {
-        fake_quantize(x, self.bits).unwrap_or_else(|_| x.clone())
+    fn apply(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+        let mut out = ws.take(x.len());
+        match QuantParams::fit(x, self.bits) {
+            Ok(params) => {
+                let mut codes = ws.take_u8(x.len());
+                quantize_with_into(x.as_slice(), params, &mut codes);
+                dequantize_into(&codes, params, &mut out);
+                ws.recycle_u8(codes);
+            }
+            Err(_) => out.copy_from_slice(x.as_slice()),
+        }
+        Tensor::from_vec(out, x.dims()).expect("length preserved by round trip")
     }
 
     fn describe(&self) -> String {
@@ -47,8 +63,7 @@ pub struct Quanos {
     pub calib_epsilon: f32,
     /// Bits assigned to the most sensitive layer.
     pub min_bits: u8,
-    /// Bits assigned to the least sensitive layer (and to weights of
-    /// unranked layers).
+    /// Bits assigned to the least sensitive layer.
     pub max_bits: u8,
 }
 
@@ -84,17 +99,10 @@ impl Quanos {
         }
         // craft calibration adversaries against the model itself
         let mut grad_model = model.clone();
-        let (_, grad) = grad_model.input_gradient(images, labels)?;
-        let mut adv = images.clone();
-        for (a, g) in adv.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-            if *g != 0.0 {
-                *a = (*a + self.calib_epsilon * g.signum()).clamp(0.0, 1.0);
-            }
-        }
+        let mut dirty = ahw_attacks::fgsm(&mut grad_model, images, labels, self.calib_epsilon)?;
         // walk the layers once for each input, recording ANS per output
         let mut sens = Vec::with_capacity(model.len());
         let mut clean = images.clone();
-        let mut dirty = adv;
         for i in 0..model.len() {
             let layer = grad_model.layer_mut(i);
             clean = layer.forward(&clean, Mode::Eval)?;
@@ -146,27 +154,10 @@ impl Quanos {
         }
         let mut defended = model.clone();
         // fake-quantize each layer's weights to its assigned width
-        let mut error: Option<NnError> = None;
-        defended.visit_state(&mut |name, tensor| {
-            if error.is_some() || !name.ends_with(".weight") || tensor.rank() != 2 {
-                return;
-            }
-            // names look like "layers.{i}.weight" or "layers.{i}.conv1.weight"
-            let idx = name
-                .strip_prefix("layers.")
-                .and_then(|rest| rest.split('.').next())
-                .and_then(|tok| tok.parse::<usize>().ok());
-            if let Some(i) = idx {
-                let bits = sens.get(i).map_or(self.max_bits, |s| s.bits.max(1));
-                match fake_quantize(tensor, bits) {
-                    Ok(q) => *tensor = q,
-                    Err(e) => error = Some(NnError::Tensor(e)),
-                }
-            }
-        });
-        if let Some(e) = error {
-            return Err(e);
-        }
+        defended.visit_weights(|layer, tensor| {
+            *tensor = fake_quantize(tensor, sens[layer].bits.max(1))?;
+            Ok::<_, NnError>(())
+        })?;
         // activation quantization hooks (best effort: layers without an
         // Output slot — e.g. Flatten — are skipped)
         for s in &sens {
@@ -275,6 +266,36 @@ mod tests {
         let x = uniform(&[32], -1.0, 1.0, &mut seeded(10));
         let mut ws = Workspace::new();
         assert_eq!(h.apply(&x, &mut ws), h.apply(&x, &mut ws));
+        assert_eq!(h.apply(&x, &mut ws), fake_quantize(&x, 4).unwrap());
+        assert_eq!(QuantizeHook { bits: 9 }.apply(&x, &mut ws), x);
         assert!(ActivationHook::describe(&h).contains("4b"));
+    }
+
+    #[test]
+    fn quantize_hook_keeps_the_arena_flat() {
+        use ahw_nn::PlanCache;
+        let mut rng = seeded(11);
+        let mut model = Sequential::new();
+        model.push(Conv2d::new(2, 4, 3, 1, 1, &mut rng).unwrap());
+        model.push(ReLU::new());
+        model.push(Flatten::new());
+        model.push(Linear::new(4 * 8 * 8, 3, &mut rng).unwrap());
+        model
+            .set_hook(Site::output(1), Some(Arc::new(QuantizeHook { bits: 4 })))
+            .unwrap();
+        let x = uniform(&[4, 2, 8, 8], 0.0, 1.0, &mut seeded(12));
+        let mut cache = PlanCache::new();
+        let mut resident = Vec::new();
+        for _ in 0..40 {
+            let (_, g) = model
+                .input_gradient_planned(&x, &[0, 1, 2, 0], &mut cache)
+                .unwrap();
+            cache.workspace().recycle_tensor(g);
+            resident.push(cache.workspace().resident_bytes());
+        }
+        assert!(
+            resident[1..].iter().all(|&b| b == resident[1]),
+            "arena grew after warm-up: {resident:?}"
+        );
     }
 }

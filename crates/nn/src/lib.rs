@@ -11,10 +11,11 @@
 //!   hybrid-SRAM substrate injects bit-error noise through these hooks, and
 //!   attack code chooses whether gradients see the noise by picking which
 //!   model (hooked or clean) it differentiates.
-//! * **Swappable layers.** [`Sequential::replace_layer`] lets the crossbar
-//!   substrate substitute hardware-mapped convolution/linear layers, so the
-//!   same evaluation and attack code runs against software or hardware
-//!   models.
+//! * **One weight walk.** [`Sequential::visit_weights`] hands out every
+//!   conv/linear weight matrix with the index of the layer that owns it;
+//!   the crossbar mapping, the weight-noise ablation and QUANOS rewrite
+//!   weights through it, so the same evaluation and attack code runs
+//!   against software or hardware models.
 //!
 //! ## Example
 //!

@@ -267,6 +267,32 @@ impl Sequential {
         }
     }
 
+    /// Visits every conv/linear weight matrix — the rank-2 `.weight`
+    /// tensors of [`visit_state`](Sequential::visit_state), `BasicBlock`
+    /// convolutions and shortcuts included — in `visit_state` order, with
+    /// the index of the top-level layer that owns it. This is the one place
+    /// that decides which tensors are weight matrices. Stops at, and
+    /// returns, the first error `f` returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error of `f`.
+    pub fn visit_weights<E>(
+        &mut self,
+        mut f: impl FnMut(usize, &mut Tensor) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut result = Ok(());
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            // only the `.weight` suffix matters here, so no prefix is built
+            layer.visit_state("", &mut |name, t| {
+                if result.is_ok() && name.ends_with(".weight") && t.rank() == 2 {
+                    result = f(i, t);
+                }
+            });
+        }
+        result
+    }
+
     /// Total number of trainable scalar parameters.
     pub fn param_count(&mut self) -> usize {
         let mut n = 0;
@@ -595,6 +621,47 @@ mod tests {
         let ym = m.forward(&x, Mode::Eval).unwrap();
         let yc = c.forward(&x, Mode::Eval).unwrap();
         assert_ne!(ym, yc);
+    }
+
+    #[test]
+    fn weight_walk_visits_the_weight_matrices_of_visit_state() {
+        let mut rng = seeded(50);
+        let specs = [
+            crate::archs::vgg8(10, 0.0625, &mut rng).unwrap(),
+            crate::archs::resnet18(10, 0.0625, &mut rng).unwrap(),
+        ];
+        for (arch, mut spec) in ["vgg8", "resnet18"].into_iter().zip(specs) {
+            let mut names = Vec::new();
+            let mut expected = Vec::new();
+            spec.model.visit_state(&mut |name, t| {
+                if name.ends_with(".weight") && t.rank() == 2 {
+                    let layer: usize = name.split('.').nth(1).unwrap().parse().unwrap();
+                    names.push(name.to_string());
+                    expected.push((layer, t.as_slice().as_ptr()));
+                }
+            });
+            let mut walked = Vec::new();
+            spec.model
+                .visit_weights(|layer, t| {
+                    walked.push((layer, t.as_slice().as_ptr()));
+                    Ok::<_, NnError>(())
+                })
+                .unwrap();
+            assert_eq!(walked, expected, "{arch}");
+            let shortcuts = names.iter().filter(|n| n.contains(".shortcut.")).count();
+            assert_eq!(shortcuts > 0, arch == "resnet18", "{arch}: {names:?}");
+            // the first error stops the walk and is returned
+            let mut calls = 0;
+            let stopped = spec.model.visit_weights(|_, _| {
+                calls += 1;
+                if calls == 2 {
+                    Err(calls)
+                } else {
+                    Ok(())
+                }
+            });
+            assert_eq!((stopped, calls), (Err(2), 2), "{arch}");
+        }
     }
 
     #[test]

@@ -126,6 +126,31 @@ impl Trainer {
         labels: &[usize],
         rng: &mut R,
     ) -> Result<Vec<EpochStats>, NnError> {
+        self.fit_with(model, images, labels, rng, |_, _, _, _| Ok(()))
+    }
+
+    /// [`fit`](Trainer::fit) with a per-batch hook: `perturb(model, batch,
+    /// labels, plan)` may rewrite each assembled mini-batch in place before
+    /// its forward pass and SGD step. Adversarial training crafts its
+    /// examples here, against the current model. `plan` is the arena the
+    /// loop runs on; scratch the hook takes from it should go back to it.
+    ///
+    /// # Errors
+    ///
+    /// As [`fit`](Trainer::fit); propagates the hook's errors.
+    pub fn fit_with<R: Rng>(
+        &mut self,
+        model: &mut Sequential,
+        images: &Tensor,
+        labels: &[usize],
+        rng: &mut R,
+        mut perturb: impl FnMut(
+            &mut Sequential,
+            &mut Tensor,
+            &[usize],
+            &mut PlanCache,
+        ) -> Result<(), NnError>,
+    ) -> Result<Vec<EpochStats>, NnError> {
         let n = images.dims()[0];
         if labels.len() != n {
             return Err(NnError::BadConfig(format!(
@@ -163,7 +188,8 @@ impl Trainer {
                     data[bi * item..(bi + 1) * item].copy_from_slice(&xv[i * item..(i + 1) * item]);
                     batch_labels.push(labels[i]);
                 }
-                let xb = Tensor::from_vec(data, &bd)?;
+                let mut xb = Tensor::from_vec(data, &bd)?;
+                perturb(model, &mut xb, &batch_labels, &mut plan)?;
                 let logits = model.forward_planned(&xb, Mode::Train, &mut plan)?;
                 let ws = plan.workspace();
                 let (loss, dlogits) = match cross_entropy_ws(&logits, &batch_labels, ws) {

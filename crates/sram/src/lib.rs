@@ -45,7 +45,7 @@ pub mod energy;
 pub use error::SramError;
 pub use injector::{BitErrorInjector, NoiseTarget};
 pub use model::BitErrorModel;
-pub use word::{BitOrder, HybridMemoryConfig, HybridWordConfig, WORD_BITS};
+pub use word::{HybridMemoryConfig, HybridWordConfig, WORD_BITS};
 
 /// The μ(r, Vdd) sweep behind the paper's Fig. 2: one row per 8T-6T ratio
 /// (from 7/1 to 0/8), one column per supply voltage.

@@ -4,25 +4,10 @@ use crate::{BitErrorModel, SramError};
 /// models quantize activations and weights to 8 bits.
 pub const WORD_BITS: u8 = 8;
 
-/// Which end of the word the reliable 8T cells protect.
-///
-/// Significance-driven hybrid memories (Srinivasan et al.) protect the
-/// most-significant bits — the default. The reversed layout is exposed for
-/// the ablation showing *why*: with LSBs protected instead, the same cell
-/// budget produces catastrophically larger noise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BitOrder {
-    /// 8T cells hold the MSBs (significance-driven, the paper's layout).
-    #[default]
-    ProtectMsb,
-    /// 8T cells hold the LSBs (ablation only).
-    ProtectLsb,
-}
-
 /// How an 8-bit word is split between reliable 8T cells and error-prone 6T
 /// cells. Following the significance-driven layout of Srinivasan et al.,
-/// the 8T cells protect the most-significant bits by default (see
-/// [`BitOrder`]).
+/// the 8T cells protect the most-significant bits and the 6T cells hold the
+/// least-significant ones.
 ///
 /// The paper writes the ratio as `r = #8T/#6T`, e.g. `5/3` = five protected
 /// MSBs, three noisy LSBs. `8/0` is a homogeneous all-8T memory (`H`, no
@@ -31,7 +16,6 @@ pub enum BitOrder {
 pub struct HybridWordConfig {
     eight_t: u8,
     six_t: u8,
-    order: BitOrder,
 }
 
 impl HybridWordConfig {
@@ -44,23 +28,7 @@ impl HybridWordConfig {
         if eight_t + six_t != WORD_BITS {
             return Err(SramError::BadWordSplit { eight_t, six_t });
         }
-        Ok(HybridWordConfig {
-            eight_t,
-            six_t,
-            order: BitOrder::ProtectMsb,
-        })
-    }
-
-    /// Returns this split with the 8T cells protecting the *least*
-    /// significant bits instead — the ablation layout.
-    pub fn with_order(mut self, order: BitOrder) -> Self {
-        self.order = order;
-        self
-    }
-
-    /// Which bits the 8T cells protect.
-    pub fn order(&self) -> BitOrder {
-        self.order
+        Ok(HybridWordConfig { eight_t, six_t })
     }
 
     /// Homogeneous all-8T word: no 6T cells, no bit-error noise (`H`).
@@ -68,7 +36,6 @@ impl HybridWordConfig {
         HybridWordConfig {
             eight_t: WORD_BITS,
             six_t: 0,
-            order: BitOrder::ProtectMsb,
         }
     }
 
@@ -77,7 +44,6 @@ impl HybridWordConfig {
         HybridWordConfig {
             eight_t: 0,
             six_t: WORD_BITS,
-            order: BitOrder::ProtectMsb,
         }
     }
 
@@ -111,15 +77,10 @@ impl HybridWordConfig {
     /// # }
     /// ```
     pub fn six_t_mask(&self) -> u8 {
-        let lsb_mask = if self.six_t >= 8 {
+        if self.six_t >= 8 {
             0xff
         } else {
             (1u16 << self.six_t).wrapping_sub(1) as u8
-        };
-        match self.order {
-            BitOrder::ProtectMsb => lsb_mask,
-            // 8T cells on the LSB side ⇒ the 6T (noisy) cells hold the MSBs
-            BitOrder::ProtectLsb => !((1u16 << self.eight_t).wrapping_sub(1) as u8),
         }
     }
 
@@ -228,18 +189,6 @@ mod tests {
         }
         // all-6T at ber p: μ = p·255/255 = p
         assert!((HybridWordConfig::homogeneous_6t().mu(0.01) - 0.01).abs() < 1e-6);
-    }
-
-    #[test]
-    fn protect_lsb_exposes_msbs() {
-        let w = HybridWordConfig::new(5, 3)
-            .unwrap()
-            .with_order(BitOrder::ProtectLsb);
-        assert_eq!(w.six_t_mask(), 0b1110_0000);
-        // the same cell budget is catastrophically noisier when the noisy
-        // cells hold the MSBs — this is why the layout protects them
-        let msb_first = HybridWordConfig::new(5, 3).unwrap();
-        assert!(w.mu(0.01) > msb_first.mu(0.01) * 10.0);
     }
 
     #[test]

@@ -251,11 +251,6 @@ impl QTensor {
     pub fn codes(&self) -> &[u8] {
         &self.codes
     }
-
-    /// Mutable access to the code words (bit-error injection writes here).
-    pub fn codes_mut(&mut self) -> &mut [u8] {
-        &mut self.codes
-    }
 }
 
 /// Quantize-dequantize round trip ("fake quantization"): returns `t` snapped
@@ -412,14 +407,5 @@ mod tests {
         let mut out = vec![0.0f32; x.len()];
         dequantize_into(q.codes(), q.params(), &mut out);
         assert_eq!(out, q.dequantize().into_vec());
-    }
-
-    #[test]
-    fn codes_mut_allows_bit_flips() {
-        let x = Tensor::from_slice(&[0.0, 1.0]);
-        let mut q = QTensor::quantize(&x, 8).unwrap();
-        q.codes_mut()[0] ^= 0x80; // flip MSB
-        let y = q.dequantize();
-        assert!((y.as_slice()[0] - 0.5).abs() < 0.01);
     }
 }

@@ -12,9 +12,8 @@
 //!   drifts and a returned slice is always fully addressable.
 //! - `take` returns a buffer with **unspecified contents** (fresh buffers
 //!   happen to be zeroed, recycled ones carry stale data). Callers must
-//!   fully overwrite it or use [`Workspace::take_zeroed`]. The `_slices`
-//!   kernels in [`crate::ops`] zero their outputs themselves where their
-//!   accumulation pattern requires it.
+//!   fully overwrite it. The `_slices` kernels in [`crate::ops`] zero
+//!   their outputs themselves where their accumulation pattern requires it.
 //! - The arena is deliberately *not* thread-safe (`&mut self` everywhere):
 //!   each worker shard owns its own `Workspace`.
 //!
@@ -45,12 +44,6 @@ fn resident_sub(bytes: usize) {
     WS_BYTES_RESIDENT.set(now as f64);
 }
 
-/// Marker returned by [`Workspace::checkpoint`]; see [`Workspace::reset_to`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Checkpoint {
-    outstanding: usize,
-}
-
 /// Length-keyed free lists of `f32` scratch buffers. See the module docs
 /// for the reuse contract.
 #[derive(Debug, Default)]
@@ -70,7 +63,7 @@ impl Workspace {
 
     /// Takes a buffer of exactly `len` elements, reusing a recycled one
     /// when available. Contents are **unspecified** — overwrite before
-    /// reading, or use [`Workspace::take_zeroed`].
+    /// reading.
     pub fn take(&mut self, len: usize) -> Vec<f32> {
         self.outstanding += 1;
         if let Some(buf) = self.free.get_mut(&len).and_then(Vec::pop) {
@@ -81,16 +74,6 @@ impl Workspace {
         }
         WS_ALLOCATED.incr();
         vec![0.0; len]
-    }
-
-    /// Like [`Workspace::take`] but guaranteed zero-filled.
-    pub fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
-        let had_free = self.free.get(&len).is_some_and(|l| !l.is_empty());
-        let mut buf = self.take(len);
-        if had_free {
-            buf.fill(0.0);
-        }
-        buf
     }
 
     /// Returns a buffer to the free list for later reuse. Accepts buffers
@@ -128,26 +111,6 @@ impl Workspace {
         self.resident += buf.len();
         resident_add(buf.len());
         self.free_u8.entry(buf.len()).or_default().push(buf);
-    }
-
-    /// Records how many buffers are currently checked out, so a scope can
-    /// later assert (in debug builds) that it returned everything it took.
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            outstanding: self.outstanding,
-        }
-    }
-
-    /// Validates that the take/recycle count is back to where `mark` was
-    /// captured. Leaks are a bookkeeping bug in the caller, not a runtime
-    /// condition, so this only `debug_assert`s; the counter is re-synced
-    /// either way so one leak does not poison later checkpoints.
-    pub fn reset_to(&mut self, mark: Checkpoint) {
-        debug_assert_eq!(
-            self.outstanding, mark.outstanding,
-            "workspace checkpoint mismatch: buffers taken and recycled are unbalanced"
-        );
-        self.outstanding = mark.outstanding;
     }
 
     /// Buffers currently checked out of this workspace.
@@ -193,28 +156,6 @@ mod tests {
         assert_eq!(c.as_ptr(), ptr);
         ws.recycle(b);
         ws.recycle(c);
-    }
-
-    #[test]
-    fn take_zeroed_clears_stale_contents() {
-        let mut ws = Workspace::new();
-        let mut a = ws.take(4);
-        a.copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        ws.recycle(a);
-        assert_eq!(ws.take_zeroed(4), vec![0.0; 4]);
-    }
-
-    #[test]
-    fn checkpoint_balances_take_and_recycle() {
-        let mut ws = Workspace::new();
-        let mark = ws.checkpoint();
-        let a = ws.take(4);
-        let b = ws.take(4);
-        assert_eq!(ws.outstanding(), 2);
-        ws.recycle(a);
-        ws.recycle(b);
-        ws.reset_to(mark);
-        assert_eq!(ws.outstanding(), 0);
     }
 
     #[test]

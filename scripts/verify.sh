@@ -7,7 +7,7 @@ set -eu
 cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo build --release --offline
-cargo test -q --offline
+cargo test -q --workspace --offline
 # benchmark/ is a workspace of its own, so the root build and tests never
 # compile it; test it explicitly so a public-API change cannot break the
 # benchmark unnoticed.

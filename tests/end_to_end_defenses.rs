@@ -92,7 +92,6 @@ fn adversarial_training_composes_with_conv_models() {
         &y,
         &AdvTrainConfig {
             epsilon: 10.0 / 255.0,
-            epochs: 2,
             ..AdvTrainConfig::default()
         },
         &mut rng::seeded(7),
