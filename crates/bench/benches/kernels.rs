@@ -24,12 +24,27 @@ fn bench_matmul(h: &mut Harness) {
     }
 }
 
-fn bench_conv_forward(h: &mut Harness) {
+fn bench_conv(h: &mut Harness) {
     let mut rng_ = rng::seeded(3);
     let mut conv = Conv2d::new(16, 32, 3, 1, 1, &mut rng_).unwrap();
     let x = rng::normal(&[4, 16, 32, 32], 0.0, 1.0, &mut rng_);
     h.bench("conv2d/forward_4x16x32x32", || {
         black_box(conv.forward(black_box(&x), Mode::Eval).unwrap());
+    });
+    // the input-gradient pair of the row above: Eval forward plus backward
+    let dy = rng::normal(&[4, 32, 32, 32], 0.0, 1.0, &mut rng_);
+    h.bench("conv2d/input_grad_4x16x32x32", || {
+        conv.forward(black_box(&x), Mode::Eval).unwrap();
+        black_box(conv.backward(black_box(&dy)).unwrap());
+    });
+    // VGG19's last stage at width 0.0625: 32 channels on a 2×2 map, at the
+    // attack evaluation's batch of 50
+    let mut last = Conv2d::new(32, 32, 3, 1, 1, &mut rng_).unwrap();
+    let x = rng::normal(&[50, 32, 2, 2], 0.0, 1.0, &mut rng_);
+    let dy = rng::normal(&[50, 32, 2, 2], 0.0, 1.0, &mut rng_);
+    h.bench("conv2d/input_grad_50x32x2x2", || {
+        last.forward(black_box(&x), Mode::Eval).unwrap();
+        black_box(last.backward(black_box(&dy)).unwrap());
     });
 }
 
@@ -152,7 +167,7 @@ fn bench_fig4_probe(h: &mut Harness) {
 fn main() {
     let mut h = Harness::from_env();
     bench_matmul(&mut h);
-    bench_conv_forward(&mut h);
+    bench_conv(&mut h);
     bench_mesh_solvers(&mut h);
     bench_crossbar_programming(&mut h);
     bench_bit_error_injection(&mut h);

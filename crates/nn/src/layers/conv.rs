@@ -1,9 +1,25 @@
 use crate::layer::{HookCell, Layer, Mode};
-use crate::util::{par_items2_mut, par_map_reduce, ErrCell};
+use crate::util::{par_groups_mut, par_map_reduce, ErrCell};
 use crate::{NnError, Param};
 use ahw_tensor::ops::{self, ConvGeometry};
 use ahw_tensor::rng::Rng;
 use ahw_tensor::{rng, Tensor, Workspace};
+
+/// Columns of one lowered GEMM panel. A batch is lowered
+/// `max(1, PANEL_COLS / span)` consecutive images at a time, side by side,
+/// so a layer with a small output map (the 4×4 and 2×2 stages of a CIFAR
+/// network) still runs one GEMM hundreds of columns wide instead of one
+/// 16- or 4-column GEMM per image. A layer whose span is at least this
+/// wide runs one image per panel.
+const PANEL_COLS: usize = 512;
+
+/// Images per panel for a batch of `n` images of `span` output positions:
+/// the fewest panels of at most `max(1, PANEL_COLS / span)` images, with
+/// the images spread evenly over them so no panel is a short straggler.
+fn panel_images(n: usize, span: usize) -> usize {
+    let panels = n.div_ceil((PANEL_COLS / span).max(1));
+    n.div_ceil(panels.max(1)).max(1)
+}
 
 /// 2-D convolution with square kernels, implemented as `im2col` + GEMM.
 ///
@@ -12,6 +28,13 @@ use ahw_tensor::{rng, Tensor, Workspace};
 /// its tiles, so software and hardware paths share one layout.
 ///
 /// Input/output tensors are `(N, C, H, W)`.
+///
+/// A batch is lowered in column panels of consecutive images, about 512
+/// columns wide: panel `p` is a `(C·k·k) × (images·span)` matrix with
+/// image `j`'s columns at offset `j·span`, and one GEMM per panel computes
+/// every image's output. A GEMM element's accumulation order depends only
+/// on the inner dimension, never on the column count, so outputs and
+/// gradients are the bits a one-image-at-a-time lowering produces.
 #[derive(Clone)]
 pub struct Conv2d {
     weight: Param,
@@ -22,11 +45,11 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     hook: HookCell,
-    /// The `(n · patch · span)` im2col columns computed during
-    /// `forward_ws` and the forward's mode. After a `Train` forward,
-    /// `backward_ws` reuses them for `dL/dW` instead of re-lowering every
-    /// input; either way it then overwrites them in place with `dcols` for
-    /// `dL/dx`.
+    /// The batch's im2col panels, `n · patch · span` elements laid out
+    /// panel after panel, from `forward_ws`, and the forward's mode. After
+    /// a `Train` forward, `backward_ws` reads them for `dL/dW` instead of
+    /// re-lowering every input; either way it then overwrites each panel in
+    /// place with its `dcols` for `dL/dx`.
     cache: Option<(Vec<f32>, ConvGeometry, usize, Mode)>,
 }
 
@@ -126,10 +149,11 @@ impl Conv2d {
         Ok(g)
     }
 
-    /// Backward from the forward's cached im2col columns. After a `Train`
-    /// forward, `dL/dW` reads them first; `dL/dx` then overwrites them in
-    /// place with `dcols` before scattering back to input geometry, so the
-    /// whole backward needs exactly one extra workspace buffer (for `dx`).
+    /// Backward from the forward's cached im2col panels. After a `Train`
+    /// forward, `dL/dW` reads them first; `dL/dx` then overwrites each panel
+    /// in place with its `dcols` before scattering back to input geometry,
+    /// so the whole backward needs two extra workspace buffers: `dx` and
+    /// the panel-ordered copy of `dY`.
     fn backward_from_cols(
         &mut self,
         grad_out: &Tensor,
@@ -151,10 +175,13 @@ impl Conv2d {
         }
         let dyv = grad_out.as_slice();
         let oc = self.out_channels;
+        let per = panel_images(n, span);
 
-        // pass 1: dL/dW, dL/db from the cached columns (must run before the
-        // dx pass overwrites them). Items fold into fixed chunks in chunk
-        // order, so gradients are bit-identical at any thread count.
+        // pass 1: dL/dW, dL/db from the cached panels (must run before the
+        // dx pass overwrites them). Each image's weight gradient is one dot
+        // product per element over its own column block, and images fold
+        // into fixed chunks in chunk order, so gradients are bit-identical
+        // at any thread count and any panel width.
         if mode == Mode::Train {
             let colsv = &cols[..];
             let err = ErrCell::new();
@@ -171,8 +198,12 @@ impl Conv2d {
                 |i, (dw, db, dwi)| {
                     err.run(i, || {
                         let dyi = &dyv[i * item_out..(i + 1) * item_out];
-                        let ci = &colsv[i * item_cols..(i + 1) * item_cols];
-                        ops::matmul_transb_slices(dyi, ci, oc, span, patch, dwi)?;
+                        // image i is column block j of the panel starting at
+                        // image `first`, which holds `images` images
+                        let first = i / per * per;
+                        let images = (first + per).min(n) - first;
+                        let ci = &colsv[first * item_cols + (i - first) * span..];
+                        ops::matmul_transb_slices(dyi, ci, images * span, oc, span, patch, dwi)?;
                         for (a, b) in dw.iter_mut().zip(dwi.iter()) {
                             *a += b;
                         }
@@ -204,20 +235,51 @@ impl Conv2d {
             }
         }
 
-        // pass 2: dL/dx per item; dcols reuses the column buffer in place
+        // pass 2: dL/dx per panel. One GEMM writes the panel's dcols over
+        // its cached columns from dY in the panel's (oc × images·span)
+        // layout, and each image scatters from its column block. A
+        // one-image panel reads its dY where it is; a wider one gathers it.
         let mut dx = ws.take(n * item_in);
+        let gathered = if per > 1 { item_out } else { 0 };
+        let mut dy_panels = ws.take(n * gathered);
         let wv = self.weight.value.as_slice();
         let err = ErrCell::new();
-        par_items2_mut(&mut dx, item_in, &mut cols, item_cols, |i, dxi, ci| {
-            err.run(i, || {
-                let dyi = &dyv[i * item_out..(i + 1) * item_out];
-                ops::matmul_transa_slices(wv, dyi, patch, oc, span, ci)?;
-                ops::col2im_slices(ci, &g, dxi)?;
-                Ok::<(), NnError>(())
-            });
-        });
+        par_groups_mut(
+            n,
+            per,
+            [
+                (&mut dx, item_in),
+                (&mut cols, item_cols),
+                (&mut dy_panels, gathered),
+            ],
+            |p, images, [dxp, panel, dyp]| {
+                err.run(p, || {
+                    let width = images.len() * span;
+                    let dy = if images.len() == 1 {
+                        &dyv[images.start * item_out..images.end * item_out]
+                    } else {
+                        for (j, i) in images.clone().enumerate() {
+                            let dyi = &dyv[i * item_out..(i + 1) * item_out];
+                            for (c, src) in dyi.chunks_exact(span).enumerate() {
+                                dyp[c * width + j * span..][..span].copy_from_slice(src);
+                            }
+                        }
+                        &*dyp
+                    };
+                    ops::matmul_transa_slices(wv, dy, patch, oc, width, panel)?;
+                    // by index, not `chunks_exact_mut`: a zero-area input
+                    // has `item_in == 0` and an empty gradient per image
+                    for j in 0..images.len() {
+                        let dxi = &mut dxp[j * item_in..(j + 1) * item_in];
+                        ops::col2im_slices(&panel[j * span..], width, &g, dxi)?;
+                    }
+                    Ok::<(), NnError>(())
+                });
+            },
+        );
         let res = err.into_result();
         ws.recycle(cols);
+        ws.recycle(dy_panels);
         if let Err(e) = res {
             ws.recycle(dx);
             return Err(e);
@@ -245,23 +307,56 @@ impl Layer for Conv2d {
         }
         let mut out = ws.take(n * item_out);
         let mut cols = ws.take(n * item_cols);
+        let per = panel_images(n, span);
+        // a one-image panel's product already has its output's (oc, span)
+        // layout; wider panels multiply into scratch and scatter from it
+        let scratch = if per > 1 { item_out } else { 0 };
+        let mut products = ws.take(n * scratch);
         let xv = x.as_slice();
         let wv = self.weight.value.as_slice();
         let bias = self.bias.value.as_slice();
         let oc = self.out_channels;
         let err = ErrCell::new();
-        par_items2_mut(&mut out, item_out, &mut cols, item_cols, |i, out_i, ci| {
-            err.run(i, || {
-                ops::im2col_slices(&xv[i * item_in..(i + 1) * item_in], &g, ci)?;
-                ops::matmul_slices(wv, ci, oc, patch, span, out_i)?;
-                for (c, b) in bias.iter().enumerate() {
-                    for v in &mut out_i[c * span..(c + 1) * span] {
-                        *v += b;
+        par_groups_mut(
+            n,
+            per,
+            [
+                (&mut out, item_out),
+                (&mut cols, item_cols),
+                (&mut products, scratch),
+            ],
+            |p, images, [outp, panel, prod]| {
+                err.run(p, || {
+                    let width = images.len() * span;
+                    for (j, i) in images.clone().enumerate() {
+                        let xi = &xv[i * item_in..(i + 1) * item_in];
+                        ops::im2col_slices(xi, &g, &mut panel[j * span..], width)?;
                     }
-                }
-                Ok::<(), NnError>(())
-            });
-        });
+                    if images.len() == 1 {
+                        ops::matmul_slices(wv, panel, oc, patch, span, outp)?;
+                        for (o, &b) in outp.chunks_exact_mut(span).zip(bias) {
+                            for v in o {
+                                *v += b;
+                            }
+                        }
+                        return Ok(());
+                    }
+                    ops::matmul_slices(wv, panel, oc, patch, width, prod)?;
+                    // scatter the (oc × images·span) product back to
+                    // (images, oc, span), adding the bias on the way
+                    for (j, outi) in outp.chunks_exact_mut(item_out).enumerate() {
+                        for ((c, o), &b) in outi.chunks_exact_mut(span).enumerate().zip(bias) {
+                            let src = &prod[c * width + j * span..][..span];
+                            for (v, &y) in o.iter_mut().zip(src) {
+                                *v = y + b;
+                            }
+                        }
+                    }
+                    Ok::<(), NnError>(())
+                });
+            },
+        );
+        ws.recycle(products);
         if let Err(e) = err.into_result() {
             ws.recycle(out);
             ws.recycle(cols);
@@ -485,5 +580,153 @@ mod tests {
         let hooked = conv.forward(&x, Mode::Eval).unwrap();
         assert_eq!(hooked.scale(-1.0), plain);
         assert!(conv.set_hook(HookSlot::BlockConv1, None).is_err());
+    }
+
+    /// Direct convolution of `conv` over `x`, by definition, returning
+    /// `(y, dx)`: the output and the input gradient for output gradient
+    /// `dy`.
+    fn direct_conv(conv: &Conv2d, x: &Tensor, dy: &Tensor) -> (Vec<f32>, Vec<f32>) {
+        let [n, c, h, w] = [x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]];
+        let (k, s, p, oc) = (conv.kernel, conv.stride, conv.padding, conv.out_channels);
+        let (oh, ow) = ((h + 2 * p - k) / s + 1, (w + 2 * p - k) / s + 1);
+        let (wv, bv) = (conv.weight().as_slice(), conv.bias().as_slice());
+        let mut y = vec![0.0f32; n * oc * oh * ow];
+        let mut dx = vec![0.0f32; x.len()];
+        for b in 0..n {
+            for o in 0..oc {
+                for (oy, ox) in (0..oh).flat_map(|oy| (0..ow).map(move |ox| (oy, ox))) {
+                    let at = ((b * oc + o) * oh + oy) * ow + ox;
+                    let mut acc = bv[o];
+                    for (ci, ky, kx) in (0..c).flat_map(|ci| {
+                        (0..k).flat_map(move |ky| (0..k).map(move |kx| (ci, ky, kx)))
+                    }) {
+                        let iy = (oy * s + ky) as isize - p as isize;
+                        let ix = (ox * s + kx) as isize - p as isize;
+                        if (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix) {
+                            let px = ((b * c + ci) * h + iy as usize) * w + ix as usize;
+                            let wt = wv[o * c * k * k + (ci * k + ky) * k + kx];
+                            acc += wt * x.as_slice()[px];
+                            dx[px] += wt * dy.as_slice()[at];
+                        }
+                    }
+                    y[at] = acc;
+                }
+            }
+        }
+        (y, dx)
+    }
+
+    #[test]
+    fn padding_wider_than_the_image_matches_direct_convolution() {
+        // A 1×1 input under a 5×5 kernel with padding 2 (and its neighbours):
+        // most taps read only padding. The stride-1 lowering used to
+        // underflow computing the tap's span for kx = 4. The last case has
+        // no pixels at all: every output is the bias and dx is empty.
+        let close = |a: &[f32], b: &[f32]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(u, v)| (u - v).abs() <= 1e-4)
+        };
+        for (dims, kernel, stride, padding) in [
+            ([1usize, 1, 1, 1], 5usize, 1usize, 2usize),
+            ([2, 2, 1, 3], 5, 1, 2),
+            ([2, 1, 2, 1], 5, 2, 2),
+            ([3, 2, 3, 2], 3, 2, 1),
+            ([3, 2, 0, 0], 1, 1, 1),
+        ] {
+            let mut r = seeded(12);
+            let mut conv = Conv2d::new(dims[1], 2, kernel, stride, padding, &mut r).unwrap();
+            conv.bias.value = ahw_tensor::rng::normal(&[2], 0.0, 1.0, &mut r);
+            let x = ahw_tensor::rng::normal(&dims, 0.0, 1.0, &mut r);
+            let y = conv.forward(&x, Mode::Eval).unwrap();
+            let dy = ahw_tensor::rng::normal(y.dims(), 0.0, 1.0, &mut r);
+            let dx = conv.backward(&dy).unwrap();
+            let (y_ref, dx_ref) = direct_conv(&conv, &x, &dy);
+            assert!(close(y.as_slice(), &y_ref), "forward {dims:?} k{kernel}");
+            assert!(close(dx.as_slice(), &dx_ref), "backward {dims:?} k{kernel}");
+        }
+    }
+
+    /// Square input sizes whose 3×3 same-padded span is below, at, and
+    /// above [`PANEL_COLS`] per image, with `g` images per full panel.
+    fn panel_cases() -> Vec<(usize, usize)> {
+        [2usize, 8, 32]
+            .into_iter()
+            .map(|size| (size, (PANEL_COLS / (size * size)).max(1)))
+            .collect()
+    }
+
+    /// Bit patterns of a tensor.
+    fn bits(t: &[f32]) -> Vec<u32> {
+        t.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn panel_outputs_and_input_grads_match_one_image_batches() {
+        for (size, g) in panel_cases() {
+            let mut batches = vec![1, g.saturating_sub(1), g, g + 1, 2 * g + 3];
+            batches.retain(|&n| n > 0);
+            batches.dedup();
+            let mut r = seeded(size as u64);
+            let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut r).unwrap();
+            conv.bias.value = ahw_tensor::rng::normal(&[3], 0.0, 1.0, &mut r);
+            for n in batches {
+                let x = ahw_tensor::rng::normal(&[n, 2, size, size], 0.0, 1.0, &mut r);
+                let dy = ahw_tensor::rng::normal(&[n, 3, size, size], 0.0, 1.0, &mut r);
+                let y = conv.forward(&x, Mode::Eval).unwrap();
+                let dx = conv.backward(&dy).unwrap();
+                let (item_in, item_out) = (2 * size * size, 3 * size * size);
+                for i in 0..n {
+                    let xi = &x.as_slice()[i * item_in..(i + 1) * item_in];
+                    let dyi = &dy.as_slice()[i * item_out..(i + 1) * item_out];
+                    let yi = conv
+                        .forward(
+                            &Tensor::from_vec(xi.to_vec(), &[1, 2, size, size]).unwrap(),
+                            Mode::Eval,
+                        )
+                        .unwrap();
+                    let dxi = conv
+                        .backward(&Tensor::from_vec(dyi.to_vec(), &[1, 3, size, size]).unwrap())
+                        .unwrap();
+                    let what = format!("{size}x{size}, image {i} of {n} (g = {g})");
+                    assert_eq!(
+                        bits(&y.as_slice()[i * item_out..(i + 1) * item_out]),
+                        bits(yi.as_slice()),
+                        "forward {what}"
+                    );
+                    assert_eq!(
+                        bits(&dx.as_slice()[i * item_in..(i + 1) * item_in]),
+                        bits(dxi.as_slice()),
+                        "input gradient {what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panel_param_grads_are_thread_count_invariant() {
+        use ahw_tensor::pool::set_thread_override;
+        for (size, g) in panel_cases() {
+            let n = 2 * g + 3;
+            let mut r = seeded(20 + size as u64);
+            let conv = Conv2d::new(2, 3, 3, 1, 1, &mut r).unwrap();
+            let x = ahw_tensor::rng::normal(&[n, 2, size, size], 0.0, 1.0, &mut r);
+            let dy = ahw_tensor::rng::normal(&[n, 3, size, size], 0.0, 1.0, &mut r);
+            let grads = |threads: usize| {
+                let mut c = conv.clone();
+                set_thread_override(Some(threads));
+                c.forward(&x, Mode::Train).unwrap();
+                c.backward(&dy).unwrap();
+                set_thread_override(None);
+                (bits(c.weight.grad.as_slice()), bits(c.bias.grad.as_slice()))
+            };
+            let reference = grads(1);
+            for threads in [2usize, 4, 7] {
+                assert_eq!(
+                    grads(threads),
+                    reference,
+                    "{size}x{size}, n = {n}: dW/db differ at {threads} threads"
+                );
+            }
+        }
     }
 }

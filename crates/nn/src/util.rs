@@ -1,11 +1,13 @@
 //! Batch-level parallelism helpers built on the shared worker pool.
 //!
 //! The convolution and linear layers dominate both training and hardware
-//! simulation time; they parallelize over batch items with these utilities.
+//! simulation time; they parallelize over batch items, or groups of them,
+//! with these utilities.
 //! All of them run on [`ahw_tensor::pool`] — the process-wide persistent
 //! worker pool — so no per-batch thread spawning happens anywhere in the
 //! workspace (which is std-only: no rayon, no crossbeam).
 
+use std::ops::Range;
 use std::sync::Mutex;
 
 use ahw_tensor::pool;
@@ -16,29 +18,34 @@ use ahw_tensor::pool;
 /// `AHW_THREADS`.
 const MAP_REDUCE_CHUNKS: usize = 16;
 
-/// Runs `f(i, a_item, b_item)` for every item index `i` of two buffers
-/// partitioned by the same item count, distributing contiguous runs of items
-/// across the worker pool. The conv layer uses this to fill an output buffer
-/// and an `im2col` column cache (or read one and write the other) in a
-/// single parallel pass.
-///
-/// `a.len()` must be a multiple of `a_item`, and `b` must hold the same
-/// number of `b_item`-sized items.
+/// Splits a batch of `n` items into consecutive groups of `per` items (the
+/// last group may be shorter) and runs `f(group, items, parts)` for every
+/// group on the worker pool. `bufs[k]` is a buffer of `n` items of
+/// `bufs[k].1` elements each, and `parts[k]` is the group's contiguous share
+/// of it. The conv layer uses this to hand each column panel its input or
+/// output images, its block of the column cache and its GEMM scratch in one
+/// parallel pass.
 ///
 /// # Panics
 ///
-/// Panics if a worker task panics.
-pub fn par_items2_mut<F>(a: &mut [f32], a_item: usize, b: &mut [f32], b_item: usize, f: F)
-where
-    F: Fn(usize, &mut [f32], &mut [f32]) + Sync,
+/// Panics if a buffer does not hold exactly `n` items, or if a worker task
+/// panics.
+pub(crate) fn par_groups_mut<const K: usize, F>(
+    n: usize,
+    per: usize,
+    bufs: [(&mut [f32], usize); K],
+    f: F,
+) where
+    F: Fn(usize, Range<usize>, [&mut [f32]; K]) + Sync,
 {
-    if a_item == 0 || b_item == 0 || a.is_empty() {
-        return;
+    for (buf, item) in &bufs {
+        assert_eq!(buf.len(), n * item, "par_groups_mut: buffer is not n items");
     }
-    debug_assert_eq!(a.len() % a_item, 0);
-    let n = a.len() / a_item;
-    debug_assert_eq!(b.len(), n * b_item);
+    let per = per.max(1);
     struct Ptr(*mut f32);
+    // SAFETY: the pointer is only dereferenced inside `parallel_for_ranges`,
+    // which joins every task before the borrows it came from end, and each
+    // task touches only its own group's disjoint range of every buffer.
     unsafe impl Send for Ptr {}
     unsafe impl Sync for Ptr {}
     impl Ptr {
@@ -48,16 +55,22 @@ where
             self.0
         }
     }
-    let pa = Ptr(a.as_mut_ptr());
-    let pb = Ptr(b.as_mut_ptr());
-    pool::parallel_for_ranges(n, 1, |r| {
-        for i in r {
-            // SAFETY: items partition both slices disjointly by index, the
-            // borrows end before `parallel_for_ranges` returns, and the
-            // closure only touches its own item's ranges.
-            let ai = unsafe { std::slice::from_raw_parts_mut(pa.get().add(i * a_item), a_item) };
-            let bi = unsafe { std::slice::from_raw_parts_mut(pb.get().add(i * b_item), b_item) };
-            f(i, ai, bi);
+    let bases = bufs.map(|(buf, item)| (Ptr(buf.as_mut_ptr()), item));
+    pool::parallel_for_ranges(n.div_ceil(per), 1, |groups| {
+        for group in groups {
+            let items = group * per..((group + 1) * per).min(n);
+            let parts = bases.each_ref().map(|(base, item)| {
+                // SAFETY: every buffer holds `n · item` elements (asserted
+                // above) and groups partition `0..n`, so each part is an
+                // in-bounds view no other task aliases.
+                unsafe {
+                    std::slice::from_raw_parts_mut(
+                        base.get().add(items.start * item),
+                        items.len() * item,
+                    )
+                }
+            });
+            f(group, items, parts);
         }
     });
 }
@@ -165,23 +178,46 @@ mod tests {
     use ahw_tensor::pool::set_thread_override;
 
     #[test]
-    fn par_items2_mut_handles_empty() {
+    fn par_groups_mut_handles_empty() {
         let (mut a, mut b): (Vec<f32>, Vec<f32>) = (vec![], vec![]);
-        par_items2_mut(&mut a, 4, &mut b, 2, |_, _, _| panic!("must not run"));
+        par_groups_mut(0, 3, [(&mut a, 4), (&mut b, 2)], |_, _, _| {
+            panic!("must not run")
+        });
     }
 
     #[test]
-    fn par_items2_mut_partitions_both_buffers() {
-        let mut a = vec![0.0f32; 5 * 2];
-        let mut b = vec![0.0f32; 5 * 3];
-        par_items2_mut(&mut a, 2, &mut b, 3, |i, ai, bi| {
-            ai.fill(i as f32);
-            bi.fill(-(i as f32));
-        });
-        for i in 0..5 {
+    fn par_groups_mut_partitions_every_buffer() {
+        let mut a = vec![0.0f32; 7 * 2];
+        let mut b = vec![0.0f32; 7 * 3];
+        set_thread_override(Some(4));
+        par_groups_mut(
+            7,
+            3,
+            [(&mut a, 2), (&mut b, 3)],
+            |group, items, [ag, bg]| {
+                assert_eq!(items.start, group * 3);
+                assert_eq!(ag.len(), items.len() * 2);
+                assert_eq!(bg.len(), items.len() * 3);
+                for (j, i) in items.enumerate() {
+                    ag[j * 2..(j + 1) * 2].fill(i as f32);
+                    bg[j * 3..(j + 1) * 3].fill(-(group as f32));
+                }
+            },
+        );
+        set_thread_override(None);
+        for i in 0..7 {
             assert!(a[i * 2..(i + 1) * 2].iter().all(|&v| v == i as f32));
-            assert!(b[i * 3..(i + 1) * 3].iter().all(|&v| v == -(i as f32)));
+            assert!(b[i * 3..(i + 1) * 3]
+                .iter()
+                .all(|&v| v == -((i / 3) as f32)));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "not n items")]
+    fn par_groups_mut_rejects_a_short_buffer() {
+        let mut a = vec![0.0f32; 5];
+        par_groups_mut(3, 1, [(&mut a, 2)], |_, _, _| {});
     }
 
     #[test]

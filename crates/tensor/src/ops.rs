@@ -22,9 +22,20 @@
 //!   checked out of a [`crate::Workspace`];
 //! - a [`Tensor`] wrapper (`matmul`) that checks shapes and returns a
 //!   fresh tensor.
+//!
+//! The cores that touch a convolution's column matrix — [`im2col_slices`],
+//! [`col2im_slices`] and [`matmul_transb_slices`] — take that matrix's row
+//! pitch `ld` (elements from one row's start to the next's). With
+//! `ld = span` the matrix is dense, which is what the `Tensor` wrappers
+//! pass. A wider `ld` addresses one image's `span`-column block inside a
+//! panel that holds several images side by side: the core reads or writes
+//! only that block and leaves the other columns untouched, so a layer can
+//! lower many images into one GEMM operand. No element's arithmetic
+//! depends on `ld`.
 
 use crate::{pool, Tensor, TensorError};
 use ahw_telemetry as telemetry;
+use std::ops::Range;
 
 /// Multiply–accumulate work done by the GEMM kernels (`2·m·n·k` per call).
 static GEMM_FLOPS: telemetry::LazyCounter = telemetry::LazyCounter::new("tensor.ops.gemm_flops");
@@ -141,6 +152,25 @@ fn require_len(len: usize, expected: usize) -> Result<(), TensorError> {
         });
     }
     Ok(())
+}
+
+/// Checks that a `rows × cols` matrix with row pitch `ld` fits in a slice
+/// of `len` elements and returns the extent it spans, `(rows − 1)·ld + cols`
+/// (the last row needs no padding after it).
+fn pitched_extent(len: usize, rows: usize, cols: usize, ld: usize) -> Result<usize, TensorError> {
+    if ld < cols {
+        return Err(TensorError::InvalidArgument(format!(
+            "row pitch {ld} is shorter than a {cols}-column row"
+        )));
+    }
+    let extent = if rows == 0 { 0 } else { (rows - 1) * ld + cols };
+    if len < extent {
+        return Err(TensorError::LengthMismatch {
+            expected: extent,
+            actual: len,
+        });
+    }
+    Ok(extent)
 }
 
 /// Validates the operand ranks/shapes shared by the `matmul*` entry points
@@ -280,20 +310,6 @@ pub fn matmul_slices(
     Ok(())
 }
 
-/// Core of [`matmul_transb`]. Fully overwrites `out` (no pre-zero needed).
-fn matmul_transb_kernel(av: &[f32], bv: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    let _span = telemetry::span_labeled("tensor.ops.matmul_transb", || format!("{m}x{k}x{n}"));
-    count_gemm(m, n, k);
-    pool::par_row_chunks_mut(out, n, par_min_rows(k * n), |first, orows| {
-        for (r, orow) in orows.chunks_mut(n).enumerate() {
-            let arow = &av[(first + r) * k..(first + r + 1) * k];
-            for (j, o) in orow.iter_mut().enumerate() {
-                *o = dot4(arow, &bv[j * k..(j + 1) * k]);
-            }
-        }
-    });
-}
-
 /// `a (m×k) · bᵀ` where `b` is stored `(n×k)` — i.e. GEMM with the right-hand
 /// operand logically transposed, without materializing the transpose.
 ///
@@ -307,28 +323,42 @@ fn matmul_transb_kernel(av: &[f32], bv: &[f32], m: usize, k: usize, n: usize, ou
 pub fn matmul_transb(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let (m, k, n) = gemm_dims(a, b, "matmul_transb", false, true)?;
     let mut out = vec![0.0f32; m * n];
-    matmul_transb_kernel(a.as_slice(), b.as_slice(), m, k, n, &mut out);
+    matmul_transb_slices(a.as_slice(), b.as_slice(), k, m, k, n, &mut out)?;
     Tensor::from_vec(out, &[m, n])
 }
 
-/// [`matmul_transb`] on raw slices (`a` is `(m×k)`, `b` is stored `(n×k)`).
+/// [`matmul_transb`] on raw slices: `a` is `(m×k)`, and `b` holds `n` rows
+/// of `k` elements with row pitch `ldb` (`ldb = k` for a dense `(n×k)`
+/// matrix). Fully overwrites `out`; every element is one split-accumulator
+/// dot product of `k` terms, whatever `ldb` is.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::LengthMismatch`] if any slice length disagrees
-/// with `(m, k, n)`.
+/// Returns [`TensorError::LengthMismatch`] if `a` or `out` disagrees with
+/// `(m, k, n)` or `b` is shorter than its pitched extent, and
+/// [`TensorError::InvalidArgument`] if `ldb < k`.
 pub fn matmul_transb_slices(
     a: &[f32],
     b: &[f32],
+    ldb: usize,
     m: usize,
     k: usize,
     n: usize,
     out: &mut [f32],
 ) -> Result<(), TensorError> {
     require_len(a.len(), m * k)?;
-    require_len(b.len(), n * k)?;
+    pitched_extent(b.len(), n, k, ldb)?;
     require_len(out.len(), m * n)?;
-    matmul_transb_kernel(a, b, m, k, n, out);
+    let _span = telemetry::span_labeled("tensor.ops.matmul_transb", || format!("{m}x{k}x{n}"));
+    count_gemm(m, n, k);
+    pool::par_row_chunks_mut(out, n, par_min_rows(k * n), |first, orows| {
+        for (r, orow) in orows.chunks_mut(n).enumerate() {
+            let arow = &a[(first + r) * k..(first + r + 1) * k];
+            for (j, o) in orow.iter_mut().enumerate() {
+                *o = dot4(arow, &b[j * ldb..j * ldb + k]);
+            }
+        }
+    });
     Ok(())
 }
 
@@ -467,49 +497,24 @@ impl ConvGeometry {
     }
 }
 
-/// Core of [`im2col`]: gathers into `out`, which the caller must have zeroed
-/// (padding positions are skipped, not written).
-fn im2col_kernel(inp: &[f32], g: &ConvGeometry, out: &mut [f32]) {
-    let (oh, ow) = (g.out_height(), g.out_width());
-    let cols = oh * ow;
-    let _span = telemetry::span("tensor.ops.im2col");
-    IM2COL_ELEMS.add((g.patch_len() * cols) as u64);
-    // Each patch row (c, ky, kx) gathers into a disjoint output row, so the
-    // rows partition freely over the pool.
-    pool::par_row_chunks_mut(out, cols, par_min_rows(cols), |first, orows| {
-        for (r, orow) in orows.chunks_mut(cols).enumerate() {
-            let row = first + r;
-            let c = row / (g.kernel * g.kernel);
-            let ky = (row / g.kernel) % g.kernel;
-            let kx = row % g.kernel;
-            let plane = &inp[c * g.height * g.width..(c + 1) * g.height * g.width];
-            for oy in 0..oh {
-                let iy = (oy * g.stride + ky) as isize - g.padding as isize;
-                if iy < 0 || iy >= g.height as isize {
-                    continue;
-                }
-                let irow = &plane[iy as usize * g.width..(iy as usize + 1) * g.width];
-                if g.stride == 1 {
-                    // contiguous span: ix = ox + kx - padding stays in range
-                    // for ox in [pad-kx, width-1+pad-kx] ∩ [0, ow)
-                    let lo = g.padding.saturating_sub(kx);
-                    let hi = (g.width + g.padding - kx).min(ow);
-                    if lo < hi {
-                        let src = lo + kx - g.padding;
-                        orow[oy * ow + lo..oy * ow + hi]
-                            .copy_from_slice(&irow[src..src + (hi - lo)]);
-                    }
-                } else {
-                    for ox in 0..ow {
-                        let ix = (ox * g.stride + kx) as isize - g.padding as isize;
-                        if ix >= 0 && ix < g.width as isize {
-                            orow[oy * ow + ox] = irow[ix as usize];
-                        }
-                    }
-                }
-            }
+/// Output positions `o` in `0..out_len` whose kernel tap `k` reads a real
+/// pixel, i.e. `o·stride + k − padding` lies in `0..extent`, along one axis
+/// of `g`. The range is empty when the tap only ever reads padding, and
+/// every index in it keeps `o·stride + k ≥ padding`, so subtracting the
+/// padding cannot underflow.
+fn tap_range(k: usize, extent: usize, out_len: usize, g: &ConvGeometry) -> Range<usize> {
+    // the lowering cores call this once per patch row: keep the common
+    // stride-1 case free of integer division
+    let steps = |len: usize| {
+        if g.stride == 1 {
+            len
+        } else {
+            len.div_ceil(g.stride)
         }
-    });
+    };
+    let end = steps((extent + g.padding).saturating_sub(k)).min(out_len);
+    let start = steps(g.padding.saturating_sub(k)).min(end);
+    start..end
 }
 
 /// Lowers a `(C, H, W)` image to a `(C·K·K, OH·OW)` patch matrix so that
@@ -528,70 +533,80 @@ pub fn im2col(input: &Tensor, g: &ConvGeometry) -> Result<Tensor, TensorError> {
             rhs: vec![g.channels, g.height, g.width],
         });
     }
-    let cols = g.out_height() * g.out_width();
-    let mut out = vec![0.0f32; g.patch_len() * cols];
-    im2col_kernel(input.as_slice(), g, &mut out);
-    Tensor::from_vec(out, &[g.patch_len(), cols])
+    let span = g.out_height() * g.out_width();
+    let mut out = vec![0.0f32; g.patch_len() * span];
+    im2col_slices(input.as_slice(), g, &mut out, span)?;
+    Tensor::from_vec(out, &[g.patch_len(), span])
 }
 
-/// [`im2col`] on raw slices, for per-item calls inside pool tasks. Prior
-/// contents of `out` are discarded.
+/// [`im2col`] on raw slices: writes the image's `(C·K·K) × span` patch
+/// matrix into the first `span` columns of `out`, whose rows are `ld`
+/// elements apart (`ld = span` for a dense matrix). Every element of that
+/// block is overwritten, padding taps with zero, and nothing else in `out`
+/// is touched — so passing `&mut panel[j·span..]` with `ld = images·span`
+/// lowers image `j` into its column block of a multi-image panel.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::InvalidArgument`] for a degenerate geometry or
-/// [`TensorError::LengthMismatch`] for wrong slice lengths.
-pub fn im2col_slices(inp: &[f32], g: &ConvGeometry, out: &mut [f32]) -> Result<(), TensorError> {
+/// `ld < span`, and [`TensorError::LengthMismatch`] if `inp` does not hold
+/// one image or `out` is shorter than the pitched extent.
+pub fn im2col_slices(
+    inp: &[f32],
+    g: &ConvGeometry,
+    out: &mut [f32],
+    ld: usize,
+) -> Result<(), TensorError> {
     g.validate()?;
-    let cols = g.out_height() * g.out_width();
-    require_len(inp.len(), g.channels * g.height * g.width)?;
-    require_len(out.len(), g.patch_len() * cols)?;
-    out.fill(0.0);
-    im2col_kernel(inp, g, out);
-    Ok(())
-}
-
-/// Core of [`col2im`]: accumulates into `out`, which the caller must have
-/// zeroed.
-fn col2im_kernel(cv: &[f32], g: &ConvGeometry, out: &mut [f32]) {
     let (oh, ow) = (g.out_height(), g.out_width());
-    let cols = oh * ow;
-    let _span = telemetry::span("tensor.ops.col2im");
-    COL2IM_ELEMS.add((g.patch_len() * cols) as u64);
+    let span = oh * ow;
     let plane_len = g.height * g.width;
-    // Overlapping scatters stay within one channel plane, so channels are
-    // the natural disjoint partition; each plane keeps its serial
-    // (ky, kx, oy, ox) accumulation order at every thread count.
-    pool::par_row_chunks_mut(
-        out,
-        plane_len,
-        par_min_rows(g.kernel * g.kernel * cols),
-        |first, planes| {
-            for (pc, plane) in planes.chunks_mut(plane_len).enumerate() {
-                let c = first + pc;
-                let mut row = c * g.kernel * g.kernel;
-                for ky in 0..g.kernel {
-                    for kx in 0..g.kernel {
-                        let crow = &cv[row * cols..(row + 1) * cols];
-                        for oy in 0..oh {
-                            let iy = (oy * g.stride + ky) as isize - g.padding as isize;
-                            if iy < 0 || iy >= g.height as isize {
-                                continue;
-                            }
-                            for ox in 0..ow {
-                                let ix = (ox * g.stride + kx) as isize - g.padding as isize;
-                                if ix >= 0 && ix < g.width as isize {
-                                    plane[iy as usize * g.width + ix as usize] +=
-                                        crow[oy * ow + ox];
-                                }
-                            }
+    require_len(inp.len(), g.channels * plane_len)?;
+    let extent = pitched_extent(out.len(), g.patch_len(), span, ld)?;
+    let _span = telemetry::span("tensor.ops.im2col");
+    IM2COL_ELEMS.add((g.patch_len() * span) as u64);
+    // Each patch row (c, ky, kx) gathers into a disjoint output row, so the
+    // rows partition freely over the pool; the last row is short (the
+    // pitched extent ends `span` into it).
+    pool::par_pitched_rows_mut(
+        &mut out[..extent],
+        ld,
+        par_min_rows(span),
+        |first, orows| {
+            for (r, orow) in orows.chunks_mut(ld).enumerate() {
+                let row = first + r;
+                let c = row / (g.kernel * g.kernel);
+                let ky = (row / g.kernel) % g.kernel;
+                let kx = row % g.kernel;
+                let plane = &inp[c * plane_len..(c + 1) * plane_len];
+                // padding taps read zero: clear the row, then copy the taps
+                // that read real pixels
+                let orow = &mut orow[..span];
+                orow.fill(0.0);
+                let ys = tap_range(ky, g.height, oh, g);
+                let xs = tap_range(kx, g.width, ow, g);
+                if xs.is_empty() {
+                    continue;
+                }
+                // first input column the tap reads; in range by `tap_range`
+                let ix0 = xs.start * g.stride + kx - g.padding;
+                for oy in ys {
+                    let iy = oy * g.stride + ky - g.padding;
+                    let irow = &plane[iy * g.width..(iy + 1) * g.width];
+                    let o = &mut orow[oy * ow + xs.start..oy * ow + xs.end];
+                    if g.stride == 1 {
+                        // contiguous span of the input row
+                        o.copy_from_slice(&irow[ix0..ix0 + o.len()]);
+                    } else {
+                        for (v, &p) in o.iter_mut().zip(irow[ix0..].iter().step_by(g.stride)) {
+                            *v = p;
                         }
-                        row += 1;
                     }
                 }
             }
         },
     );
+    Ok(())
 }
 
 /// Scatters a `(C·K·K, OH·OW)` patch-gradient matrix back to a `(C, H, W)`
@@ -603,33 +618,88 @@ fn col2im_kernel(cv: &[f32], g: &ConvGeometry, out: &mut [f32]) {
 /// geometry, or [`TensorError::InvalidArgument`] for a degenerate geometry.
 pub fn col2im(cols_t: &Tensor, g: &ConvGeometry) -> Result<Tensor, TensorError> {
     g.validate()?;
-    let cols = g.out_height() * g.out_width();
-    if cols_t.dims() != [g.patch_len(), cols] {
+    let span = g.out_height() * g.out_width();
+    if cols_t.dims() != [g.patch_len(), span] {
         return Err(TensorError::ShapeMismatch {
             op: "col2im",
             lhs: cols_t.dims().to_vec(),
-            rhs: vec![g.patch_len(), cols],
+            rhs: vec![g.patch_len(), span],
         });
     }
     let mut out = vec![0.0f32; g.channels * g.height * g.width];
-    col2im_kernel(cols_t.as_slice(), g, &mut out);
+    col2im_slices(cols_t.as_slice(), span, g, &mut out)?;
     Tensor::from_vec(out, &[g.channels, g.height, g.width])
 }
 
-/// [`col2im`] on raw slices, for per-item calls inside pool tasks. Prior
-/// contents of `out` are discarded.
+/// [`col2im`] on raw slices: reads the `(C·K·K) × span` patch-gradient
+/// block at the start of `cols`, whose rows are `ld` elements apart
+/// (`ld = span` for a dense matrix), and writes the `(C, H, W)` image into
+/// `out`. Prior contents of `out` are discarded.
+///
+/// Every pixel accumulates its taps in ascending `(ky, kx)` order starting
+/// from zero, whatever `ld` is. At stride 1 each tap adds one contiguous
+/// run of an input row, the adjoint of [`im2col_slices`]' span copy.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::InvalidArgument`] for a degenerate geometry or
-/// [`TensorError::LengthMismatch`] for wrong slice lengths.
-pub fn col2im_slices(cv: &[f32], g: &ConvGeometry, out: &mut [f32]) -> Result<(), TensorError> {
+/// `ld < span`, and [`TensorError::LengthMismatch`] if `out` does not hold
+/// one image or `cols` is shorter than the pitched extent.
+pub fn col2im_slices(
+    cols: &[f32],
+    ld: usize,
+    g: &ConvGeometry,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
     g.validate()?;
-    let cols = g.out_height() * g.out_width();
-    require_len(cv.len(), g.patch_len() * cols)?;
-    require_len(out.len(), g.channels * g.height * g.width)?;
+    let (oh, ow) = (g.out_height(), g.out_width());
+    let span = oh * ow;
+    let plane_len = g.height * g.width;
+    pitched_extent(cols.len(), g.patch_len(), span, ld)?;
+    require_len(out.len(), g.channels * plane_len)?;
     out.fill(0.0);
-    col2im_kernel(cv, g, out);
+    let _span = telemetry::span("tensor.ops.col2im");
+    COL2IM_ELEMS.add((g.patch_len() * span) as u64);
+    // Overlapping scatters stay within one channel plane, so channels are
+    // the natural disjoint partition; within a plane a tap (ky, kx) reaches
+    // each pixel at most once, so looping taps outermost keeps every pixel's
+    // serial (ky, kx) accumulation order at every thread count.
+    pool::par_row_chunks_mut(
+        out,
+        plane_len,
+        par_min_rows(g.kernel * g.kernel * span),
+        |first, planes| {
+            for (pc, plane) in planes.chunks_mut(plane_len).enumerate() {
+                let c = first + pc;
+                for ky in 0..g.kernel {
+                    let ys = tap_range(ky, g.height, oh, g);
+                    for kx in 0..g.kernel {
+                        let xs = tap_range(kx, g.width, ow, g);
+                        if xs.is_empty() {
+                            continue;
+                        }
+                        let row = (c * g.kernel + ky) * g.kernel + kx;
+                        let crow = &cols[row * ld..row * ld + span];
+                        let ix0 = xs.start * g.stride + kx - g.padding;
+                        for oy in ys.clone() {
+                            let iy = oy * g.stride + ky - g.padding;
+                            let prow = &mut plane[iy * g.width..(iy + 1) * g.width];
+                            let src = &crow[oy * ow + xs.start..oy * ow + xs.end];
+                            if g.stride == 1 {
+                                for (d, &v) in prow[ix0..ix0 + src.len()].iter_mut().zip(src) {
+                                    *d += v;
+                                }
+                            } else {
+                                for (d, &v) in prow[ix0..].iter_mut().step_by(g.stride).zip(src) {
+                                    *d += v;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        },
+    );
     Ok(())
 }
 
@@ -883,7 +953,7 @@ mod tests {
                 "matmul_transa_slices",
             )?;
             out.fill(f32::NAN);
-            matmul_transb_slices(a.as_slice(), bt.as_slice(), m, k, n, &mut out).unwrap();
+            matmul_transb_slices(a.as_slice(), bt.as_slice(), k, m, k, n, &mut out).unwrap();
             ensure(
                 out == matmul_transb(&a, &bt).unwrap().as_slice(),
                 "matmul_transb_slices",
@@ -893,14 +963,15 @@ mod tests {
 
     #[test]
     fn conv_lowering_slices_match_tensor_wrappers_bitwise() {
-        check::cases(32).run("ops::conv_slices_equivalence", |g| {
+        check::cases(64).run("ops::conv_slices_equivalence", |g| {
+            let kernel = g.usize_in("kernel", 1, 6);
             let geo = ConvGeometry {
-                channels: g.usize_in("channels", 1, 3),
-                height: g.usize_in("height", 4, 9),
-                width: g.usize_in("width", 4, 9),
-                kernel: g.usize_in("kernel", 1, 4),
-                stride: g.usize_in("stride", 1, 3),
-                padding: g.usize_in("padding", 0, 2),
+                channels: g.usize_in("channels", 1, 4),
+                height: g.usize_in("height", 1, 10),
+                width: g.usize_in("width", 1, 10),
+                kernel,
+                stride: g.usize_in("stride", 1, 4),
+                padding: g.usize_in("padding", 0, kernel),
             };
             check::assume(geo.validate().is_ok())?;
             let seed = g.seed("seed");
@@ -909,13 +980,13 @@ mod tests {
             let span = geo.out_height() * geo.out_width();
             let cols = crate::rng::uniform(&[geo.patch_len(), span], -1.0, 1.0, &mut r);
             let mut cbuf = vec![f32::NAN; geo.patch_len() * span];
-            im2col_slices(x.as_slice(), &geo, &mut cbuf).unwrap();
+            im2col_slices(x.as_slice(), &geo, &mut cbuf, span).unwrap();
             ensure(
                 cbuf == im2col(&x, &geo).unwrap().as_slice(),
                 "im2col_slices",
             )?;
             let mut ibuf = vec![f32::NAN; geo.channels * geo.height * geo.width];
-            col2im_slices(cols.as_slice(), &geo, &mut ibuf).unwrap();
+            col2im_slices(cols.as_slice(), span, &geo, &mut ibuf).unwrap();
             ensure(
                 ibuf == col2im(&cols, &geo).unwrap().as_slice(),
                 "col2im_slices",
@@ -960,8 +1031,16 @@ mod tests {
             padding: 0,
         };
         let x = rand_tensor(&[1, 4, 4], 63);
-        assert!(im2col_slices(x.as_slice(), &g, &mut short).is_err());
-        assert!(col2im_slices(&short, &g, &mut [0.0; 16]).is_err());
+        assert!(im2col_slices(x.as_slice(), &g, &mut short, 4).is_err());
+        assert!(col2im_slices(&short, 4, &g, &mut [0.0; 16]).is_err());
+        // a pitch narrower than the 4-column span is rejected, not misread
+        let mut cols = vec![0.0f32; 9 * 4];
+        assert!(matches!(
+            im2col_slices(x.as_slice(), &g, &mut cols, 3),
+            Err(TensorError::InvalidArgument(_))
+        ));
+        assert!(col2im_slices(&cols, 3, &g, &mut [0.0; 16]).is_err());
+        assert!(matmul_transb_slices(a.as_slice(), &cols, 2, 2, 3, 4, &mut [0.0; 8]).is_err());
         assert!(cross_entropy_with_grad_slices(a.as_slice(), &[0, 1], 3, &mut short).is_err());
     }
 
@@ -1008,6 +1087,52 @@ mod tests {
         let cols = im2col(&x, &g).unwrap();
         assert_eq!(cols.dims(), &[2, 9]);
         assert_eq!(cols.as_slice(), x.as_slice());
+    }
+
+    #[test]
+    fn lowering_skips_taps_that_only_read_padding() {
+        // A 1-pixel-wide input under a 5-wide kernel with padding 2: taps
+        // kx = 3, 4 never reach a real column. The stride-1 span used to
+        // compute `width + padding - kx`, which underflowed for kx = 4.
+        for (h, w) in [(1usize, 1usize), (3, 1), (1, 2), (2, 3)] {
+            let g = ConvGeometry {
+                channels: 2,
+                height: h,
+                width: w,
+                kernel: 5,
+                stride: 1,
+                padding: 2,
+            };
+            let x = rand_tensor(&[2, h, w], 71);
+            let (oh, ow) = (g.out_height(), g.out_width());
+            let c = rand_tensor(&[g.patch_len(), oh * ow], 72);
+            let cols = im2col(&x, &g).unwrap();
+            let img = col2im(&c, &g).unwrap();
+            // naive gather and scatter, in col2im's (ky, kx) tap order
+            let mut dense = vec![0.0f32; g.patch_len() * oh * ow];
+            let mut scatter = vec![0.0f32; 2 * h * w];
+            for ch in 0..2 {
+                for ky in 0..5 {
+                    for kx in 0..5 {
+                        let row = (ch * 5 + ky) * 5 + kx;
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                let iy = (oy + ky) as isize - 2;
+                                let ix = (ox + kx) as isize - 2;
+                                if (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix) {
+                                    let px = (ch * h + iy as usize) * w + ix as usize;
+                                    let at = row * oh * ow + oy * ow + ox;
+                                    dense[at] = x.as_slice()[px];
+                                    scatter[px] += c.as_slice()[at];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(cols.as_slice(), &dense[..], "im2col {h}x{w}");
+            assert_eq!(img.as_slice(), &scatter[..], "col2im {h}x{w}");
+        }
     }
 
     #[test]
@@ -1060,36 +1185,6 @@ mod tests {
         }
         let got = y.at(&[1, oy * g.out_width() + ox]).unwrap();
         assert!((acc - got).abs() < 1e-4, "{acc} vs {got}");
-    }
-
-    #[test]
-    fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), c> == <x, col2im(c)> for random x, c — the defining
-        // property of an adjoint pair, which backprop relies on.
-        let g = ConvGeometry {
-            channels: 2,
-            height: 4,
-            width: 4,
-            kernel: 3,
-            stride: 1,
-            padding: 1,
-        };
-        let x = rand_tensor(&[2, 4, 4], 21);
-        let c = rand_tensor(&[g.patch_len(), g.out_height() * g.out_width()], 22);
-        let lhs: f32 = im2col(&x, &g)
-            .unwrap()
-            .as_slice()
-            .iter()
-            .zip(c.as_slice())
-            .map(|(a, b)| a * b)
-            .sum();
-        let rhs: f32 = x
-            .as_slice()
-            .iter()
-            .zip(col2im(&c, &g).unwrap().as_slice())
-            .map(|(a, b)| a * b)
-            .sum();
-        assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
 
     #[test]

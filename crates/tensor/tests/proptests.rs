@@ -138,45 +138,193 @@ fn cross_entropy_softmax_rows_are_distributions() {
     });
 }
 
-/// Parallel `matmul`/`im2col` are bit-identical to the serial kernels for
-/// arbitrary shapes across worker counts 1, 2, 4 and 7 (shapes range from
-/// pool-bypassing tiny to large enough that the row partition engages).
+/// A random convolution geometry that `validate` accepts: sides from 1 to
+/// `max_side`, kernels up to 5, strides up to 3 and padding below the
+/// kernel — wide enough to reach taps that only ever read padding.
+fn geometry(
+    g: &mut check::Gen,
+    max_channels: usize,
+    max_side: usize,
+) -> Result<ConvGeometry, check::Failure> {
+    let kernel = g.usize_in("kernel", 1, 6);
+    let geom = ConvGeometry {
+        channels: g.usize_in("channels", 1, max_channels + 1),
+        height: g.usize_in("height", 1, max_side + 1),
+        width: g.usize_in("width", 1, max_side + 1),
+        kernel,
+        stride: g.usize_in("stride", 1, 4),
+        padding: g.usize_in("padding", 0, kernel),
+    };
+    check::assume(geom.validate().is_ok())?;
+    Ok(geom)
+}
+
+/// Bit patterns, so NaN sentinels compare equal to themselves.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// <im2col x, c> = <x, col2im c> for random `x` and `c` drawn from `seed`.
+fn adjoint_holds(geom: &ConvGeometry, seed: u64) -> check::CaseResult {
+    let mut r = rng::seeded(seed);
+    let span = geom.out_height() * geom.out_width();
+    let x = rng::uniform(&[geom.channels, geom.height, geom.width], -1.0, 1.0, &mut r);
+    let c = rng::uniform(&[geom.patch_len(), span], -1.0, 1.0, &mut r);
+    let dot = |a: &[f32], b: &[f32]| -> f64 {
+        a.iter()
+            .zip(b)
+            .map(|(&u, &v)| f64::from(u) * f64::from(v))
+            .sum()
+    };
+    let lhs = dot(ops::im2col(&x, geom).unwrap().as_slice(), c.as_slice());
+    let rhs = dot(x.as_slice(), ops::col2im(&c, geom).unwrap().as_slice());
+    ensure(
+        (lhs - rhs).abs() <= 1e-4 * (1.0 + lhs.abs()),
+        format!("<im2col x, c> = {lhs} vs <x, col2im c> = {rhs}"),
+    )
+}
+
+/// `col2im` is the adjoint of `im2col` — the defining property of the pair,
+/// which backprop relies on — for every geometry, including taps that only
+/// read padding. The 3×3 same-padded geometry of a CIFAR conv is pinned.
+#[test]
+fn lowering_is_adjoint() {
+    let same_3x3 = ConvGeometry {
+        channels: 2,
+        height: 4,
+        width: 4,
+        kernel: 3,
+        stride: 1,
+        padding: 1,
+    };
+    adjoint_holds(&same_3x3, 21).unwrap();
+    check::cases(128).run("lowering_is_adjoint", |g| {
+        let geom = geometry(g, 3, 7)?;
+        let seed = g.seed("seed");
+        adjoint_holds(&geom, seed)
+    });
+}
+
+/// With a row pitch `ld = images·span`, the lowering cores address image
+/// `j`'s column block of a multi-image panel: `im2col_slices` writes the
+/// dense (`ld = span`) bits there and leaves every other column untouched,
+/// and `col2im_slices` / `matmul_transb_slices` read the block to the
+/// bits they give on a dense copy of it.
+#[test]
+fn lowering_in_a_panel_touches_only_its_block() {
+    check::cases(128).run("lowering_in_a_panel_touches_only_its_block", |g| {
+        let geom = geometry(g, 3, 7)?;
+        let images = g.usize_in("images", 1, 5);
+        let j = g.usize_in("j", 0, images);
+        let m = g.usize_in("m", 1, 5);
+        let seed = g.seed("seed");
+        let mut r = rng::seeded(seed);
+        let (patch, span) = (geom.patch_len(), geom.out_height() * geom.out_width());
+        let ld = images * span;
+        let x = rng::uniform(&[geom.channels, geom.height, geom.width], -1.0, 1.0, &mut r);
+        let dense = ops::im2col(&x, &geom).unwrap();
+        let sentinel = f32::from_bits(0x7fc0_1234);
+        let mut panel = vec![sentinel; patch * ld];
+        ops::im2col_slices(x.as_slice(), &geom, &mut panel[j * span..], ld).unwrap();
+        for (idx, v) in panel.iter().enumerate() {
+            let (row, col) = (idx / ld, idx % ld);
+            let expect = if col / span == j {
+                dense.as_slice()[row * span + col % span]
+            } else {
+                sentinel
+            };
+            ensure(
+                v.to_bits() == expect.to_bits(),
+                format!("im2col panel element ({row}, {col}) of block {j}"),
+            )?;
+        }
+
+        let panel = rng::uniform(&[patch, ld], -1.0, 1.0, &mut r);
+        let block: Vec<f32> = panel
+            .as_slice()
+            .chunks(ld)
+            .flat_map(|row| row[j * span..(j + 1) * span].iter().copied())
+            .collect();
+        let block = Tensor::from_vec(block, &[patch, span]).unwrap();
+        let mut img = vec![f32::NAN; geom.channels * geom.height * geom.width];
+        ops::col2im_slices(&panel.as_slice()[j * span..], ld, &geom, &mut img).unwrap();
+        ensure(
+            bits(&img) == bits(ops::col2im(&block, &geom).unwrap().as_slice()),
+            "col2im of a panel block differs from col2im of its dense copy",
+        )?;
+        let a = rng::uniform(&[m, span], -1.0, 1.0, &mut r);
+        let mut prod = vec![f32::NAN; m * patch];
+        ops::matmul_transb_slices(
+            a.as_slice(),
+            &panel.as_slice()[j * span..],
+            ld,
+            m,
+            span,
+            patch,
+            &mut prod,
+        )
+        .unwrap();
+        ensure(
+            bits(&prod) == bits(ops::matmul_transb(&a, &block).unwrap().as_slice()),
+            "matmul_transb of a panel block differs from its dense copy",
+        )
+    });
+}
+
+/// Parallel `matmul` and the pitched lowering cores (`im2col`, `col2im`,
+/// `matmul_transb` on block 1 of a two-image panel) are bit-identical to
+/// their serial runs for arbitrary shapes across worker counts 1, 2, 4
+/// and 7 (shapes range from pool-bypassing tiny to large enough that the
+/// row partition engages).
 #[test]
 fn kernels_thread_count_invariant() {
     use ahw_tensor::pool;
-    check::cases(12).run("kernels_thread_count_invariant", |g| {
+    check::cases(24).run("kernels_thread_count_invariant", |g| {
         let m = g.usize_in("m", 1, 96);
         let k = g.usize_in("k", 1, 48);
         let n = g.usize_in("n", 1, 48);
         let seed = g.seed("seed");
         let a = rng::uniform(&[m, k], -1.0, 1.0, &mut rng::seeded(seed));
         let b = rng::uniform(&[k, n], -1.0, 1.0, &mut rng::seeded(seed ^ 1));
-        let ch = g.usize_in("channels", 1, 8);
-        let size = g.usize_in("size", 4, 24);
-        let kernel = g.usize_in("kernel", 1, 3);
-        let geom = ConvGeometry {
-            channels: ch,
-            height: size,
-            width: size,
-            kernel,
-            stride: 1,
-            padding: kernel / 2,
+        let geom = geometry(g, 8, 24)?;
+        let (patch, span) = (geom.patch_len(), geom.out_height() * geom.out_width());
+        let x = rng::normal(
+            &[geom.channels, geom.height, geom.width],
+            0.0,
+            1.0,
+            &mut rng::seeded(seed ^ 2),
+        );
+        let c = rng::normal(&[patch, 2 * span], 0.0, 1.0, &mut rng::seeded(seed ^ 3));
+        let dy = rng::normal(&[m, span], 0.0, 1.0, &mut rng::seeded(seed ^ 4));
+        let run = || {
+            let mut panel = vec![0.0f32; patch * 2 * span];
+            ops::im2col_slices(x.as_slice(), &geom, &mut panel[span..], 2 * span).unwrap();
+            let mut img = vec![0.0f32; x.len()];
+            ops::col2im_slices(&c.as_slice()[span..], 2 * span, &geom, &mut img).unwrap();
+            let mut dw = vec![0.0f32; m * patch];
+            let block = &c.as_slice()[span..];
+            ops::matmul_transb_slices(dy.as_slice(), block, 2 * span, m, span, patch, &mut dw)
+                .unwrap();
+            [
+                bits(ops::matmul(&a, &b).unwrap().as_slice()),
+                bits(&panel),
+                bits(&img),
+                bits(&dw),
+            ]
         };
-        let x = rng::normal(&[ch, size, size], 0.0, 1.0, &mut rng::seeded(seed ^ 2));
         pool::set_thread_override(Some(1));
-        let mm = ops::matmul(&a, &b).unwrap();
-        let cols = ops::im2col(&x, &geom).unwrap();
+        let reference = run();
         pool::set_thread_override(None);
         for threads in [2usize, 4, 7] {
             pool::set_thread_override(Some(threads));
-            let mm_t = ops::matmul(&a, &b).unwrap();
-            let cols_t = ops::im2col(&x, &geom).unwrap();
+            let got = run();
             pool::set_thread_override(None);
-            ensure(mm_t == mm, format!("matmul differs at {threads} threads"))?;
-            ensure(
-                cols_t == cols,
-                format!("im2col differs at {threads} threads"),
-            )?;
+            for (name, (x, y)) in ["matmul", "im2col", "col2im", "matmul_transb"]
+                .iter()
+                .zip(got.iter().zip(&reference))
+            {
+                ensure(x == y, format!("{name} differs at {threads} threads"))?;
+            }
         }
         Ok(())
     });

@@ -1,0 +1,164 @@
+#!/usr/bin/env sh
+# Interleaved A/B runs of one benchmark workload: a committed base tree
+# (default HEAD~1) against the working tree, built the same way and run
+# alternately, so host drift lands on both sides alike.
+#
+# Usage: scripts/ab.sh WORKLOAD SEED PAIRS [BASE]
+#
+# Each pair runs both sides once; odd pairs run the base first, even pairs
+# the working tree. Every run prints its golden check, `correct`, `failed`
+# and the benchmark's end-to-end metrics; the summary prints each side's
+# median and quartiles per metric and how many pairs the working tree won
+# (every end-to-end metric is lower-is-better). Exits 1 if any run was not
+# `golden: match`, `correct: true`, `failed: 0`.
+#
+# Both sides run for the benchmark's own default length, so A/B runs time
+# the same section the benchmark does.
+#
+# Nothing is written inside the repository: the base checkout, both cargo
+# target directories and the run logs live in a scratch directory.
+#
+# AB_WORK (optional) names a scratch directory to build in and keep, so a
+# later call rebuilds incrementally (default: a fresh temporary directory,
+# removed on exit).
+set -eu
+
+if [ $# -lt 3 ] || [ $# -gt 4 ]; then
+    echo "usage: $0 WORKLOAD SEED PAIRS [BASE]" >&2
+    exit 2
+fi
+workload=$1
+seed=$2
+pairs=$3
+base=${4:-HEAD~1}
+repo=$(cd "$(dirname "$0")/.." && pwd)
+
+if [ -n "${AB_WORK:-}" ]; then
+    work=$AB_WORK
+    mkdir -p "$work"
+else
+    work=$(mktemp -d)
+    trap 'rm -rf "$work"' EXIT
+    trap 'exit 130' INT TERM
+fi
+
+rev=$(git -C "$repo" rev-parse --short "$base")
+rm -rf "$work/base"
+mkdir -p "$work/base"
+git -C "$repo" archive "$base" | tar -x -C "$work/base"
+
+# Build from inside each checkout so both pick up their own
+# .cargo/config.toml, into target directories outside the repository.
+build() {
+    (cd "$1" && CARGO_TARGET_DIR="$2" cargo build --release --offline -q \
+        --manifest-path benchmark/Cargo.toml)
+}
+echo "ab: building base $rev and the working tree in $work" >&2
+build "$work/base" "$work/target-base"
+build "$repo" "$work/target-work"
+for side in base work; do
+    cp "$work/target-$side/release/ahw-benchmark" "$work/bench-$side"
+done
+
+# One run: prints a row `side pair golden correct failed name=value...`.
+run() {
+    side=$1
+    pair=$2
+    if [ "$side" = base ]; then dir=$work/base; else dir=$repo; fi
+    (cd "$dir" && "$work/bench-$side" --workload "$workload" --seed "$seed") \
+        >"$work/run.out" 2>"$work/run.err" || true
+    awk -v side="$side" -v pair="$pair" '
+        function field(line, re,    s) {
+            if (!match(line, re)) return "?"
+            s = substr(line, RSTART, RLENGTH)
+            sub(/^"[a-z_]*": *"?/, "", s)
+            sub(/"$/, "", s)
+            return s
+        }
+        /"context"/ { golden = field($0, "\"golden\": \"[^\"]*\"") }
+        /"metrics"/ {
+            correct = field($0, "\"correct\": [a-z]*")
+            failed = field($0, "\"failed\": [0-9]*")
+            rest = $0
+            metrics = ""
+            while (match(rest, /"[a-z0-9_]*": \{"value": [^,}]*/)) {
+                m = substr(rest, RSTART, RLENGTH)
+                rest = substr(rest, RSTART + RLENGTH)
+                name = m
+                sub(/^"/, "", name)
+                sub(/".*/, "", name)
+                value = m
+                sub(/.*"value": */, "", value)
+                metrics = metrics " " name "=" value
+            }
+        }
+        END {
+            if (golden == "") golden = "?"
+            if (correct == "") correct = "?"
+            if (failed == "") failed = "?"
+            print side, pair, golden, correct, failed metrics
+        }' "$work/run.out"
+}
+
+: >"$work/rows"
+i=1
+while [ "$i" -le "$pairs" ]; do
+    if [ $((i % 2)) -eq 1 ]; then order="base work"; else order="work base"; fi
+    for side in $order; do
+        run "$side" "$i" | tee -a "$work/rows"
+    done
+    i=$((i + 1))
+done
+
+awk -v workload="$workload" -v seed="$seed" -v rev="$rev" '
+    # quantile q of the n values in v[1..n] (sorted in place)
+    function quantile(v, n, q,    i, j, t, h, lo) {
+        for (i = 2; i <= n; i++) {
+            t = v[i]
+            for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]
+            v[j + 1] = t
+        }
+        h = (n - 1) * q + 1
+        lo = int(h)
+        if (lo >= n) return v[n]
+        return v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+    }
+    {
+        side = $1
+        pair = $2
+        if ($3 != "match" || $4 != "true" || $5 != "0") bad++
+        for (f = 6; f <= NF; f++) {
+            split($f, kv, "=")
+            if (!(kv[1] in seen)) {
+                seen[kv[1]] = 1
+                names[++nnames] = kv[1]
+            }
+            val[side, kv[1], pair] = kv[2]
+        }
+        if (pair > npairs) npairs = pair
+    }
+    END {
+        printf "\nab: %s seed %s, base %s vs working tree, %d pairs\n", workload, seed, rev, npairs
+        printf "%-12s %12s %12s %12s %12s %12s %12s %8s\n", "metric", "base_p50", "base_q1", "base_q3", "work_p50", "work_q1", "work_q3", "work_won"
+        for (k = 1; k <= nnames; k++) {
+            m = names[k]
+            won = 0
+            for (p = 1; p <= npairs; p++)
+                if ((("work", m, p) in val) && (("base", m, p) in val) \
+                    && val["work", m, p] + 0 < val["base", m, p] + 0) won++
+            for (s = 1; s <= 2; s++) {
+                side = (s == 1) ? "base" : "work"
+                n = 0
+                for (p = 1; p <= npairs; p++)
+                    if ((side, m, p) in val) v[++n] = val[side, m, p] + 0
+                med[side] = n ? quantile(v, n, 0.5) : "nan"
+                q1[side] = n ? quantile(v, n, 0.25) : "nan"
+                q3[side] = n ? quantile(v, n, 0.75) : "nan"
+            }
+            printf "%-12s %12.6g %12.6g %12.6g %12.6g %12.6g %12.6g %5d/%d\n", m, med["base"], q1["base"], q3["base"], med["work"], q1["work"], q3["work"], won, npairs
+        }
+        if (bad) {
+            printf "ab: %d run(s) not golden match / correct / failed 0\n", bad
+            exit 1
+        }
+    }' "$work/rows"

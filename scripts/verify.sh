@@ -22,6 +22,11 @@ cargo test -q --offline --test workspace_alloc
 # Smoke: kernel bench on a 2-thread pool (tiny effort; output is JSON lines).
 AHW_THREADS=2 AHW_BENCH_SAMPLES=1 AHW_BENCH_WARMUP_MS=20 \
     cargo bench --offline -q -p ahw-bench --bench kernels -- matmul/32
+# Smoke: the conv rows on a 2-thread pool. The bench calls the layer at top
+# level, so its column panels run in parallel over the pool — which the
+# attack shards (nested pool tasks, run inline) never exercise.
+AHW_THREADS=2 AHW_BENCH_SAMPLES=1 AHW_BENCH_WARMUP_MS=20 \
+    cargo bench --offline -q -p ahw-bench --bench kernels -- conv2d/
 # Smoke: the attack-path workload on a 2-thread pool exercises the planned
 # engine (plan-cache checkout, workspace reuse, sharded evaluation).
 AHW_THREADS=2 AHW_BENCH_SAMPLES=1 AHW_BENCH_WARMUP_MS=20 \
