@@ -14,10 +14,10 @@
 //! `scripts/bench.sh` uses right after appending fresh rows).
 //! `scripts/verify.sh` runs the strict mode as an opt-in gate.
 //!
-//! `--scrape` is a minimal std-`TcpStream` HTTP GET client for the live
-//! telemetry endpoint: prints the response body to stdout and exits zero
-//! only on a 200, so shell scripts can probe `/healthz` and `/metrics`
-//! without curl.
+//! `--scrape` GETs a path from the live telemetry endpoint with
+//! [`ahw_bench::http_get`]: prints the response body to stdout and exits
+//! zero only on a 200, so shell scripts can probe `/healthz` and
+//! `/metrics` without curl.
 //!
 //! `--calibrate` measures the machine roof (peak GEMM GFLOP/s, stream
 //! GB/s — see [`ahw_bench::calibration`]) and prints the
@@ -26,9 +26,6 @@
 //! reports can score kernels against this machine.
 
 use ahw_bench::compare::{compare, parse_rows, Verdict, DEFAULT_THRESHOLD};
-use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
@@ -109,46 +106,19 @@ fn main() {
     }
 }
 
-/// GETs `http://addr{path}` over a plain TcpStream; prints the body to
-/// stdout and the status line to stderr. Exit code 0 iff the status is 200.
+/// GETs `http://addr{path}` with [`ahw_bench::http_get`]; prints the body
+/// to stdout and the status line to stderr. Exit code 0 iff the status is
+/// 200.
 fn scrape(addr: &str, path: &str) -> i32 {
-    let sock = match addr.to_socket_addrs().ok().and_then(|mut a| a.next()) {
-        Some(s) => s,
-        None => {
-            eprintln!("ahw_bench: bad address {addr}");
-            return 2;
+    match ahw_bench::http_get(addr, path) {
+        Ok((status_line, body)) => {
+            eprintln!("{status_line}");
+            print!("{body}");
+            i32::from(status_line.split_whitespace().nth(1) != Some("200"))
         }
-    };
-    let mut stream = match TcpStream::connect_timeout(&sock, Duration::from_secs(5)) {
-        Ok(s) => s,
         Err(e) => {
-            eprintln!("ahw_bench: connect {addr}: {e}");
-            return 1;
+            eprintln!("ahw_bench: {e}");
+            1
         }
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    if let Err(e) = write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    ) {
-        eprintln!("ahw_bench: write {addr}: {e}");
-        return 1;
-    }
-    let mut response = String::new();
-    if let Err(e) = stream.read_to_string(&mut response) {
-        eprintln!("ahw_bench: read {addr}: {e}");
-        return 1;
-    }
-    let (head, body) = match response.find("\r\n\r\n") {
-        Some(i) => (&response[..i], &response[i + 4..]),
-        None => (response.as_str(), ""),
-    };
-    let status_line = head.lines().next().unwrap_or("");
-    eprintln!("{status_line}");
-    print!("{body}");
-    if status_line.split_whitespace().nth(1) == Some("200") {
-        0
-    } else {
-        1
     }
 }

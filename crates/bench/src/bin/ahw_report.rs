@@ -21,9 +21,6 @@
 //! written along with a rendered `.html` sibling.
 
 use ahw_bench::{calibration, report};
-use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
@@ -38,10 +35,14 @@ fn main() {
     let out = value("out");
 
     let md = if let Some(addr) = value("scrape") {
-        match http_get_body(&addr, "/report.md") {
-            Ok(body) => body,
+        match ahw_bench::http_get(&addr, "/report.md") {
+            Ok((status, body)) if status.split_whitespace().nth(1) == Some("200") => body,
+            Ok((status, _)) => {
+                eprintln!("ahw_report: scrape: {addr}/report.md answered {status:?}");
+                std::process::exit(1);
+            }
             Err(e) => {
-                eprintln!("ahw_report: scrape {addr}: {e}");
+                eprintln!("ahw_report: scrape: {e}");
                 std::process::exit(1);
             }
         }
@@ -89,35 +90,4 @@ fn read_or_die(path: &str) -> String {
         eprintln!("ahw_report: cannot read {path}: {e}");
         std::process::exit(2);
     })
-}
-
-/// GETs `http://addr{path}`, returning the body; errors on any non-200.
-fn http_get_body(addr: &str, path: &str) -> Result<String, String> {
-    let sock = addr
-        .to_socket_addrs()
-        .ok()
-        .and_then(|mut a| a.next())
-        .ok_or_else(|| format!("bad address {addr}"))?;
-    let mut stream = TcpStream::connect_timeout(&sock, Duration::from_secs(5))
-        .map_err(|e| format!("connect: {e}"))?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )
-    .map_err(|e| format!("write: {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("read: {e}"))?;
-    let (head, body) = match response.find("\r\n\r\n") {
-        Some(i) => (&response[..i], &response[i + 4..]),
-        None => (response.as_str(), ""),
-    };
-    let status_line = head.lines().next().unwrap_or("");
-    if status_line.split_whitespace().nth(1) == Some("200") {
-        Ok(body.to_string())
-    } else {
-        Err(format!("{path} answered {status_line:?}"))
-    }
 }

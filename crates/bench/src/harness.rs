@@ -35,7 +35,7 @@ pub struct Harness {
     skipped: usize,
     /// Live metrics server, when `AHW_METRICS_ADDR` is set — held so a
     /// long bench run can be scraped while it is in flight.
-    server: Option<ahw_telemetry::MetricsServer>,
+    _server: Option<ahw_telemetry::MetricsServer>,
 }
 
 impl Default for Harness {
@@ -46,7 +46,7 @@ impl Default for Harness {
             warmup: Duration::from_millis(300),
             ran: 0,
             skipped: 0,
-            server: None,
+            _server: None,
         }
     }
 }
@@ -108,7 +108,7 @@ impl Harness {
             .collect();
         let mut h = Harness {
             filters,
-            server: ahw_telemetry::serve::start_from_env(),
+            _server: ahw_telemetry::serve::start_from_env(),
             ..Harness::default()
         };
         if let Some(s) = env_u64("AHW_BENCH_SAMPLES") {
@@ -138,12 +138,6 @@ impl Harness {
     pub fn warmup(mut self, warmup: Duration) -> Self {
         self.warmup = warmup;
         self
-    }
-
-    /// The live metrics server's bound address, when `AHW_METRICS_ADDR`
-    /// started one.
-    pub fn server_addr(&self) -> Option<std::net::SocketAddr> {
-        self.server.as_ref().map(ahw_telemetry::MetricsServer::addr)
     }
 
     /// Whether `name` passes the command-line filters.

@@ -203,8 +203,8 @@ impl Args {
 
 /// RAII guard owning an experiment's telemetry lifecycle: on creation it
 /// starts the live metrics server when `AHW_METRICS_ADDR` is set (the
-/// handle is held so the bound address stays discoverable for the whole of
-/// `main`); on drop it writes the run report (`AHW_REPORT`, or
+/// handle is held so the server keeps serving for the whole of `main`); on
+/// drop it writes the run report (`AHW_REPORT`, or
 /// `results/report_<bin>.md` whenever telemetry is enabled — see
 /// [`report::report_path_from_env`]) and then flushes the exporters —
 /// the `AHW_TRACE` trace-event file and the `AHW_METRICS` stderr summary
@@ -215,14 +215,7 @@ impl Args {
 #[must_use = "the flush happens when the guard drops"]
 #[derive(Debug)]
 pub struct TelemetryFlush {
-    server: Option<ahw_telemetry::MetricsServer>,
-}
-
-impl TelemetryFlush {
-    /// The live metrics server's bound address, when one is running.
-    pub fn server_addr(&self) -> Option<std::net::SocketAddr> {
-        self.server.as_ref().map(ahw_telemetry::MetricsServer::addr)
-    }
+    _server: Option<ahw_telemetry::MetricsServer>,
 }
 
 impl Drop for TelemetryFlush {
@@ -258,8 +251,43 @@ pub fn telemetry_flush() -> TelemetryFlush {
         }
     }
     TelemetryFlush {
-        server: ahw_telemetry::serve::start_from_env(),
+        _server: ahw_telemetry::serve::start_from_env(),
     }
+}
+
+/// GETs `http://{addr}{path}` over a plain std `TcpStream`, returning the
+/// response's status line and body whatever the status. This is the scrape
+/// client of `ahw_bench --scrape` and `ahw_report --scrape`, so scripts can
+/// probe the live telemetry endpoint without curl.
+///
+/// # Errors
+///
+/// A message naming the failed step: an unresolvable address, or a failed
+/// connect (5 s timeout), write or read (10 s timeout).
+pub fn http_get(addr: &str, path: &str) -> Result<(String, String), String> {
+    use std::io::{Read, Write};
+    use std::time::Duration;
+    let sock = std::net::ToSocketAddrs::to_socket_addrs(addr)
+        .ok()
+        .and_then(|mut a| a.next())
+        .ok_or_else(|| format!("bad address {addr}"))?;
+    let mut stream = std::net::TcpStream::connect_timeout(&sock, Duration::from_secs(5))
+        .map_err(|e| format!("connect {addr}: {e}"))?;
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
+    )
+    .map_err(|e| format!("write {addr}: {e}"))?;
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .map_err(|e| format!("read {addr}: {e}"))?;
+    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((&response, ""));
+    Ok((
+        head.lines().next().unwrap_or("").to_string(),
+        body.to_string(),
+    ))
 }
 
 /// The model-checkpoint cache directory: `$AHW_CACHE` or
@@ -273,6 +301,17 @@ pub fn cache_dir() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn http_get_returns_the_status_line_and_body() {
+        let server = ahw_telemetry::serve::start("127.0.0.1:0").expect("bind 127.0.0.1:0");
+        let addr = server.addr().to_string();
+        let ok = http_get(&addr, "/healthz").unwrap();
+        assert_eq!(ok, ("HTTP/1.1 200 OK".to_string(), "ok\n".to_string()));
+        let (missing, _) = http_get(&addr, "/nope").unwrap();
+        assert_eq!(missing, "HTTP/1.1 404 Not Found");
+        assert!(http_get("no port", "/healthz").is_err());
+    }
 
     #[test]
     fn args_parse_flags_and_values() {

@@ -101,21 +101,39 @@ impl<L: Layer + Clone + 'static> CloneLayer for L {
 /// [`forward_ws`](Layer::forward_ws) / [`backward_ws`](Layer::backward_ws)
 /// pair. Outputs, gradients and scratch come from the caller's
 /// [`Workspace`], so a shape-stable loop reuses the same buffers on every
-/// call. `forward_ws` keeps exactly one cache of what `backward_ws` needs;
-/// `backward_ws` consumes it, returns `dL/dinput` and recycles the cached
-/// scratch into `ws`.
+/// call.
 ///
 /// The forward's [`Mode`] decides what the backward computes: after a
 /// `Train` forward it also accumulates parameter gradients, after an `Eval`
 /// forward it leaves them untouched. There is no other switch.
 ///
+/// A forward keeps only what its backward reads; `backward_ws` consumes
+/// it, returns `dL/dinput` and recycles any arena buffer it held into
+/// `ws`. Only parameter gradients read activations, so an `Eval` forward
+/// leaves no arena buffer behind:
+///
+/// | layer | kept after `Eval` | also kept after `Train` |
+/// |---|---|---|
+/// | `Conv2d` | geometry, batch size | im2col panels (arena) |
+/// | `Linear` | nothing | input copy (arena) |
+/// | `BatchNorm2d` | input shape | x̂ (arena), batch 1/σ |
+/// | `ReLU` | sign mask, shape | — |
+/// | `MaxPool2d` | argmax indices, input shape | — |
+/// | `AvgPool2d`, `Flatten` | input shape | — |
+///
+/// A `BasicBlock` keeps what its layers keep plus its closing ReLU's mask.
+/// The mask and index vectors belong to the layer and every forward
+/// re-fills them in place, so a steady-state loop reallocates neither. An
+/// `Eval` batch-norm backward re-derives γ/σ from the running variance,
+/// which no `Eval` forward changes.
+///
 /// [`forward`](Layer::forward) and [`backward`](Layer::backward) are the
 /// same code over a throwaway arena, for one-off calls and tests.
 pub trait Layer: CloneLayer + Send + Sync {
-    /// Forward pass that caches intermediates for a following
-    /// [`backward_ws`](Layer::backward_ws). The returned tensor's storage
-    /// comes from `ws`; recycle it when done to keep the loop
-    /// allocation-free.
+    /// Forward pass that keeps what a following
+    /// [`backward_ws`](Layer::backward_ws) reads, and nothing else (see the
+    /// trait docs). The returned tensor's storage comes from `ws`; recycle
+    /// it when done to keep the loop allocation-free.
     ///
     /// # Errors
     ///

@@ -1,6 +1,6 @@
 use crate::layer::{grad_shape_error, HookCell, Layer, Mode};
 use crate::{NnError, Param};
-use ahw_tensor::{Tensor, TensorError, Workspace};
+use ahw_tensor::{Shape, Tensor, TensorError, Workspace};
 
 /// Batch normalization over the channel dimension of `(N, C, H, W)` tensors.
 ///
@@ -17,19 +17,16 @@ pub struct BatchNorm2d {
     momentum: f32,
     eps: f32,
     hook: HookCell,
-    cache: Option<BnCache>,
+    /// What `backward_ws` reads: the forward's input shape and, after a
+    /// `Train` forward only, its [`TrainCache`]. An `Eval` backward is the
+    /// affine map `dy · γ/σ`, with σ re-derived from the running variance
+    /// the forward used.
+    cache: Option<(Shape, Option<TrainCache>)>,
 }
 
-#[derive(Clone)]
-struct BnCache {
-    /// Normalized activations x̂, in a workspace buffer.
-    xhat: Tensor,
-    /// Per-channel 1/σ used in the forward pass.
-    inv_std: Vec<f32>,
-    /// Whether batch statistics were used (full backward with γ/β
-    /// gradients) or running statistics (affine backward, `dL/dx` only).
-    train: bool,
-}
+/// What a `Train` forward adds for the full backward: x̂ (a workspace
+/// buffer) and the batch's per-channel 1/σ.
+type TrainCache = (Vec<f32>, Vec<f32>);
 
 impl std::fmt::Debug for BatchNorm2d {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -73,12 +70,19 @@ impl BatchNorm2d {
         Ok((x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]))
     }
 
+    /// 1/σ of channel `ch` under the running statistics.
+    fn running_inv_std(&self, ch: usize) -> f32 {
+        1.0 / (self.running_var.as_slice()[ch] + self.eps).sqrt()
+    }
+
+    /// `y = γ·x̂ + β` with `x̂ = (x − mean)·inv_std`, where `stats(ch)` is
+    /// channel `ch`'s `(mean, inv_std)`; x̂ is also stored when `xhat` is
+    /// given.
     fn normalize(
         &self,
         x: &Tensor,
-        mean: &[f32],
-        inv_std: &[f32],
-        xhat: &mut [f32],
+        stats: impl Fn(usize) -> (f32, f32),
+        mut xhat: Option<&mut [f32]>,
         y: &mut [f32],
     ) {
         let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
@@ -86,66 +90,50 @@ impl BatchNorm2d {
         let xv = x.as_slice();
         let gv = self.gamma.value.as_slice();
         let bv = self.beta.value.as_slice();
-        for i in 0..n {
-            for ch in 0..c {
-                let base = (i * c + ch) * plane;
-                let (m, s, g, b) = (mean[ch], inv_std[ch], gv[ch], bv[ch]);
-                for k in 0..plane {
-                    let xh = (xv[base + k] - m) * s;
-                    xhat[base + k] = xh;
-                    y[base + k] = g * xh + b;
+        for ch in 0..c {
+            let ((m, s), g, b) = (stats(ch), gv[ch], bv[ch]);
+            for i in 0..n {
+                let p = (i * c + ch) * plane..(i * c + ch + 1) * plane;
+                let (xp, yp) = (&xv[p.clone()], &mut y[p.clone()]);
+                // one loop per case, so neither tests `xhat` per element
+                if let Some(xhat) = xhat.as_deref_mut() {
+                    for ((xh, o), &v) in xhat[p].iter_mut().zip(yp).zip(xp) {
+                        *xh = (v - m) * s;
+                        *o = g * *xh + b;
+                    }
+                } else {
+                    for (o, &v) in yp.iter_mut().zip(xp) {
+                        *o = g * ((v - m) * s) + b;
+                    }
                 }
             }
-        }
-    }
-
-    /// Forward statistics for `mode`, updating running estimates in train
-    /// mode. Returns `(mean, var, used_batch_stats)`.
-    fn forward_stats(&mut self, x: &Tensor, mode: Mode) -> (Vec<f32>, Vec<f32>, bool) {
-        match mode {
-            Mode::Train => {
-                let (mean, var) = self.batch_stats(x);
-                let m = self.momentum;
-                for (r, &b) in self.running_mean.as_mut_slice().iter_mut().zip(&mean) {
-                    *r = (1.0 - m) * *r + m * b;
-                }
-                for (r, &b) in self.running_var.as_mut_slice().iter_mut().zip(&var) {
-                    *r = (1.0 - m) * *r + m * b;
-                }
-                (mean, var, true)
-            }
-            Mode::Eval => (
-                self.running_mean.as_slice().to_vec(),
-                self.running_var.as_slice().to_vec(),
-                false,
-            ),
         }
     }
 
     /// Backward arithmetic: writes `dL/dx` into `dx` (every element is
-    /// assigned) and, after a `Train` forward, accumulates γ/β gradients.
-    /// `grad_out` must match the cached `x̂` shape.
-    fn backward_core(&mut self, grad_out: &Tensor, cache: &BnCache, dx: &mut [f32]) {
-        let dims = cache.xhat.dims();
+    /// assigned) and, after a `Train` forward (`batch` holds its x̂ and
+    /// 1/σ), accumulates γ/β gradients. `grad_out` must match the forward's
+    /// shape.
+    fn backward_core(&mut self, grad_out: &Tensor, batch: Option<&TrainCache>, dx: &mut [f32]) {
+        let dims = grad_out.dims();
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let plane = h * w;
         let gy = grad_out.as_slice();
         let gv = self.gamma.value.as_slice();
-        if !cache.train {
+        let Some((xh, inv_std)) = batch else {
             // eval mode: affine map, dx = dy · γ/σ
-            for i in 0..n {
-                for (ch, (&g, &inv)) in gv.iter().zip(&cache.inv_std).enumerate() {
-                    let base = (i * c + ch) * plane;
-                    let scale = g * inv;
-                    for k in 0..plane {
-                        dx[base + k] = gy[base + k] * scale;
+            for (ch, &g) in gv.iter().enumerate() {
+                let scale = g * self.running_inv_std(ch);
+                for i in 0..n {
+                    let p = (i * c + ch) * plane..(i * c + ch + 1) * plane;
+                    for (d, &g) in dx[p.clone()].iter_mut().zip(&gy[p]) {
+                        *d = g * scale;
                     }
                 }
             }
             return;
-        }
+        };
         let count = (n * plane) as f32;
-        let xh = cache.xhat.as_slice();
 
         // per-channel reductions: Σdy and Σ(dy·x̂)
         let mut sum_dy = vec![0.0f32; c];
@@ -175,7 +163,7 @@ impl BatchNorm2d {
         for i in 0..n {
             for ch in 0..c {
                 let base = (i * c + ch) * plane;
-                let scale = gv[ch] * cache.inv_std[ch];
+                let scale = gv[ch] * inv_std[ch];
                 for k in 0..plane {
                     dx[base + k] = scale
                         * (gy[base + k]
@@ -228,38 +216,48 @@ impl Layer for BatchNorm2d {
         ws: &mut Workspace,
     ) -> Result<Tensor, NnError> {
         self.check(x)?;
-        // a leftover cache (forward-only loops) donates its buffer
-        if let Some(old) = self.cache.take() {
-            ws.recycle_tensor(old.xhat);
-        }
-        let (mean, var, train) = self.forward_stats(x, mode);
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let mut xhat = ws.take(x.len());
         let mut y = ws.take(x.len());
-        self.normalize(x, &mean, &inv_std, &mut xhat, &mut y);
-        self.cache = Some(BnCache {
-            xhat: Tensor::from_vec(xhat, x.dims())?,
-            inv_std,
-            train,
-        });
+        let batch = match mode {
+            Mode::Train => {
+                let (mean, var) = self.batch_stats(x);
+                let m = self.momentum;
+                for (r, &b) in self.running_mean.as_mut_slice().iter_mut().zip(&mean) {
+                    *r = (1.0 - m) * *r + m * b;
+                }
+                for (r, &b) in self.running_var.as_mut_slice().iter_mut().zip(&var) {
+                    *r = (1.0 - m) * *r + m * b;
+                }
+                let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
+                let mut xhat = ws.take(x.len());
+                self.normalize(x, |ch| (mean[ch], inv_std[ch]), Some(&mut xhat), &mut y);
+                Some((xhat, inv_std))
+            }
+            Mode::Eval => {
+                let mean = self.running_mean.as_slice();
+                self.normalize(x, |ch| (mean[ch], self.running_inv_std(ch)), None, &mut y);
+                None
+            }
+        };
+        self.cache = Some((Shape::new(x.dims()), batch));
         let y = Tensor::from_vec(y, x.dims())?;
         Ok(self.hook.apply(y, ws))
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
-        let cache = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
+        let (shape, batch) = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
             layer: self.describe(),
         })?;
-        if grad_out.dims() != cache.xhat.dims() {
-            let err = grad_shape_error("batchnorm2d", grad_out, cache.xhat.dims());
-            ws.recycle_tensor(cache.xhat);
-            return Err(err);
+        let dx = if grad_out.dims() == shape.dims() {
+            let mut dx = ws.take(grad_out.len());
+            self.backward_core(grad_out, batch.as_ref(), &mut dx);
+            Tensor::from_vec(dx, shape.dims()).map_err(NnError::from)
+        } else {
+            Err(grad_shape_error("batchnorm2d", grad_out, shape.dims()))
+        };
+        if let Some((xhat, _)) = batch {
+            ws.recycle(xhat);
         }
-        let mut dx = ws.take(grad_out.len());
-        self.backward_core(grad_out, &cache, &mut dx);
-        let out = Tensor::from_vec(dx, cache.xhat.dims())?;
-        ws.recycle_tensor(cache.xhat);
-        Ok(out)
+        dx
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

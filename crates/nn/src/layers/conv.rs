@@ -45,12 +45,12 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     hook: HookCell,
-    /// The batch's im2col panels, `n · patch · span` elements laid out
-    /// panel after panel, from `forward_ws`, and the forward's mode. After
-    /// a `Train` forward, `backward_ws` reads them for `dL/dW` instead of
-    /// re-lowering every input; either way it then overwrites each panel in
-    /// place with its `dcols` for `dL/dx`.
-    cache: Option<(Vec<f32>, ConvGeometry, usize, Mode)>,
+    /// What `backward_ws` reads: the forward's geometry and batch size and,
+    /// after a `Train` forward only, the batch's im2col panels
+    /// (`n · patch · span` elements, panel after panel) for `dL/dW`. An
+    /// `Eval` forward returns its panels to the arena, since `dL/dx` needs
+    /// only the weights.
+    cache: Option<(ConvGeometry, usize, Option<Vec<f32>>)>,
 }
 
 impl std::fmt::Debug for Conv2d {
@@ -149,15 +149,16 @@ impl Conv2d {
         Ok(g)
     }
 
-    /// Backward from the forward's cached im2col panels. After a `Train`
-    /// forward, `dL/dW` reads them first; `dL/dx` then overwrites each panel
-    /// in place with its `dcols` before scattering back to input geometry,
-    /// so the whole backward needs two extra workspace buffers: `dx` and
-    /// the panel-ordered copy of `dY`.
-    fn backward_from_cols(
+    /// Backward from the forward's cache. After a `Train` forward, `dL/dW`
+    /// reads the cached panels first; `dL/dx` then overwrites each panel in
+    /// place with its `dcols` (after an `Eval` forward, a `ws` buffer takes
+    /// their place) before scattering back to input geometry, so the whole
+    /// backward needs at most three workspace buffers: `dx`, the `dcols`
+    /// of an `Eval` backward and the panel-ordered copy of `dY`.
+    fn backward_from_cache(
         &mut self,
         grad_out: &Tensor,
-        (mut cols, g, n, mode): (Vec<f32>, ConvGeometry, usize, Mode),
+        (g, n, panels): (ConvGeometry, usize, Option<Vec<f32>>),
         ws: &mut Workspace,
     ) -> Result<Tensor, NnError> {
         let span = g.out_height() * g.out_width();
@@ -166,7 +167,9 @@ impl Conv2d {
         let item_out = self.out_channels * span;
         let item_cols = patch * span;
         if grad_out.len() != n * item_out {
-            ws.recycle(cols);
+            if let Some(cols) = panels {
+                ws.recycle(cols);
+            }
             return Err(NnError::Tensor(ahw_tensor::TensorError::ShapeMismatch {
                 op: "conv2d",
                 lhs: grad_out.dims().to_vec(),
@@ -177,12 +180,15 @@ impl Conv2d {
         let oc = self.out_channels;
         let per = panel_images(n, span);
 
+        let train = panels.is_some();
+        let mut cols = panels.unwrap_or_else(|| ws.take(n * item_cols));
+
         // pass 1: dL/dW, dL/db from the cached panels (must run before the
         // dx pass overwrites them). Each image's weight gradient is one dot
         // product per element over its own column block, and images fold
         // into fixed chunks in chunk order, so gradients are bit-identical
         // at any thread count and any panel width.
-        if mode == Mode::Train {
+        if train {
             let colsv = &cols[..];
             let err = ErrCell::new();
             let (dw, db, _) = par_map_reduce(
@@ -236,8 +242,8 @@ impl Conv2d {
         }
 
         // pass 2: dL/dx per panel. One GEMM writes the panel's dcols over
-        // its cached columns from dY in the panel's (oc × images·span)
-        // layout, and each image scatters from its column block. A
+        // its columns from dY in the panel's (oc × images·span) layout,
+        // and each image scatters from its column block. A
         // one-image panel reads its dY where it is; a wider one gathers it.
         let mut dx = ws.take(n * item_in);
         let gathered = if per > 1 { item_out } else { 0 };
@@ -302,9 +308,6 @@ impl Layer for Conv2d {
         let item_in = g.channels * g.height * g.width;
         let item_out = self.out_channels * span;
         let item_cols = patch * span;
-        if let Some((old, ..)) = self.cache.take() {
-            ws.recycle(old);
-        }
         let mut out = ws.take(n * item_out);
         let mut cols = ws.take(n * item_cols);
         let per = panel_images(n, span);
@@ -362,7 +365,13 @@ impl Layer for Conv2d {
             ws.recycle(cols);
             return Err(e);
         }
-        self.cache = Some((cols, g, n, mode));
+        let panels = if mode == Mode::Train {
+            Some(cols)
+        } else {
+            ws.recycle(cols);
+            None
+        };
+        self.cache = Some((g, n, panels));
         let y = Tensor::from_vec(out, &[n, oc, g.out_height(), g.out_width()])?;
         Ok(self.hook.apply(y, ws))
     }
@@ -371,7 +380,7 @@ impl Layer for Conv2d {
         let cache = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
             layer: self.describe(),
         })?;
-        self.backward_from_cols(grad_out, cache, ws)
+        self.backward_from_cache(grad_out, cache, ws)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -473,7 +482,7 @@ mod tests {
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng).unwrap();
         let x = ahw_tensor::rng::normal(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
         let mut ws = Workspace::new();
-        let y = conv.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
+        let y = conv.forward_ws(&x, Mode::Train, &mut ws).unwrap();
         ws.recycle_tensor(y);
         assert!(matches!(
             conv.backward_ws(&Tensor::zeros(&[1, 3, 5, 5]), &mut ws),

@@ -145,9 +145,6 @@ impl Layer for Linear {
                 rhs: vec![0, self.in_features],
             }));
         }
-        if let Some(Some(old)) = self.cache.take() {
-            ws.recycle(old);
-        }
         let n = x.dims()[0];
         let mut y = ws.take(n * self.out_features);
         if let Err(e) = ops::matmul_transb_slices(

@@ -49,11 +49,11 @@ pub struct MaxPool2d {
     kernel: usize,
     stride: usize,
     hook: HookCell,
-    /// (input shape, flat index into the input chosen per output element)
-    cache: Option<(Shape, Vec<u32>)>,
-    /// Retired argmax storage, reused by the next planned forward so the
-    /// steady state allocates nothing.
-    spare: Vec<u32>,
+    /// Flat index into the input chosen per output element, re-filled in
+    /// place by every forward so the steady state allocates nothing.
+    argmax: Vec<u32>,
+    /// Input shape of the last forward, `None` once a backward consumed it.
+    cache: Option<Shape>,
 }
 
 impl std::fmt::Debug for MaxPool2d {
@@ -72,17 +72,18 @@ impl MaxPool2d {
             kernel,
             stride,
             hook: HookCell::default(),
+            argmax: Vec::new(),
             cache: None,
-            spare: Vec::new(),
         }
     }
 
-    /// Fills `out` (already sized `n·c·oh·ow`) and rewrites `argmax` to the
-    /// same length.
-    fn run_core(&self, x: &Tensor, out: &mut [f32], argmax: &mut Vec<u32>) {
+    /// Fills `out` (already sized `n·c·oh·ow`) and rewrites `self.argmax`
+    /// to the same length.
+    fn run_core(&mut self, x: &Tensor, out: &mut [f32]) {
         let [n, c, oh, ow] = pool_out_dims(x.dims(), self.kernel, self.stride);
         let (h, w) = (x.dims()[2], x.dims()[3]);
         let xv = x.as_slice();
+        let argmax = &mut self.argmax;
         argmax.clear();
         argmax.resize(out.len(), 0);
         let mut o = 0usize;
@@ -122,34 +123,26 @@ impl Layer for MaxPool2d {
         ws: &mut Workspace,
     ) -> Result<Tensor, NnError> {
         let od = check_pool_input(x, self.kernel, self.stride, "maxpool2d")?;
-        // reclaim the previous cycle's argmax storage (forward-only loops
-        // leave it in `cache`, forward/backward cycles in `spare`)
-        let mut argmax = match self.cache.take() {
-            Some((_, a)) => a,
-            None => std::mem::take(&mut self.spare),
-        };
         let mut out = ws.take(od.iter().product());
-        self.run_core(x, &mut out, &mut argmax);
-        self.cache = Some((Shape::new(x.dims()), argmax));
+        self.run_core(x, &mut out);
+        self.cache = Some(Shape::new(x.dims()));
         let y = Tensor::from_vec(out, &od)?;
         Ok(self.hook.apply(y, ws))
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, NnError> {
-        let (in_shape, argmax) = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
+        let in_shape = self.cache.take().ok_or_else(|| NnError::NoForwardCache {
             layer: self.describe(),
         })?;
         let out_dims = pool_out_dims(in_shape.dims(), self.kernel, self.stride);
         if grad_out.dims() != out_dims {
-            self.spare = argmax;
             return Err(grad_shape_error("maxpool2d", grad_out, &out_dims));
         }
         let mut dx = ws.take(in_shape.volume());
         dx.fill(0.0);
-        for (&g, &idx) in grad_out.as_slice().iter().zip(&argmax) {
+        for (&g, &idx) in grad_out.as_slice().iter().zip(&self.argmax) {
             dx[idx as usize] += g;
         }
-        self.spare = argmax;
         Ok(Tensor::from_vec(dx, in_shape.dims())?)
     }
 

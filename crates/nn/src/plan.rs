@@ -59,12 +59,6 @@ impl PlanCache {
     pub fn compiled_geometries(&self) -> usize {
         self.geometries.len()
     }
-
-    /// Drops every parked buffer and forgets all geometries.
-    pub fn clear(&mut self) {
-        self.ws.clear();
-        self.geometries.clear();
-    }
 }
 
 #[cfg(test)]
@@ -78,8 +72,6 @@ mod tests {
         cache.note(&[4, 3, 8, 8]);
         cache.note(&[2, 3, 8, 8]);
         assert_eq!(cache.compiled_geometries(), 2);
-        cache.clear();
-        assert_eq!(cache.compiled_geometries(), 0);
     }
 
     #[test]

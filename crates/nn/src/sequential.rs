@@ -707,6 +707,32 @@ mod tests {
     }
 
     #[test]
+    fn eval_forward_leaves_no_buffer_outstanding() {
+        use crate::layers::{BatchNorm2d, Conv2d, Flatten, MaxPool2d};
+        use crate::BasicBlock;
+        let mut rng = seeded(60);
+        let mut bn = Sequential::new();
+        bn.push(Conv2d::new(2, 4, 3, 1, 1, &mut rng).unwrap());
+        bn.push(BatchNorm2d::new(4));
+        bn.push(ReLU::new());
+        bn.push(MaxPool2d::new(2, 2));
+        bn.push(Flatten::new());
+        bn.push(Linear::new(4 * 2 * 2, 3, &mut rng).unwrap());
+        // a projection block and an identity block
+        let mut res = Sequential::new();
+        res.push(BasicBlock::new(2, 4, 2, &mut rng).unwrap());
+        res.push(BasicBlock::new(4, 4, 1, &mut rng).unwrap());
+        res.push(Flatten::new());
+        res.push(Linear::new(4 * 2 * 2, 3, &mut rng).unwrap());
+        let x = normal(&[3, 2, 4, 4], 0.0, 1.0, &mut seeded(61));
+        for (name, mut m) in [("conv-bn", bn), ("residual", res)] {
+            let mut cache = PlanCache::new();
+            m.predict_planned(&x, &mut cache).unwrap();
+            assert_eq!(cache.workspace().outstanding(), 0, "{name}");
+        }
+    }
+
+    #[test]
     fn planned_steady_state_leaves_no_outstanding_buffers() {
         let mut m = conv_model(23);
         let mut cache = PlanCache::new();

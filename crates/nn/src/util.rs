@@ -138,38 +138,17 @@ where
     F: Fn(usize, &mut A) + Sync,
     R: Fn(A, A) -> A,
 {
-    if n == 0 {
-        return init();
-    }
     let per = n.div_ceil(MAP_REDUCE_CHUNKS).max(1);
-    let chunks = n.div_ceil(per);
-    if chunks <= 1 {
+    pool::parallel_map(n.div_ceil(per), 1, |c| {
         let mut acc = init();
-        for i in 0..n {
+        for i in c * per..((c + 1) * per).min(n) {
             f(i, &mut acc);
         }
-        return acc;
-    }
-    let parts: Mutex<Vec<(usize, A)>> = Mutex::new(Vec::with_capacity(chunks));
-    pool::parallel_for_ranges(chunks, 1, |r| {
-        for c in r {
-            let lo = c * per;
-            let hi = (lo + per).min(n);
-            let mut acc = init();
-            for i in lo..hi {
-                f(i, &mut acc);
-            }
-            parts
-                .lock()
-                .expect("par_map_reduce parts lock")
-                .push((c, acc));
-        }
-    });
-    let mut parts = parts.into_inner().expect("par_map_reduce parts lock");
-    parts.sort_by_key(|(c, _)| *c);
-    let mut iter = parts.into_iter().map(|(_, a)| a);
-    let first = iter.next().expect("at least one chunk");
-    iter.fold(first, reduce)
+        acc
+    })
+    .into_iter()
+    .reduce(reduce)
+    .unwrap_or_else(init)
 }
 
 #[cfg(test)]

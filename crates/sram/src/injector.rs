@@ -18,18 +18,6 @@ static WORDS_STORED: telemetry::LazyCounter =
 /// total RNG work, O(flips) instead of one draw per 6T bit.
 static SKIP_DRAWS: telemetry::LazyCounter = telemetry::LazyCounter::new("sram.injector.skip_draws");
 
-/// Which memory a hybrid configuration corrupts. The paper finds activation
-/// memories give larger robustness gains than parameter memories (§III-A);
-/// both are supported so the ablation can be reproduced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NoiseTarget {
-    /// The hybrid memory stores layer activations (the paper's main setting).
-    #[default]
-    Activations,
-    /// The hybrid memory stores layer weights.
-    Weights,
-}
-
 /// Stochastic bit-error noise source for one activation (or weight) memory.
 ///
 /// `apply` models a store-then-load round trip through a hybrid 8T-6T
@@ -83,9 +71,9 @@ impl BitErrorInjector {
 
     /// One store/load round trip through the hybrid memory, for use outside
     /// hook contexts — e.g. corrupting a *weight* tensor once at load time
-    /// for the [`NoiseTarget::Weights`] ablation. Runs
-    /// [`BitErrorInjector::corrupt_into`] over a throwaway arena; hot loops
-    /// should call that directly.
+    /// for the weights ablation (`ahw_core`'s `apply_weight_noise_plan`).
+    /// Runs [`BitErrorInjector::corrupt_into`] over a throwaway arena; hot
+    /// loops should call that directly.
     pub fn corrupt(&self, x: &Tensor) -> Tensor {
         self.corrupt_into(x, &mut Workspace::new())
     }

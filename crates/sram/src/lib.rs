@@ -43,7 +43,7 @@ mod word;
 pub mod energy;
 
 pub use error::SramError;
-pub use injector::{BitErrorInjector, NoiseTarget};
+pub use injector::BitErrorInjector;
 pub use model::BitErrorModel;
 pub use word::{HybridMemoryConfig, HybridWordConfig, WORD_BITS};
 

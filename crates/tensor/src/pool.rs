@@ -418,8 +418,9 @@ struct SendPtr<T>(*mut T);
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-/// Allocation-free sibling of [`parallel_map`]: computes `f(i)` for every
-/// index in `0..slots.len()` and overwrites `slots[i]` with the result.
+/// Computes `f(i)` for every index in `0..slots.len()` and overwrites
+/// `slots[i]` with the result: the one slot writer behind
+/// [`parallel_map`], [`sum_mapped`] and [`par_chunk_fold_mut`].
 ///
 /// The result buffer is caller-provided — typically a small stack array of
 /// per-chunk partials — so fixed-chunk fused reductions (the quantizer's
@@ -514,21 +515,7 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    /// Typed sibling of [`SendPtr`]: each slot is written by exactly one
-    /// task, and the caller joins every task before reading.
-    struct SlotPtr<T>(*mut Option<T>);
-    unsafe impl<T: Send> Send for SlotPtr<T> {}
-    unsafe impl<T: Send> Sync for SlotPtr<T> {}
-    let base = SlotPtr(out.as_mut_ptr());
-    let base = &base;
-    parallel_for_ranges(n, min_chunk, |r: Range<usize>| {
-        for i in r {
-            let v = f(i);
-            // SAFETY: ranges from `parallel_for_ranges` are disjoint and
-            // within `0..n`, so slot `i` is written by exactly one task.
-            unsafe { *base.0.add(i) = Some(v) };
-        }
-    });
+    parallel_map_slots(&mut out, min_chunk, |i| Some(f(i)));
     out.into_iter()
         .map(|v| v.expect("parallel_map covers every index"))
         .collect()
@@ -554,17 +541,9 @@ where
     if data.len() <= REDUCE_CHUNK {
         return serial(data);
     }
-    let chunks = data.len().div_ceil(REDUCE_CHUNK);
-    let mut partials = vec![0.0f32; chunks];
-    let base = SendPtr(partials.as_mut_ptr());
-    let base = &base;
-    parallel_for_ranges(chunks, 1, |r: Range<usize>| {
-        for idx in r {
-            let lo = idx * REDUCE_CHUNK;
-            let hi = (lo + REDUCE_CHUNK).min(data.len());
-            // SAFETY: each chunk index is visited by exactly one task.
-            unsafe { *base.0.add(idx) = serial(&data[lo..hi]) };
-        }
+    let mut partials = vec![0.0f32; data.len().div_ceil(REDUCE_CHUNK)];
+    parallel_map_slots(&mut partials, 1, |idx| {
+        serial(&data[idx * REDUCE_CHUNK..((idx + 1) * REDUCE_CHUNK).min(data.len())])
     });
     partials.iter().sum()
 }

@@ -20,7 +20,7 @@ use ahw_nn::train::{TrainConfig, Trainer};
 use ahw_sram::{HybridMemoryConfig, HybridWordConfig};
 use ahw_telemetry::{Roofline, SpanNode};
 use ahw_tensor::{pool, rng, Tensor};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 const SEED: u64 = 0x5E90;
 
@@ -78,12 +78,13 @@ fn pipeline(threads: usize) {
     pool::set_thread_override(None);
 }
 
-/// Renders the full run report for one pipeline run at `threads` workers,
-/// returning the Markdown and the drained spans.
-fn report_at(threads: usize) -> (String, Vec<ahw_telemetry::SpanEvent>) {
+/// Renders the full run report for one pipeline run at `threads` workers
+/// followed by `then`, returning the Markdown and the drained spans.
+fn report_at(threads: usize, then: impl FnOnce()) -> (String, Vec<ahw_telemetry::SpanEvent>) {
     ahw_telemetry::set_enabled(true);
     ahw_telemetry::reset();
     pipeline(threads);
+    then();
     let spans = ahw_telemetry::peek_spans();
     let snap = ahw_telemetry::snapshot();
     let roof = Roofline {
@@ -142,7 +143,7 @@ fn report_invariant_subset_is_byte_identical_across_thread_counts() {
     let _g = lock();
     let mut reference: Option<Vec<String>> = None;
     for &threads in &[1usize, 2, 4, 7] {
-        let (md, spans) = report_at(threads);
+        let (md, spans) = report_at(threads, || {});
         for section in [
             "# ahw run report",
             "## Span tree",
@@ -187,7 +188,20 @@ fn report_invariant_subset_is_byte_identical_across_thread_counts() {
 #[test]
 fn report_sections_reflect_the_schedule() {
     let _g = lock();
-    let (md, _) = report_at(2);
+    let (md, _) = report_at(2, || {
+        // Force the schedule the test checks: the two chunks of this job
+        // wait for each other, so the caller can run only one of them and
+        // the pool worker must run the other, however fast the pipeline's
+        // own jobs were.
+        let meet = Barrier::new(2);
+        pool::set_thread_override(Some(2));
+        pool::parallel_for_ranges(2, 1, |chunks| {
+            for _ in chunks {
+                meet.wait();
+            }
+        });
+        pool::set_thread_override(None);
+    });
     assert!(
         md.contains("| gemm |"),
         "roofline table must score the GEMM kernel"
