@@ -19,7 +19,7 @@
 //! zero only on a 200, so shell scripts can probe `/healthz` and
 //! `/metrics` without curl.
 //!
-//! `--calibrate` measures the machine roof (peak GEMM GFLOP/s, stream
+//! `--calibrate` measures the machine roof (peak compute GFLOP/s, stream
 //! GB/s — see [`ahw_bench::calibration`]) and prints the
 //! `"calibration/roofline"` JSON history line to stdout;
 //! `scripts/bench.sh` appends it to `BENCH_kernels.json` so roofline
@@ -56,7 +56,7 @@ fn main() {
     if has("--calibrate") {
         let cal = ahw_bench::calibration::calibrate();
         eprintln!(
-            "calibration: peak {:.2} GFLOP/s gemm, {:.2} GB/s stream (threads={})",
+            "calibration: peak {:.2} GFLOP/s compute, {:.2} GB/s stream (threads={})",
             cal.peak_gflops, cal.stream_gbps, cal.threads
         );
         println!("{}", cal.to_json());

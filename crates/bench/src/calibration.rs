@@ -1,10 +1,14 @@
 //! One-shot machine-roof calibration for the roofline report: measures
-//! peak GEMM throughput (GFLOP/s) and peak streaming bandwidth (GB/s) at
-//! the configured thread count, using the same kernels the experiments
-//! run on.
+//! peak compute (GFLOP/s) and peak streaming bandwidth (GB/s) at the
+//! configured thread count.
+//!
+//! The compute roof comes from register-resident FMA chains, not from a
+//! kernel the report scores: timing the GEMM itself would put GEMM at
+//! about 100% of roof by construction, and the roof would move whenever
+//! the GEMM code does.
 //!
 //! The measurement deliberately runs with telemetry recording **suspended**
-//! — calibration GEMMs must not pollute the FLOP/byte counters or the span
+//! — calibration work must not pollute the FLOP/byte counters or the span
 //! buffers of the run being profiled — and registers the measured roof via
 //! [`ahw_telemetry::set_roofline`] so the `/report` endpoint and the
 //! end-of-run report can score kernels immediately.
@@ -20,13 +24,18 @@
 //! hosts where a fresh measurement would be noisy.
 
 use ahw_telemetry::{json, Roofline};
-use ahw_tensor::{ops, pool, rng};
-use std::time::Instant;
+use ahw_tensor::pool;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
-/// Square GEMM dimension used for the compute-roof measurement: large
-/// enough to reach the kernel's steady state, small enough that the whole
-/// calibration stays under a second.
-pub const GEMM_DIM: usize = 256;
+/// Independent FMA chains per thread: enough to cover FMA latency times
+/// issue width whether the compiler picks 256- or 512-bit vectors.
+const FMA_LANES: usize = 128;
+
+/// How long each timed compute-roof repetition runs its FMA chains: long
+/// enough to reach steady clocks, short enough that a debug build stays
+/// fast.
+const FMA_WINDOW: Duration = Duration::from_millis(50);
 
 /// Elements in the stream-roof buffers (f32): 4 MiB per buffer, far beyond
 /// L2 on any relevant host, so the measurement sees memory, not cache.
@@ -39,7 +48,7 @@ const REPS: usize = 3;
 /// One measured (or overridden) machine roof.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
-    /// Best measured GEMM throughput, GFLOP/s.
+    /// Best measured compute throughput (FMA chains), GFLOP/s.
     pub peak_gflops: f64,
     /// Best measured streaming bandwidth, GB/s.
     pub stream_gbps: f64,
@@ -60,7 +69,7 @@ impl Calibration {
     /// bench-regression parser skips it.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"name\":\"calibration/roofline\",\"threads\":{},\"gemm_dim\":{GEMM_DIM},\"peak_gflops\":{:.3},\"stream_gbps\":{:.3}}}",
+            "{{\"name\":\"calibration/roofline\",\"threads\":{},\"peak_gflops\":{:.3},\"stream_gbps\":{:.3}}}",
             self.threads, self.peak_gflops, self.stream_gbps
         )
     }
@@ -74,7 +83,7 @@ pub fn calibrate() -> Calibration {
     let was_enabled = ahw_telemetry::enabled();
     ahw_telemetry::set_enabled(false);
     let cal = Calibration {
-        peak_gflops: measure_gemm_gflops(),
+        peak_gflops: measure_fma_gflops(),
         stream_gbps: measure_stream_gbps(),
         threads: pool::num_threads(),
     };
@@ -83,22 +92,44 @@ pub fn calibrate() -> Calibration {
     cal
 }
 
-fn measure_gemm_gflops() -> f64 {
-    let mut r = rng::seeded(0xCA1B);
-    let a = rng::uniform(&[GEMM_DIM, GEMM_DIM], -1.0, 1.0, &mut r);
-    let b = rng::uniform(&[GEMM_DIM, GEMM_DIM], -1.0, 1.0, &mut r);
-    // One untimed pass warms the pool (worker spawn is paid here, not in
-    // the measurement).
-    let _ = ops::matmul(&a, &b).expect("calibration matmul");
-    let flops = 2.0 * (GEMM_DIM as f64).powi(3);
+/// Runs [`FMA_LANES`] independent multiply-add chains until [`FMA_WINDOW`]
+/// after `start`, and returns how many steps each chain took.
+fn fma_chains(start: Instant) -> u64 {
+    const CLOCK_EVERY: u64 = 16 * 1024;
+    let (m, c) = (black_box(0.999_9f32), black_box(1e-4f32));
+    let mut acc = [0.0f32; FMA_LANES];
+    let mut steps = 0;
+    while start.elapsed() < FMA_WINDOW {
+        for _ in 0..CLOCK_EVERY {
+            for a in &mut acc {
+                *a = a.mul_add(m, c);
+            }
+        }
+        steps += CLOCK_EVERY;
+    }
+    black_box(acc);
+    steps
+}
+
+/// Compute roof: GFLOP/s of register-resident FMA chains on
+/// `pool::num_threads()` threads at once, best of [`REPS`].
+fn measure_fma_gflops() -> f64 {
+    let threads = pool::num_threads();
     let mut best = 0.0f64;
     for _ in 0..REPS {
-        let t = Instant::now();
-        let c = ops::matmul(&a, &b).expect("calibration matmul");
-        let secs = t.elapsed().as_secs_f64();
-        std::hint::black_box(&c);
+        let start = Instant::now();
+        let steps: u64 = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| s.spawn(|| fma_chains(start)))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("calibration FMA worker"))
+                .sum()
+        });
+        let secs = start.elapsed().as_secs_f64();
         if secs > 0.0 {
-            best = best.max(flops / secs / 1e9);
+            best = best.max(2.0 * FMA_LANES as f64 * steps as f64 / secs / 1e9);
         }
     }
     best
@@ -248,7 +279,7 @@ mod tests {
         let was_enabled = ahw_telemetry::enabled();
         let cal = calibrate();
         pool::set_thread_override(None);
-        assert!(cal.peak_gflops > 0.0, "GEMM roof must be positive");
+        assert!(cal.peak_gflops > 0.0, "compute roof must be positive");
         assert!(cal.stream_gbps > 0.0, "stream roof must be positive");
         assert_eq!(cal.threads, 2);
         assert_eq!(

@@ -122,7 +122,7 @@ pub fn render_bench_trend_md(history: &str) -> String {
     if let Some(cal) = crate::calibration::parse_latest_calibration(history) {
         let _ = writeln!(
             out,
-            "calibrated roof: {:.2} GFLOP/s peak GEMM · {:.2} GB/s stream (threads={})\n",
+            "calibrated roof: {:.2} GFLOP/s peak compute · {:.2} GB/s stream (threads={})\n",
             cal.peak_gflops, cal.stream_gbps, cal.threads
         );
     }

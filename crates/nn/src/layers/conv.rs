@@ -243,7 +243,7 @@ impl Conv2d {
 
         // pass 2: dL/dx per panel. One GEMM writes the panel's dcols over
         // its columns from dY in the panel's (oc × images·span) layout,
-        // and each image scatters from its column block. A
+        // and one col2im scatters the whole panel back to its images. A
         // one-image panel reads its dY where it is; a wider one gathers it.
         let mut dx = ws.take(n * item_in);
         let gathered = if per > 1 { item_out } else { 0 };
@@ -273,12 +273,7 @@ impl Conv2d {
                         &*dyp
                     };
                     ops::matmul_transa_slices(wv, dy, patch, oc, width, panel)?;
-                    // by index, not `chunks_exact_mut`: a zero-area input
-                    // has `item_in == 0` and an empty gradient per image
-                    for j in 0..images.len() {
-                        let dxi = &mut dxp[j * item_in..(j + 1) * item_in];
-                        ops::col2im_slices(&panel[j * span..], width, &g, dxi)?;
-                    }
+                    ops::col2im_slices(panel, images.len(), &g, dxp)?;
                     Ok::<(), NnError>(())
                 });
             },
@@ -331,10 +326,8 @@ impl Layer for Conv2d {
             |p, images, [outp, panel, prod]| {
                 err.run(p, || {
                     let width = images.len() * span;
-                    for (j, i) in images.clone().enumerate() {
-                        let xi = &xv[i * item_in..(i + 1) * item_in];
-                        ops::im2col_slices(xi, &g, &mut panel[j * span..], width)?;
-                    }
+                    let xp = &xv[images.start * item_in..images.end * item_in];
+                    ops::im2col_slices(xp, images.len(), &g, panel)?;
                     if images.len() == 1 {
                         ops::matmul_slices(wv, panel, oc, patch, span, outp)?;
                         for (o, &b) in outp.chunks_exact_mut(span).zip(bias) {

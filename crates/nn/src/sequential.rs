@@ -106,16 +106,6 @@ impl Sequential {
         &mut self.layers[i]
     }
 
-    /// Replaces the `i`-th layer, returning the old one. The hardware
-    /// substrates use this to swap software layers for mapped equivalents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn replace_layer(&mut self, i: usize, layer: Box<dyn Layer>) -> Box<dyn Layer> {
-        std::mem::replace(&mut self.layers[i], layer)
-    }
-
     /// Caching forward pass through every layer:
     /// [`forward_ws`](Sequential::forward_ws) over a throwaway arena.
     ///
@@ -662,14 +652,6 @@ mod tests {
             });
             assert_eq!((stopped, calls), (Err(2), 2), "{arch}");
         }
-    }
-
-    #[test]
-    fn replace_layer_swaps() {
-        let mut m = tiny_model(13);
-        let old = m.replace_layer(1, Box::new(ReLU::new()));
-        assert_eq!(old.describe(), "relu");
-        assert_eq!(m.len(), 3);
     }
 
     fn conv_model(seed: u64) -> Sequential {

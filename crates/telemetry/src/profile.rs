@@ -34,11 +34,11 @@ use std::sync::Mutex;
 /// `ahw_tensor::pool`); the utilization timeline is drawn from these.
 pub const POOL_PARTICIPATE_SPAN: &str = "tensor.pool.participate";
 
-/// Measured machine roof: peak GEMM compute and peak streaming bandwidth at
-/// the configured thread count, against which kernels are scored.
+/// Measured machine roof: peak compute and peak streaming bandwidth at the
+/// configured thread count, against which kernels are scored.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
-    /// Best measured GEMM throughput, GFLOP/s.
+    /// Best measured compute throughput, GFLOP/s.
     pub peak_gflops: f64,
     /// Best measured streaming bandwidth, GB/s.
     pub stream_gbps: f64,
@@ -494,7 +494,7 @@ fn render_roofline_md(snap: &MetricsSnapshot, roof: Option<&Roofline>) -> String
         Some(r) => {
             let _ = writeln!(
                 out,
-                "roof: {:.2} GFLOP/s peak GEMM · {:.2} GB/s stream\n",
+                "roof: {:.2} GFLOP/s peak compute · {:.2} GB/s stream\n",
                 r.peak_gflops, r.stream_gbps
             );
         }

@@ -58,12 +58,14 @@ pub fn write_tensor<W: Write>(w: &mut W, t: &Tensor) -> Result<(), TensorError> 
     Ok(())
 }
 
-/// Reads one tensor written by [`write_tensor`].
+/// Reads one tensor written by [`write_tensor`]. Memory grows only with
+/// the bytes actually read, so a corrupt header cannot make it allocate
+/// what the input does not hold.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::Io`] on truncated input or an implausible header
-/// (rank > 8 or more than 2³² elements — both far beyond anything this
+/// (rank > 8 or 2³² or more elements — both far beyond anything this
 /// workspace produces — are treated as corruption).
 pub fn read_tensor<R: Read>(r: &mut R) -> Result<Tensor, TensorError> {
     let rank = read_u32(r)?;
@@ -82,9 +84,15 @@ pub fn read_tensor<R: Read>(r: &mut R) -> Result<Tensor, TensorError> {
             "implausible tensor volume {volume}"
         )));
     }
-    let n: usize = dims.iter().product();
-    let mut bytes = vec![0u8; n * 4];
-    r.read_exact(&mut bytes)?;
+    let len = 4 * dims.iter().product::<usize>();
+    let mut bytes = Vec::new();
+    r.by_ref().take(len as u64).read_to_end(&mut bytes)?;
+    if bytes.len() != len {
+        return Err(TensorError::Io(format!(
+            "tensor data truncated: {} of {len} bytes",
+            bytes.len()
+        )));
+    }
     let data = bytes
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -137,7 +145,8 @@ pub fn load_bundle<P: AsRef<Path>>(path: P) -> Result<Vec<(String, Tensor)>, Ten
         )));
     }
     let count = read_u32(&mut r)?;
-    let mut entries = Vec::with_capacity(count as usize);
+    // no capacity from the header: a corrupt count must not allocate
+    let mut entries = Vec::new();
     for _ in 0..count {
         let name_len = read_u32(&mut r)? as usize;
         if name_len > 1 << 16 {

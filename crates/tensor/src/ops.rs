@@ -14,7 +14,7 @@
 //! preserve IEEE non-finite semantics — `0·∞` and `0·NaN` contribute NaN
 //! instead of being silently dropped.
 //!
-//! Every op comes in two forms sharing one kernel, so results are
+//! Every op keeps two forms sharing one kernel, so results are
 //! bit-identical across both:
 //!
 //! - a `_slices` core (`matmul_slices`) taking raw slices plus explicit
@@ -23,15 +23,18 @@
 //! - a [`Tensor`] wrapper (`matmul`) that checks shapes and returns a
 //!   fresh tensor.
 //!
-//! The cores that touch a convolution's column matrix — [`im2col_slices`],
-//! [`col2im_slices`] and [`matmul_transb_slices`] — take that matrix's row
-//! pitch `ld` (elements from one row's start to the next's). With
-//! `ld = span` the matrix is dense, which is what the `Tensor` wrappers
-//! pass. A wider `ld` addresses one image's `span`-column block inside a
-//! panel that holds several images side by side: the core reads or writes
-//! only that block and leaves the other columns untouched, so a layer can
-//! lower many images into one GEMM operand. No element's arithmetic
-//! depends on `ld`.
+//! The one exception is [`matmul_transa_slices`], whose only callers are
+//! layer backward passes: it has no wrapper, and it runs on the same
+//! accumulating GEMM core as [`matmul_slices`], which reads its left
+//! operand through a (row stride, column stride) pair.
+//!
+//! The lowering cores take a count of consecutive images: [`im2col_slices`]
+//! writes their dense `(C·K·K) × (images·span)` column panel, image `j` in
+//! columns `j·span..(j + 1)·span`, and [`col2im_slices`] scatters such a
+//! panel back to the images. Only [`matmul_transb_slices`] takes a row pitch
+//! (`ldb`, elements from one row's start to the next's): a weight gradient
+//! reads one image's `span`-column block of a panel in place, and no
+//! element's arithmetic depends on `ldb`.
 
 use crate::{pool, Tensor, TensorError};
 use ahw_telemetry as telemetry;
@@ -155,9 +158,9 @@ fn require_len(len: usize, expected: usize) -> Result<(), TensorError> {
 }
 
 /// Checks that a `rows × cols` matrix with row pitch `ld` fits in a slice
-/// of `len` elements and returns the extent it spans, `(rows − 1)·ld + cols`
-/// (the last row needs no padding after it).
-fn pitched_extent(len: usize, rows: usize, cols: usize, ld: usize) -> Result<usize, TensorError> {
+/// of `len` elements: its extent is `(rows − 1)·ld + cols` (the last row
+/// needs no padding after it).
+fn require_pitched(len: usize, rows: usize, cols: usize, ld: usize) -> Result<(), TensorError> {
     if ld < cols {
         return Err(TensorError::InvalidArgument(format!(
             "row pitch {ld} is shorter than a {cols}-column row"
@@ -170,26 +173,21 @@ fn pitched_extent(len: usize, rows: usize, cols: usize, ld: usize) -> Result<usi
             actual: len,
         });
     }
-    Ok(extent)
+    Ok(())
 }
 
-/// Validates the operand ranks/shapes shared by the `matmul*` entry points
-/// and returns `(m, k, n)`. `ta`/`tb` flag a logically transposed operand
-/// (stored `(k×m)` / `(n×k)` respectively).
+/// Validates the operand ranks/shapes shared by the `matmul*` wrappers and
+/// returns `(m, k, n)`. `tb` flags a logically transposed right operand
+/// (stored `(n×k)`).
 fn gemm_dims(
     a: &Tensor,
     b: &Tensor,
     op: &'static str,
-    ta: bool,
     tb: bool,
 ) -> Result<(usize, usize, usize), TensorError> {
     require_rank2(a, op)?;
     require_rank2(b, op)?;
-    let (m, k) = if ta {
-        (a.dims()[1], a.dims()[0])
-    } else {
-        (a.dims()[0], a.dims()[1])
-    };
+    let (m, k) = (a.dims()[0], a.dims()[1]);
     let (n, k2) = if tb {
         (b.dims()[0], b.dims()[1])
     } else {
@@ -205,68 +203,84 @@ fn gemm_dims(
     Ok((m, k, n))
 }
 
-/// Core of [`matmul`]: accumulates `a (m×k) · b (k×n)` into `out`, which the
-/// caller must have zeroed. Dimensions are trusted (checked by the public
-/// wrappers); telemetry is recorded here so every entry form counts alike.
-fn matmul_kernel(av: &[f32], bv: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    let _span = telemetry::span_labeled("tensor.ops.matmul", || format!("{m}x{k}x{n}"));
+/// The accumulating GEMM core: adds `A (m×k) · b (k×n)` into `out`, which
+/// the caller must have zeroed, reading `A(i, kk)` at `av[i·rs + kk·cs]` —
+/// `(rs, cs) = (k, 1)` for a row-major `a`, `(1, m)` for one stored
+/// transposed as `(k×m)`. Dimensions are trusted (checked by the entry
+/// points); the span is recorded under the entry point's `name`, and the
+/// work is counted here, so every entry point counts alike.
+fn gemm_kernel(
+    name: &'static str,
+    (av, rs, cs): (&[f32], usize, usize),
+    bv: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    let _span = telemetry::span_labeled(name, || format!("{m}x{k}x{n}"));
     count_gemm(m, n, k);
+    let a = |i: usize, kk: usize| av[i * rs + kk * cs];
+    let quad = |i: usize, kk: usize| [a(i, kk), a(i, kk + 1), a(i, kk + 2), a(i, kk + 3)];
+    let brow = |kk: usize| &bv[kk * n..(kk + 1) * n];
     // Row-partitioned i-k-j order with k-blocking and 4-row register
     // blocking: each chunk of output rows streams the same block of b rows
     // (L2 resident) while every row's accumulation order stays fixed — kb
     // blocks ascending, kk ascending 4 at a time, products folded
-    // left-to-right — independent of the partition and of whether the row
-    // went through the blocked or the tail path.
+    // left-to-right — independent of the partition, of the strides and of
+    // whether the row went through the blocked or the tail path.
     pool::par_row_chunks_mut(out, n, par_min_rows(k * n), |first, orows| {
         let rows = orows.len() / n;
         for kb in (0..k).step_by(BLOCK) {
             let kend = (kb + BLOCK).min(k);
             let mut r = 0usize;
             while r + 4 <= rows {
+                let i = first + r;
                 let (c0, rest) = orows[r * n..(r + 4) * n].split_at_mut(n);
                 let (c1, rest) = rest.split_at_mut(n);
                 let (c2, c3) = rest.split_at_mut(n);
-                let arow = |rr: usize| &av[(first + r + rr) * k..(first + r + rr + 1) * k];
-                let (a0, a1, a2, a3) = (arow(0), arow(1), arow(2), arow(3));
                 let mut kk = kb;
                 while kk + 4 <= kend {
-                    let quad = |a: &[f32]| [a[kk], a[kk + 1], a[kk + 2], a[kk + 3]];
                     axpy4x4(
                         [&mut c0[..], &mut c1[..], &mut c2[..], &mut c3[..]],
-                        [quad(a0), quad(a1), quad(a2), quad(a3)],
-                        &bv[kk * n..(kk + 1) * n],
-                        &bv[(kk + 1) * n..(kk + 2) * n],
-                        &bv[(kk + 2) * n..(kk + 3) * n],
-                        &bv[(kk + 3) * n..(kk + 4) * n],
+                        [
+                            quad(i, kk),
+                            quad(i + 1, kk),
+                            quad(i + 2, kk),
+                            quad(i + 3, kk),
+                        ],
+                        brow(kk),
+                        brow(kk + 1),
+                        brow(kk + 2),
+                        brow(kk + 3),
                     );
                     kk += 4;
                 }
                 while kk < kend {
-                    let brow = &bv[kk * n..(kk + 1) * n];
-                    axpy1(c0, a0[kk], brow);
-                    axpy1(c1, a1[kk], brow);
-                    axpy1(c2, a2[kk], brow);
-                    axpy1(c3, a3[kk], brow);
+                    axpy1(c0, a(i, kk), brow(kk));
+                    axpy1(c1, a(i + 1, kk), brow(kk));
+                    axpy1(c2, a(i + 2, kk), brow(kk));
+                    axpy1(c3, a(i + 3, kk), brow(kk));
                     kk += 1;
                 }
                 r += 4;
             }
             for (rr, orow) in orows[r * n..].chunks_mut(n).enumerate() {
-                let arow = &av[(first + r + rr) * k..(first + r + rr + 1) * k];
+                let i = first + r + rr;
                 let mut kk = kb;
                 while kk + 4 <= kend {
                     axpy4(
                         orow,
-                        [arow[kk], arow[kk + 1], arow[kk + 2], arow[kk + 3]],
-                        &bv[kk * n..(kk + 1) * n],
-                        &bv[(kk + 1) * n..(kk + 2) * n],
-                        &bv[(kk + 2) * n..(kk + 3) * n],
-                        &bv[(kk + 3) * n..(kk + 4) * n],
+                        quad(i, kk),
+                        brow(kk),
+                        brow(kk + 1),
+                        brow(kk + 2),
+                        brow(kk + 3),
                     );
                     kk += 4;
                 }
                 while kk < kend {
-                    axpy1(orow, arow[kk], &bv[kk * n..(kk + 1) * n]);
+                    axpy1(orow, a(i, kk), brow(kk));
                     kk += 1;
                 }
             }
@@ -281,9 +295,9 @@ fn matmul_kernel(av: &[f32], bv: &[f32], m: usize, k: usize, n: usize, out: &mut
 /// Returns [`TensorError::RankMismatch`] unless both operands are rank 2 and
 /// [`TensorError::ShapeMismatch`] if `a.cols != b.rows`.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let (m, k, n) = gemm_dims(a, b, "matmul", false, false)?;
+    let (m, k, n) = gemm_dims(a, b, "matmul", false)?;
     let mut out = vec![0.0f32; m * n];
-    matmul_kernel(a.as_slice(), b.as_slice(), m, k, n, &mut out);
+    matmul_slices(a.as_slice(), b.as_slice(), m, k, n, &mut out)?;
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -306,7 +320,7 @@ pub fn matmul_slices(
     require_len(b.len(), k * n)?;
     require_len(out.len(), m * n)?;
     out.fill(0.0);
-    matmul_kernel(a, b, m, k, n, out);
+    gemm_kernel("tensor.ops.matmul", (a, k, 1), b, m, k, n, out);
     Ok(())
 }
 
@@ -321,7 +335,7 @@ pub fn matmul_slices(
 /// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`] as
 /// [`matmul`] does.
 pub fn matmul_transb(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let (m, k, n) = gemm_dims(a, b, "matmul_transb", false, true)?;
+    let (m, k, n) = gemm_dims(a, b, "matmul_transb", true)?;
     let mut out = vec![0.0f32; m * n];
     matmul_transb_slices(a.as_slice(), b.as_slice(), k, m, k, n, &mut out)?;
     Tensor::from_vec(out, &[m, n])
@@ -347,7 +361,7 @@ pub fn matmul_transb_slices(
     out: &mut [f32],
 ) -> Result<(), TensorError> {
     require_len(a.len(), m * k)?;
-    pitched_extent(b.len(), n, k, ldb)?;
+    require_pitched(b.len(), n, k, ldb)?;
     require_len(out.len(), m * n)?;
     let _span = telemetry::span_labeled("tensor.ops.matmul_transb", || format!("{m}x{k}x{n}"));
     count_gemm(m, n, k);
@@ -362,60 +376,11 @@ pub fn matmul_transb_slices(
     Ok(())
 }
 
-/// Core of [`matmul_transa`]: accumulates into `out`, which the caller must
-/// have zeroed. The left operand is stored `(k×m)`.
-fn matmul_transa_kernel(av: &[f32], bv: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    let _span = telemetry::span_labeled("tensor.ops.matmul_transa", || format!("{m}x{k}x{n}"));
-    count_gemm(m, n, k);
-    // Same row-partitioned structure as `matmul`; the left operand is read
-    // down its columns (stride m), the right operand by rows.
-    pool::par_row_chunks_mut(out, n, par_min_rows(k * n), |first, orows| {
-        for kb in (0..k).step_by(BLOCK) {
-            let kend = (kb + BLOCK).min(k);
-            for (r, orow) in orows.chunks_mut(n).enumerate() {
-                let i = first + r;
-                let mut kk = kb;
-                while kk + 4 <= kend {
-                    axpy4(
-                        orow,
-                        [
-                            av[kk * m + i],
-                            av[(kk + 1) * m + i],
-                            av[(kk + 2) * m + i],
-                            av[(kk + 3) * m + i],
-                        ],
-                        &bv[kk * n..(kk + 1) * n],
-                        &bv[(kk + 1) * n..(kk + 2) * n],
-                        &bv[(kk + 2) * n..(kk + 3) * n],
-                        &bv[(kk + 3) * n..(kk + 4) * n],
-                    );
-                    kk += 4;
-                }
-                while kk < kend {
-                    axpy1(orow, av[kk * m + i], &bv[kk * n..(kk + 1) * n]);
-                    kk += 1;
-                }
-            }
-        }
-    });
-}
-
-/// `aᵀ (k×m → m as rows) · b` where `a` is stored `(k×m)` — GEMM with the
-/// left-hand operand logically transposed. Used by weight-gradient passes
-/// (`dW = dYᵀ · X`).
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`] as
-/// [`matmul`] does.
-pub fn matmul_transa(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let (m, k, n) = gemm_dims(a, b, "matmul_transa", true, false)?;
-    let mut out = vec![0.0f32; m * n];
-    matmul_transa_kernel(a.as_slice(), b.as_slice(), m, k, n, &mut out);
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// [`matmul_transa`] on raw slices (`a` is stored `(k×m)`, `b` is `(k×n)`).
+/// `aᵀ · b` on raw slices, where `a` is stored `(k×m)` and `b` is `(k×n)` —
+/// GEMM with the left-hand operand logically transposed, without
+/// materializing the transpose. Backward passes use it for `Wᵀ · dY` and
+/// `dYᵀ · X`. It runs [`matmul_slices`]' core with the transposed strides,
+/// so it writes the bits [`matmul`] gives on the materialized transpose.
 /// Prior contents of `out` are discarded.
 ///
 /// # Errors
@@ -434,7 +399,7 @@ pub fn matmul_transa_slices(
     require_len(b.len(), k * n)?;
     require_len(out.len(), m * n)?;
     out.fill(0.0);
-    matmul_transa_kernel(a, b, m, k, n, out);
+    gemm_kernel("tensor.ops.matmul_transa", (a, 1, m), b, m, k, n, out);
     Ok(())
 }
 
@@ -535,65 +500,60 @@ pub fn im2col(input: &Tensor, g: &ConvGeometry) -> Result<Tensor, TensorError> {
     }
     let span = g.out_height() * g.out_width();
     let mut out = vec![0.0f32; g.patch_len() * span];
-    im2col_slices(input.as_slice(), g, &mut out, span)?;
+    im2col_slices(input.as_slice(), 1, g, &mut out)?;
     Tensor::from_vec(out, &[g.patch_len(), span])
 }
 
-/// [`im2col`] on raw slices: writes the image's `(C·K·K) × span` patch
-/// matrix into the first `span` columns of `out`, whose rows are `ld`
-/// elements apart (`ld = span` for a dense matrix). Every element of that
-/// block is overwritten, padding taps with zero, and nothing else in `out`
-/// is touched — so passing `&mut panel[j·span..]` with `ld = images·span`
-/// lowers image `j` into its column block of a multi-image panel.
+/// [`im2col`] of `images` consecutive `(C, H, W)` images in `inp`, side by
+/// side: writes their `(C·K·K) × (images·span)` column panel into `out`,
+/// image `j`'s patch matrix in columns `j·span..(j + 1)·span`. Every
+/// element is overwritten, padding taps with zero.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::InvalidArgument`] for a degenerate geometry or
-/// `ld < span`, and [`TensorError::LengthMismatch`] if `inp` does not hold
-/// one image or `out` is shorter than the pitched extent.
+/// Returns [`TensorError::InvalidArgument`] for a degenerate geometry, and
+/// [`TensorError::LengthMismatch`] if `inp` does not hold `images` images or
+/// `out` is not the panel's size.
 pub fn im2col_slices(
     inp: &[f32],
+    images: usize,
     g: &ConvGeometry,
     out: &mut [f32],
-    ld: usize,
 ) -> Result<(), TensorError> {
     g.validate()?;
     let (oh, ow) = (g.out_height(), g.out_width());
     let span = oh * ow;
+    let width = images * span;
     let plane_len = g.height * g.width;
-    require_len(inp.len(), g.channels * plane_len)?;
-    let extent = pitched_extent(out.len(), g.patch_len(), span, ld)?;
+    require_len(inp.len(), images * g.channels * plane_len)?;
+    require_len(out.len(), g.patch_len() * width)?;
     let _span = telemetry::span("tensor.ops.im2col");
-    IM2COL_ELEMS.add((g.patch_len() * span) as u64);
-    // Each patch row (c, ky, kx) gathers into a disjoint output row, so the
-    // rows partition freely over the pool; the last row is short (the
-    // pitched extent ends `span` into it).
-    pool::par_pitched_rows_mut(
-        &mut out[..extent],
-        ld,
-        par_min_rows(span),
-        |first, orows| {
-            for (r, orow) in orows.chunks_mut(ld).enumerate() {
-                let row = first + r;
-                let c = row / (g.kernel * g.kernel);
-                let ky = (row / g.kernel) % g.kernel;
-                let kx = row % g.kernel;
-                let plane = &inp[c * plane_len..(c + 1) * plane_len];
-                // padding taps read zero: clear the row, then copy the taps
-                // that read real pixels
-                let orow = &mut orow[..span];
-                orow.fill(0.0);
-                let ys = tap_range(ky, g.height, oh, g);
-                let xs = tap_range(kx, g.width, ow, g);
-                if xs.is_empty() {
-                    continue;
-                }
-                // first input column the tap reads; in range by `tap_range`
-                let ix0 = xs.start * g.stride + kx - g.padding;
-                for oy in ys {
+    IM2COL_ELEMS.add((g.patch_len() * width) as u64);
+    // Each patch row (c, ky, kx) gathers into a disjoint panel row, so the
+    // rows partition freely over the pool. A row's tap and its valid
+    // ranges are worked out once and serve every image's column block.
+    pool::par_row_chunks_mut(out, width, par_min_rows(width), |first, orows| {
+        for (r, orow) in orows.chunks_mut(width).enumerate() {
+            let row = first + r;
+            let c = row / (g.kernel * g.kernel);
+            let ky = (row / g.kernel) % g.kernel;
+            let kx = row % g.kernel;
+            let ys = tap_range(ky, g.height, oh, g);
+            let xs = tap_range(kx, g.width, ow, g);
+            // padding taps read zero: clear the row, then copy the taps
+            // that read real pixels
+            orow.fill(0.0);
+            if xs.is_empty() {
+                continue;
+            }
+            // first input column the tap reads; in range by `tap_range`
+            let ix0 = xs.start * g.stride + kx - g.padding;
+            for (j, oblock) in orow.chunks_exact_mut(span).enumerate() {
+                let plane = &inp[(j * g.channels + c) * plane_len..][..plane_len];
+                for oy in ys.clone() {
                     let iy = oy * g.stride + ky - g.padding;
                     let irow = &plane[iy * g.width..(iy + 1) * g.width];
-                    let o = &mut orow[oy * ow + xs.start..oy * ow + xs.end];
+                    let o = &mut oblock[oy * ow + xs.start..oy * ow + xs.end];
                     if g.stride == 1 {
                         // contiguous span of the input row
                         o.copy_from_slice(&irow[ix0..ix0 + o.len()]);
@@ -604,8 +564,8 @@ pub fn im2col_slices(
                     }
                 }
             }
-        },
-    );
+        }
+    });
     Ok(())
 }
 
@@ -627,50 +587,53 @@ pub fn col2im(cols_t: &Tensor, g: &ConvGeometry) -> Result<Tensor, TensorError> 
         });
     }
     let mut out = vec![0.0f32; g.channels * g.height * g.width];
-    col2im_slices(cols_t.as_slice(), span, g, &mut out)?;
+    col2im_slices(cols_t.as_slice(), 1, g, &mut out)?;
     Tensor::from_vec(out, &[g.channels, g.height, g.width])
 }
 
-/// [`col2im`] on raw slices: reads the `(C·K·K) × span` patch-gradient
-/// block at the start of `cols`, whose rows are `ld` elements apart
-/// (`ld = span` for a dense matrix), and writes the `(C, H, W)` image into
-/// `out`. Prior contents of `out` are discarded.
+/// [`col2im`] of a column panel of `images` images, the adjoint of
+/// [`im2col_slices`]: reads the `(C·K·K) × (images·span)` panel `cols` and
+/// writes image `j`'s `(C, H, W)` gradient, scattered from columns
+/// `j·span..(j + 1)·span`, as the `j`-th image of `out`. Prior contents of
+/// `out` are discarded.
 ///
 /// Every pixel accumulates its taps in ascending `(ky, kx)` order starting
-/// from zero, whatever `ld` is. At stride 1 each tap adds one contiguous
-/// run of an input row, the adjoint of [`im2col_slices`]' span copy.
+/// from zero. At stride 1 each tap adds one contiguous run of an input row,
+/// the adjoint of [`im2col_slices`]' span copy.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::InvalidArgument`] for a degenerate geometry or
-/// `ld < span`, and [`TensorError::LengthMismatch`] if `out` does not hold
-/// one image or `cols` is shorter than the pitched extent.
+/// Returns [`TensorError::InvalidArgument`] for a degenerate geometry, and
+/// [`TensorError::LengthMismatch`] if `cols` is not the panel's size or
+/// `out` does not hold `images` images.
 pub fn col2im_slices(
     cols: &[f32],
-    ld: usize,
+    images: usize,
     g: &ConvGeometry,
     out: &mut [f32],
 ) -> Result<(), TensorError> {
     g.validate()?;
     let (oh, ow) = (g.out_height(), g.out_width());
     let span = oh * ow;
+    let width = images * span;
     let plane_len = g.height * g.width;
-    pitched_extent(cols.len(), g.patch_len(), span, ld)?;
-    require_len(out.len(), g.channels * plane_len)?;
+    require_len(cols.len(), g.patch_len() * width)?;
+    require_len(out.len(), images * g.channels * plane_len)?;
     out.fill(0.0);
     let _span = telemetry::span("tensor.ops.col2im");
-    COL2IM_ELEMS.add((g.patch_len() * span) as u64);
-    // Overlapping scatters stay within one channel plane, so channels are
-    // the natural disjoint partition; within a plane a tap (ky, kx) reaches
-    // each pixel at most once, so looping taps outermost keeps every pixel's
-    // serial (ky, kx) accumulation order at every thread count.
+    COL2IM_ELEMS.add((g.patch_len() * width) as u64);
+    // Overlapping scatters stay within one (image, channel) plane, so the
+    // planes are the natural disjoint partition; within a plane a tap
+    // (ky, kx) reaches each pixel at most once, so looping taps outermost
+    // keeps every pixel's serial (ky, kx) accumulation order at every
+    // thread count.
     pool::par_row_chunks_mut(
         out,
         plane_len,
         par_min_rows(g.kernel * g.kernel * span),
         |first, planes| {
             for (pc, plane) in planes.chunks_mut(plane_len).enumerate() {
-                let c = first + pc;
+                let (j, c) = ((first + pc) / g.channels, (first + pc) % g.channels);
                 for ky in 0..g.kernel {
                     let ys = tap_range(ky, g.height, oh, g);
                     for kx in 0..g.kernel {
@@ -679,7 +642,7 @@ pub fn col2im_slices(
                             continue;
                         }
                         let row = (c * g.kernel + ky) * g.kernel + kx;
-                        let crow = &cols[row * ld..row * ld + span];
+                        let crow = &cols[row * width + j * span..][..span];
                         let ix0 = xs.start * g.stride + kx - g.padding;
                         for oy in ys.clone() {
                             let iy = oy * g.stride + ky - g.padding;
@@ -866,9 +829,10 @@ mod tests {
             y.as_slice()
         );
 
-        let ta = Tensor::from_vec(vec![0.0, 0.0, 0.0], &[3, 1]).unwrap();
-        let yt = matmul_transa(&ta, &b).unwrap();
-        assert!(yt.as_slice()[0].is_nan() && yt.as_slice()[1].is_nan());
+        // `a` stored transposed as (3×1)
+        let mut yt = [0.0f32; 2];
+        matmul_transa_slices(a.as_slice(), b.as_slice(), 1, 3, 2, &mut yt).unwrap();
+        assert!(yt[0].is_nan() && yt[1].is_nan());
 
         let tb = Tensor::from_vec(vec![f32::INFINITY, 1.0, 2.0], &[1, 3]).unwrap();
         let yb = matmul_transb(&a, &tb).unwrap();
@@ -923,10 +887,18 @@ mod tests {
 
     #[test]
     fn matmul_transa_matches_explicit_transpose() {
-        let a = rand_tensor(&[6, 4], 7);
-        let b = rand_tensor(&[6, 3], 8);
-        let expect = matmul(&a.transpose().unwrap(), &b).unwrap();
-        assert_close(&matmul_transa(&a, &b).unwrap(), &expect, 1e-4);
+        // One GEMM core: `aᵀ·b` is the exact bits of `matmul` on the
+        // materialized transpose, in the 4-row blocked path, the row tail
+        // and across a k-block boundary.
+        for (m, k, n) in [(6usize, 4usize, 3usize), (9, 67, 5), (3, 130, 1)] {
+            let a = rand_tensor(&[k, m], 7 + m as u64);
+            let b = rand_tensor(&[k, n], 8 + k as u64);
+            let expect = matmul(&a.transpose().unwrap(), &b).unwrap();
+            let mut out = vec![f32::NAN; m * n];
+            matmul_transa_slices(a.as_slice(), b.as_slice(), m, k, n, &mut out).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(expect.as_slice()), "{m}x{k}x{n}");
+        }
     }
 
     #[test]
@@ -949,7 +921,7 @@ mod tests {
             out.fill(f32::NAN);
             matmul_transa_slices(at.as_slice(), b.as_slice(), m, k, n, &mut out).unwrap();
             ensure(
-                out == matmul_transa(&at, &b).unwrap().as_slice(),
+                out == matmul(&at.transpose().unwrap(), &b).unwrap().as_slice(),
                 "matmul_transa_slices",
             )?;
             out.fill(f32::NAN);
@@ -980,13 +952,13 @@ mod tests {
             let span = geo.out_height() * geo.out_width();
             let cols = crate::rng::uniform(&[geo.patch_len(), span], -1.0, 1.0, &mut r);
             let mut cbuf = vec![f32::NAN; geo.patch_len() * span];
-            im2col_slices(x.as_slice(), &geo, &mut cbuf, span).unwrap();
+            im2col_slices(x.as_slice(), 1, &geo, &mut cbuf).unwrap();
             ensure(
                 cbuf == im2col(&x, &geo).unwrap().as_slice(),
                 "im2col_slices",
             )?;
             let mut ibuf = vec![f32::NAN; geo.channels * geo.height * geo.width];
-            col2im_slices(cols.as_slice(), span, &geo, &mut ibuf).unwrap();
+            col2im_slices(cols.as_slice(), 1, &geo, &mut ibuf).unwrap();
             ensure(
                 ibuf == col2im(&cols, &geo).unwrap().as_slice(),
                 "col2im_slices",
@@ -1030,17 +1002,34 @@ mod tests {
             stride: 1,
             padding: 0,
         };
-        let x = rand_tensor(&[1, 4, 4], 63);
-        assert!(im2col_slices(x.as_slice(), &g, &mut short, 4).is_err());
-        assert!(col2im_slices(&short, 4, &g, &mut [0.0; 16]).is_err());
-        // a pitch narrower than the 4-column span is rejected, not misread
+        // a two-image panel of 9 patch rows × 2·4 columns
+        let x = rand_tensor(&[2, 1, 4, 4], 63);
+        let mut panel = vec![0.0f32; 9 * 8];
         let mut cols = vec![0.0f32; 9 * 4];
+        let one_image = &x.as_slice()[..16];
         assert!(matches!(
-            im2col_slices(x.as_slice(), &g, &mut cols, 3),
+            im2col_slices(one_image, 2, &g, &mut panel),
+            Err(TensorError::LengthMismatch { expected: 32, .. })
+        ));
+        for wrong in [&mut cols[..], &mut vec![0.0f32; 9 * 8 + 1][..]] {
+            assert!(matches!(
+                im2col_slices(x.as_slice(), 2, &g, wrong),
+                Err(TensorError::LengthMismatch { expected: 72, .. })
+            ));
+        }
+        assert!(matches!(
+            col2im_slices(&cols, 2, &g, &mut [0.0; 32]),
+            Err(TensorError::LengthMismatch { expected: 72, .. })
+        ));
+        assert!(matches!(
+            col2im_slices(&panel, 2, &g, &mut [0.0; 16]),
+            Err(TensorError::LengthMismatch { expected: 32, .. })
+        ));
+        // a pitch narrower than the row is rejected, not misread
+        assert!(matches!(
+            matmul_transb_slices(a.as_slice(), &cols, 2, 2, 3, 4, &mut [0.0; 8]),
             Err(TensorError::InvalidArgument(_))
         ));
-        assert!(col2im_slices(&cols, 3, &g, &mut [0.0; 16]).is_err());
-        assert!(matmul_transb_slices(a.as_slice(), &cols, 2, 2, 3, 4, &mut [0.0; 8]).is_err());
         assert!(cross_entropy_with_grad_slices(a.as_slice(), &[0, 1], 3, &mut short).is_err());
     }
 

@@ -365,8 +365,7 @@ where
 
 /// Mutable row-partition helper: splits `out` into items of `row_len`
 /// contiguous elements and calls `body(first_row, rows_slice)` on disjoint
-/// row blocks in parallel. `out.len()` must be a multiple of `row_len`
-/// ([`par_pitched_rows_mut`] takes a short last row).
+/// row blocks in parallel. `out.len()` must be a multiple of `row_len`.
 ///
 /// # Panics
 ///
@@ -377,37 +376,20 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    debug_assert_eq!(out.len() % row_len.max(1), 0);
-    par_pitched_rows_mut(out, row_len, min_rows, body);
-}
-
-/// [`par_row_chunks_mut`] over a pitched matrix: rows start `ld` elements
-/// apart, and the last one may be short, because a `rows × cols` block
-/// with row pitch `ld` ends `cols` elements into its last row. The block
-/// holding that row is correspondingly short.
-///
-/// # Panics
-///
-/// Propagates panics from `body`.
-pub fn par_pitched_rows_mut<T, F>(out: &mut [T], ld: usize, min_rows: usize, body: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if out.is_empty() || ld == 0 {
+    if out.is_empty() || row_len == 0 {
         return;
     }
-    let len = out.len();
-    let rows = len.div_ceil(ld);
+    debug_assert_eq!(out.len() % row_len, 0);
+    let rows = out.len() / row_len;
     let base = SendPtr(out.as_mut_ptr());
     let base = &base;
     parallel_for_ranges(rows, min_rows.max(1), |r: Range<usize>| {
-        let lo = r.start * ld;
-        let hi = (r.end * ld).min(len);
         // SAFETY: ranges from `parallel_for_ranges` are disjoint and within
-        // `0..rows`, and `hi` is clamped to `len`, so each slice is an
-        // exclusive in-bounds view of its rows.
-        let block = unsafe { std::slice::from_raw_parts_mut(base.0.add(lo), hi - lo) };
+        // `0..rows`, so each slice is an exclusive in-bounds view of its
+        // rows.
+        let block = unsafe {
+            std::slice::from_raw_parts_mut(base.0.add(r.start * row_len), r.len() * row_len)
+        };
         body(r.start, block);
     });
 }
@@ -608,24 +590,6 @@ mod tests {
             for k in 0..3 {
                 assert_eq!(out[i * 3 + k], (i * 10 + k) as f32);
             }
-        }
-    }
-
-    #[test]
-    fn pitched_rows_cover_a_short_last_row() {
-        // a pitched extent: 37 rows of pitch 5 whose last row holds only 2
-        let mut out = vec![0.0f32; 36 * 5 + 2];
-        set_thread_override(Some(4));
-        par_pitched_rows_mut(&mut out, 5, 1, |first, rows| {
-            for (j, row) in rows.chunks_mut(5).enumerate() {
-                for v in row.iter_mut() {
-                    *v += (first + j + 1) as f32;
-                }
-            }
-        });
-        set_thread_override(None);
-        for (idx, v) in out.iter().enumerate() {
-            assert_eq!(*v, (idx / 5 + 1) as f32, "element {idx}");
         }
     }
 

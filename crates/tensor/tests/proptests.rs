@@ -205,77 +205,66 @@ fn lowering_is_adjoint() {
     });
 }
 
-/// With a row pitch `ld = images·span`, the lowering cores address image
-/// `j`'s column block of a multi-image panel: `im2col_slices` writes the
-/// dense (`ld = span`) bits there and leaves every other column untouched,
-/// and `col2im_slices` / `matmul_transb_slices` read the block to the
-/// bits they give on a dense copy of it.
+/// A column panel is its images' one-image lowerings side by side, bit for
+/// bit: `im2col_slices` of `images` images is the column-wise concatenation
+/// of their `im2col`s, `col2im_slices` of a panel is the `col2im` of each
+/// image's column block, and `matmul_transb_slices` reading a block in
+/// place (`ldb = images·span`) gives the bits it gives on a dense copy.
 #[test]
-fn lowering_in_a_panel_touches_only_its_block() {
-    check::cases(128).run("lowering_in_a_panel_touches_only_its_block", |g| {
+fn a_panel_is_its_images_lowered_side_by_side() {
+    check::cases(128).run("a_panel_is_its_images_lowered_side_by_side", |g| {
         let geom = geometry(g, 3, 7)?;
         let images = g.usize_in("images", 1, 5);
-        let j = g.usize_in("j", 0, images);
         let m = g.usize_in("m", 1, 5);
         let seed = g.seed("seed");
         let mut r = rng::seeded(seed);
         let (patch, span) = (geom.patch_len(), geom.out_height() * geom.out_width());
-        let ld = images * span;
-        let x = rng::uniform(&[geom.channels, geom.height, geom.width], -1.0, 1.0, &mut r);
-        let dense = ops::im2col(&x, &geom).unwrap();
-        let sentinel = f32::from_bits(0x7fc0_1234);
-        let mut panel = vec![sentinel; patch * ld];
-        ops::im2col_slices(x.as_slice(), &geom, &mut panel[j * span..], ld).unwrap();
-        for (idx, v) in panel.iter().enumerate() {
-            let (row, col) = (idx / ld, idx % ld);
-            let expect = if col / span == j {
-                dense.as_slice()[row * span + col % span]
-            } else {
-                sentinel
+        let width = images * span;
+        let image = [geom.channels, geom.height, geom.width];
+        let item: usize = image.iter().product();
+        let x = rng::uniform(&[images * item], -1.0, 1.0, &mut r);
+        let c = rng::uniform(&[patch, width], -1.0, 1.0, &mut r);
+        let mut panel = vec![f32::NAN; patch * width];
+        ops::im2col_slices(x.as_slice(), images, &geom, &mut panel).unwrap();
+        let mut grads = vec![f32::NAN; images * item];
+        ops::col2im_slices(c.as_slice(), images, &geom, &mut grads).unwrap();
+        for j in 0..images {
+            // image j's (patch × span) column block of a panel
+            let block = |p: &[f32]| -> Vec<f32> {
+                p.chunks(width)
+                    .flat_map(|row| row[j * span..(j + 1) * span].iter().copied())
+                    .collect()
             };
+            let xj = Tensor::from_vec(x.as_slice()[j * item..(j + 1) * item].to_vec(), &image);
+            let lowered = ops::im2col(&xj.unwrap(), &geom).unwrap();
             ensure(
-                v.to_bits() == expect.to_bits(),
-                format!("im2col panel element ({row}, {col}) of block {j}"),
+                bits(&block(&panel)) == bits(lowered.as_slice()),
+                format!("im2col block {j} of a {images}-image panel"),
+            )?;
+            let cj = Tensor::from_vec(block(c.as_slice()), &[patch, span]).unwrap();
+            ensure(
+                bits(&grads[j * item..(j + 1) * item])
+                    == bits(ops::col2im(&cj, &geom).unwrap().as_slice()),
+                format!("col2im image {j} of a {images}-image panel"),
+            )?;
+            let a = rng::uniform(&[m, span], -1.0, 1.0, &mut r);
+            let mut prod = vec![f32::NAN; m * patch];
+            let at = &c.as_slice()[j * span..];
+            ops::matmul_transb_slices(a.as_slice(), at, width, m, span, patch, &mut prod).unwrap();
+            ensure(
+                bits(&prod) == bits(ops::matmul_transb(&a, &cj).unwrap().as_slice()),
+                format!("matmul_transb on block {j} differs from its dense copy"),
             )?;
         }
-
-        let panel = rng::uniform(&[patch, ld], -1.0, 1.0, &mut r);
-        let block: Vec<f32> = panel
-            .as_slice()
-            .chunks(ld)
-            .flat_map(|row| row[j * span..(j + 1) * span].iter().copied())
-            .collect();
-        let block = Tensor::from_vec(block, &[patch, span]).unwrap();
-        let mut img = vec![f32::NAN; geom.channels * geom.height * geom.width];
-        ops::col2im_slices(&panel.as_slice()[j * span..], ld, &geom, &mut img).unwrap();
-        ensure(
-            bits(&img) == bits(ops::col2im(&block, &geom).unwrap().as_slice()),
-            "col2im of a panel block differs from col2im of its dense copy",
-        )?;
-        let a = rng::uniform(&[m, span], -1.0, 1.0, &mut r);
-        let mut prod = vec![f32::NAN; m * patch];
-        ops::matmul_transb_slices(
-            a.as_slice(),
-            &panel.as_slice()[j * span..],
-            ld,
-            m,
-            span,
-            patch,
-            &mut prod,
-        )
-        .unwrap();
-        ensure(
-            bits(&prod) == bits(ops::matmul_transb(&a, &block).unwrap().as_slice()),
-            "matmul_transb of a panel block differs from its dense copy",
-        )
+        Ok(())
     });
 }
 
-/// Parallel `matmul` and the pitched lowering cores (`im2col`, `col2im`,
-/// `matmul_transb` on block 1 of a two-image panel) are bit-identical to
-/// their serial runs for arbitrary shapes across worker counts 1, 2, 4
-/// and 7 (shapes range from pool-bypassing tiny to large enough that the
-/// row partition engages).
+/// Parallel `matmul`, `matmul_transa` and the panel cores (`im2col` and
+/// `col2im` of a multi-image panel, `matmul_transb` on the last image's
+/// block of it) are bit-identical to their serial runs for arbitrary shapes
+/// across worker counts 1, 2, 4 and 7 (shapes range from pool-bypassing
+/// tiny to large enough that the row partition engages).
 #[test]
 fn kernels_thread_count_invariant() {
     use ahw_tensor::pool;
@@ -286,27 +275,29 @@ fn kernels_thread_count_invariant() {
         let seed = g.seed("seed");
         let a = rng::uniform(&[m, k], -1.0, 1.0, &mut rng::seeded(seed));
         let b = rng::uniform(&[k, n], -1.0, 1.0, &mut rng::seeded(seed ^ 1));
+        let at = rng::uniform(&[k, m], -1.0, 1.0, &mut rng::seeded(seed ^ 5));
         let geom = geometry(g, 8, 24)?;
+        let images = g.usize_in("images", 1, 4);
         let (patch, span) = (geom.patch_len(), geom.out_height() * geom.out_width());
-        let x = rng::normal(
-            &[geom.channels, geom.height, geom.width],
-            0.0,
-            1.0,
-            &mut rng::seeded(seed ^ 2),
-        );
-        let c = rng::normal(&[patch, 2 * span], 0.0, 1.0, &mut rng::seeded(seed ^ 3));
+        let width = images * span;
+        let item = geom.channels * geom.height * geom.width;
+        let x = rng::normal(&[images * item], 0.0, 1.0, &mut rng::seeded(seed ^ 2));
+        let c = rng::normal(&[patch, width], 0.0, 1.0, &mut rng::seeded(seed ^ 3));
         let dy = rng::normal(&[m, span], 0.0, 1.0, &mut rng::seeded(seed ^ 4));
         let run = || {
-            let mut panel = vec![0.0f32; patch * 2 * span];
-            ops::im2col_slices(x.as_slice(), &geom, &mut panel[span..], 2 * span).unwrap();
+            let mut ta = vec![0.0f32; m * n];
+            ops::matmul_transa_slices(at.as_slice(), b.as_slice(), m, k, n, &mut ta).unwrap();
+            let mut panel = vec![0.0f32; patch * width];
+            ops::im2col_slices(x.as_slice(), images, &geom, &mut panel).unwrap();
             let mut img = vec![0.0f32; x.len()];
-            ops::col2im_slices(&c.as_slice()[span..], 2 * span, &geom, &mut img).unwrap();
+            ops::col2im_slices(c.as_slice(), images, &geom, &mut img).unwrap();
             let mut dw = vec![0.0f32; m * patch];
-            let block = &c.as_slice()[span..];
-            ops::matmul_transb_slices(dy.as_slice(), block, 2 * span, m, span, patch, &mut dw)
+            let block = &c.as_slice()[(images - 1) * span..];
+            ops::matmul_transb_slices(dy.as_slice(), block, width, m, span, patch, &mut dw)
                 .unwrap();
             [
                 bits(ops::matmul(&a, &b).unwrap().as_slice()),
+                bits(&ta),
                 bits(&panel),
                 bits(&img),
                 bits(&dw),
@@ -319,10 +310,14 @@ fn kernels_thread_count_invariant() {
             pool::set_thread_override(Some(threads));
             let got = run();
             pool::set_thread_override(None);
-            for (name, (x, y)) in ["matmul", "im2col", "col2im", "matmul_transb"]
-                .iter()
-                .zip(got.iter().zip(&reference))
-            {
+            let names = [
+                "matmul",
+                "matmul_transa",
+                "im2col",
+                "col2im",
+                "matmul_transb",
+            ];
+            for (name, (x, y)) in names.iter().zip(got.iter().zip(&reference)) {
                 ensure(x == y, format!("{name} differs at {threads} threads"))?;
             }
         }

@@ -82,7 +82,7 @@ for t in 1 4; do
 done
 unset AHW_METRICS
 
-# Machine-roof calibration: peak GEMM GFLOP/s and stream GB/s at this
+# Machine-roof calibration: peak compute GFLOP/s and stream GB/s at this
 # thread count, appended as a "calibration/roofline" row (no median_ns, so
 # the regression watchdog skips it). ahw_report and the /report endpoint
 # use the newest row to score kernels against this machine's roof.

@@ -6,7 +6,9 @@
 //! truncated, bit-flipped, numerically hostile, absurdly nested or
 //! duplicate-keyed documents, the parser must return `Err` and each reader
 //! must skip the input or return `None`. The live metrics server must answer
-//! any complete request head, valid UTF-8 or not, with a real status.
+//! any complete request head, valid UTF-8 or not, with a real status. The
+//! checkpoint reader must return `Err`, never panic or abort, on a truncated,
+//! bit-flipped or hostile-header bundle.
 //!
 //! Cases come from the in-repo `ahw_tensor::check` harness.
 
@@ -16,7 +18,7 @@ use ahw_bench::report::{parse_snapshot_json, parse_trace_json};
 use ahw_core::journal::SearchJournal;
 use ahw_telemetry::{json, MetricsSnapshot};
 use ahw_tensor::check::{self, ensure};
-use ahw_tensor::{ops, rng};
+use ahw_tensor::{io, ops, rng, Tensor, TensorError};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,7 +47,7 @@ fn documents() -> &'static [String] {
         let trace = ahw_telemetry::trace_json(&ahw_telemetry::drain_spans());
         let snapshot = ahw_telemetry::snapshot_json();
         ahw_telemetry::set_enabled(false);
-        let path = temp_journal();
+        let path = temp_path("jsonl");
         let _ = std::fs::remove_file(&path);
         SearchJournal::open(&path, FINGERPRINT)
             .unwrap()
@@ -74,11 +76,12 @@ fn documents() -> &'static [String] {
     })
 }
 
-/// A fresh journal path per call, so parallel tests never share a file.
-fn temp_journal() -> std::path::PathBuf {
+/// A fresh temporary path with extension `ext` per call, so parallel tests
+/// never share a file.
+fn temp_path(ext: &str) -> std::path::PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     std::env::temp_dir().join(format!(
-        "ahw_malformed_{}_{}.jsonl",
+        "ahw_malformed_{}_{}.{ext}",
         std::process::id(),
         NEXT.fetch_add(1, Ordering::Relaxed)
     ))
@@ -86,7 +89,7 @@ fn temp_journal() -> std::path::PathBuf {
 
 /// Candidates a journal resumes when `text` follows a matching header.
 fn journal_resumes(text: &str) -> usize {
-    let path = temp_journal();
+    let path = temp_path("jsonl");
     let header = format!("{{\"fingerprint\":{}}}\n", json::quote(FINGERPRINT));
     std::fs::write(&path, header + text).unwrap();
     let resumed = SearchJournal::open(&path, FINGERPRINT)
@@ -263,4 +266,99 @@ fn random_request_heads_get_a_real_status() {
             ),
         )
     });
+}
+
+/// Loads `bytes` as a checkpoint file: its entry count, or the error.
+fn load_bundle_bytes(bytes: &[u8]) -> Result<usize, TensorError> {
+    let path = temp_path("ahwb");
+    std::fs::write(&path, bytes).unwrap();
+    let loaded = io::load_bundle(&path).map(|entries| entries.len());
+    let _ = std::fs::remove_file(&path);
+    loaded
+}
+
+/// The bytes of a saved three-entry checkpoint bundle: a matrix, a vector
+/// and a scalar.
+fn bundle_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let mut r = rng::seeded(3);
+        let entries = vec![
+            (
+                "conv.weight".to_string(),
+                rng::uniform(&[2, 3], -1.0, 1.0, &mut r),
+            ),
+            (
+                "conv.bias".to_string(),
+                rng::uniform(&[2], -1.0, 1.0, &mut r),
+            ),
+            ("step".to_string(), Tensor::full(&[], 7.0)),
+        ];
+        let path = temp_path("ahwb");
+        io::save_bundle(&path, &entries).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(load_bundle_bytes(&bytes), Ok(entries.len()));
+        bytes
+    })
+}
+
+#[test]
+fn every_bundle_truncation_is_an_error() {
+    let bytes = bundle_bytes();
+    for cut in 0..bytes.len() {
+        assert!(
+            load_bundle_bytes(&bytes[..cut]).is_err(),
+            "{cut}-byte prefix of a {}-byte bundle loaded",
+            bytes.len()
+        );
+    }
+}
+
+#[test]
+fn flipped_bundle_bytes_never_panic_or_abort() {
+    let bytes = bundle_bytes();
+    check::cases(256).run("flipped_bundle_bytes", |g| {
+        let mut flipped = bytes.to_vec();
+        let at = g.usize_in("at", 0, flipped.len());
+        flipped[at] = g.u8_in("byte", 0, 255);
+        // Ok or Err are both fine (a flipped data byte is still a tensor);
+        // a panic fails the case and an abort kills the binary
+        let _ = load_bundle_bytes(&flipped);
+        Ok(())
+    });
+}
+
+#[test]
+fn hostile_bundle_headers_are_io_errors() {
+    // a bundle header announcing u32::MAX entries, and nothing after it
+    let mut huge_count = b"AHWB".to_vec();
+    huge_count.extend_from_slice(&1u32.to_le_bytes());
+    huge_count.extend_from_slice(&u32::MAX.to_le_bytes());
+    // one entry whose tensor header (rank 1, 2³² − 1 elements) passes the
+    // volume check, followed by only two elements of data
+    let mut huge_tensor = b"AHWB".to_vec();
+    for word in [1u32, 1, 1] {
+        huge_tensor.extend_from_slice(&word.to_le_bytes());
+    }
+    huge_tensor.push(b'w');
+    let tensor_at = huge_tensor.len();
+    huge_tensor.extend_from_slice(&1u32.to_le_bytes());
+    huge_tensor.extend_from_slice(&u64::from(u32::MAX).to_le_bytes());
+    huge_tensor.extend_from_slice(&[0u8; 8]);
+    for (what, bytes) in [
+        ("entry count", &huge_count),
+        ("tensor volume", &huge_tensor),
+    ] {
+        assert!(
+            matches!(load_bundle_bytes(bytes), Err(TensorError::Io(_))),
+            "hostile {what}"
+        );
+    }
+    let mut tensor = &huge_tensor[tensor_at..];
+    assert_eq!(tensor.len(), 20);
+    assert!(matches!(
+        io::read_tensor(&mut tensor),
+        Err(TensorError::Io(_))
+    ));
 }

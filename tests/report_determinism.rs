@@ -207,7 +207,7 @@ fn report_sections_reflect_the_schedule() {
         "roofline table must score the GEMM kernel"
     );
     assert!(
-        md.contains("roof: 10.00 GFLOP/s peak GEMM · 5.00 GB/s stream"),
+        md.contains("roof: 10.00 GFLOP/s peak compute · 5.00 GB/s stream"),
         "roofline header must echo the provided roof"
     );
     let utilization = md
