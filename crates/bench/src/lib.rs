@@ -51,8 +51,9 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// The default experiment scale, sized so the full suite finishes in
-    /// about an hour on a single core (the calibration environment); pass
+    /// The default experiment scale: the `exp_*` suite of
+    /// `run_experiments.sh`, training included, took about 5.5 minutes wall
+    /// from an empty model cache on a 2-vCPU host at `AHW_THREADS=2`. Pass
     /// `--full` for the larger networks if you have a many-core machine.
     pub fn standard() -> Self {
         Scale {

@@ -1,5 +1,5 @@
 use crate::layer::{HookCell, Layer, Mode};
-use crate::util::{par_groups_mut, par_map_reduce, ErrCell};
+use crate::util::{par_groups_mut, par_map_reduce, ErrCell, Part};
 use crate::{NnError, Param};
 use ahw_tensor::ops::{self, ConvGeometry};
 use ahw_tensor::rng::Rng;
@@ -19,6 +19,16 @@ const PANEL_COLS: usize = 512;
 fn panel_images(n: usize, span: usize) -> usize {
     let panels = n.div_ceil((PANEL_COLS / span).max(1));
     n.div_ceil(panels.max(1)).max(1)
+}
+
+/// Where a pass's column panels live: in the batch's cached panels after a
+/// `Train` forward (`dL/dW` reads them again), else in one slot per pool
+/// range that every panel of the range reuses.
+fn panels_part(cached: &mut Option<Vec<f32>>, item_cols: usize) -> Part<'_> {
+    match cached {
+        Some(cols) => Part::Items(cols, item_cols),
+        None => Part::Slot(item_cols),
+    }
 }
 
 /// 2-D convolution with square kernels, implemented as `im2col` + GEMM.
@@ -48,8 +58,9 @@ pub struct Conv2d {
     /// What `backward_ws` reads: the forward's geometry and batch size and,
     /// after a `Train` forward only, the batch's im2col panels
     /// (`n · patch · span` elements, panel after panel) for `dL/dW`. An
-    /// `Eval` forward returns its panels to the arena, since `dL/dx` needs
-    /// only the weights.
+    /// `Eval` forward never lowers the whole batch, since `dL/dx` needs only
+    /// the weights: each pool range lowers its panels one after another
+    /// into one panel-sized workspace slot.
     cache: Option<(ConvGeometry, usize, Option<Vec<f32>>)>,
 }
 
@@ -151,14 +162,15 @@ impl Conv2d {
 
     /// Backward from the forward's cache. After a `Train` forward, `dL/dW`
     /// reads the cached panels first; `dL/dx` then overwrites each panel in
-    /// place with its `dcols` (after an `Eval` forward, a `ws` buffer takes
-    /// their place) before scattering back to input geometry, so the whole
-    /// backward needs at most three workspace buffers: `dx`, the `dcols`
-    /// of an `Eval` backward and the panel-ordered copy of `dY`.
+    /// place with its `dcols` (after an `Eval` forward, each pool range's
+    /// panel-sized slot takes their place) before scattering back to input
+    /// geometry. Besides `dx`, the backward takes only per-range slots from
+    /// the workspace: the `dcols` of an `Eval` backward and the
+    /// panel-ordered copy of `dY`.
     fn backward_from_cache(
         &mut self,
         grad_out: &Tensor,
-        (g, n, panels): (ConvGeometry, usize, Option<Vec<f32>>),
+        (g, n, mut panels): (ConvGeometry, usize, Option<Vec<f32>>),
         ws: &mut Workspace,
     ) -> Result<Tensor, NnError> {
         let span = g.out_height() * g.out_width();
@@ -180,16 +192,12 @@ impl Conv2d {
         let oc = self.out_channels;
         let per = panel_images(n, span);
 
-        let train = panels.is_some();
-        let mut cols = panels.unwrap_or_else(|| ws.take(n * item_cols));
-
         // pass 1: dL/dW, dL/db from the cached panels (must run before the
         // dx pass overwrites them). Each image's weight gradient is one dot
         // product per element over its own column block, and images fold
         // into fixed chunks in chunk order, so gradients are bit-identical
         // at any thread count and any panel width.
-        if train {
-            let colsv = &cols[..];
+        if let Some(colsv) = panels.as_deref() {
             let err = ErrCell::new();
             let (dw, db, _) = par_map_reduce(
                 n,
@@ -230,7 +238,9 @@ impl Conv2d {
                 },
             );
             if let Err(e) = err.into_result() {
-                ws.recycle(cols);
+                if let Some(cols) = panels {
+                    ws.recycle(cols);
+                }
                 return Err(e);
             }
             for (a, b) in self.weight.grad.as_mut_slice().iter_mut().zip(&dw) {
@@ -241,23 +251,25 @@ impl Conv2d {
             }
         }
 
-        // pass 2: dL/dx per panel. One GEMM writes the panel's dcols over
-        // its columns from dY in the panel's (oc × images·span) layout,
-        // and one col2im scatters the whole panel back to its images. A
-        // one-image panel reads its dY where it is; a wider one gathers it.
+        // pass 2: dL/dx per panel. One GEMM writes the panel's dcols from
+        // dY in the panel's (oc × images·span) layout, over its cached
+        // columns after a `Train` forward and into its range's slot after
+        // an `Eval` one, and one col2im scatters the whole panel back to
+        // its images. A one-image panel reads its dY where it is; a wider
+        // one gathers it into its range's slot.
         let mut dx = ws.take(n * item_in);
         let gathered = if per > 1 { item_out } else { 0 };
-        let mut dy_panels = ws.take(n * gathered);
         let wv = self.weight.value.as_slice();
         let err = ErrCell::new();
         par_groups_mut(
             n,
             per,
             [
-                (&mut dx, item_in),
-                (&mut cols, item_cols),
-                (&mut dy_panels, gathered),
+                Part::Items(&mut dx, item_in),
+                panels_part(&mut panels, item_cols),
+                Part::Slot(gathered),
             ],
+            ws,
             |p, images, [dxp, panel, dyp]| {
                 err.run(p, || {
                     let width = images.len() * span;
@@ -279,8 +291,9 @@ impl Conv2d {
             },
         );
         let res = err.into_result();
-        ws.recycle(cols);
-        ws.recycle(dy_panels);
+        if let Some(cols) = panels {
+            ws.recycle(cols);
+        }
         if let Err(e) = res {
             ws.recycle(dx);
             return Err(e);
@@ -304,12 +317,11 @@ impl Layer for Conv2d {
         let item_out = self.out_channels * span;
         let item_cols = patch * span;
         let mut out = ws.take(n * item_out);
-        let mut cols = ws.take(n * item_cols);
+        let mut panels = (mode == Mode::Train).then(|| ws.take(n * item_cols));
         let per = panel_images(n, span);
         // a one-image panel's product already has its output's (oc, span)
         // layout; wider panels multiply into scratch and scatter from it
         let scratch = if per > 1 { item_out } else { 0 };
-        let mut products = ws.take(n * scratch);
         let xv = x.as_slice();
         let wv = self.weight.value.as_slice();
         let bias = self.bias.value.as_slice();
@@ -319,10 +331,11 @@ impl Layer for Conv2d {
             n,
             per,
             [
-                (&mut out, item_out),
-                (&mut cols, item_cols),
-                (&mut products, scratch),
+                Part::Items(&mut out, item_out),
+                panels_part(&mut panels, item_cols),
+                Part::Slot(scratch),
             ],
+            ws,
             |p, images, [outp, panel, prod]| {
                 err.run(p, || {
                     let width = images.len() * span;
@@ -352,18 +365,13 @@ impl Layer for Conv2d {
                 });
             },
         );
-        ws.recycle(products);
         if let Err(e) = err.into_result() {
             ws.recycle(out);
-            ws.recycle(cols);
+            if let Some(cols) = panels {
+                ws.recycle(cols);
+            }
             return Err(e);
         }
-        let panels = if mode == Mode::Train {
-            Some(cols)
-        } else {
-            ws.recycle(cols);
-            None
-        };
         self.cache = Some((g, n, panels));
         let y = Tensor::from_vec(out, &[n, oc, g.out_height(), g.out_width()])?;
         Ok(self.hook.apply(y, ws))
@@ -401,6 +409,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::at_threads;
     use crate::{ActivationHook, HookSlot};
     use ahw_tensor::rng::seeded;
     use std::sync::Arc;
@@ -663,6 +672,9 @@ mod tests {
 
     #[test]
     fn panel_outputs_and_input_grads_match_one_image_batches() {
+        // The batched pass runs at top level at each thread count, so its
+        // panels run in parallel over the pool on distinct slots (an
+        // `Eval` pass) or on their cached columns (a `Train` pass).
         for (size, g) in panel_cases() {
             let mut batches = vec![1, g.saturating_sub(1), g, g + 1, 2 * g + 3];
             batches.retain(|&n| n > 0);
@@ -673,32 +685,46 @@ mod tests {
             for n in batches {
                 let x = ahw_tensor::rng::normal(&[n, 2, size, size], 0.0, 1.0, &mut r);
                 let dy = ahw_tensor::rng::normal(&[n, 3, size, size], 0.0, 1.0, &mut r);
-                let y = conv.forward(&x, Mode::Eval).unwrap();
-                let dx = conv.backward(&dy).unwrap();
                 let (item_in, item_out) = (2 * size * size, 3 * size * size);
-                for i in 0..n {
-                    let xi = &x.as_slice()[i * item_in..(i + 1) * item_in];
-                    let dyi = &dy.as_slice()[i * item_out..(i + 1) * item_out];
-                    let yi = conv
-                        .forward(
-                            &Tensor::from_vec(xi.to_vec(), &[1, 2, size, size]).unwrap(),
-                            Mode::Eval,
-                        )
-                        .unwrap();
-                    let dxi = conv
-                        .backward(&Tensor::from_vec(dyi.to_vec(), &[1, 3, size, size]).unwrap())
-                        .unwrap();
-                    let what = format!("{size}x{size}, image {i} of {n} (g = {g})");
-                    assert_eq!(
-                        bits(&y.as_slice()[i * item_out..(i + 1) * item_out]),
-                        bits(yi.as_slice()),
-                        "forward {what}"
-                    );
-                    assert_eq!(
-                        bits(&dx.as_slice()[i * item_in..(i + 1) * item_in]),
-                        bits(dxi.as_slice()),
-                        "input gradient {what}"
-                    );
+                let one_image: Vec<_> = (0..n)
+                    .map(|i| {
+                        let xi = &x.as_slice()[i * item_in..(i + 1) * item_in];
+                        let dyi = &dy.as_slice()[i * item_out..(i + 1) * item_out];
+                        let yi = conv
+                            .forward(
+                                &Tensor::from_vec(xi.to_vec(), &[1, 2, size, size]).unwrap(),
+                                Mode::Eval,
+                            )
+                            .unwrap();
+                        let dxi = conv
+                            .backward(&Tensor::from_vec(dyi.to_vec(), &[1, 3, size, size]).unwrap())
+                            .unwrap();
+                        (bits(yi.as_slice()), bits(dxi.as_slice()))
+                    })
+                    .collect();
+                for threads in [1usize, 2, 4, 7] {
+                    for mode in [Mode::Eval, Mode::Train] {
+                        let (y, dx) = at_threads(threads, || {
+                            let y = conv.forward(&x, mode).unwrap();
+                            (y, conv.backward(&dy).unwrap())
+                        });
+                        for (i, (yi, dxi)) in one_image.iter().enumerate() {
+                            let what = format!(
+                                "{size}x{size}, image {i} of {n} (g = {g}), \
+                                 {mode:?} at {threads} threads"
+                            );
+                            assert_eq!(
+                                &bits(&y.as_slice()[i * item_out..(i + 1) * item_out]),
+                                yi,
+                                "forward {what}"
+                            );
+                            assert_eq!(
+                                &bits(&dx.as_slice()[i * item_in..(i + 1) * item_in]),
+                                dxi,
+                                "input gradient {what}"
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -706,29 +732,65 @@ mod tests {
 
     #[test]
     fn panel_param_grads_are_thread_count_invariant() {
-        use ahw_tensor::pool::set_thread_override;
         for (size, g) in panel_cases() {
             let n = 2 * g + 3;
             let mut r = seeded(20 + size as u64);
             let conv = Conv2d::new(2, 3, 3, 1, 1, &mut r).unwrap();
             let x = ahw_tensor::rng::normal(&[n, 2, size, size], 0.0, 1.0, &mut r);
             let dy = ahw_tensor::rng::normal(&[n, 3, size, size], 0.0, 1.0, &mut r);
-            let grads = |threads: usize| {
-                let mut c = conv.clone();
-                set_thread_override(Some(threads));
-                c.forward(&x, Mode::Train).unwrap();
-                c.backward(&dy).unwrap();
-                set_thread_override(None);
-                (bits(c.weight.grad.as_slice()), bits(c.bias.grad.as_slice()))
-            };
-            let reference = grads(1);
-            for threads in [2usize, 4, 7] {
-                assert_eq!(
-                    grads(threads),
-                    reference,
-                    "{size}x{size}, n = {n}: dW/db differ at {threads} threads"
-                );
+            for mode in [Mode::Train, Mode::Eval] {
+                let grads = |threads: usize| {
+                    let mut c = conv.clone();
+                    let dx = at_threads(threads, || {
+                        c.forward(&x, mode).unwrap();
+                        c.backward(&dy).unwrap()
+                    });
+                    (
+                        bits(c.weight.grad.as_slice()),
+                        bits(c.bias.grad.as_slice()),
+                        bits(dx.as_slice()),
+                    )
+                };
+                let reference = grads(1);
+                for threads in [2usize, 4, 7] {
+                    assert_eq!(
+                        grads(threads),
+                        reference,
+                        "{size}x{size}, n = {n}, {mode:?}: dW/db/dx differ at {threads} threads"
+                    );
+                }
             }
+        }
+    }
+
+    #[test]
+    fn eval_scratch_does_not_grow_with_the_batch() {
+        // One range (one thread) lowers every panel into the same slot, so
+        // the bytes an `Eval` forward+backward parks in its workspace grow
+        // with `n` only by the output and the input gradient.
+        for size in [32usize, 8] {
+            let mut r = seeded(30 + size as u64);
+            let mut conv = Conv2d::new(4, 6, 3, 1, 1, &mut r).unwrap();
+            let (item_in, item_out) = (4 * size * size, 6 * size * size);
+            let mut parked = |n: usize| {
+                let x = ahw_tensor::rng::normal(&[n, 4, size, size], 0.0, 1.0, &mut seeded(1));
+                let dy = ahw_tensor::rng::normal(&[n, 6, size, size], 0.0, 1.0, &mut seeded(2));
+                let mut ws = Workspace::new();
+                at_threads(1, || {
+                    let y = conv.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
+                    let dx = conv.backward_ws(&dy, &mut ws).unwrap();
+                    ws.recycle_tensor(y);
+                    ws.recycle_tensor(dx);
+                });
+                assert_eq!(ws.outstanding(), 0);
+                ws.resident_bytes()
+            };
+            let (small, large) = (parked(8), parked(64));
+            assert_eq!(
+                large - small,
+                4 * (64 - 8) * (item_in + item_out),
+                "{size}x{size}: Eval conv scratch grows with the batch"
+            );
         }
     }
 }

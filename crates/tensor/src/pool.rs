@@ -322,6 +322,67 @@ fn run<F: Fn(usize) + Sync>(chunks: usize, threads: usize, task: &F) {
     }
 }
 
+/// How [`parallel_for_ranges`] splits `0..n` for a call made on this thread
+/// now: contiguous ranges of one length (the last may be shorter), numbered
+/// `0..count()`. [`Partition::run`] hands each range its number, so a
+/// caller can give every range its own scratch slot out of `count()` slots
+/// taken beforehand; no two ranges run at once on one slot.
+///
+/// The thread count and pool nesting are read once, by [`Partition::new`],
+/// so the count and the ranges a later `run` hands out always agree, even
+/// if the thread override changes in between.
+#[derive(Clone, Copy, Debug)]
+pub struct Partition {
+    n: usize,
+    len: usize,
+    threads: usize,
+}
+
+impl Partition {
+    /// The partition of `0..n` into ranges of at least `min_chunk` indices
+    /// (see [`parallel_for_ranges`]). At one thread, inside a pool task, or
+    /// for `n ≤ min_chunk`, it is the single range `0..n`.
+    pub fn new(n: usize, min_chunk: usize) -> Partition {
+        let threads = num_threads();
+        let min_chunk = min_chunk.max(1);
+        let len = if threads <= 1 || n <= min_chunk || in_pool_task() {
+            n.max(1)
+        } else {
+            min_chunk.max(n.div_ceil(threads * CHUNKS_PER_THREAD))
+        };
+        Partition { n, len, threads }
+    }
+
+    /// Number of ranges: 0 for an empty `0..n`, 1 when `run` runs inline.
+    pub fn count(&self) -> usize {
+        self.n.div_ceil(self.len)
+    }
+
+    /// Calls `body(index, range)` for every range, from the pool's worker
+    /// threads plus the calling thread; a single range runs inline.
+    ///
+    /// # Panics
+    ///
+    /// Propagates panics from `body`.
+    pub fn run<F>(&self, body: F)
+    where
+        F: Fn(usize, Range<usize>) + Sync,
+    {
+        let (n, len) = (self.n, self.len);
+        match self.count() {
+            0 => {}
+            1 => body(0, 0..n),
+            count => {
+                let task = move |idx: usize| {
+                    let start = idx * len;
+                    body(idx, start..(start + len).min(n));
+                };
+                run(count, self.threads.min(count), &task);
+            }
+        }
+    }
+}
+
 /// Chunked parallel-for over `0..n`: calls `body` on contiguous, disjoint
 /// index ranges that exactly cover `0..n`, from the pool's worker threads
 /// plus the calling thread.
@@ -341,26 +402,7 @@ pub fn parallel_for_ranges<F>(n: usize, min_chunk: usize, body: F)
 where
     F: Fn(Range<usize>) + Sync,
 {
-    if n == 0 {
-        return;
-    }
-    let threads = num_threads();
-    let min_chunk = min_chunk.max(1);
-    if threads <= 1 || n <= min_chunk || in_pool_task() {
-        body(0..n);
-        return;
-    }
-    let chunk = min_chunk.max(n.div_ceil(threads * CHUNKS_PER_THREAD));
-    let chunks = n.div_ceil(chunk);
-    if chunks <= 1 {
-        body(0..n);
-        return;
-    }
-    let task = move |idx: usize| {
-        let start = idx * chunk;
-        body(start..(start + chunk).min(n));
-    };
-    run(chunks, threads.min(chunks), &task);
+    Partition::new(n, min_chunk).run(|_, range| body(range));
 }
 
 /// Mutable row-partition helper: splits `out` into items of `row_len`
@@ -575,6 +617,41 @@ mod tests {
     }
 
     #[test]
+    fn partition_numbers_its_ranges_zero_to_count() {
+        for &threads in &[1usize, 2, 4, 7] {
+            for n in [0usize, 1, 5, 97, 1013] {
+                set_thread_override(Some(threads));
+                let partition = Partition::new(n, 1);
+                let seen = Mutex::new(Vec::new());
+                partition.run(|idx, range| seen.lock().unwrap().push((idx, range)));
+                // inside a pool task the same split is one inline range
+                let nested = Mutex::new(Vec::new());
+                parallel_for_ranges(2, 1, |_| {
+                    if in_pool_task() {
+                        nested.lock().unwrap().push(Partition::new(n, 1).count());
+                    }
+                });
+                set_thread_override(None);
+                let mut seen = seen.into_inner().unwrap();
+                seen.sort_by_key(|(idx, _)| *idx);
+                let indices: Vec<usize> = seen.iter().map(|(idx, _)| *idx).collect();
+                assert_eq!(indices, (0..partition.count()).collect::<Vec<_>>());
+                let mut next = 0;
+                for (_, range) in &seen {
+                    assert_eq!(range.start, next, "ranges must tile 0..{n}");
+                    next = range.end;
+                }
+                assert_eq!(next, n, "ranges must cover 0..{n}");
+                let nested = nested.into_inner().unwrap();
+                assert!(
+                    nested.iter().all(|&count| count == n.min(1)),
+                    "a nested partition of 0..{n} is not one range: {nested:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn row_chunks_write_disjoint_rows() {
         let mut out = vec![0.0f32; 37 * 3];
         set_thread_override(Some(4));
@@ -718,27 +795,50 @@ mod tests {
 
     #[test]
     fn participation_records_spans_for_the_profiler() {
+        // Other tests run pool jobs while telemetry is on, so the drained
+        // spans are scoped to this test's own job: the caller's
+        // participation is the one inside `job` on this thread, and a
+        // worker's is the one enclosing a `chunk` span this job's body
+        // opened (a thread runs one job at a time).
+        let encloses = |outer: &telemetry::SpanEvent, inner: &telemetry::SpanEvent| {
+            outer.tid == inner.tid
+                && outer.start_ns <= inner.start_ns
+                && inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns
+        };
         set_thread_override(Some(4));
         telemetry::set_enabled(true);
         let _ = telemetry::drain_spans();
         let hits: Vec<AtomicU32> = (0..512).map(|_| AtomicU32::new(0)).collect();
-        parallel_for_ranges(512, 1, |r| {
-            for i in r {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
+        {
+            let _job = telemetry::span("tensor.pool.test.job");
+            parallel_for_ranges(512, 1, |r| {
+                let _chunk = telemetry::span("tensor.pool.test.chunk");
+                for i in r {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
         let spans = telemetry::drain_spans();
         telemetry::set_enabled(false);
         set_thread_override(None);
+        let job = spans
+            .iter()
+            .find(|s| s.name == "tensor.pool.test.job" && s.tid == telemetry::thread_id())
+            .expect("the test's job span");
+        let chunks: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name == "tensor.pool.test.chunk")
+            .collect();
         let participations: Vec<_> = spans
             .iter()
-            .filter(|s| s.name == "tensor.pool.participate")
+            .filter(|p| p.name == "tensor.pool.participate")
+            .filter(|p| encloses(job, p) || chunks.iter().any(|c| encloses(p, c)))
             .collect();
         // The calling thread always participates; workers may or may not
         // claim a chunk before the cursor is exhausted.
         assert!(
-            !participations.is_empty(),
-            "no participation spans recorded: {spans:?}"
+            participations.iter().any(|p| p.tid == job.tid),
+            "the caller recorded no participation span: {spans:?}"
         );
         let tids: std::collections::BTreeSet<u32> = participations.iter().map(|s| s.tid).collect();
         assert_eq!(

@@ -9,8 +9,16 @@
 # the working tree. Every run prints its golden check, `correct`, `failed`
 # and the benchmark's end-to-end metrics; the summary prints each side's
 # median and quartiles per metric and how many pairs the working tree won
-# (every end-to-end metric is lower-is-better). Exits 1 if any run was not
-# `golden: match`, `correct: true`, `failed: 0`.
+# (every end-to-end metric is lower-is-better), then one verdict per metric
+# by the benchmark's own rule, with the metric's `bound` read from
+# BENCHMARK.json:
+#   gain        the working tree won at least 9 in 10 pairs and its median
+#               is below the base median by more than the base IQR
+#   worse       the working-tree median is above the base median by more
+#               than the bound
+#   unresolved  the base IQR is wider than the bound
+#   same        otherwise
+# Exits 1 if any run was not `golden: match`, `correct: true`, `failed: 0`.
 #
 # Both sides run for the benchmark's own default length, so A/B runs time
 # the same section the benchmark does.
@@ -110,7 +118,38 @@ while [ "$i" -le "$pairs" ]; do
     i=$((i + 1))
 done
 
-awk -v workload="$workload" -v seed="$seed" -v rev="$rev" '
+# `name=bound` per end-to-end metric, the bound a fraction of the base
+# median.
+bounds=$(awk '/"bound"/ {
+    if (!match($0, /"name": *"[^"]*"/)) next
+    name = substr($0, RSTART, RLENGTH)
+    sub(/^"name": *"/, "", name)
+    sub(/"$/, "", name)
+    if (!match($0, /"bound": *[0-9.]+/)) next
+    bound = substr($0, RSTART, RLENGTH)
+    sub(/^"bound": */, "", bound)
+    printf "%s=%s ", name, bound
+}' "$repo/BENCHMARK.json")
+
+awk -v workload="$workload" -v seed="$seed" -v rev="$rev" -v bounds="$bounds" '
+    BEGIN {
+        nb = split(bounds, entry, " ")
+        for (i = 1; i <= nb; i++) {
+            split(entry[i], kv, "=")
+            bound[kv[1]] = kv[2]
+        }
+    }
+    # the verdict on metric m, followed by the numbers it rests on
+    function judge(m, won, pairs, base, q1, q3, work,    v, iqr) {
+        if (!(m in bound) || base <= 0) return "-          (no bound or base median)"
+        iqr = q3 - q1
+        if (won * 10 >= 9 * pairs && base - work > iqr) v = "gain"
+        else if (work - base > bound[m] * base) v = "worse"
+        else if (iqr > bound[m] * base) v = "unresolved"
+        else v = "same"
+        return sprintf("%-10s (%+.1f%%, IQR %.1f%%, bound %.0f%%, won %d/%d)", v,
+            100 * (work - base) / base, 100 * iqr / base, 100 * bound[m], won, pairs)
+    }
     # quantile q of the n values in v[1..n] (sorted in place)
     function quantile(v, n, q,    i, j, t, h, lo) {
         for (i = 2; i <= n; i++) {
@@ -156,7 +195,10 @@ awk -v workload="$workload" -v seed="$seed" -v rev="$rev" '
                 q3[side] = n ? quantile(v, n, 0.75) : "nan"
             }
             printf "%-12s %12.6g %12.6g %12.6g %12.6g %12.6g %12.6g %5d/%d\n", m, med["base"], q1["base"], q3["base"], med["work"], q1["work"], q3["work"], won, npairs
+            verdict[m] = judge(m, won, npairs, med["base"], q1["base"], q3["base"], med["work"])
         }
+        printf "\n%-12s %-10s %s\n", "metric", "verdict", "(median change, base IQR and bound as % of the base median)"
+        for (k = 1; k <= nnames; k++) printf "%-12s %s\n", names[k], verdict[names[k]]
         if (bad) {
             printf "ab: %d run(s) not golden match / correct / failed 0\n", bad
             exit 1

@@ -1,6 +1,8 @@
 //! Proves the planned attack path is allocation-free in the steady state.
 //!
-//! A counting global allocator wraps the system allocator; after two
+//! A counting global allocator wraps the system allocator and counts each
+//! thread's allocations apart, so the harness starting or reporting the
+//! other test on its own thread never lands in a measurement; after two
 //! warm-up PGD crafts on the VGG conv unit (with a bit-error injector)
 //! populate the plan cache's arena (and the ReLU/max-pool index buffers),
 //! a further craft of the same geometry must perform **zero** heap
@@ -10,25 +12,33 @@
 //! this test rather than just slowing a benchmark down.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down may still allocate
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -40,8 +50,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Heap allocations the calling thread has made so far. Both measured
+/// passes run at one worker, so all of their work runs on this thread.
 fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 use ahw_attacks::{craft_ws, Attack};
@@ -52,8 +64,7 @@ use ahw_tensor::{pool, rng};
 use std::sync::{Arc, Mutex};
 
 /// Serializes the tests in this binary: both pin the process-wide pool
-/// thread override and read the process-global allocation counter, so one
-/// test's allocations (or its override reset) must not land inside the
+/// thread override, so one test's override reset must not land inside the
 /// other's measurement window.
 static LOCK: Mutex<()> = Mutex::new(());
 
