@@ -9,7 +9,7 @@ use ahw_core::selection::{select_noise_sites, SelectionConfig};
 use ahw_crossbar::{
     extract_effective_conductance, CrossbarConfig, NonIdealities, SolverKind, TiledMatrix,
 };
-use ahw_nn::layers::Conv2d;
+use ahw_nn::layers::{BatchNorm2d, Conv2d, ReLU};
 use ahw_nn::{Layer, Mode, Sequential};
 use ahw_sram::{BitErrorInjector, BitErrorModel, HybridMemoryConfig, HybridWordConfig};
 use ahw_tensor::{ops, rng};
@@ -46,6 +46,29 @@ fn bench_conv(h: &mut Harness) {
         last.forward(black_box(&x), Mode::Eval).unwrap();
         black_box(last.backward(black_box(&dy)).unwrap());
     });
+}
+
+fn bench_train(h: &mut Harness) {
+    // One VGG19 conv unit (conv, batch norm, ReLU) at width 0.0625 and the
+    // training batch of 32, on the first stage (4 channels, 32×32) and the
+    // last (32 channels, 2×2): a `Train` forward and backward, which runs
+    // the folded weight-gradient kernel and batch norm's batch statistics.
+    for (channels, side) in [(4usize, 32usize), (32, 2)] {
+        let mut rng_ = rng::seeded(5);
+        let mut unit = Sequential::new();
+        unit.push(Conv2d::new(channels, channels, 3, 1, 1, &mut rng_).unwrap());
+        unit.push(BatchNorm2d::new(channels));
+        unit.push(ReLU::new());
+        let x = rng::normal(&[32, channels, side, side], 0.0, 1.0, &mut rng_);
+        let dy = rng::normal(&[32, channels, side, side], 0.0, 1.0, &mut rng_);
+        h.bench(
+            &format!("train/conv_bn_relu_32x{channels}x{side}x{side}"),
+            || {
+                unit.forward(black_box(&x), Mode::Train).unwrap();
+                black_box(unit.backward(black_box(&dy)).unwrap());
+            },
+        );
+    }
 }
 
 fn bench_mesh_solvers(h: &mut Harness) {
@@ -168,6 +191,7 @@ fn main() {
     let mut h = Harness::from_env();
     bench_matmul(&mut h);
     bench_conv(&mut h);
+    bench_train(&mut h);
     bench_mesh_solvers(&mut h);
     bench_crossbar_programming(&mut h);
     bench_bit_error_injection(&mut h);

@@ -1,6 +1,7 @@
 use crate::layer::{grad_shape_error, HookCell, Layer, Mode};
+use crate::util::{par_groups_mut, Part};
 use crate::{NnError, Param};
-use ahw_tensor::{Shape, Tensor, TensorError, Workspace};
+use ahw_tensor::{pool, Shape, Tensor, TensorError, Workspace};
 
 /// Batch normalization over the channel dimension of `(N, C, H, W)` tensors.
 ///
@@ -8,6 +9,13 @@ use ahw_tensor::{Shape, Tensor, TensorError, Workspace};
 /// estimates; eval mode (the mode every attack gradient is taken in) uses the
 /// frozen running statistics, making the layer an affine map with an exact,
 /// cheap backward pass.
+///
+/// In train mode the per-channel reductions (mean and variance forward, Σdy
+/// and Σdy·x̂ backward) run one channel per pool slot, each summing its
+/// (image, pixel) terms serially in that order, and the elementwise passes
+/// (x̂ and y forward, dx backward) run one (image, channel) plane per row of
+/// the pool partition, so every result is bit-identical at any thread
+/// count. Eval mode runs on the calling thread.
 #[derive(Clone)]
 pub struct BatchNorm2d {
     gamma: Param,
@@ -25,8 +33,8 @@ pub struct BatchNorm2d {
 }
 
 /// What a `Train` forward adds for the full backward: x̂ (a workspace
-/// buffer) and the batch's per-channel 1/σ.
-type TrainCache = (Vec<f32>, Vec<f32>);
+/// buffer) and the batch's per-channel `(mean, 1/σ)`.
+type TrainCache = (Vec<f32>, Vec<(f32, f32)>);
 
 impl std::fmt::Debug for BatchNorm2d {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -75,39 +83,60 @@ impl BatchNorm2d {
         1.0 / (self.running_var.as_slice()[ch] + self.eps).sqrt()
     }
 
-    /// `y = γ·x̂ + β` with `x̂ = (x − mean)·inv_std`, where `stats(ch)` is
-    /// channel `ch`'s `(mean, inv_std)`; x̂ is also stored when `xhat` is
-    /// given.
-    fn normalize(
-        &self,
-        x: &Tensor,
-        stats: impl Fn(usize) -> (f32, f32),
-        mut xhat: Option<&mut [f32]>,
-        y: &mut [f32],
-    ) {
+    /// `Eval` forward: `y = γ·x̂ + β` with `x̂ = (x − mean)·inv_std` under
+    /// the running statistics.
+    fn normalize_running(&self, x: &Tensor, y: &mut [f32]) {
         let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
         let plane = h * w;
         let xv = x.as_slice();
         let gv = self.gamma.value.as_slice();
         let bv = self.beta.value.as_slice();
+        let mean = self.running_mean.as_slice();
         for ch in 0..c {
-            let ((m, s), g, b) = (stats(ch), gv[ch], bv[ch]);
+            let (m, s, g, b) = (mean[ch], self.running_inv_std(ch), gv[ch], bv[ch]);
             for i in 0..n {
                 let p = (i * c + ch) * plane..(i * c + ch + 1) * plane;
-                let (xp, yp) = (&xv[p.clone()], &mut y[p.clone()]);
-                // one loop per case, so neither tests `xhat` per element
-                if let Some(xhat) = xhat.as_deref_mut() {
-                    for ((xh, o), &v) in xhat[p].iter_mut().zip(yp).zip(xp) {
-                        *xh = (v - m) * s;
-                        *o = g * *xh + b;
-                    }
-                } else {
-                    for (o, &v) in yp.iter_mut().zip(xp) {
-                        *o = g * ((v - m) * s) + b;
-                    }
+                for (o, &v) in y[p.clone()].iter_mut().zip(&xv[p]) {
+                    *o = g * ((v - m) * s) + b;
                 }
             }
         }
+    }
+
+    /// `Train` forward: writes `x̂ = (x − mean)·inv_std` and `y = γ·x̂ + β`
+    /// under the batch's per-channel `(mean, inv_std)`, one (image,
+    /// channel) plane per row of the pool partition.
+    fn normalize_batch(
+        &self,
+        x: &Tensor,
+        stats: &[(f32, f32)],
+        xhat: &mut [f32],
+        y: &mut [f32],
+        ws: &mut Workspace,
+    ) {
+        let (n, c) = (x.dims()[0], x.dims()[1]);
+        let plane = x.dims()[2] * x.dims()[3];
+        let xv = x.as_slice();
+        let gv = self.gamma.value.as_slice();
+        let bv = self.beta.value.as_slice();
+        par_groups_mut(
+            n * c,
+            pool::min_rows(plane),
+            [Part::Items(xhat, plane), Part::Items(y, plane)],
+            ws,
+            |_, planes, [xhat, y]| {
+                let rows = xhat.chunks_exact_mut(plane).zip(y.chunks_exact_mut(plane));
+                for (p, (xhat, y)) in planes.zip(rows) {
+                    let ch = p % c;
+                    let ((m, s), g, b) = (stats[ch], gv[ch], bv[ch]);
+                    let xp = &xv[p * plane..(p + 1) * plane];
+                    for ((xh, o), &v) in xhat.iter_mut().zip(y).zip(xp) {
+                        *xh = (v - m) * s;
+                        *o = g * *xh + b;
+                    }
+                }
+            },
+        );
     }
 
     /// Backward arithmetic: writes `dL/dx` into `dx` (every element is
@@ -120,7 +149,7 @@ impl BatchNorm2d {
         let plane = h * w;
         let gy = grad_out.as_slice();
         let gv = self.gamma.value.as_slice();
-        let Some((xh, inv_std)) = batch else {
+        let Some((xh, stats)) = batch else {
             // eval mode: affine map, dx = dy · γ/σ
             for (ch, &g) in gv.iter().enumerate() {
                 let scale = g * self.running_inv_std(ch);
@@ -135,76 +164,69 @@ impl BatchNorm2d {
         };
         let count = (n * plane) as f32;
 
-        // per-channel reductions: Σdy and Σ(dy·x̂)
-        let mut sum_dy = vec![0.0f32; c];
-        let mut sum_dy_xhat = vec![0.0f32; c];
-        for i in 0..n {
-            for ch in 0..c {
-                let base = (i * c + ch) * plane;
-                for k in 0..plane {
-                    sum_dy[ch] += gy[base + k];
-                    sum_dy_xhat[ch] += gy[base + k] * xh[base + k];
+        // per-channel reductions, one channel per pool slot, each summing
+        // its (image, pixel) terms serially: (Σdy, Σdy·x̂)
+        let mut sums = vec![(0.0f32, 0.0f32); c];
+        pool::parallel_map_slots(&mut sums, pool::min_rows(2 * n * plane), |ch| {
+            let (mut sum_dy, mut sum_dy_xhat) = (0.0f32, 0.0f32);
+            for i in 0..n {
+                let p = (i * c + ch) * plane..(i * c + ch + 1) * plane;
+                for (&g, &x) in gy[p.clone()].iter().zip(&xh[p]) {
+                    sum_dy += g;
+                    sum_dy_xhat += g * x;
                 }
             }
-        }
-        for ((g, b), (sx, sd)) in self
+            (sum_dy, sum_dy_xhat)
+        });
+        for ((g, b), &(sd, sx)) in self
             .gamma
             .grad
             .as_mut_slice()
             .iter_mut()
             .zip(self.beta.grad.as_mut_slice())
-            .zip(sum_dy_xhat.iter().zip(&sum_dy))
+            .zip(&sums)
         {
             *g += sx;
             *b += sd;
         }
 
-        // full batch-norm backward
-        for i in 0..n {
-            for ch in 0..c {
-                let base = (i * c + ch) * plane;
-                let scale = gv[ch] * inv_std[ch];
-                for k in 0..plane {
-                    dx[base + k] = scale
-                        * (gy[base + k]
-                            - sum_dy[ch] / count
-                            - xh[base + k] * sum_dy_xhat[ch] / count);
+        // full batch-norm backward, one (image, channel) plane per row
+        pool::par_row_chunks_mut(dx, plane, pool::min_rows(plane), |first, planes| {
+            for (p, dxp) in (first..).zip(planes.chunks_exact_mut(plane)) {
+                let ch = p % c;
+                let (sum_dy, sum_dy_xhat) = sums[ch];
+                let scale = gv[ch] * stats[ch].1;
+                let at = p * plane;
+                for (k, d) in dxp.iter_mut().enumerate() {
+                    *d = scale * (gy[at + k] - sum_dy / count - xh[at + k] * sum_dy_xhat / count);
                 }
             }
-        }
+        });
     }
 
-    fn batch_stats(&self, x: &Tensor) -> (Vec<f32>, Vec<f32>) {
+    /// The batch's per-channel `(mean, biased variance)`, one channel per
+    /// pool slot, each summing its (image, pixel) terms serially.
+    fn batch_stats(x: &Tensor) -> Vec<(f32, f32)> {
         let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
         let plane = h * w;
         let count = (n * plane) as f32;
         let xv = x.as_slice();
-        let mut mean = vec![0.0f32; c];
-        let mut var = vec![0.0f32; c];
-        for i in 0..n {
-            for (ch, m) in mean.iter_mut().enumerate() {
-                let base = (i * c + ch) * plane;
-                for k in 0..plane {
-                    *m += xv[base + k];
-                }
+        let mut stats = vec![(0.0f32, 0.0f32); c];
+        pool::parallel_map_slots(&mut stats, pool::min_rows(2 * n * plane), |ch| {
+            let planes = || (0..n).map(|i| &xv[(i * c + ch) * plane..(i * c + ch + 1) * plane]);
+            let mut mean = 0.0f32;
+            for v in planes().flatten() {
+                mean += v;
             }
-        }
-        for m in &mut mean {
-            *m /= count;
-        }
-        for i in 0..n {
-            for (ch, v) in var.iter_mut().enumerate() {
-                let base = (i * c + ch) * plane;
-                for k in 0..plane {
-                    let d = xv[base + k] - mean[ch];
-                    *v += d * d;
-                }
+            mean /= count;
+            let mut var = 0.0f32;
+            for &v in planes().flatten() {
+                let d = v - mean;
+                var += d * d;
             }
-        }
-        for v in &mut var {
-            *v /= count;
-        }
-        (mean, var)
+            (mean, var / count)
+        });
+        stats
     }
 }
 
@@ -219,22 +241,25 @@ impl Layer for BatchNorm2d {
         let mut y = ws.take(x.len());
         let batch = match mode {
             Mode::Train => {
-                let (mean, var) = self.batch_stats(x);
+                let mut stats = Self::batch_stats(x);
                 let m = self.momentum;
-                for (r, &b) in self.running_mean.as_mut_slice().iter_mut().zip(&mean) {
-                    *r = (1.0 - m) * *r + m * b;
+                let running = self.running_mean.as_mut_slice().iter_mut();
+                for ((rm, rv), &(mean, var)) in
+                    running.zip(self.running_var.as_mut_slice()).zip(&stats)
+                {
+                    *rm = (1.0 - m) * *rm + m * mean;
+                    *rv = (1.0 - m) * *rv + m * var;
                 }
-                for (r, &b) in self.running_var.as_mut_slice().iter_mut().zip(&var) {
-                    *r = (1.0 - m) * *r + m * b;
+                // (mean, var) → (mean, 1/σ)
+                for (_, v) in &mut stats {
+                    *v = 1.0 / (*v + self.eps).sqrt();
                 }
-                let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
                 let mut xhat = ws.take(x.len());
-                self.normalize(x, |ch| (mean[ch], inv_std[ch]), Some(&mut xhat), &mut y);
-                Some((xhat, inv_std))
+                self.normalize_batch(x, &stats, &mut xhat, &mut y, ws);
+                Some((xhat, stats))
             }
             Mode::Eval => {
-                let mean = self.running_mean.as_slice();
-                self.normalize(x, |ch| (mean[ch], self.running_inv_std(ch)), None, &mut y);
+                self.normalize_running(x, &mut y);
                 None
             }
         };
@@ -284,6 +309,7 @@ impl Layer for BatchNorm2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::at_threads;
     use ahw_tensor::rng::{normal, seeded};
 
     #[test]
@@ -371,6 +397,44 @@ mod tests {
                 "idx {idx}: {fd} vs {}",
                 dx.as_slice()[idx]
             );
+        }
+    }
+
+    #[test]
+    fn train_pass_is_thread_count_invariant() {
+        // 5 channels: no thread count below divides them. 8 images of
+        // 32×32 planes are enough work that the per-channel sums and the
+        // per-plane passes split over the pool.
+        let mut r = seeded(21);
+        let mut bn = BatchNorm2d::new(5);
+        bn.gamma.value = normal(&[5], 1.0, 0.5, &mut r);
+        bn.beta.value = normal(&[5], 0.0, 0.5, &mut r);
+        let x = normal(&[8, 5, 32, 32], 0.5, 2.0, &mut r);
+        let dy = normal(&[8, 5, 32, 32], 0.0, 1.0, &mut r);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let run = |threads: usize| {
+            let mut bn = bn.clone();
+            let (y, dx) = at_threads(threads, || {
+                let y = bn.forward(&x, Mode::Train).unwrap();
+                (y, bn.backward(&dy).unwrap())
+            });
+            [
+                &y,
+                &dx,
+                &bn.gamma.grad,
+                &bn.beta.grad,
+                &bn.running_mean,
+                &bn.running_var,
+            ]
+            .map(bits)
+        };
+        let reference = run(1);
+        for threads in [2usize, 4, 7] {
+            let got = run(threads);
+            let names = ["y", "dx", "γ grad", "β grad", "running mean", "running var"];
+            for ((name, got), want) in names.iter().zip(&got).zip(&reference) {
+                assert_eq!(got, want, "{name} differs at {threads} threads");
+            }
         }
     }
 

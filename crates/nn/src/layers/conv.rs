@@ -1,9 +1,9 @@
 use crate::layer::{HookCell, Layer, Mode};
-use crate::util::{par_groups_mut, par_map_reduce, ErrCell, Part};
+use crate::util::{par_groups_mut, ErrCell, Part};
 use crate::{NnError, Param};
 use ahw_tensor::ops::{self, ConvGeometry};
 use ahw_tensor::rng::Rng;
-use ahw_tensor::{rng, Tensor, Workspace};
+use ahw_tensor::{pool, rng, Tensor, Workspace};
 
 /// Columns of one lowered GEMM panel. A batch is lowered
 /// `max(1, PANEL_COLS / span)` consecutive images at a time, side by side,
@@ -45,6 +45,13 @@ fn panels_part(cached: &mut Option<Vec<f32>>, item_cols: usize) -> Part<'_> {
 /// every image's output. A GEMM element's accumulation order depends only
 /// on the inner dimension, never on the column count, so outputs and
 /// gradients are the bits a one-image-at-a-time lowering produces.
+///
+/// After a `Train` forward the backward takes the weight gradient in one
+/// [`ops::matmul_transb_fold_slices`] call over the cached panels: every
+/// image's product element is one `dot4` over its own column block, and
+/// the images fold in fixed chunks ([`ops::fold_images`]). The bias
+/// gradient folds the images' `dY` sums the same way, one channel per pool
+/// slot, so both are bit-identical at any thread count.
 #[derive(Clone)]
 pub struct Conv2d {
     weight: Param,
@@ -193,62 +200,39 @@ impl Conv2d {
         let per = panel_images(n, span);
 
         // pass 1: dL/dW, dL/db from the cached panels (must run before the
-        // dx pass overwrites them). Each image's weight gradient is one dot
-        // product per element over its own column block, and images fold
-        // into fixed chunks in chunk order, so gradients are bit-identical
-        // at any thread count and any panel width.
+        // dx pass overwrites them). One folded kernel call takes every
+        // image's weight gradient, one dot4 per element over its own column
+        // block, and folds the images in fixed chunks; each channel's bias
+        // gradient folds the images' dY sums by the same chunks. Both
+        // partition their outputs over the pool, so gradients are
+        // bit-identical at any thread count and any panel width.
         if let Some(colsv) = panels.as_deref() {
-            let err = ErrCell::new();
-            let (dw, db, _) = par_map_reduce(
-                n,
-                || {
-                    (
-                        vec![0.0f32; oc * patch],
-                        vec![0.0f32; oc],
-                        // per-chunk scratch for one item's weight gradient
-                        vec![0.0f32; oc * patch],
-                    )
-                },
-                |i, (dw, db, dwi)| {
-                    err.run(i, || {
-                        let dyi = &dyv[i * item_out..(i + 1) * item_out];
-                        // image i is column block j of the panel starting at
-                        // image `first`, which holds `images` images
-                        let first = i / per * per;
-                        let images = (first + per).min(n) - first;
-                        let ci = &colsv[first * item_cols + (i - first) * span..];
-                        ops::matmul_transb_slices(dyi, ci, images * span, oc, span, patch, dwi)?;
-                        for (a, b) in dw.iter_mut().zip(dwi.iter()) {
-                            *a += b;
-                        }
-                        for (c, d) in db.iter_mut().enumerate() {
-                            *d += dyi[c * span..(c + 1) * span].iter().sum::<f32>();
-                        }
-                        Ok::<(), NnError>(())
-                    });
-                },
-                |(mut aw, mut ab, s), (bw, bb, _)| {
-                    for (a, b) in aw.iter_mut().zip(&bw) {
-                        *a += b;
-                    }
-                    for (a, b) in ab.iter_mut().zip(&bb) {
-                        *a += b;
-                    }
-                    (aw, ab, s)
-                },
-            );
-            if let Err(e) = err.into_result() {
+            // (dL/dW)ᵀ: patch × oc
+            let mut dwt = ws.take(patch * oc);
+            let res = ops::matmul_transb_fold_slices(colsv, dyv, n, per, patch, span, oc, &mut dwt);
+            if let Err(e) = res {
+                ws.recycle(dwt);
                 if let Some(cols) = panels {
                     ws.recycle(cols);
                 }
-                return Err(e);
+                return Err(e.into());
             }
-            for (a, b) in self.weight.grad.as_mut_slice().iter_mut().zip(&dw) {
-                *a += b;
+            let grad = self.weight.grad.as_mut_slice();
+            for (o, grow) in grad.chunks_exact_mut(patch).enumerate() {
+                for (g, d) in grow.iter_mut().zip(dwt.iter().skip(o).step_by(oc)) {
+                    *g += d;
+                }
             }
-            for (a, b) in self.bias.grad.as_mut_slice().iter_mut().zip(&db) {
-                *a += b;
-            }
+            ws.recycle(dwt);
+            let db = self.bias.grad.as_mut_slice();
+            pool::par_row_chunks_mut(db, 1, pool::min_rows(n * span), |first, db| {
+                for (c, g) in (first..).zip(db) {
+                    let [total] = ops::fold_images(n, |i| {
+                        [dyv[i * item_out + c * span..][..span].iter().sum::<f32>()]
+                    });
+                    *g += total;
+                }
+            });
         }
 
         // pass 2: dL/dx per panel. One GEMM writes the panel's dcols from
@@ -732,12 +716,17 @@ mod tests {
 
     #[test]
     fn panel_param_grads_are_thread_count_invariant() {
-        for (size, g) in panel_cases() {
+        // 2→3 and 3→5 channels: weight gradients of 18×3 and 27×5, so the
+        // folded kernel's ragged rows and columns run at top level too
+        for ((size, g), (cin, cout)) in panel_cases()
+            .into_iter()
+            .flat_map(|case| [(case, (2, 3)), (case, (3, 5))])
+        {
             let n = 2 * g + 3;
             let mut r = seeded(20 + size as u64);
-            let conv = Conv2d::new(2, 3, 3, 1, 1, &mut r).unwrap();
-            let x = ahw_tensor::rng::normal(&[n, 2, size, size], 0.0, 1.0, &mut r);
-            let dy = ahw_tensor::rng::normal(&[n, 3, size, size], 0.0, 1.0, &mut r);
+            let conv = Conv2d::new(cin, cout, 3, 1, 1, &mut r).unwrap();
+            let x = ahw_tensor::rng::normal(&[n, cin, size, size], 0.0, 1.0, &mut r);
+            let dy = ahw_tensor::rng::normal(&[n, cout, size, size], 0.0, 1.0, &mut r);
             for mode in [Mode::Train, Mode::Eval] {
                 let grads = |threads: usize| {
                     let mut c = conv.clone();
@@ -756,7 +745,8 @@ mod tests {
                     assert_eq!(
                         grads(threads),
                         reference,
-                        "{size}x{size}, n = {n}, {mode:?}: dW/db/dx differ at {threads} threads"
+                        "{cin}->{cout} on {size}x{size}, n = {n}, {mode:?}: \
+                         dW/db/dx differ at {threads} threads"
                     );
                 }
             }

@@ -150,7 +150,6 @@ impl Layer for Linear {
         if let Err(e) = ops::matmul_transb_slices(
             x.as_slice(),
             self.weight.value.as_slice(),
-            self.in_features,
             n,
             self.in_features,
             self.out_features,

@@ -12,12 +12,6 @@ use std::sync::Mutex;
 
 use ahw_tensor::{pool, Workspace};
 
-/// Fixed number of reduction chunks for [`par_map_reduce`]: accumulator
-/// boundaries depend only on `n`, never on the thread count, so folding the
-/// per-chunk partials in chunk order gives bit-identical results at any
-/// `AHW_THREADS`.
-const MAP_REDUCE_CHUNKS: usize = 16;
-
 /// One buffer [`par_groups_mut`] hands each group a part of.
 pub(crate) enum Part<'a> {
     /// A caller buffer of `n` items of this many elements each; a group
@@ -148,36 +142,6 @@ impl<E> Default for ErrCell<E> {
     fn default() -> Self {
         ErrCell::new()
     }
-}
-
-/// Maps `f` over `0..n` on the worker pool and reduces the per-chunk partial
-/// results with `reduce`. `init` creates each chunk's accumulator.
-///
-/// Used for gradient accumulation: each chunk sums its batch items into a
-/// private buffer, then the buffers are folded together in chunk order.
-/// Chunk boundaries depend only on `n` (at most `MAP_REDUCE_CHUNKS`
-/// chunks), so the result is bit-identical at any thread count.
-///
-/// # Panics
-///
-/// Panics if a worker task panics.
-pub fn par_map_reduce<A, F, R>(n: usize, init: impl Fn() -> A + Sync, f: F, reduce: R) -> A
-where
-    A: Send,
-    F: Fn(usize, &mut A) + Sync,
-    R: Fn(A, A) -> A,
-{
-    let per = n.div_ceil(MAP_REDUCE_CHUNKS).max(1);
-    pool::parallel_map(n.div_ceil(per), 1, |c| {
-        let mut acc = init();
-        for i in c * per..((c + 1) * per).min(n) {
-            f(i, &mut acc);
-        }
-        acc
-    })
-    .into_iter()
-    .reduce(reduce)
-    .unwrap_or_else(init)
 }
 
 /// Runs `f` with the pool pinned to `threads` workers. The override is
@@ -312,53 +276,5 @@ mod tests {
         cell.run(3, || Err("three"));
         assert_eq!(cell.into_result(), Err("two"));
         assert_eq!(ErrCell::<()>::new().into_result(), Ok(()));
-    }
-
-    #[test]
-    fn par_map_reduce_sums() {
-        let total = par_map_reduce(1000, || 0u64, |i, acc| *acc += i as u64, |a, b| a + b);
-        assert_eq!(total, 499_500);
-    }
-
-    #[test]
-    fn par_map_reduce_zero_items_returns_init() {
-        let v = par_map_reduce(0, || 42i32, |_, _| panic!(), |a, _| a);
-        assert_eq!(v, 42);
-    }
-
-    #[test]
-    fn par_map_reduce_is_thread_count_invariant_for_vec_sum() {
-        // float accumulation with fixed chunk boundaries must be bit-identical
-        // no matter how many workers run the chunks
-        let run = || {
-            par_map_reduce(
-                97,
-                || vec![0.0f32; 4],
-                |i, acc| {
-                    for (k, v) in acc.iter_mut().enumerate() {
-                        *v += ((i * 7 + k) % 13) as f32 * 0.1;
-                    }
-                },
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(&b) {
-                        *x += y;
-                    }
-                    a
-                },
-            )
-        };
-        let mut results: Vec<Vec<u32>> = Vec::new();
-        for &threads in &[1usize, 2, 4, 7] {
-            results.push(
-                at_threads(threads, run)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect(),
-            );
-        }
-        assert!(
-            results.iter().all(|r| *r == results[0]),
-            "par_map_reduce result depends on thread count"
-        );
     }
 }

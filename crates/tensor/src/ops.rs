@@ -23,18 +23,22 @@
 //! - a [`Tensor`] wrapper (`matmul`) that checks shapes and returns a
 //!   fresh tensor.
 //!
-//! The one exception is [`matmul_transa_slices`], whose only callers are
-//! layer backward passes: it has no wrapper, and it runs on the same
-//! accumulating GEMM core as [`matmul_slices`], which reads its left
-//! operand through a (row stride, column stride) pair.
+//! The two exceptions are cores whose only callers are layer backward
+//! passes, so they have no wrapper: [`matmul_transa_slices`] runs on the
+//! same accumulating GEMM core as [`matmul_slices`], which reads its left
+//! operand through a (row stride, column stride) pair, and
+//! [`matmul_transb_fold_slices`] runs on the same dot-product core as
+//! [`matmul_transb_slices`].
 //!
 //! The lowering cores take a count of consecutive images: [`im2col_slices`]
 //! writes their dense `(C·K·K) × (images·span)` column panel, image `j` in
 //! columns `j·span..(j + 1)·span`, and [`col2im_slices`] scatters such a
-//! panel back to the images. Only [`matmul_transb_slices`] takes a row pitch
-//! (`ldb`, elements from one row's start to the next's): a weight gradient
-//! reads one image's `span`-column block of a panel in place, and no
-//! element's arithmetic depends on `ldb`.
+//! panel back to the images. [`matmul_transb_fold_slices`] reads a batch's
+//! panels in place: a convolution's weight gradient is one call per layer
+//! that takes every image's `dot4` over its own column block and folds the
+//! images in fixed chunks. Its output elements partition over the pool,
+//! four rows by four columns at a time through a lane-packed microkernel
+//! whose sixteen results are the bits of sixteen `dot4` calls.
 
 use crate::{pool, Tensor, TensorError};
 use ahw_telemetry as telemetry;
@@ -51,24 +55,16 @@ static IM2COL_ELEMS: telemetry::LazyCounter =
 static COL2IM_ELEMS: telemetry::LazyCounter =
     telemetry::LazyCounter::new("tensor.ops.col2im_elems");
 
-/// Records one GEMM's work after its shape check passes.
-fn count_gemm(m: usize, n: usize, k: usize) {
-    GEMM_FLOPS.add(2 * (m as u64) * (n as u64) * (k as u64));
-    GEMM_BYTES.add(4 * ((m * k) as u64 + (k * n) as u64 + (m * n) as u64));
+/// Records the work of `calls` GEMMs of one shape after their shape check
+/// passes.
+fn count_gemm(calls: usize, m: usize, n: usize, k: usize) {
+    let calls = calls as u64;
+    GEMM_FLOPS.add(calls * 2 * (m as u64) * (n as u64) * (k as u64));
+    GEMM_BYTES.add(calls * 4 * ((m * k) as u64 + (k * n) as u64 + (m * n) as u64));
 }
 
 /// Cache-blocking tile edge for the GEMM microkernel, in elements.
 const BLOCK: usize = 64;
-
-/// Minimum number of multiply–accumulates a parallel chunk should amortize;
-/// below this, kernels stay on the calling thread.
-const PAR_MIN_WORK: usize = 32 * 1024;
-
-/// Rows per parallel chunk for a kernel doing `work_per_row` mul-adds per
-/// output row.
-fn par_min_rows(work_per_row: usize) -> usize {
-    (PAR_MIN_WORK / work_per_row.max(1)).max(1)
-}
 
 /// Fused 4-row AXPY: `orow[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j]`.
 ///
@@ -136,6 +132,114 @@ fn dot4(x: &[f32], y: &[f32]) -> f32 {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
+/// The sixteen [`dot4`]s of four `a` rows with four `b` rows (all of one
+/// length), bit for bit: element `4·c + r` is `dot4(a[r], b[c])`.
+///
+/// [`dot4x4_steps`] keeps `dot4`'s four partial sums of every pair in one
+/// lane each; they combine here in `dot4`'s tree order, `(acc0 + acc1) +
+/// (acc2 + acc3)`, as two rounds of pairwise sums across adjacent lanes,
+/// and the serial tail is added last.
+#[inline]
+fn dot4x4(a: [&[f32]; 4], b: [&[f32]; 4]) -> [f32; 16] {
+    let k = a[0].len();
+    let q = k - k % 4;
+    let (a, b) = (a.map(|row| &row[..k]), b.map(|row| &row[..k]));
+    let acc = dot4x4_steps(&a, &b, q);
+    let sums = pair_sums(&pair_sums(&acc[0], &acc[1]), &pair_sums(&acc[2], &acc[3]));
+    let mut tails = [0.0f32; 16];
+    if q < k {
+        for (l, tail) in tails.iter_mut().enumerate() {
+            for (x, y) in a[l % 4][q..].iter().zip(&b[l / 4][q..]) {
+                *tail += x * y;
+            }
+        }
+    }
+    let mut out = [0.0f32; 16];
+    for l in 0..16 {
+        out[l] = sums[l] + tails[l];
+    }
+    out
+}
+
+/// `[x's adjacent-lane sums, y's adjacent-lane sums]`.
+#[inline(always)]
+fn pair_sums(x: &[f32; 16], y: &[f32; 16]) -> [f32; 16] {
+    let mut out = [0.0f32; 16];
+    for j in 0..8 {
+        out[j] = x[2 * j] + x[2 * j + 1];
+        out[8 + j] = y[2 * j] + y[2 * j + 1];
+    }
+    out
+}
+
+/// [`dot4x4`]'s lane-packed partial sums over the rows' first `q` elements
+/// (a multiple of 4): lane `4·r + t` of `acc[c]` holds partial sum `t` of
+/// `a[r] · b[c]`. Each 4-element step multiplies one 16-lane vector of the
+/// four `a` quads by each `b` row's quad repeated four times, so every lane
+/// adds `a[r][4q + t] · b[c][4q + t]` from +0.0 in ascending `q`, exactly
+/// `dot4`'s `acc[t]`. Four independent 16-lane accumulators keep the FP
+/// units busy where one `dot4` waits on its own add chain.
+///
+/// Out of line on purpose: inlined into the image loops that call it, the
+/// compiler keeps the accumulators in memory and the loop runs at a third
+/// of the speed.
+#[inline(never)]
+fn dot4x4_steps(a: &[&[f32]; 4], b: &[&[f32]; 4], q: usize) -> [[f32; 16]; 4] {
+    let mut acc = [[0.0f32; 16]; 4];
+    let mut kk = 0;
+    while kk < q {
+        let mut quads = [0.0f32; 16];
+        for r in 0..4 {
+            quads[4 * r..4 * r + 4].copy_from_slice(&a[r][kk..kk + 4]);
+        }
+        for c in 0..4 {
+            let bq: [f32; 4] = b[c][kk..kk + 4].try_into().expect("a 4-element slice");
+            for l in 0..16 {
+                acc[c][l] += quads[l] * bq[l % 4];
+            }
+        }
+        kk += 4;
+    }
+    acc
+}
+
+/// Upper bound on the chunks [`fold_images`] folds images into.
+const FOLD_CHUNKS: usize = 16;
+
+/// Folds `value(i)` over `images` images in fixed chunks: chunk `j` holds
+/// images `j·len..(j + 1)·len` with `len = images.div_ceil(16)` (the last
+/// chunk may be shorter), each chunk's sum starts at +0.0 and adds its
+/// images' values in ascending image order, chunk 0's sum is the running
+/// total, and later chunks' sums are added to it left to right (+0.0 for
+/// no images). The order depends only on `images`, never on the thread
+/// count. [`matmul_transb_fold_slices`] folds its sixteen-element blocks
+/// this way; a conv bias gradient folds its per-image sums by the same
+/// rule.
+#[inline]
+pub fn fold_images<const L: usize>(
+    images: usize,
+    mut value: impl FnMut(usize) -> [f32; L],
+) -> [f32; L] {
+    let len = images.div_ceil(FOLD_CHUNKS).max(1);
+    let mut total = [0.0f32; L];
+    for start in (0..images).step_by(len) {
+        let mut sum = [0.0f32; L];
+        for i in start..(start + len).min(images) {
+            for (s, v) in sum.iter_mut().zip(value(i)) {
+                *s += v;
+            }
+        }
+        if start == 0 {
+            total = sum;
+        } else {
+            for (t, s) in total.iter_mut().zip(sum) {
+                *t += s;
+            }
+        }
+    }
+    total
+}
+
 fn require_rank2(t: &Tensor, op: &'static str) -> Result<(), TensorError> {
     if t.rank() != 2 {
         return Err(TensorError::RankMismatch {
@@ -151,25 +255,6 @@ fn require_len(len: usize, expected: usize) -> Result<(), TensorError> {
     if len != expected {
         return Err(TensorError::LengthMismatch {
             expected,
-            actual: len,
-        });
-    }
-    Ok(())
-}
-
-/// Checks that a `rows × cols` matrix with row pitch `ld` fits in a slice
-/// of `len` elements: its extent is `(rows − 1)·ld + cols` (the last row
-/// needs no padding after it).
-fn require_pitched(len: usize, rows: usize, cols: usize, ld: usize) -> Result<(), TensorError> {
-    if ld < cols {
-        return Err(TensorError::InvalidArgument(format!(
-            "row pitch {ld} is shorter than a {cols}-column row"
-        )));
-    }
-    let extent = if rows == 0 { 0 } else { (rows - 1) * ld + cols };
-    if len < extent {
-        return Err(TensorError::LengthMismatch {
-            expected: extent,
             actual: len,
         });
     }
@@ -219,7 +304,7 @@ fn gemm_kernel(
     out: &mut [f32],
 ) {
     let _span = telemetry::span_labeled(name, || format!("{m}x{k}x{n}"));
-    count_gemm(m, n, k);
+    count_gemm(1, m, n, k);
     let a = |i: usize, kk: usize| av[i * rs + kk * cs];
     let quad = |i: usize, kk: usize| [a(i, kk), a(i, kk + 1), a(i, kk + 2), a(i, kk + 3)];
     let brow = |kk: usize| &bv[kk * n..(kk + 1) * n];
@@ -229,7 +314,7 @@ fn gemm_kernel(
     // blocks ascending, kk ascending 4 at a time, products folded
     // left-to-right — independent of the partition, of the strides and of
     // whether the row went through the blocked or the tail path.
-    pool::par_row_chunks_mut(out, n, par_min_rows(k * n), |first, orows| {
+    pool::par_row_chunks_mut(out, n, pool::min_rows(k * n), |first, orows| {
         let rows = orows.len() / n;
         for kb in (0..k).step_by(BLOCK) {
             let kend = (kb + BLOCK).min(k);
@@ -337,42 +422,129 @@ pub fn matmul_slices(
 pub fn matmul_transb(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let (m, k, n) = gemm_dims(a, b, "matmul_transb", true)?;
     let mut out = vec![0.0f32; m * n];
-    matmul_transb_slices(a.as_slice(), b.as_slice(), k, m, k, n, &mut out)?;
+    matmul_transb_slices(a.as_slice(), b.as_slice(), m, k, n, &mut out)?;
     Tensor::from_vec(out, &[m, n])
 }
 
-/// [`matmul_transb`] on raw slices: `a` is `(m×k)`, and `b` holds `n` rows
-/// of `k` elements with row pitch `ldb` (`ldb = k` for a dense `(n×k)`
-/// matrix). Fully overwrites `out`; every element is one split-accumulator
-/// dot product of `k` terms, whatever `ldb` is.
+/// [`matmul_transb`] on raw slices: `a` is `(m×k)` and `b` is `(n×k)`.
+/// Fully overwrites `out`; every element is one split-accumulator dot
+/// product of `k` terms. It runs [`matmul_transb_fold_slices`]' core on a
+/// single image, whose fold of one value is that value.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::LengthMismatch`] if `a` or `out` disagrees with
-/// `(m, k, n)` or `b` is shorter than its pitched extent, and
-/// [`TensorError::InvalidArgument`] if `ldb < k`.
+/// Returns [`TensorError::LengthMismatch`] if any slice length disagrees
+/// with `(m, k, n)`.
 pub fn matmul_transb_slices(
     a: &[f32],
     b: &[f32],
-    ldb: usize,
     m: usize,
     k: usize,
     n: usize,
     out: &mut [f32],
 ) -> Result<(), TensorError> {
-    require_len(a.len(), m * k)?;
-    require_pitched(b.len(), n, k, ldb)?;
+    matmul_transb_fold_slices(a, b, 1, 1, m, k, n, out)
+}
+
+/// `Σᵢ aᵢ · bᵢᵀ` over `images` images, folded in fixed chunks: the weight
+/// gradient of a convolution, `(dL/dW)ᵀ = Σᵢ colsᵢ · dYᵢᵀ`, in one call.
+///
+/// `a` holds the images' `(m×k)` blocks as column panels of `per`
+/// consecutive images (the last panel may hold fewer), panel after panel:
+/// a panel of `j` images is an `(m × j·k)` matrix with its `t`-th image in
+/// columns `t·k..(t + 1)·k` — the layout [`im2col_slices`] writes with
+/// `m = C·K·K` and `k` the output span. `b` holds the images' dense
+/// `(n×k)` blocks one after another. `out` is fully overwritten with the
+/// `(m×n)` fold.
+///
+/// Element `(r, c)` is image `i`'s `dot4(a row r, b row c)`, folded over
+/// the images by [`fold_images`]: each chunk's sum starts at +0.0 and adds
+/// its images in ascending order, and the chunk sums fold left to right
+/// onto chunk 0's. The output rows partition over the pool,
+/// four at a time through the lane-packed `dot4x4` microkernel, with one
+/// `dot4` per element on the ragged edges; each element's arithmetic is
+/// the same on either path and at any thread count.
+///
+/// # Errors
+///
+/// Returns [`TensorError::LengthMismatch`] if any slice length disagrees
+/// with `(images, m, k, n)`, and [`TensorError::InvalidArgument`] if
+/// `per` is zero.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_transb_fold_slices(
+    a: &[f32],
+    b: &[f32],
+    images: usize,
+    per: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
+    if per == 0 {
+        return Err(TensorError::InvalidArgument(
+            "a column panel must hold at least one image".into(),
+        ));
+    }
+    require_len(a.len(), images * m * k)?;
+    require_len(b.len(), images * n * k)?;
     require_len(out.len(), m * n)?;
-    let _span = telemetry::span_labeled("tensor.ops.matmul_transb", || format!("{m}x{k}x{n}"));
-    count_gemm(m, n, k);
-    pool::par_row_chunks_mut(out, n, par_min_rows(k * n), |first, orows| {
-        for (r, orow) in orows.chunks_mut(n).enumerate() {
-            let arow = &a[(first + r) * k..(first + r + 1) * k];
-            for (j, o) in orow.iter_mut().enumerate() {
-                *o = dot4(arow, &b[j * ldb..j * ldb + k]);
-            }
-        }
+    let _span = telemetry::span_labeled("tensor.ops.matmul_transb", || {
+        format!("{m}x{k}x{n}, {images} images")
     });
+    count_gemm(images, m, n, k);
+    // row r of image i's block of `a`: image i is the (i − first)-th of
+    // the panel starting at image `first`, whose rows hold its images' `k`
+    // columns side by side
+    let a_row = |i: usize, r: usize| {
+        let first = i / per * per;
+        let pitch = per.min(images - first) * k;
+        &a[first * m * k + r * pitch + (i - first) * k..][..k]
+    };
+    let b_row = |i: usize, c: usize| &b[(i * n + c) * k..][..k];
+    let one = |r: usize, c: usize| fold_images(images, |i| [dot4(a_row(i, r), b_row(i, c))])[0];
+    // blocks of four output rows; the last block may be short
+    pool::par_row_chunks_mut(
+        out,
+        4 * n,
+        pool::min_rows(4 * images * k * n),
+        |first, blocks| {
+            for (bi, block) in blocks.chunks_mut(4 * n).enumerate() {
+                let r0 = 4 * (first + bi);
+                // a block of four rows takes its columns four at a time
+                let mut c0 = 0;
+                while block.len() == 4 * n && c0 + 4 <= n {
+                    let t = fold_images(images, |i| {
+                        dot4x4(
+                            [
+                                a_row(i, r0),
+                                a_row(i, r0 + 1),
+                                a_row(i, r0 + 2),
+                                a_row(i, r0 + 3),
+                            ],
+                            [
+                                b_row(i, c0),
+                                b_row(i, c0 + 1),
+                                b_row(i, c0 + 2),
+                                b_row(i, c0 + 3),
+                            ],
+                        )
+                    });
+                    for (r, orow) in block.chunks_exact_mut(n).enumerate() {
+                        for (c, o) in orow[c0..c0 + 4].iter_mut().enumerate() {
+                            *o = t[4 * c + r];
+                        }
+                    }
+                    c0 += 4;
+                }
+                for (r, orow) in block.chunks_exact_mut(n).enumerate() {
+                    for (c, o) in orow.iter_mut().enumerate().skip(c0) {
+                        *o = one(r0 + r, c);
+                    }
+                }
+            }
+        },
+    );
     Ok(())
 }
 
@@ -532,7 +704,7 @@ pub fn im2col_slices(
     // Each patch row (c, ky, kx) gathers into a disjoint panel row, so the
     // rows partition freely over the pool. A row's tap and its valid
     // ranges are worked out once and serve every image's column block.
-    pool::par_row_chunks_mut(out, width, par_min_rows(width), |first, orows| {
+    pool::par_row_chunks_mut(out, width, pool::min_rows(width), |first, orows| {
         for (r, orow) in orows.chunks_mut(width).enumerate() {
             let row = first + r;
             let c = row / (g.kernel * g.kernel);
@@ -630,7 +802,7 @@ pub fn col2im_slices(
     pool::par_row_chunks_mut(
         out,
         plane_len,
-        par_min_rows(g.kernel * g.kernel * span),
+        pool::min_rows(g.kernel * g.kernel * span),
         |first, planes| {
             for (pc, plane) in planes.chunks_mut(plane_len).enumerate() {
                 let (j, c) = ((first + pc) / g.channels, (first + pc) % g.channels);
@@ -669,7 +841,7 @@ pub fn col2im_slices(
 /// Numerically-stable row-wise softmax: normalizes `out` (which already
 /// holds the logits) in place, row by row.
 fn softmax_kernel(out: &mut [f32], cols: usize) {
-    pool::par_row_chunks_mut(out, cols.max(1), par_min_rows(cols), |_, rows_block| {
+    pool::par_row_chunks_mut(out, cols.max(1), pool::min_rows(cols), |_, rows_block| {
         for row in rows_block.chunks_mut(cols.max(1)) {
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let mut sum = 0.0;
@@ -925,7 +1097,7 @@ mod tests {
                 "matmul_transa_slices",
             )?;
             out.fill(f32::NAN);
-            matmul_transb_slices(a.as_slice(), bt.as_slice(), k, m, k, n, &mut out).unwrap();
+            matmul_transb_slices(a.as_slice(), bt.as_slice(), m, k, n, &mut out).unwrap();
             ensure(
                 out == matmul_transb(&a, &bt).unwrap().as_slice(),
                 "matmul_transb_slices",
@@ -1025,10 +1197,21 @@ mod tests {
             col2im_slices(&panel, 2, &g, &mut [0.0; 16]),
             Err(TensorError::LengthMismatch { expected: 32, .. })
         ));
-        // a pitch narrower than the row is rejected, not misread
+        assert!(matmul_transb_slices(a.as_slice(), &cols, 2, 3, 4, &mut short).is_err());
+        // the fold reads 2 images of (2×3) and (4×3) blocks into a (2×4)
+        // output, and a panel must hold an image
+        let (a2, b2) = (vec![0.0f32; 12], vec![0.0f32; 24]);
         assert!(matches!(
-            matmul_transb_slices(a.as_slice(), &cols, 2, 2, 3, 4, &mut [0.0; 8]),
+            matmul_transb_fold_slices(&a2, &b2, 2, 0, 2, 3, 4, &mut [0.0; 8]),
             Err(TensorError::InvalidArgument(_))
+        ));
+        assert!(matches!(
+            matmul_transb_fold_slices(&a2, &b2[1..], 2, 1, 2, 3, 4, &mut [0.0; 8]),
+            Err(TensorError::LengthMismatch { expected: 24, .. })
+        ));
+        assert!(matches!(
+            matmul_transb_fold_slices(&a2, &b2, 2, 2, 2, 3, 4, &mut short),
+            Err(TensorError::LengthMismatch { expected: 8, .. })
         ));
         assert!(cross_entropy_with_grad_slices(a.as_slice(), &[0, 1], 3, &mut short).is_err());
     }

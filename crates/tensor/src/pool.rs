@@ -405,14 +405,24 @@ where
     Partition::new(n, min_chunk).run(|_, range| body(range));
 }
 
-/// Mutable row-partition helper: splits `out` into items of `row_len`
-/// contiguous elements and calls `body(first_row, rows_slice)` on disjoint
-/// row blocks in parallel. `out.len()` must be a multiple of `row_len`.
+/// Minimum number of multiply–accumulates (or element updates) a parallel
+/// range should amortize; below this, kernels stay on the calling thread.
+const PAR_MIN_WORK: usize = 32 * 1024;
+
+/// Rows per parallel range for a kernel doing `work_per_row` mul-adds per
+/// output row: the `min_rows` to hand [`par_row_chunks_mut`].
+pub fn min_rows(work_per_row: usize) -> usize {
+    (PAR_MIN_WORK / work_per_row.max(1)).max(1)
+}
+
+/// Mutable row-partition helper: splits `out` into rows of `row_len`
+/// contiguous elements (the last row is shorter if `out.len()` is not a
+/// multiple of `row_len`) and calls `body(first_row, rows_slice)` on
+/// disjoint row blocks in parallel.
 ///
 /// # Panics
 ///
-/// Propagates panics from `body`; panics in debug builds if `out.len()` is
-/// not a multiple of `row_len`.
+/// Propagates panics from `body`.
 pub fn par_row_chunks_mut<T, F>(out: &mut [T], row_len: usize, min_rows: usize, body: F)
 where
     T: Send,
@@ -421,17 +431,16 @@ where
     if out.is_empty() || row_len == 0 {
         return;
     }
-    debug_assert_eq!(out.len() % row_len, 0);
-    let rows = out.len() / row_len;
+    let len = out.len();
     let base = SendPtr(out.as_mut_ptr());
     let base = &base;
-    parallel_for_ranges(rows, min_rows.max(1), |r: Range<usize>| {
+    parallel_for_ranges(len.div_ceil(row_len), min_rows.max(1), |r: Range<usize>| {
+        let start = r.start * row_len;
+        let end = (r.end * row_len).min(len);
         // SAFETY: ranges from `parallel_for_ranges` are disjoint and within
-        // `0..rows`, so each slice is an exclusive in-bounds view of its
-        // rows.
-        let block = unsafe {
-            std::slice::from_raw_parts_mut(base.0.add(r.start * row_len), r.len() * row_len)
-        };
+        // `0..len.div_ceil(row_len)`, and `end` is clamped to `len`, so each
+        // slice is an exclusive in-bounds view of its rows.
+        let block = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), end - start) };
         body(r.start, block);
     });
 }
@@ -667,6 +676,28 @@ mod tests {
             for k in 0..3 {
                 assert_eq!(out[i * 3 + k], (i * 10 + k) as f32);
             }
+        }
+    }
+
+    #[test]
+    fn row_chunks_cover_a_short_last_row() {
+        // 10 rows of 4 and a last row of 2: every element written once,
+        // with the row index its block's first row implies
+        for &threads in &[1usize, 2, 4, 7] {
+            let hits: Vec<AtomicU32> = (0..42).map(|_| AtomicU32::new(0)).collect();
+            let mut out = vec![usize::MAX; 42];
+            set_thread_override(Some(threads));
+            par_row_chunks_mut(&mut out, 4, 1, |first, rows| {
+                for (j, row) in rows.chunks_mut(4).enumerate() {
+                    for (k, v) in row.iter_mut().enumerate() {
+                        *v = first + j;
+                        hits[(first + j) * 4 + k].fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+            set_thread_override(None);
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            assert!(out.iter().enumerate().all(|(i, &row)| row == i / 4));
         }
     }
 

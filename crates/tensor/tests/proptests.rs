@@ -208,8 +208,9 @@ fn lowering_is_adjoint() {
 /// A column panel is its images' one-image lowerings side by side, bit for
 /// bit: `im2col_slices` of `images` images is the column-wise concatenation
 /// of their `im2col`s, `col2im_slices` of a panel is the `col2im` of each
-/// image's column block, and `matmul_transb_slices` reading a block in
-/// place (`ldb = images·span`) gives the bits it gives on a dense copy.
+/// image's column block, and `matmul_transb_fold_slices` reading the images'
+/// blocks of a panel in place gives the bits it gives on their dense copies
+/// (one-image panels).
 #[test]
 fn a_panel_is_its_images_lowered_side_by_side() {
     check::cases(128).run("a_panel_is_its_images_lowered_side_by_side", |g| {
@@ -228,6 +229,7 @@ fn a_panel_is_its_images_lowered_side_by_side() {
         ops::im2col_slices(x.as_slice(), images, &geom, &mut panel).unwrap();
         let mut grads = vec![f32::NAN; images * item];
         ops::col2im_slices(c.as_slice(), images, &geom, &mut grads).unwrap();
+        let mut dense = Vec::new();
         for j in 0..images {
             // image j's (patch × span) column block of a panel
             let block = |p: &[f32]| -> Vec<f32> {
@@ -247,24 +249,157 @@ fn a_panel_is_its_images_lowered_side_by_side() {
                     == bits(ops::col2im(&cj, &geom).unwrap().as_slice()),
                 format!("col2im image {j} of a {images}-image panel"),
             )?;
-            let a = rng::uniform(&[m, span], -1.0, 1.0, &mut r);
-            let mut prod = vec![f32::NAN; m * patch];
-            let at = &c.as_slice()[j * span..];
-            ops::matmul_transb_slices(a.as_slice(), at, width, m, span, patch, &mut prod).unwrap();
+            dense.extend_from_slice(cj.as_slice());
+        }
+        let dy = rng::uniform(&[images * m * span], -1.0, 1.0, &mut r);
+        let fold = |a: &[f32], per: usize| {
+            let mut out = vec![f32::NAN; patch * m];
+            ops::matmul_transb_fold_slices(a, dy.as_slice(), images, per, patch, span, m, &mut out)
+                .unwrap();
+            bits(&out)
+        };
+        ensure(
+            fold(c.as_slice(), images) == fold(&dense, 1),
+            format!("the fold over a {images}-image panel differs from its dense copies"),
+        )
+    });
+}
+
+/// `dot4` as the kernels define it: four interleaved partial sums, each
+/// from +0.0 in ascending order, combined as `((acc0 + acc1) + (acc2 +
+/// acc3)) + tail`, the tail a serial sum from +0.0.
+fn dot4(x: &[f32], y: &[f32]) -> f32 {
+    let q = x.len() / 4 * 4;
+    let mut acc = [0.0f32; 4];
+    for j in (0..q).step_by(4) {
+        for t in 0..4 {
+            acc[t] += x[j + t] * y[j + t];
+        }
+    }
+    let mut tail = 0.0f32;
+    for j in q..x.len() {
+        tail += x[j] * y[j];
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+}
+
+/// `matmul_transb_fold_slices` by its definition: image `i`'s product
+/// element `(r, c)` is `dot4(row r of its block of a, row c of its block of
+/// b)`; each chunk of `images.div_ceil(16)` consecutive images sums its
+/// images' products from +0.0 in image order, and the chunk sums fold left
+/// to right onto chunk 0's.
+fn folded_reference(
+    a: &[f32],
+    b: &[f32],
+    images: usize,
+    per: usize,
+    (m, k, n): (usize, usize, usize),
+) -> Vec<f32> {
+    let chunk = images.div_ceil(16).max(1);
+    let chunk_sums = (0..images).step_by(chunk).map(|start| {
+        let mut sum = vec![0.0f32; m * n];
+        for i in start..(start + chunk).min(images) {
+            // image i's block is columns (i − first)·k.. of its panel
+            let first = i / per * per;
+            let width = per.min(images - first) * k;
+            for (e, s) in sum.iter_mut().enumerate() {
+                let (r, c) = (e / n, e % n);
+                let arow = &a[first * m * k + r * width + (i - first) * k..][..k];
+                *s += dot4(arow, &b[(i * n + c) * k..][..k]);
+            }
+        }
+        sum
+    });
+    chunk_sums
+        .reduce(|mut total, sum| {
+            for (t, s) in total.iter_mut().zip(&sum) {
+                *t += s;
+            }
+            total
+        })
+        .unwrap_or_else(|| vec![0.0; m * n])
+}
+
+/// Bit patterns with every NaN mapped to one pattern: IEEE arithmetic does
+/// not pin which NaN payload an operation on NaNs returns.
+fn value_bits(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| {
+            if x.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        })
+        .collect()
+}
+
+/// `len` uniform draws in [-1, 1), about one in eight replaced by ±0.0 and,
+/// when `specials` is set, a few by ±∞ or NaN.
+fn operand(r: &mut impl Rng, len: usize, specials: bool) -> Vec<f32> {
+    let mut v = rng::uniform(&[len], -1.0, 1.0, r).as_slice().to_vec();
+    for x in v.iter_mut() {
+        if r.gen_range(0..8) == 0 {
+            *x = if r.gen_range(0..2) == 0 { 0.0 } else { -0.0 };
+        }
+    }
+    if specials && len > 0 {
+        for s in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            v[r.gen_range(0..len)] = s;
+        }
+    }
+    v
+}
+
+/// The folded weight-gradient kernel gives its serial definition's bits
+/// (NaN payloads aside) at 1, 2, 4 and 7 threads: `m`, `k` and `n` in every
+/// residue mod 4 (the microkernel's ragged edges), 1–7 images and batches
+/// whose last fold chunk is short, panels whose rows are wider than `k`
+/// with a short last panel, and operands holding ±0.0, ±∞ and NaN.
+/// `matmul_transb_slices` is still one `dot4` per element.
+#[test]
+fn folded_weight_gradient_matches_its_serial_definition() {
+    use ahw_tensor::pool;
+    check::cases(96).run("folded_weight_gradient", |g| {
+        let m = g.usize_in("m", 1, 72);
+        let k = g.usize_in("k", 1, 40);
+        let n = g.usize_in("n", 1, 14);
+        let images = [1, 2, 3, 4, 5, 6, 7, 17, 19, 23, 35, 37][g.usize_in("images_at", 0, 12)];
+        let per = g.usize_in("per", 1, images + 1);
+        let specials = g.usize_in("specials", 0, 2) == 1;
+        let mut r = rng::seeded(g.seed("seed"));
+        let a = operand(&mut r, images * m * k, specials);
+        let b = operand(&mut r, images * n * k, specials);
+        let expect = value_bits(&folded_reference(&a, &b, images, per, (m, k, n)));
+        for threads in [1usize, 2, 4, 7] {
+            let mut out = vec![f32::NAN; m * n];
+            pool::set_thread_override(Some(threads));
+            let res = ops::matmul_transb_fold_slices(&a, &b, images, per, m, k, n, &mut out);
+            pool::set_thread_override(None);
+            res.unwrap();
             ensure(
-                bits(&prod) == bits(ops::matmul_transb(&a, &cj).unwrap().as_slice()),
-                format!("matmul_transb on block {j} differs from its dense copy"),
+                value_bits(&out) == expect,
+                format!("fold of {images} images ({per} per panel) differs at {threads} threads"),
             )?;
         }
-        Ok(())
+        let (x, w) = (&a[..m * k], &b[..n * k]);
+        let mut out = vec![f32::NAN; m * n];
+        ops::matmul_transb_slices(x, w, m, k, n, &mut out).unwrap();
+        let dots: Vec<f32> = (0..m * n)
+            .map(|e| dot4(&x[e / n * k..][..k], &w[e % n * k..][..k]))
+            .collect();
+        ensure(
+            value_bits(&out) == value_bits(&dots),
+            "matmul_transb_slices is not one dot4 per element",
+        )
     });
 }
 
 /// Parallel `matmul`, `matmul_transa` and the panel cores (`im2col` and
-/// `col2im` of a multi-image panel, `matmul_transb` on the last image's
-/// block of it) are bit-identical to their serial runs for arbitrary shapes
-/// across worker counts 1, 2, 4 and 7 (shapes range from pool-bypassing
-/// tiny to large enough that the row partition engages).
+/// `col2im` of a multi-image panel, the weight-gradient fold over it) are
+/// bit-identical to their serial runs for arbitrary shapes across worker
+/// counts 1, 2, 4 and 7 (shapes range from pool-bypassing tiny to large
+/// enough that the row partition engages).
 #[test]
 fn kernels_thread_count_invariant() {
     use ahw_tensor::pool;
@@ -283,7 +418,7 @@ fn kernels_thread_count_invariant() {
         let item = geom.channels * geom.height * geom.width;
         let x = rng::normal(&[images * item], 0.0, 1.0, &mut rng::seeded(seed ^ 2));
         let c = rng::normal(&[patch, width], 0.0, 1.0, &mut rng::seeded(seed ^ 3));
-        let dy = rng::normal(&[m, span], 0.0, 1.0, &mut rng::seeded(seed ^ 4));
+        let dy = rng::normal(&[images, m, span], 0.0, 1.0, &mut rng::seeded(seed ^ 4));
         let run = || {
             let mut ta = vec![0.0f32; m * n];
             ops::matmul_transa_slices(at.as_slice(), b.as_slice(), m, k, n, &mut ta).unwrap();
@@ -291,10 +426,9 @@ fn kernels_thread_count_invariant() {
             ops::im2col_slices(x.as_slice(), images, &geom, &mut panel).unwrap();
             let mut img = vec![0.0f32; x.len()];
             ops::col2im_slices(c.as_slice(), images, &geom, &mut img).unwrap();
-            let mut dw = vec![0.0f32; m * patch];
-            let block = &c.as_slice()[(images - 1) * span..];
-            ops::matmul_transb_slices(dy.as_slice(), block, width, m, span, patch, &mut dw)
-                .unwrap();
+            let mut dw = vec![0.0f32; patch * m];
+            let (c, dy) = (c.as_slice(), dy.as_slice());
+            ops::matmul_transb_fold_slices(c, dy, images, images, patch, span, m, &mut dw).unwrap();
             [
                 bits(ops::matmul(&a, &b).unwrap().as_slice()),
                 bits(&ta),
@@ -315,7 +449,7 @@ fn kernels_thread_count_invariant() {
                 "matmul_transa",
                 "im2col",
                 "col2im",
-                "matmul_transb",
+                "matmul_transb_fold",
             ];
             for (name, (x, y)) in names.iter().zip(got.iter().zip(&reference)) {
                 ensure(x == y, format!("{name} differs at {threads} threads"))?;

@@ -18,6 +18,10 @@
 #               than the bound
 #   unresolved  the base IQR is wider than the bound
 #   same        otherwise
+# Under the verdicts it prints each side's median of the host evidence the
+# benchmark's context line carries (`host.fma_gflops`, `host.stream_gbps`,
+# `host.steal_frac`), so a shift in the host between the two sides shows
+# next to the verdicts; they are never judged.
 # Exits 1 if any run was not `golden: match`, `correct: true`, `failed: 0`.
 #
 # Both sides run for the benchmark's own default length, so A/B runs time
@@ -68,7 +72,8 @@ for side in base work; do
     cp "$work/target-$side/release/ahw-benchmark" "$work/bench-$side"
 done
 
-# One run: prints a row `side pair golden correct failed name=value...`.
+# One run: prints a row `side pair golden correct failed name=value...`,
+# the host evidence last.
 run() {
     side=$1
     pair=$2
@@ -79,11 +84,19 @@ run() {
         function field(line, re,    s) {
             if (!match(line, re)) return "?"
             s = substr(line, RSTART, RLENGTH)
-            sub(/^"[a-z_]*": *"?/, "", s)
+            sub(/^"[a-z_.]*": *"?/, "", s)
             sub(/"$/, "", s)
             return s
         }
-        /"context"/ { golden = field($0, "\"golden\": \"[^\"]*\"") }
+        /"context"/ {
+            golden = field($0, "\"golden\": \"[^\"]*\"")
+            host = ""
+            n = split("fma_gflops stream_gbps steal_frac", evidence, " ")
+            for (i = 1; i <= n; i++) {
+                name = "host." evidence[i]
+                host = host " " name "=" field($0, "\"" name "\": \"[^\"]*\"")
+            }
+        }
         /"metrics"/ {
             correct = field($0, "\"correct\": [a-z]*")
             failed = field($0, "\"failed\": [0-9]*")
@@ -104,7 +117,7 @@ run() {
             if (golden == "") golden = "?"
             if (correct == "") correct = "?"
             if (failed == "") failed = "?"
-            print side, pair, golden, correct, failed metrics
+            print side, pair, golden, correct, failed metrics host
         }' "$work/run.out"
 }
 
@@ -168,6 +181,14 @@ awk -v workload="$workload" -v seed="$seed" -v rev="$rev" -v bounds="$bounds" '
         if ($3 != "match" || $4 != "true" || $5 != "0") bad++
         for (f = 6; f <= NF; f++) {
             split($f, kv, "=")
+            if (kv[1] ~ /^host\./) {
+                if (!(kv[1] in hseen)) {
+                    hseen[kv[1]] = 1
+                    hnames[++nhost] = kv[1]
+                }
+                hval[side, kv[1], pair] = kv[2]
+                continue
+            }
             if (!(kv[1] in seen)) {
                 seen[kv[1]] = 1
                 names[++nnames] = kv[1]
@@ -199,6 +220,18 @@ awk -v workload="$workload" -v seed="$seed" -v rev="$rev" -v bounds="$bounds" '
         }
         printf "\n%-12s %-10s %s\n", "metric", "verdict", "(median change, base IQR and bound as % of the base median)"
         for (k = 1; k <= nnames; k++) printf "%-12s %s\n", names[k], verdict[names[k]]
+        printf "\n%-16s %12s %12s   %s\n", "host evidence", "base_p50", "work_p50", "(medians; not judged)"
+        for (k = 1; k <= nhost; k++) {
+            m = hnames[k]
+            for (s = 1; s <= 2; s++) {
+                side = (s == 1) ? "base" : "work"
+                n = 0
+                for (p = 1; p <= npairs; p++)
+                    if (((side, m, p) in hval) && hval[side, m, p] != "?") v[++n] = hval[side, m, p] + 0
+                med[side] = n ? sprintf("%12.6g", quantile(v, n, 0.5)) : sprintf("%12s", "?")
+            }
+            printf "%-16s %s %s\n", m, med["base"], med["work"]
+        }
         if (bad) {
             printf "ab: %d run(s) not golden match / correct / failed 0\n", bad
             exit 1

@@ -54,6 +54,11 @@ AHW_THREADS=2 AHW_BENCH_SAMPLES=1 AHW_BENCH_WARMUP_MS=20 \
 # attack shards (nested pool tasks, run inline) never exercise.
 AHW_THREADS=2 AHW_BENCH_SAMPLES=1 AHW_BENCH_WARMUP_MS=20 \
     cargo bench --offline -q -p ahw-bench --bench kernels -- conv2d/
+# Smoke: the training rows on a 2-thread pool. A `Train` pass at top level
+# runs the folded weight-gradient kernel and batch norm's per-channel
+# reductions split over the pool, which no attack shard exercises.
+AHW_THREADS=2 AHW_BENCH_SAMPLES=1 AHW_BENCH_WARMUP_MS=20 \
+    cargo bench --offline -q -p ahw-bench --bench kernels -- train/
 # Smoke: the attack-path workload on a 2-thread pool exercises the planned
 # engine (plan-cache checkout, workspace reuse, sharded evaluation).
 AHW_THREADS=2 AHW_BENCH_SAMPLES=1 AHW_BENCH_WARMUP_MS=20 \

@@ -147,9 +147,11 @@ fn conv_forward_is_bit_identical_across_thread_counts() {
 }
 
 /// The `exp_fig5`-style pipeline — train a small conv net, then sweep an
-/// attack over ε — is bit-identical at 1 vs 4 kernel-pool workers. Training
-/// exercises the parallel GEMM/im2col kernels *and* the chunked gradient
-/// reduction; the sweep exercises pooled attack sharding.
+/// attack over ε — is bit-identical at 1, 2, 4 and 7 kernel-pool workers
+/// (the name predates the 2- and 7-worker runs). Training exercises the
+/// parallel GEMM/im2col kernels, the folded weight-gradient kernel and batch
+/// norm's per-channel reductions; the sweep exercises pooled attack
+/// sharding.
 #[test]
 fn training_and_epsilon_sweep_are_bit_identical_1_vs_4_threads() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
@@ -180,20 +182,22 @@ fn training_and_epsilon_sweep_are_bit_identical_1_vs_4_threads() {
         })
     };
     let one = run(1);
-    let four = run(4);
-    assert_eq!(one.len(), four.len());
-    for ((e1, o1), (e4, o4)) in one.iter().zip(&four) {
-        assert_eq!(e1.to_bits(), e4.to_bits());
-        assert_eq!(
-            o1.clean_accuracy.to_bits(),
-            o4.clean_accuracy.to_bits(),
-            "clean accuracy differs at eps {e1}"
-        );
-        assert_eq!(
-            o1.adversarial_accuracy.to_bits(),
-            o4.adversarial_accuracy.to_bits(),
-            "adversarial accuracy differs at eps {e1}"
-        );
+    for threads in [2usize, 4, 7] {
+        let many = run(threads);
+        assert_eq!(one.len(), many.len());
+        for ((e1, o1), (e, o)) in one.iter().zip(&many) {
+            assert_eq!(e1.to_bits(), e.to_bits());
+            assert_eq!(
+                o1.clean_accuracy.to_bits(),
+                o.clean_accuracy.to_bits(),
+                "clean accuracy differs at eps {e1}, {threads} threads"
+            );
+            assert_eq!(
+                o1.adversarial_accuracy.to_bits(),
+                o.adversarial_accuracy.to_bits(),
+                "adversarial accuracy differs at eps {e1}, {threads} threads"
+            );
+        }
     }
 }
 
