@@ -1,18 +1,19 @@
 //! Bench tooling CLI.
 //!
 //! ```text
-//! ahw_bench --compare [--file BENCH_kernels.json] [--threshold 0.10] [--report]
+//! ahw_bench --compare --file SESSION [--report]
 //! ahw_bench --scrape <host:port> <path>
 //! ahw_bench --calibrate
 //! ```
 //!
-//! `--compare` runs the bench-regression watchdog over the committed
-//! history (see [`ahw_bench::compare`]): for every (workload, threads,
-//! telemetry) key it compares the newest row against the best of its
-//! baseline window and exits nonzero if any key regressed — unless
-//! `--report` is given, which always exits zero (the mode
-//! `scripts/bench.sh` uses right after appending fresh rows).
-//! `scripts/verify.sh` runs the strict mode as an opt-in gate.
+//! `--compare` is the speed judge ([`ahw_bench::compare`]): it reads one
+//! interleaved A/B session that `scripts/ab.sh` wrote and prints, per
+//! benchmark metric or kernel row, each side's median and quartiles, the
+//! pairs the working tree won and the verdict, then each side's median host
+//! evidence. Bounds for benchmark metrics come from `BENCHMARK.json` in the
+//! current directory. It exits 1 when a run was invalid and, unless
+//! `--report` is given, when a verdict is `worse`; 2 when the session or
+//! the bounds cannot be read.
 //!
 //! `--scrape` GETs a path from the live telemetry endpoint with
 //! [`ahw_bench::http_get`]: prints the response body to stdout and exits
@@ -21,15 +22,14 @@
 //!
 //! `--calibrate` measures the machine roof (peak compute GFLOP/s, stream
 //! GB/s — see [`ahw_bench::calibration`]) and prints the
-//! `"calibration/roofline"` JSON history line to stdout;
-//! `scripts/bench.sh` appends it to `BENCH_kernels.json` so roofline
-//! reports can score kernels against this machine.
+//! `"calibration/roofline"` JSON row to stdout; `scripts/ab.sh` runs it
+//! after every kernel run, so each side of a session carries its roof.
 
-use ahw_bench::compare::{compare, parse_rows, Verdict, DEFAULT_THRESHOLD};
+use ahw_bench::compare;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: ahw_bench --compare [--file BENCH_kernels.json] [--threshold 0.10] [--report]\n       ahw_bench --scrape <host:port> <path>\n       ahw_bench --calibrate"
+        "usage: ahw_bench --compare --file SESSION [--report]\n       ahw_bench --scrape <host:port> <path>\n       ahw_bench --calibrate"
     );
     std::process::exit(2);
 }
@@ -65,45 +65,32 @@ fn main() {
     if !has("--compare") {
         usage();
     }
-    let file = value("--file").unwrap_or_else(|| "BENCH_kernels.json".to_string());
-    let threshold: f64 = value("--threshold")
-        .map(|t| t.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(DEFAULT_THRESHOLD);
-    let report_only = has("--report");
-
-    let text = match std::fs::read_to_string(&file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("ahw_bench: cannot read {file}: {e}");
+    let file = value("--file").unwrap_or_else(|| usage());
+    let runs = compare::parse_session(&read_or_exit(&file)).unwrap_or_else(|e| {
+        eprintln!("ahw_bench: {file}: {e}");
+        std::process::exit(2);
+    });
+    let bounds = if runs.iter().all(|r| r.kernel) {
+        Vec::new()
+    } else {
+        compare::benchmark_bounds(&read_or_exit("BENCHMARK.json")).unwrap_or_else(|e| {
+            eprintln!("ahw_bench: BENCHMARK.json: {e}");
             std::process::exit(2);
-        }
+        })
     };
-    let rows = parse_rows(&text);
-    let comparisons = compare(&rows, threshold);
-    if comparisons.is_empty() {
-        println!(
-            "bench-compare: no key in {file} has two rows to compare ({} rows parsed)",
-            rows.len()
-        );
-        return;
-    }
-    let mut regressed = 0usize;
-    for c in &comparisons {
-        println!("{c}");
-        if c.verdict == Verdict::Regressed {
-            regressed += 1;
-        }
-    }
-    println!(
-        "bench-compare: {} keys compared, {} regressed (threshold {:.0}%, {} rows from {file})",
-        comparisons.len(),
-        regressed,
-        threshold * 100.0,
-        rows.len()
-    );
-    if regressed > 0 && !report_only {
+    let (report, verdicts) = compare::judge(&runs, &bounds);
+    print!("{report}");
+    let worse = verdicts.contains(&"worse");
+    if runs.iter().any(|r| !r.valid) || (worse && !has("--report")) {
         std::process::exit(1);
     }
+}
+
+fn read_or_exit(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("ahw_bench: cannot read {path}: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// GETs `http://addr{path}` with [`ahw_bench::http_get`]; prints the body

@@ -14,8 +14,10 @@
 //! the `AHW_TRACE` trace-event file (span tree, worker timeline) and/or a
 //! saved `/snapshot.json` (counters, histograms, roofline scoring). The
 //! roofline roof comes from `AHW_ROOF_GFLOPS`/`AHW_ROOF_GBPS` or the
-//! newest `calibration/roofline` row in the `--bench` history; when a
-//! history is given the report also appends the bench trend.
+//! newest FMA-chain `calibration/roofline` row in the `--bench` history
+//! at the recorded run's pool width (the pool threads its snapshot shows
+//! busy, 1 when none); with neither, the report says the roof is not
+//! calibrated.
 //!
 //! Without `--out` the Markdown goes to stdout; with it, the file is
 //! written along with a rendered `.html` sibling.
@@ -62,8 +64,9 @@ fn main() {
             None => ahw_telemetry::MetricsSnapshot::default(),
         };
         let history = bench.map(|path| read_or_die(&path));
-        let roof = calibration::resolve_roofline(history.as_deref());
-        report::render_run_report_md(&spans, &snap, roof.as_ref(), history.as_deref())
+        let threads = calibration::snapshot_threads(&snap);
+        let roof = calibration::resolve_roofline(history.as_deref(), threads);
+        ahw_telemetry::render_report_md(&spans, &snap, roof.as_ref())
     };
 
     match out {

@@ -13,17 +13,18 @@
 //! [`ahw_telemetry::set_roofline`] so the `/report` endpoint and the
 //! end-of-run report can score kernels immediately.
 //!
-//! `scripts/bench.sh` records the roof as a JSON line in
-//! `BENCH_kernels.json` (`"name":"calibration/roofline"`), versioning the
-//! machine roof alongside the kernel timings; the bench-history parser
-//! skips the row (it has no `median_ns`), and [`parse_latest_calibration`]
-//! reads it back for offline report generation.
+//! `ahw_bench --calibrate` prints the roof as a JSON row
+//! (`"name":"calibration/roofline"`). `scripts/ab.sh` runs it after every
+//! kernel run, so each side of an A/B session carries its roof as host
+//! evidence, and a session recorded in `BENCH_kernels.json` versions the
+//! machine roof alongside the kernel timings. [`parse_latest_calibration`]
+//! reads it back for reports that run no calibration of their own.
 //!
 //! Environment overrides `AHW_ROOF_GFLOPS` / `AHW_ROOF_GBPS` short-circuit
 //! the measurement entirely ([`roofline_from_env`]) — useful on shared
 //! hosts where a fresh measurement would be noisy.
 
-use ahw_telemetry::{json, Roofline};
+use ahw_telemetry::{json, MetricsSnapshot, Roofline};
 use ahw_tensor::pool;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -64,9 +65,8 @@ impl Calibration {
         }
     }
 
-    /// The JSON history line `scripts/bench.sh` appends to
-    /// `BENCH_kernels.json`. Deliberately has no `median_ns` field so the
-    /// bench-regression parser skips it.
+    /// The JSON row `ahw_bench --calibrate` prints. It has no `median_ns`,
+    /// so the speed judge reads it as host evidence, not as a timing.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"name\":\"calibration/roofline\",\"threads\":{},\"peak_gflops\":{:.3},\"stream_gbps\":{:.3}}}",
@@ -176,32 +176,49 @@ pub fn roofline_from_env() -> Option<Roofline> {
 }
 
 /// The newest well-formed `calibration/roofline` row in a
-/// `BENCH_kernels.json` history whose roof is usable (positive and finite),
-/// if any — the offline fallback roof for `ahw_report` when no live
-/// calibration ran in this process.
-pub fn parse_latest_calibration(history: &str) -> Option<Calibration> {
+/// `BENCH_kernels.json` history that was measured at `threads` threads
+/// with FMA chains and has a usable roof (positive and finite), if any —
+/// the offline fallback roof when no live calibration ran in this process.
+/// Rows inside a recorded A/B session line's `output` count; rows with a
+/// `gemm_dim` field timed the GEMM the report scores and are skipped.
+pub fn parse_latest_calibration(history: &str, threads: usize) -> Option<Calibration> {
     history.lines().rev().find_map(|line| {
-        let row = json::parse(line).ok()?;
-        if row.get("name")?.as_str()? != "calibration/roofline" {
-            return None;
-        }
-        let roof = |field: &str| usable_roof(row.get(field)?.as_f64()?);
-        Some(Calibration {
-            peak_gflops: roof("peak_gflops")?,
-            stream_gbps: roof("stream_gbps")?,
-            threads: usize::try_from(row.get("threads")?.as_u64()?).ok()?,
+        let line = json::parse(line).ok()?;
+        let session_output = line.get("output").and_then(json::Value::as_array);
+        let rows = session_output.unwrap_or(std::slice::from_ref(&line));
+        rows.iter().rev().find_map(|row| {
+            if row.get("name")?.as_str()? != "calibration/roofline" || row.get("gemm_dim").is_some()
+            {
+                return None;
+            }
+            let roof = |field: &str| usable_roof(row.get(field)?.as_f64()?);
+            let cal = Calibration {
+                peak_gflops: roof("peak_gflops")?,
+                stream_gbps: roof("stream_gbps")?,
+                threads: usize::try_from(row.get("threads")?.as_u64()?).ok()?,
+            };
+            (cal.threads == threads).then_some(cal)
         })
     })
 }
 
 /// Resolution order for the roof a report should use: an explicitly
 /// registered roof (a live calibration in this process), then the
-/// environment override, then the newest `calibration/roofline` row in
-/// `bench_history` (when provided).
-pub fn resolve_roofline(bench_history: Option<&str>) -> Option<Roofline> {
+/// environment override, then the newest FMA-chain `calibration/roofline`
+/// row in `bench_history` (when provided) measured at `threads`, the pool
+/// width of the run being reported. `None` makes the report say the roof
+/// is not calibrated.
+pub fn resolve_roofline(bench_history: Option<&str>, threads: usize) -> Option<Roofline> {
     ahw_telemetry::roofline()
         .or_else(roofline_from_env)
-        .or_else(|| Some(parse_latest_calibration(bench_history?)?.roofline()))
+        .or_else(|| Some(parse_latest_calibration(bench_history?, threads)?.roofline()))
+}
+
+/// The pool width a recorded run's snapshot shows: the threads that ran
+/// pool chunks (one `tensor.pool.worker<tid>.busy_ns` counter each), or 1
+/// when none did, since the run's kernels then ran on one thread.
+pub fn snapshot_threads(snap: &MetricsSnapshot) -> usize {
+    ahw_telemetry::profile::utilization(&[], snap).map_or(1, |u| u.workers.len())
 }
 
 #[cfg(test)]
@@ -218,8 +235,14 @@ mod tests {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    /// A `calibration/roofline` row at `threads` threads; `extra` fields go
+    /// before the roof.
+    fn row(threads: usize, extra: &str, peak: &str, stream: &str) -> String {
+        format!("{{\"name\":\"calibration/roofline\",\"threads\":{threads},{extra}\"peak_gflops\":{peak},\"stream_gbps\":{stream}}}")
+    }
+
     #[test]
-    fn calibration_json_round_trips_and_is_skipped_by_the_bench_parser() {
+    fn calibration_json_round_trips_and_reads_as_host_evidence() {
         let cal = Calibration {
             peak_gflops: 12.345,
             stream_gbps: 6.789,
@@ -228,46 +251,90 @@ mod tests {
         let line = cal.to_json();
         assert!(line.contains("\"name\":\"calibration/roofline\""));
         assert!(!line.contains("median_ns"));
-        let parsed = parse_latest_calibration(&line).expect("parse back");
+        let parsed = parse_latest_calibration(&line, 4).expect("parse back");
         assert!((parsed.peak_gflops - 12.345).abs() < 1e-9);
         assert!((parsed.stream_gbps - 6.789).abs() < 1e-9);
         assert_eq!(parsed.threads, 4);
-        assert!(
-            crate::compare::parse_rows(&line).is_empty(),
-            "the regression watchdog must skip calibration rows"
-        );
+        let session = format!("{{\"rev\":\"r\",\"side\":\"base\",\"pair\":1,\"output\":[{line}]}}");
+        let runs = crate::compare::parse_session(&session).expect("a session line");
+        assert!(runs[0].metrics.is_empty(), "a roof is not a timing");
+        assert_eq!(runs[0].evidence[0], ("peak_gflops".to_string(), 12.345));
+        let recorded = parse_latest_calibration(&session, 4).expect("a recorded session's roof");
+        assert_eq!(recorded, parsed);
     }
 
     #[test]
-    fn latest_calibration_row_wins() {
-        let history = concat!(
-            "{\"name\":\"calibration/roofline\",\"threads\":1,\"gemm_dim\":256,\"peak_gflops\":1.0,\"stream_gbps\":1.0}\n",
-            "{\"rev\":\"x\",\"threads\":1,\"name\":\"matmul/256\",\"median_ns\":1,\"min_ns\":1,\"max_ns\":1}\n",
-            "{\"name\":\"calibration/roofline\",\"threads\":2,\"gemm_dim\":256,\"peak_gflops\":3.5,\"stream_gbps\":2.25}\n",
+    fn history_roof_is_the_newest_fma_row_at_the_asked_thread_count() {
+        let session = format!(
+            "{{\"rev\":\"r\",\"side\":\"work\",\"pair\":1,\"output\":[{},{}]}}",
+            row(3, "", "5.0", "1.0"),
+            row(3, "", "6.0", "1.0")
         );
-        let cal = parse_latest_calibration(history).expect("newest row");
-        assert_eq!(cal.threads, 2);
-        assert!((cal.peak_gflops - 3.5).abs() < 1e-12);
-        assert!(parse_latest_calibration("no calibration here").is_none());
+        let history = [
+            row(2, "", "1.0", "1.0"),
+            r#"{"rev":"x","threads":2,"name":"matmul/256","median_ns":1,"min_ns":1,"max_ns":1}"#
+                .to_string(),
+            row(1, "", "3.5", "2.25"),
+            row(2, "", "2.0", "1.0"),
+            row(2, "\"gemm_dim\":256,", "85.6", "27.9"),
+            session,
+        ]
+        .join("\n");
+        let two = parse_latest_calibration(&history, 2).expect("an FMA row at 2 threads");
+        assert_eq!(
+            (two.threads, two.peak_gflops),
+            (2, 2.0),
+            "the newest FMA row wins; GEMM-timed rows are skipped"
+        );
+        let one = parse_latest_calibration(&history, 1).expect("the row at 1 thread");
+        assert_eq!((one.threads, one.peak_gflops), (1, 3.5));
+        let three = parse_latest_calibration(&history, 3).expect("the session's row");
+        assert_eq!(
+            three.peak_gflops, 6.0,
+            "the last row of a session line wins"
+        );
+        assert!(
+            parse_latest_calibration(&history, 4).is_none(),
+            "no row at 4 threads"
+        );
+        assert!(parse_latest_calibration("no calibration here", 2).is_none());
+    }
+
+    #[test]
+    fn snapshot_threads_counts_the_pool_workers_that_ran() {
+        let mut snap = MetricsSnapshot::default();
+        assert_eq!(snapshot_threads(&snap), 1, "no pool job ran");
+        for (name, ns) in [
+            ("tensor.pool.worker0.busy_ns", 80),
+            ("tensor.pool.worker3.busy_ns", 40),
+            ("tensor.pool.busy_ns", 120),
+        ] {
+            snap.counters.insert(name.to_string(), ns);
+        }
+        assert_eq!(snapshot_threads(&snap), 2);
     }
 
     #[test]
     fn history_rows_with_an_unusable_roof_are_skipped() {
-        let good = "{\"name\":\"calibration/roofline\",\"threads\":1,\"gemm_dim\":256,\"peak_gflops\":9.0,\"stream_gbps\":4.0}";
+        let good = row(1, "", "9.0", "4.0");
         for bad in [
-            "{\"name\":\"calibration/roofline\",\"threads\":2,\"gemm_dim\":256,\"peak_gflops\":-1,\"stream_gbps\":4.0}",
-            "{\"name\":\"calibration/roofline\",\"threads\":2,\"gemm_dim\":256,\"peak_gflops\":9.0,\"stream_gbps\":0.000}",
-            "{\"name\":\"calibration/roofline\",\"threads\":2,\"gemm_dim\":256,\"peak_gflops\":1e999,\"stream_gbps\":4.0}",
+            row(1, "", "-1", "4.0"),
+            row(1, "", "9.0", "0.000"),
+            row(1, "", "1e999", "4.0"),
         ] {
-            assert!(parse_latest_calibration(bad).is_none(), "{bad}");
-            let cal = parse_latest_calibration(&format!("{good}\n{bad}\n")).expect("older row");
+            assert!(parse_latest_calibration(&bad, 1).is_none(), "{bad}");
+            let cal = parse_latest_calibration(&format!("{good}\n{bad}\n"), 1).expect("older row");
             assert_eq!((cal.peak_gflops, cal.threads), (9.0, 1), "{bad}");
         }
         let _g = lock();
         ahw_telemetry::set_roofline(None);
         if roofline_from_env().is_none() {
-            let bad = "{\"name\":\"calibration/roofline\",\"threads\":1,\"gemm_dim\":256,\"peak_gflops\":-1,\"stream_gbps\":4.0}";
-            assert_eq!(resolve_roofline(Some(bad)), None, "negative roof resolved");
+            let bad = row(3, "", "-1", "4.0");
+            assert_eq!(
+                resolve_roofline(Some(&bad), 3),
+                None,
+                "negative roof resolved"
+            );
         }
     }
 
@@ -296,15 +363,19 @@ mod tests {
     fn resolution_order_prefers_registered_then_history() {
         let _g = lock();
         ahw_telemetry::set_roofline(None);
-        let history =
-            "{\"name\":\"calibration/roofline\",\"threads\":1,\"gemm_dim\":256,\"peak_gflops\":9.0,\"stream_gbps\":4.0}";
-        let from_history = resolve_roofline(Some(history)).expect("history roof");
+        let history = &row(3, "", "9.0", "4.0");
+        let from_history = resolve_roofline(Some(history), 3).expect("history roof");
         assert_eq!(from_history.peak_gflops, 9.0);
+        assert_eq!(
+            resolve_roofline(Some(history), 2),
+            None,
+            "the row is at 3 threads"
+        );
         ahw_telemetry::set_roofline(Some(Roofline {
             peak_gflops: 2.0,
             stream_gbps: 1.0,
         }));
-        let registered = resolve_roofline(Some(history)).expect("registered roof");
+        let registered = resolve_roofline(Some(history), 3).expect("registered roof");
         assert_eq!(registered.peak_gflops, 2.0, "registered roof wins");
         ahw_telemetry::set_roofline(None);
     }

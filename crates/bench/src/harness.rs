@@ -7,8 +7,9 @@
 //!    sample, so microsecond kernels are batched while second-long
 //!    experiments run once per sample;
 //! 2. a fixed number of samples, each reporting mean time per iteration;
-//! 3. one JSON line on stdout — `{"name": ..., "median_ns": ...}` — so runs
-//!    can be diffed or collected by scripts without a parser dependency.
+//! 3. one JSON line on stdout — `{"name": ..., "median_ns": ...}` — which
+//!    `scripts/ab.sh` wraps into A/B session lines for the speed judge
+//!    (`ahw_bench --compare`, see [`crate::compare`]).
 //!
 //! Environment knobs:
 //!
@@ -120,26 +121,6 @@ impl Harness {
         h
     }
 
-    /// A harness with explicit name filters (tests).
-    pub fn with_filters(filters: Vec<String>) -> Self {
-        Harness {
-            filters,
-            ..Harness::default()
-        }
-    }
-
-    /// Overrides the per-benchmark sample count.
-    pub fn samples(mut self, samples: usize) -> Self {
-        self.samples = samples.max(1);
-        self
-    }
-
-    /// Overrides the warm-up window.
-    pub fn warmup(mut self, warmup: Duration) -> Self {
-        self.warmup = warmup;
-        self
-    }
-
     /// Whether `name` passes the command-line filters.
     pub fn matches(&self, name: &str) -> bool {
         self.filters.is_empty() || self.filters.iter().any(|f| name.contains(f))
@@ -197,8 +178,8 @@ impl Harness {
     ///
     /// When telemetry is enabled (`AHW_TRACE`/`AHW_METRICS`) this also emits
     /// the metrics snapshot as one more stdout JSON line —
-    /// `{"name":"telemetry/metrics","snapshot":{...}}` — so `scripts/bench.sh`
-    /// collects it alongside the timings, and flushes the telemetry
+    /// `{"name":"telemetry/metrics","snapshot":{...}}` — so it travels with
+    /// the timings (the speed judge skips it), and flushes the telemetry
     /// exporters (trace file / stderr summary).
     pub fn finish(&self) {
         eprintln!(
@@ -223,11 +204,19 @@ fn env_u64(key: &str) -> Option<u64> {
 mod tests {
     use super::*;
 
+    /// A harness with these name filters, samples and warm-up window.
+    fn harness(filters: &[&str], samples: usize, warmup_ms: u64) -> Harness {
+        Harness {
+            filters: filters.iter().map(|f| f.to_string()).collect(),
+            samples,
+            warmup: Duration::from_millis(warmup_ms),
+            ..Harness::default()
+        }
+    }
+
     #[test]
     fn benches_run_and_summarize() {
-        let mut h = Harness::with_filters(Vec::new())
-            .samples(4)
-            .warmup(Duration::from_millis(5));
+        let mut h = harness(&[], 4, 5);
         let s = h
             .bench("spin", || {
                 black_box((0..100).sum::<u64>());
@@ -253,9 +242,7 @@ mod tests {
 
     #[test]
     fn filters_select_by_substring() {
-        let mut h = Harness::with_filters(vec!["mat".into()])
-            .samples(1)
-            .warmup(Duration::from_millis(1));
+        let mut h = harness(&["mat"], 1, 1);
         assert!(h.bench("matmul_32", || {}).is_some());
         assert!(h.bench("conv_forward", || {}).is_none());
         assert!(h.matches("matmul_32"));
@@ -264,9 +251,7 @@ mod tests {
 
     #[test]
     fn heavy_workloads_run_once_per_sample() {
-        let mut h = Harness::with_filters(Vec::new())
-            .samples(2)
-            .warmup(Duration::from_millis(2));
+        let mut h = harness(&[], 2, 2);
         let s = h
             .bench("slow", || std::thread::sleep(Duration::from_millis(3)))
             .unwrap();

@@ -1,7 +1,8 @@
 //! # ahw-bench
 //!
 //! Regenerators for every table and figure in the paper's evaluation,
-//! plus std-only benchmarks for the hardware kernels (see [`harness`]).
+//! plus std-only benchmarks for the hardware kernels (see [`harness`]) and
+//! the judge of interleaved A/B sessions of them (see [`compare`]).
 //!
 //! Each experiment lives in [`experiments`] as a parameterized function
 //! returning structured rows; the `exp_*` binaries print them paper-style
@@ -207,9 +208,11 @@ impl Args {
 /// handle is held so the server keeps serving for the whole of `main`); on
 /// drop it writes the run report (`AHW_REPORT`, or
 /// `results/report_<bin>.md` whenever telemetry is enabled — see
-/// [`report::report_path_from_env`]) and then flushes the exporters —
-/// the `AHW_TRACE` trace-event file and the `AHW_METRICS` stderr summary
-/// (all no-ops when telemetry is disabled). The report renders from
+/// [`report::report_path_from_env`]), scored against the roof
+/// [`calibration::resolve_roofline`] finds at this process's pool width,
+/// and then flushes the exporters — the `AHW_TRACE` trace-event file and
+/// the `AHW_METRICS` stderr summary (all no-ops when telemetry is
+/// disabled). The report renders from
 /// [`ahw_telemetry::peek_spans`] *before* [`ahw_telemetry::finish`]
 /// drains the span buffers. Experiment binaries hold one for the whole of
 /// `main` so traces survive early returns.
@@ -225,8 +228,9 @@ impl Drop for TelemetryFlush {
             let history = std::fs::read_to_string("BENCH_kernels.json").ok();
             let spans = ahw_telemetry::peek_spans();
             let snap = ahw_telemetry::snapshot();
-            let roof = calibration::resolve_roofline(history.as_deref());
-            let md = report::render_run_report_md(&spans, &snap, roof.as_ref(), history.as_deref());
+            let threads = ahw_tensor::pool::num_threads();
+            let roof = calibration::resolve_roofline(history.as_deref(), threads);
+            let md = ahw_telemetry::render_report_md(&spans, &snap, roof.as_ref());
             match report::write_report_files(&path, &md) {
                 Ok(_) => eprintln!("[report] wrote {} (+ .html)", path.display()),
                 Err(e) => eprintln!("[report] failed to write {}: {e}", path.display()),

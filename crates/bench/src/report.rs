@@ -1,9 +1,8 @@
-//! Run-report assembly: combines the profiling report rendered by
-//! `ahw_telemetry::profile` (span tree with self times, worker
-//! utilization, roofline scoring) with the `BENCH_kernels.json` trend into
-//! one self-contained Markdown/HTML document.
+//! Run-report plumbing around `ahw_telemetry::render_report_md` (span tree
+//! with self times, worker utilization, roofline scoring): re-parsing a
+//! previous run's exports, and writing the Markdown/HTML pair.
 //!
-//! Three ways to get one:
+//! Three ways to get a report:
 //!
 //! 1. **Live, automatic** — every `exp_*` binary holds a
 //!    [`crate::TelemetryFlush`] guard; when telemetry is enabled the guard
@@ -18,11 +17,9 @@
 //!    exported (`AHW_TRACE`, `/snapshot.json`), re-parsing them with
 //!    `ahw_telemetry::json`.
 
-use crate::compare::{compare, parse_rows, Verdict, DEFAULT_THRESHOLD};
 use ahw_telemetry::json::{self, Value};
-use ahw_telemetry::{HistogramSnapshot, MetricsSnapshot, Roofline, SpanEvent};
+use ahw_telemetry::{HistogramSnapshot, MetricsSnapshot, SpanEvent};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::sync::OnceLock;
 
@@ -112,67 +109,6 @@ pub fn parse_snapshot_json(text: &str) -> MetricsSnapshot {
         snap.histograms.insert(name.clone(), hist);
     }
     snap
-}
-
-/// Renders the bench-history trend section: per key, the newest row
-/// against the best of its baseline window (`crate::compare`), plus the
-/// newest machine-roof calibration when one is recorded.
-pub fn render_bench_trend_md(history: &str) -> String {
-    let mut out = String::from("## Bench trend\n\n");
-    if let Some(cal) = crate::calibration::parse_latest_calibration(history) {
-        let _ = writeln!(
-            out,
-            "calibrated roof: {:.2} GFLOP/s peak compute · {:.2} GB/s stream (threads={})\n",
-            cal.peak_gflops, cal.stream_gbps, cal.threads
-        );
-    }
-    let comparisons = compare(&parse_rows(history), DEFAULT_THRESHOLD);
-    if comparisons.is_empty() {
-        out.push_str("no key has two history rows to compare\n");
-        return out;
-    }
-    out.push_str("| key | baseline_median_ns | latest_median_ns | Δ median | Δ best | verdict |\n");
-    out.push_str("|---|---:|---:|---:|---:|---|\n");
-    for c in &comparisons {
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {:+.1}% | {:+.1}% | {} |",
-            c.key,
-            c.prev_median_ns,
-            c.latest_median_ns,
-            c.median_delta * 100.0,
-            c.min_delta * 100.0,
-            c.verdict
-        );
-    }
-    let regressed = comparisons
-        .iter()
-        .filter(|c| c.verdict == Verdict::Regressed)
-        .count();
-    let _ = writeln!(
-        out,
-        "\n{} keys compared, {regressed} regressed (threshold {:.0}%)",
-        comparisons.len(),
-        DEFAULT_THRESHOLD * 100.0
-    );
-    out
-}
-
-/// Assembles the full run report: the profiling sections from
-/// `ahw_telemetry::profile` plus, when a bench history is provided, the
-/// bench-trend section.
-pub fn render_run_report_md(
-    spans: &[SpanEvent],
-    snap: &MetricsSnapshot,
-    roof: Option<&Roofline>,
-    bench_history: Option<&str>,
-) -> String {
-    let mut out = ahw_telemetry::render_report_md(spans, snap, roof);
-    if let Some(history) = bench_history {
-        out.push('\n');
-        out.push_str(&render_bench_trend_md(history));
-    }
-    out
 }
 
 /// Writes `md` to `path` and a rendered HTML sibling (`.html`); returns
@@ -280,31 +216,6 @@ mod tests {
         let parsed = parse_snapshot_json(&ahw_telemetry::export::metrics_snapshot_json(&snap));
         let names: Vec<&str> = parsed.histograms.keys().map(String::as_str).collect();
         assert_eq!(names, ["a.one.dur_ns", "b.two.dur_ns"]);
-    }
-
-    #[test]
-    fn bench_trend_renders_verdicts_and_calibration() {
-        let history = concat!(
-            "{\"name\":\"calibration/roofline\",\"threads\":2,\"gemm_dim\":256,\"peak_gflops\":8.5,\"stream_gbps\":3.0}\n",
-            "{\"rev\":\"aaaaaaa\",\"threads\":1,\"name\":\"matmul/256\",\"median_ns\":1000000,\"min_ns\":950000,\"max_ns\":1100000}\n",
-            "{\"rev\":\"bbbbbbb\",\"threads\":1,\"name\":\"matmul/256\",\"median_ns\":1020000,\"min_ns\":960000,\"max_ns\":1080000}\n",
-        );
-        let md = render_bench_trend_md(history);
-        assert!(md.contains("## Bench trend"));
-        assert!(md.contains("8.50 GFLOP/s"));
-        assert!(md.contains("| matmul/256 thr=1 | 1000000 | 1020000 |"));
-        assert!(md.contains("1 keys compared, 0 regressed"));
-        assert!(render_bench_trend_md("").contains("no key has two history rows"));
-    }
-
-    #[test]
-    fn run_report_appends_the_trend_section() {
-        let snap = MetricsSnapshot::default();
-        let md = render_run_report_md(&[], &snap, None, Some(""));
-        assert!(md.starts_with("# ahw run report"));
-        assert!(md.contains("## Bench trend"));
-        let without = render_run_report_md(&[], &snap, None, None);
-        assert!(!without.contains("## Bench trend"));
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! Malformed input never panics and never reads as data.
 //!
-//! Every reader of outside JSON — the search journal, the bench history
-//! (timing rows and the roof calibration row) and the offline run report's
-//! trace and snapshot parsers — goes through `ahw_telemetry::json`. Fed
-//! truncated, bit-flipped, numerically hostile, absurdly nested or
-//! duplicate-keyed documents, the parser must return `Err` and each reader
-//! must skip the input or return `None`. The live metrics server must answer
-//! any complete request head, valid UTF-8 or not, with a real status. The
-//! checkpoint reader must return `Err`, never panic or abort, on a truncated,
-//! bit-flipped or hostile-header bundle.
+//! Every reader of outside JSON — the search journal, the A/B session the
+//! speed judge reads, the bench history's roof calibration rows and the
+//! offline run report's trace and snapshot parsers — goes through
+//! `ahw_telemetry::json`. Fed truncated, bit-flipped, numerically hostile,
+//! absurdly nested or duplicate-keyed documents, the parser must return
+//! `Err` and each reader must skip the input, return `None` or, for a
+//! session, return `Err`: a damaged session is never judged. The live
+//! metrics server must answer any complete request head, valid UTF-8 or
+//! not, with a real status. The checkpoint reader must return `Err`, never
+//! panic or abort, on a truncated, bit-flipped or hostile-header bundle.
 //!
 //! Cases come from the in-repo `ahw_tensor::check` harness.
 
 use ahw_bench::calibration::{parse_latest_calibration, Calibration};
-use ahw_bench::compare::parse_rows;
+use ahw_bench::compare::parse_session;
 use ahw_bench::report::{parse_snapshot_json, parse_trace_json};
 use ahw_core::journal::SearchJournal;
 use ahw_telemetry::{json, MetricsSnapshot};
@@ -27,11 +28,16 @@ use std::time::Duration;
 
 const FINGERPRINT: &str = "v1 arch=vgg8 malformed-input";
 
-/// A timing row as `scripts/bench.sh` appends it to `BENCH_kernels.json`.
-const BENCH_ROW: &str = r#"{"rev":"new0000","threads":1,"name":"matmul/256","samples":5,"iters":22,"median_ns":650000,"p75_ns":651000,"p95_ns":652000,"min_ns":640000,"max_ns":660000}"#;
+/// Calibration rows are read at this thread count, the one the numeric
+/// templates substitute.
+const THREADS: usize = 7;
+
+/// One kernel run of an A/B session as `scripts/ab.sh` prints it: a harness
+/// row and the side's calibration row.
+const SESSION_LINE: &str = r#"{"rev":"ab04c49","side":"base","pair":1,"output":[{"name":"matmul/256","samples":5,"iters":22,"median_ns":650000,"p75_ns":651000,"p95_ns":652000,"min_ns":640000,"max_ns":660000},{"name":"calibration/roofline","threads":7,"peak_gflops":150.125,"stream_gbps":20.5}]}"#;
 
 /// Real exports: a trace and a metrics snapshot of a small instrumented
-/// GEMM, a journal record, a bench row and a calibration row.
+/// GEMM, a journal record, an A/B session line and a calibration row.
 fn documents() -> &'static [String] {
     static DOCS: OnceLock<Vec<String>> = OnceLock::new();
     DOCS.get_or_init(|| {
@@ -69,10 +75,16 @@ fn documents() -> &'static [String] {
         let calibration = Calibration {
             peak_gflops: 12.5,
             stream_gbps: 6.25,
-            threads: 2,
+            threads: THREADS,
         }
         .to_json();
-        vec![trace, snapshot, record, BENCH_ROW.to_string(), calibration]
+        vec![
+            trace,
+            snapshot,
+            record,
+            SESSION_LINE.to_string(),
+            calibration,
+        ]
     })
 }
 
@@ -108,10 +120,10 @@ fn extracted(text: &str) -> Vec<&'static str> {
     if parse_snapshot_json(text) != MetricsSnapshot::default() {
         got.push("snapshot");
     }
-    if !parse_rows(text).is_empty() {
-        got.push("bench rows");
+    if parse_session(text).is_ok_and(|runs| !runs.is_empty()) {
+        got.push("session");
     }
-    if parse_latest_calibration(text).is_some() {
+    if parse_latest_calibration(text, THREADS).is_some() {
         got.push("calibration");
     }
     if journal_resumes(text) > 0 {
@@ -127,7 +139,7 @@ fn whole_documents_are_read() {
         vec!["trace"],
         vec!["snapshot"],
         vec!["journal"],
-        vec!["bench rows"],
+        vec!["session", "calibration"],
         vec!["calibration"],
     ];
     for (doc, want) in docs.iter().zip(expect) {
@@ -143,6 +155,7 @@ fn every_truncation_is_rejected() {
             let prefix = &doc[..cut];
             assert!(json::parse(prefix).is_err(), "prefix parsed: {prefix:?}");
             assert_eq!(extracted(prefix), Vec::<&str>::new(), "{prefix:?}");
+            assert!(cut == 0 || parse_session(prefix).is_err(), "{prefix:?}");
         }
     }
 }
@@ -158,7 +171,7 @@ fn flipped_bytes_never_panic_or_read_as_data_when_rejected() {
         let text = String::from_utf8_lossy(&bytes);
         let got = extracted(&text);
         ensure(
-            json::parse(&text).is_ok() || got.is_empty(),
+            json::parse(&text).is_ok() || (got.is_empty() && parse_session(&text).is_err()),
             format!("rejected document read by {got:?}: {text:?}"),
         )
     });
@@ -170,9 +183,9 @@ const NUMERIC_TEMPLATES: [&str; 6] = [
     r#"{"traceEvents":[{"ph":"X","name":"a.b","cat":"a","pid":1,"tid":{N},"ts":1.000,"dur":2.500,"args":{"depth":1}}],"displayTimeUnit":"ms"}"#,
     r#"{"counters":{"a.b":{N}},"gauges":{},"histograms":{}}"#,
     r#"{"key":"k","clean_bits":{N},"adv_bits":0,"clean":0,"adv":0}"#,
-    r#"{"rev":"r","threads":1,"name":"matmul/32","median_ns":{N},"min_ns":1,"max_ns":1}"#,
-    r#"{"name":"calibration/roofline","threads":{N},"gemm_dim":256,"peak_gflops":1.5,"stream_gbps":1.5}"#,
-    r#"{"name":"calibration/roofline","threads":1,"gemm_dim":256,"peak_gflops":{N},"stream_gbps":1.5}"#,
+    r#"{"rev":"r","side":"work","pair":1,"output":[{"name":"matmul/32","median_ns":{N},"min_ns":1,"max_ns":1}]}"#,
+    r#"{"name":"calibration/roofline","threads":{N},"peak_gflops":1.5,"stream_gbps":1.5}"#,
+    r#"{"name":"calibration/roofline","threads":7,"peak_gflops":{N},"stream_gbps":1.5}"#,
 ];
 
 #[test]
@@ -219,8 +232,8 @@ fn duplicate_keys_reject_the_whole_document() {
         r#"{"traceEvents":[{"ph":"X","ph":"X","name":"a.b","cat":"a","pid":1,"tid":0,"ts":1.000,"dur":2.500}]}"#,
         r#"{"counters":{"a.b":1},"gauges":{},"histograms":{"h":{"count":0,"sum":0,"buckets":[]},"h":{"count":0,"sum":0,"buckets":[]}}}"#,
         r#"{"key":"k","clean_bits":1,"adv_bits":0,"key":"j"}"#,
-        r#"{"rev":"r","threads":1,"name":"matmul/32","name":"matmul/64","median_ns":1,"min_ns":1,"max_ns":1}"#,
-        r#"{"name":"calibration/roofline","threads":1,"peak_gflops":1.5,"stream_gbps":1.5,"peak_gflops":2.5}"#,
+        r#"{"rev":"r","side":"base","side":"work","pair":1,"output":[{"name":"matmul/32","median_ns":1}]}"#,
+        r#"{"name":"calibration/roofline","threads":7,"peak_gflops":1.5,"stream_gbps":1.5,"peak_gflops":2.5}"#,
     ];
     for doc in docs {
         assert!(json::parse(doc).is_err(), "{doc}");

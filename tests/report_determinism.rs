@@ -91,7 +91,7 @@ fn report_at(threads: usize, then: impl FnOnce()) -> (String, Vec<ahw_telemetry:
         peak_gflops: 10.0,
         stream_gbps: 5.0,
     };
-    let md = ahw_bench::report::render_run_report_md(&spans, &snap, Some(&roof), None);
+    let md = ahw_telemetry::render_report_md(&spans, &snap, Some(&roof));
     let _ = ahw_telemetry::drain_spans();
     ahw_telemetry::set_enabled(false);
     (md, spans)
