@@ -121,6 +121,9 @@ impl<L: Layer + Clone + 'static> CloneLayer for L {
 /// | `MaxPool2d` | argmax indices, input shape | — |
 /// | `AvgPool2d`, `Flatten` | input shape | — |
 ///
+/// An `Eval` conv's input copy — into padded planes at stride 1, into
+/// im2col panels otherwise — lives in per-range scratch that the forward
+/// returns to `ws`; only `Train` panels outlive the forward.
 /// A `BasicBlock` keeps what its layers keep plus its closing ReLU's mask.
 /// The mask and index vectors belong to the layer and every forward
 /// re-fills them in place, so a steady-state loop reallocates neither. An

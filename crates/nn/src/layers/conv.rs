@@ -31,20 +31,33 @@ fn panels_part(cached: &mut Option<Vec<f32>>, item_cols: usize) -> Part<'_> {
     }
 }
 
-/// 2-D convolution with square kernels, implemented as `im2col` + GEMM.
+/// 2-D convolution with square kernels, computed as GEMMs over the input
+/// lowered one of two ways.
 ///
 /// Weights are stored pre-lowered as an `(out_channels, in_channels·k·k)`
 /// matrix — the exact matrix the memristive-crossbar substrate programs onto
 /// its tiles, so software and hardware paths share one layout.
 ///
-/// Input/output tensors are `(N, C, H, W)`.
+/// Input/output tensors are `(N, C, H, W)`. A batch runs in panels of
+/// consecutive images, about 512 output columns wide, one GEMM per panel.
 ///
-/// A batch is lowered in column panels of consecutive images, about 512
-/// columns wide: panel `p` is a `(C·k·k) × (images·span)` matrix with
-/// image `j`'s columns at offset `j·span`, and one GEMM per panel computes
-/// every image's output. A GEMM element's accumulation order depends only
-/// on the inner dimension, never on the column count, so outputs and
-/// gradients are the bits a one-image-at-a-time lowering produces.
+/// - **Padded planes** (an `Eval` pass at stride 1, i.e. every convolution
+///   of an attack evaluation): a panel's images are copied once into
+///   zero-padded planes ([`ops::pad_planes_slices`]) and the GEMM reads
+///   patch row `(c, ky, kx)` as a window of plane `c`
+///   ([`ops::matmul_planes_slices`]); the input gradient adds each row of
+///   `Wᵀ·dY` into a padded plane as it is computed
+///   ([`ops::conv_input_grad_slices`]), with no patch-gradient panel.
+/// - **Column panels** (`Train` passes and strided convolutions): panel
+///   `p` is a `(C·k·k) × (images·span)` im2col matrix with image `j`'s
+///   columns at offset `j·span`; the input gradient writes its `dcols`
+///   panel and scatters it with col2im.
+///
+/// A GEMM element's accumulation order depends only on the inner
+/// dimension, never on the column count or where `B`'s rows live, and both
+/// input gradients add every pixel's taps in ascending order from +0.0, so
+/// the two routes give the same bits, which are the bits a one-image-at-a-
+/// time lowering produces.
 ///
 /// After a `Train` forward the backward takes the weight gradient in one
 /// [`ops::matmul_transb_fold_slices`] call over the cached panels: every
@@ -66,8 +79,8 @@ pub struct Conv2d {
     /// after a `Train` forward only, the batch's im2col panels
     /// (`n · patch · span` elements, panel after panel) for `dL/dW`. An
     /// `Eval` forward never lowers the whole batch, since `dL/dx` needs only
-    /// the weights: each pool range lowers its panels one after another
-    /// into one panel-sized workspace slot.
+    /// the weights: each pool range copies (or lowers) its panels one after
+    /// another into one panel-sized workspace slot.
     cache: Option<(ConvGeometry, usize, Option<Vec<f32>>)>,
 }
 
@@ -167,13 +180,144 @@ impl Conv2d {
         Ok(g)
     }
 
+    /// Forward on column panels into `out`: each panel of images is
+    /// lowered by im2col (into the cached panels in `Train`, into its
+    /// range's slot in `Eval`) and multiplied by the weights.
+    fn forward_panels(
+        &self,
+        x: &Tensor,
+        g: &ConvGeometry,
+        out: &mut [f32],
+        panels: &mut Option<Vec<f32>>,
+        ws: &mut Workspace,
+    ) -> Result<(), NnError> {
+        let n = x.dims()[0];
+        let span = g.out_height() * g.out_width();
+        let patch = g.patch_len();
+        let item_in = g.channels * g.height * g.width;
+        let item_out = self.out_channels * span;
+        let per = panel_images(n, span);
+        // a one-image panel's product already has its output's (oc, span)
+        // layout; wider panels multiply into scratch and scatter from it
+        let scratch = if per > 1 { item_out } else { 0 };
+        let xv = x.as_slice();
+        let wv = self.weight.value.as_slice();
+        let bias = self.bias.value.as_slice();
+        let oc = self.out_channels;
+        let err = ErrCell::new();
+        par_groups_mut(
+            n,
+            per,
+            [
+                Part::Items(out, item_out),
+                panels_part(panels, patch * span),
+                Part::Slot(scratch),
+            ],
+            ws,
+            |p, images, [outp, panel, prod]| {
+                err.run(p, || {
+                    let width = images.len() * span;
+                    let xp = &xv[images.start * item_in..images.end * item_in];
+                    ops::im2col_slices(xp, images.len(), g, panel)?;
+                    if images.len() == 1 {
+                        ops::matmul_slices(wv, panel, oc, patch, span, outp)?;
+                        for (o, &b) in outp.chunks_exact_mut(span).zip(bias) {
+                            for v in o {
+                                *v += b;
+                            }
+                        }
+                        return Ok(());
+                    }
+                    ops::matmul_slices(wv, panel, oc, patch, width, prod)?;
+                    // scatter the (oc × images·span) product back to
+                    // (images, oc, span), adding the bias on the way
+                    for (j, outi) in outp.chunks_exact_mut(item_out).enumerate() {
+                        for ((c, o), &b) in outi.chunks_exact_mut(span).enumerate().zip(bias) {
+                            let src = &prod[c * width + j * span..][..span];
+                            for (v, &y) in o.iter_mut().zip(src) {
+                                *v = y + b;
+                            }
+                        }
+                    }
+                    Ok::<(), NnError>(())
+                });
+            },
+        );
+        err.into_result()
+    }
+
+    /// Stride-1 `Eval` forward on zero-padded planes into `out`: each
+    /// panel of images is copied once into its range's plane slot
+    /// ([`ops::pad_planes_slices`]), multiplied by the weights with every
+    /// patch row read as a window of a plane ([`ops::matmul_planes_slices`])
+    /// and its grid's outputs copied out with the bias added. The product
+    /// of each output is the panel route's, bit for bit.
+    fn forward_padded(
+        &self,
+        x: &Tensor,
+        g: &ConvGeometry,
+        out: &mut [f32],
+        ws: &mut Workspace,
+    ) -> Result<(), NnError> {
+        let n = x.dims()[0];
+        let (oh, ow) = (g.out_height(), g.out_width());
+        let item_in = g.channels * g.height * g.width;
+        let item_out = self.out_channels * oh * ow;
+        // a panel of m images needs at most m times one image's planes
+        // and grid (each grows by at most one image's share per image)
+        let one = g.padded_planes(1);
+        let xv = x.as_slice();
+        let wv = self.weight.value.as_slice();
+        let bias = self.bias.value.as_slice();
+        let oc = self.out_channels;
+        let err = ErrCell::new();
+        par_groups_mut(
+            n,
+            panel_images(n, oh * ow),
+            [
+                Part::Items(out, item_out),
+                Part::Slot(g.channels * one.len + oc * one.rows * one.pitch),
+            ],
+            ws,
+            |p, images, [outp, scratch]| {
+                err.run(p, || {
+                    let pp = g.padded_planes(images.len());
+                    let (planes, prod) = scratch.split_at_mut(g.channels * pp.len);
+                    let prod = &mut prod[..oc * pp.grid];
+                    let xp = &xv[images.start * item_in..images.end * item_in];
+                    ops::pad_planes_slices(xp, images.len(), g, planes)?;
+                    ops::matmul_planes_slices(wv, planes, images.len(), g, oc, prod)?;
+                    // copy each output row out of the (oc × grid) product,
+                    // adding the bias on the way
+                    for (j, outi) in outp.chunks_exact_mut(item_out).enumerate() {
+                        for ((o, grow), &b) in outi
+                            .chunks_exact_mut(oh * ow)
+                            .zip(prod.chunks_exact(pp.grid))
+                            .zip(bias)
+                        {
+                            for (oy, orow) in o.chunks_exact_mut(ow).enumerate() {
+                                let src = &grow[(j * pp.rows + oy) * pp.pitch..][..ow];
+                                for (v, &y) in orow.iter_mut().zip(src) {
+                                    *v = y + b;
+                                }
+                            }
+                        }
+                    }
+                    Ok::<(), NnError>(())
+                });
+            },
+        );
+        err.into_result()
+    }
+
     /// Backward from the forward's cache. After a `Train` forward, `dL/dW`
-    /// reads the cached panels first; `dL/dx` then overwrites each panel in
-    /// place with its `dcols` (after an `Eval` forward, each pool range's
-    /// panel-sized slot takes their place) before scattering back to input
-    /// geometry. Besides `dx`, the backward takes only per-range slots from
-    /// the workspace: the `dcols` of an `Eval` backward and the
-    /// panel-ordered copy of `dY`.
+    /// reads the cached panels first and `dL/dx` then overwrites each panel
+    /// in place with its `dcols` before scattering it back to input
+    /// geometry. After a stride-1 `Eval` forward, `dL/dx` runs on padded
+    /// planes with no `dcols` at all ([`ops::conv_input_grad_slices`]);
+    /// after a strided one, each pool range's slot takes the panels' place.
+    /// Besides `dx`, the backward takes only per-range slots from the
+    /// workspace.
     fn backward_from_cache(
         &mut self,
         grad_out: &Tensor,
@@ -184,7 +328,6 @@ impl Conv2d {
         let patch = g.patch_len();
         let item_in = g.channels * g.height * g.width;
         let item_out = self.out_channels * span;
-        let item_cols = patch * span;
         if grad_out.len() != n * item_out {
             if let Some(cols) = panels {
                 ws.recycle(cols);
@@ -199,13 +342,13 @@ impl Conv2d {
         let oc = self.out_channels;
         let per = panel_images(n, span);
 
-        // pass 1: dL/dW, dL/db from the cached panels (must run before the
-        // dx pass overwrites them). One folded kernel call takes every
-        // image's weight gradient, one dot4 per element over its own column
-        // block, and folds the images in fixed chunks; each channel's bias
-        // gradient folds the images' dY sums by the same chunks. Both
-        // partition their outputs over the pool, so gradients are
-        // bit-identical at any thread count and any panel width.
+        // pass 1, `Train` only: dL/dW, dL/db from the cached panels (must
+        // run before the dx pass overwrites them). One folded kernel call
+        // takes every image's weight gradient, one dot4 per element over
+        // its own column block, and folds the images in fixed chunks; each
+        // channel's bias gradient folds the images' dY sums by the same
+        // chunks. Both partition their outputs over the pool, so gradients
+        // are bit-identical at any thread count and any panel width.
         if let Some(colsv) = panels.as_deref() {
             // (dL/dW)ᵀ: patch × oc
             let mut dwt = ws.take(patch * oc);
@@ -235,45 +378,71 @@ impl Conv2d {
             });
         }
 
-        // pass 2: dL/dx per panel. One GEMM writes the panel's dcols from
-        // dY in the panel's (oc × images·span) layout, over its cached
-        // columns after a `Train` forward and into its range's slot after
-        // an `Eval` one, and one col2im scatters the whole panel back to
-        // its images. A one-image panel reads its dY where it is; a wider
-        // one gathers it into its range's slot.
+        // pass 2: dL/dx per panel of images
         let mut dx = ws.take(n * item_in);
-        let gathered = if per > 1 { item_out } else { 0 };
         let wv = self.weight.value.as_slice();
         let err = ErrCell::new();
-        par_groups_mut(
-            n,
-            per,
-            [
-                Part::Items(&mut dx, item_in),
-                panels_part(&mut panels, item_cols),
-                Part::Slot(gathered),
-            ],
-            ws,
-            |p, images, [dxp, panel, dyp]| {
-                err.run(p, || {
-                    let width = images.len() * span;
-                    let dy = if images.len() == 1 {
-                        &dyv[images.start * item_out..images.end * item_out]
-                    } else {
-                        for (j, i) in images.clone().enumerate() {
-                            let dyi = &dyv[i * item_out..(i + 1) * item_out];
-                            for (c, src) in dyi.chunks_exact(span).enumerate() {
-                                dyp[c * width + j * span..][..span].copy_from_slice(src);
+        if panels.is_none() && g.stride == 1 {
+            // a stride-1 `Eval` input gradient runs on padded planes: each
+            // panel's dY goes onto its range's grid, and each dcols row is
+            // added into a padded plane as soon as it is computed
+            let one = g.padded_planes(1);
+            par_groups_mut(
+                n,
+                per,
+                [
+                    Part::Items(&mut dx, item_in),
+                    Part::Slot(oc * one.rows * one.pitch + g.channels * one.len),
+                ],
+                ws,
+                |p, images, [dxp, scratch]| {
+                    err.run(p, || {
+                        let pp = g.padded_planes(images.len());
+                        let scratch = &mut scratch[..oc * pp.grid + g.channels * pp.len];
+                        let dy = &dyv[images.start * item_out..images.end * item_out];
+                        ops::conv_input_grad_slices(wv, dy, images.len(), &g, oc, scratch, dxp)?;
+                        Ok::<(), NnError>(())
+                    });
+                },
+            );
+        } else {
+            // One GEMM writes the panel's dcols from dY in the panel's
+            // (oc × images·span) layout, over its cached columns after a
+            // `Train` forward and into its range's slot after a strided
+            // `Eval` one, and one col2im scatters the whole panel back to
+            // its images. A one-image panel reads its dY where it is; a
+            // wider one gathers it into its range's slot.
+            let gathered = if per > 1 { item_out } else { 0 };
+            par_groups_mut(
+                n,
+                per,
+                [
+                    Part::Items(&mut dx, item_in),
+                    panels_part(&mut panels, patch * span),
+                    Part::Slot(gathered),
+                ],
+                ws,
+                |p, images, [dxp, panel, dyp]| {
+                    err.run(p, || {
+                        let width = images.len() * span;
+                        let dy = if images.len() == 1 {
+                            &dyv[images.start * item_out..images.end * item_out]
+                        } else {
+                            for (j, i) in images.clone().enumerate() {
+                                let dyi = &dyv[i * item_out..(i + 1) * item_out];
+                                for (c, src) in dyi.chunks_exact(span).enumerate() {
+                                    dyp[c * width + j * span..][..span].copy_from_slice(src);
+                                }
                             }
-                        }
-                        &*dyp
-                    };
-                    ops::matmul_transa_slices(wv, dy, patch, oc, width, panel)?;
-                    ops::col2im_slices(panel, images.len(), &g, dxp)?;
-                    Ok::<(), NnError>(())
-                });
-            },
-        );
+                            &*dyp
+                        };
+                        ops::matmul_transa_slices(wv, dy, patch, oc, width, panel)?;
+                        ops::col2im_slices(panel, images.len(), &g, dxp)?;
+                        Ok::<(), NnError>(())
+                    });
+                },
+            );
+        }
         let res = err.into_result();
         if let Some(cols) = panels {
             ws.recycle(cols);
@@ -296,60 +465,15 @@ impl Layer for Conv2d {
         let g = self.geometry(x)?;
         let n = x.dims()[0];
         let span = g.out_height() * g.out_width();
-        let patch = g.patch_len();
-        let item_in = g.channels * g.height * g.width;
-        let item_out = self.out_channels * span;
-        let item_cols = patch * span;
-        let mut out = ws.take(n * item_out);
-        let mut panels = (mode == Mode::Train).then(|| ws.take(n * item_cols));
-        let per = panel_images(n, span);
-        // a one-image panel's product already has its output's (oc, span)
-        // layout; wider panels multiply into scratch and scatter from it
-        let scratch = if per > 1 { item_out } else { 0 };
-        let xv = x.as_slice();
-        let wv = self.weight.value.as_slice();
-        let bias = self.bias.value.as_slice();
-        let oc = self.out_channels;
-        let err = ErrCell::new();
-        par_groups_mut(
-            n,
-            per,
-            [
-                Part::Items(&mut out, item_out),
-                panels_part(&mut panels, item_cols),
-                Part::Slot(scratch),
-            ],
-            ws,
-            |p, images, [outp, panel, prod]| {
-                err.run(p, || {
-                    let width = images.len() * span;
-                    let xp = &xv[images.start * item_in..images.end * item_in];
-                    ops::im2col_slices(xp, images.len(), &g, panel)?;
-                    if images.len() == 1 {
-                        ops::matmul_slices(wv, panel, oc, patch, span, outp)?;
-                        for (o, &b) in outp.chunks_exact_mut(span).zip(bias) {
-                            for v in o {
-                                *v += b;
-                            }
-                        }
-                        return Ok(());
-                    }
-                    ops::matmul_slices(wv, panel, oc, patch, width, prod)?;
-                    // scatter the (oc × images·span) product back to
-                    // (images, oc, span), adding the bias on the way
-                    for (j, outi) in outp.chunks_exact_mut(item_out).enumerate() {
-                        for ((c, o), &b) in outi.chunks_exact_mut(span).enumerate().zip(bias) {
-                            let src = &prod[c * width + j * span..][..span];
-                            for (v, &y) in o.iter_mut().zip(src) {
-                                *v = y + b;
-                            }
-                        }
-                    }
-                    Ok::<(), NnError>(())
-                });
-            },
-        );
-        if let Err(e) = err.into_result() {
+        let mut out = ws.take(n * self.out_channels * span);
+        let mut panels = None;
+        let res = if mode == Mode::Eval && self.stride == 1 {
+            self.forward_padded(x, &g, &mut out, ws)
+        } else {
+            panels = (mode == Mode::Train).then(|| ws.take(n * g.patch_len() * span));
+            self.forward_panels(x, &g, &mut out, &mut panels, ws)
+        };
+        if let Err(e) = res {
             ws.recycle(out);
             if let Some(cols) = panels {
                 ws.recycle(cols);
@@ -357,7 +481,7 @@ impl Layer for Conv2d {
             return Err(e);
         }
         self.cache = Some((g, n, panels));
-        let y = Tensor::from_vec(out, &[n, oc, g.out_height(), g.out_width()])?;
+        let y = Tensor::from_vec(out, &[n, self.out_channels, g.out_height(), g.out_width()])?;
         Ok(self.hook.apply(y, ws))
     }
 

@@ -92,8 +92,10 @@ impl MaxPool2d {
                 let base = (i * c + ch) * h * w;
                 for oy in 0..oh {
                     for ox in 0..ow {
+                        // a window with nothing above −∞ keeps its own
+                        // first element, so its gradient stays in its plane
                         let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
+                        let mut best_idx = base + oy * self.stride * w + ox * self.stride;
                         for ky in 0..self.kernel {
                             let iy = oy * self.stride + ky;
                             for kx in 0..self.kernel {
@@ -310,6 +312,34 @@ mod tests {
             .backward(&Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]).unwrap())
             .unwrap();
         assert_eq!(dx.as_slice(), &[0.0, 5.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn a_window_with_nothing_above_negative_infinity_keeps_its_gradient() {
+        // two 2×2 images, the second all −∞; then one 2×4 image whose
+        // second window is all −∞. Each such window's gradient lands on its
+        // own first element (pixels 4 and 2), not on flat index 0.
+        let inf = f32::NEG_INFINITY;
+        for (x, dims, want) in [
+            (
+                vec![1.0, 2.0, 3.0, 4.0, inf, inf, inf, inf],
+                [2, 1, 2, 2],
+                [0.0, 0.0, 0.0, 10.0, 100.0, 0.0, 0.0, 0.0],
+            ),
+            (
+                vec![1.0, 2.0, inf, inf, 3.0, 4.0, inf, inf],
+                [1, 1, 2, 4],
+                [0.0, 0.0, 100.0, 0.0, 0.0, 10.0, 0.0, 0.0],
+            ),
+        ] {
+            let mut pool = MaxPool2d::new(2, 2);
+            let y = pool
+                .forward(&Tensor::from_vec(x, &dims).unwrap(), Mode::Eval)
+                .unwrap();
+            assert_eq!(y.as_slice(), &[4.0, inf]);
+            let dy = Tensor::from_vec(vec![10.0, 100.0], y.dims()).unwrap();
+            assert_eq!(pool.backward(&dy).unwrap().as_slice(), &want);
+        }
     }
 
     #[test]

@@ -265,3 +265,80 @@ fn sequential_shape_algebra() {
         )
     });
 }
+
+/// The two routes of a convolution agree bit for bit: an `Eval` pass of a
+/// stride-1 convolution runs on zero-padded planes, a `Train` pass on
+/// im2col panels, and their outputs and input gradients match at 1, 2, 4
+/// and 7 threads. Kernels 1, 3 and 5 with padding 0 to 2 (so some outputs
+/// of a 1×1 kernel read only padding), odd and non-square maps down to
+/// 1×1, channel counts off multiples of 4, batches up to and just past one
+/// column panel (Conv2d fills a panel with about 512 output columns), an
+/// output gradient with ReLU-style zeros and, in one case in eight, an
+/// infinite weight.
+#[test]
+fn eval_and_train_convolutions_agree_bitwise() {
+    use ahw_tensor::pool;
+    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    check::cases(48).run("eval_and_train_convolutions_agree", |g| {
+        let kernel = [1, 3, 5][g.usize_in("kernel_at", 0, 3)];
+        let padding = g.usize_in("padding", 0, 3);
+        let (h, w) = (g.usize_in("height", 1, 12), g.usize_in("width", 1, 12));
+        check::assume(h + 2 * padding >= kernel && w + 2 * padding >= kernel)?;
+        let (in_ch, out_ch) = (g.usize_in("in_ch", 1, 7), g.usize_in("out_ch", 1, 7));
+        let (oh, ow) = (h + 2 * padding + 1 - kernel, w + 2 * padding + 1 - kernel);
+        let panel = (512 / (oh * ow)).clamp(1, 40);
+        let n = [1, panel, panel + 1][g.usize_in("batch_at", 0, 3)];
+        let infinite = g.usize_in("infinite", 0, 8) == 0;
+        let mut r = rng::seeded(g.seed("seed"));
+        let mut conv = Conv2d::new(in_ch, out_ch, kernel, 1, padding, &mut r).unwrap();
+        let bias = rng::normal(&[out_ch], 0.0, 1.0, &mut r);
+        let mut params = 0;
+        conv.visit_params(&mut |p| {
+            if params == 1 {
+                p.value = bias.clone();
+            } else if infinite {
+                let at = r.gen_range(0..p.value.len());
+                p.value.as_mut_slice()[at] = f32::INFINITY;
+            }
+            params += 1;
+        });
+        let x = rng::normal(&[n, in_ch, h, w], 0.0, 1.0, &mut r);
+        let mut dy = rng::normal(&[n, out_ch, oh, ow], 0.0, 1.0, &mut r);
+        for v in dy.as_mut_slice() {
+            if r.gen_range(0..2) == 0 {
+                *v = 0.0;
+            }
+        }
+        // one arena for every pass, so scratch starts out holding an
+        // earlier pass's values rather than zeros
+        let mut ws = Workspace::new();
+        let mut reference = None;
+        for threads in [1usize, 2, 4, 7] {
+            pool::set_thread_override(Some(threads));
+            let [eval, train] = [Mode::Eval, Mode::Train].map(|mode| {
+                let mut c = conv.clone();
+                let y = c.forward_ws(&x, mode, &mut ws).unwrap();
+                let dx = c.backward_ws(&dy, &mut ws).unwrap();
+                let out = (bits(&y), bits(&dx));
+                ws.recycle_tensor(y);
+                ws.recycle_tensor(dx);
+                out
+            });
+            pool::set_thread_override(None);
+            ensure(
+                eval.0 == train.0,
+                format!("outputs differ at {threads} threads"),
+            )?;
+            ensure(
+                eval.1 == train.1,
+                format!("input gradients differ at {threads} threads"),
+            )?;
+            let reference = reference.get_or_insert(eval.clone());
+            ensure(
+                *reference == eval,
+                format!("{threads} threads differ from 1"),
+            )?;
+        }
+        Ok(())
+    });
+}

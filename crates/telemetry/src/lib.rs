@@ -90,8 +90,8 @@ pub use profile::{
 pub use progress::Progress;
 pub use serve::MetricsServer;
 pub use span::{
-    drain_spans, dropped_spans, peek_spans, set_span_cap, span, span_labeled, thread_id, SpanEvent,
-    SpanGuard,
+    drain_spans, dropped_spans, peek_spans, record_span, set_span_cap, span, span_labeled,
+    thread_id, SpanEvent, SpanGuard,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -168,7 +168,7 @@ pub fn reset() {
 /// Nanoseconds since the process-wide telemetry epoch (the first call).
 /// Monotonic (`Instant`-based), shared by every span so trace events from
 /// different threads land on one timeline.
-pub(crate) fn now_ns() -> u64 {
+pub fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }

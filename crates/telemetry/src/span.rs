@@ -206,29 +206,52 @@ impl Drop for SpanGuard {
                 d.set(v.saturating_sub(1));
                 v
             });
-            let buf = local_buf();
-            let event = SpanEvent {
-                name: active.name,
-                label: active.label,
-                tid: buf.tid,
-                start_ns: active.start_ns,
-                dur_ns: end.saturating_sub(active.start_ns),
+            push(
+                active.name,
+                active.label,
+                active.start_ns,
+                end.saturating_sub(active.start_ns),
                 depth,
-            };
-            // The duration histogram is fixed-size and always fed; only the
-            // unbounded event buffer is guarded by the cap.
-            record_span_duration(event.name, event.dur_ns);
-            if BUFFERED.load(Ordering::Relaxed) >= span_cap() {
-                DROPPED.fetch_add(1, Ordering::Relaxed);
-                DROPPED_COUNTER.incr();
-            } else {
-                BUFFERED.fetch_add(1, Ordering::Relaxed);
-                buf.spans
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push(event);
-            }
+            );
         }
+    }
+}
+
+/// Records a span that started at `start_ns` (a [`crate::now_ns`]
+/// reading) and ran for `dur_ns`, on the calling thread and one level
+/// below its open spans, exactly as a guard opened then and dropped
+/// `dur_ns` later would. A kernel that interleaves two kinds of work times
+/// each with its own clock reads and records them with this, so each kind
+/// keeps its own span name. Inert when telemetry is disabled.
+pub fn record_span(name: &'static str, label: Option<String>, start_ns: u64, dur_ns: u64) {
+    if crate::enabled() {
+        push(name, label, start_ns, dur_ns, DEPTH.with(Cell::get) + 1);
+    }
+}
+
+/// Feeds a closed span into the `{name}.dur_ns` histogram and, under the
+/// cap, the calling thread's buffer.
+fn push(name: &'static str, label: Option<String>, start_ns: u64, dur_ns: u64, depth: u16) {
+    let buf = local_buf();
+    // The duration histogram is fixed-size and always fed; only the
+    // unbounded event buffer is guarded by the cap.
+    record_span_duration(name, dur_ns);
+    if BUFFERED.load(Ordering::Relaxed) >= span_cap() {
+        DROPPED.fetch_add(1, Ordering::Relaxed);
+        DROPPED_COUNTER.incr();
+    } else {
+        BUFFERED.fetch_add(1, Ordering::Relaxed);
+        buf.spans
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .push(SpanEvent {
+                name,
+                label,
+                tid: buf.tid,
+                start_ns,
+                dur_ns,
+                depth,
+            });
     }
 }
 
@@ -390,6 +413,34 @@ mod tests {
             .get("test.span.hist_feed.dur_ns")
             .expect("span close registered no duration histogram");
         assert!(hist.count >= 3);
+    }
+
+    #[test]
+    fn recorded_spans_nest_like_guards_and_feed_histograms() {
+        let _g = test_lock::hold();
+        crate::set_enabled(true);
+        let _ = drain_spans();
+        {
+            let _outer = span("test.span.record_outer");
+            record_span("test.span.recorded", Some("part".into()), 1_000, 250);
+        }
+        record_span("test.span.recorded", None, 2_000, 750);
+        let snap = crate::snapshot();
+        crate::set_enabled(false);
+        record_span("test.span.recorded", None, 3_000, 1);
+        let events = drain_spans();
+        let recorded: Vec<_> = events
+            .iter()
+            .filter(|e| e.name == "test.span.recorded")
+            .map(|e| (e.label.as_deref(), e.start_ns, e.dur_ns, e.depth))
+            .collect();
+        assert_eq!(
+            recorded,
+            [(Some("part"), 1_000, 250, 2), (None, 2_000, 750, 1)],
+            "a disabled record must be inert"
+        );
+        let hist = &snap.histograms["test.span.recorded.dur_ns"];
+        assert!(hist.count >= 2 && hist.sum >= 1_000);
     }
 
     #[test]

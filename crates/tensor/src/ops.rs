@@ -23,12 +23,13 @@
 //! - a [`Tensor`] wrapper (`matmul`) that checks shapes and returns a
 //!   fresh tensor.
 //!
-//! The two exceptions are cores whose only callers are layer backward
-//! passes, so they have no wrapper: [`matmul_transa_slices`] runs on the
-//! same accumulating GEMM core as [`matmul_slices`], which reads its left
-//! operand through a (row stride, column stride) pair, and
-//! [`matmul_transb_fold_slices`] runs on the same dot-product core as
-//! [`matmul_transb_slices`].
+//! The exceptions are cores whose only callers are layers, so they have no
+//! wrapper. [`matmul_transa_slices`] and the padded-plane convolution
+//! kernels run on the same accumulating GEMM core as [`matmul_slices`],
+//! which works on any block of output rows, reads its left operand through
+//! a (row stride, column stride) pair and its right operand's rows through
+//! an accessor; [`matmul_transb_fold_slices`] runs on the same dot-product
+//! core as [`matmul_transb_slices`].
 //!
 //! The lowering cores take a count of consecutive images: [`im2col_slices`]
 //! writes their dense `(C·K·K) × (images·span)` column panel, image `j` in
@@ -39,10 +40,20 @@
 //! images in fixed chunks. Its output elements partition over the pool,
 //! four rows by four columns at a time through a lane-packed microkernel
 //! whose sixteen results are the bits of sixteen `dot4` calls.
+//!
+//! A stride-1 convolution needs no column panel: [`pad_planes_slices`]
+//! copies the images once into zero-padded planes whose windows are the
+//! panel's rows, [`matmul_planes_slices`] multiplies the weights by those
+//! windows in place, and [`conv_input_grad_slices`] adds each row of
+//! `Wᵀ·dY` into a padded plane as soon as it is computed, with no `dcols`
+//! panel. Each gives the bits of its panel counterpart
+//! ([`ConvGeometry::padded_planes`] has the layout).
 
 use crate::{pool, Tensor, TensorError};
 use ahw_telemetry as telemetry;
+use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Multiply–accumulate work done by the GEMM kernels (`2·m·n·k` per call).
 static GEMM_FLOPS: telemetry::LazyCounter = telemetry::LazyCounter::new("tensor.ops.gemm_flops");
@@ -288,88 +299,110 @@ fn gemm_dims(
     Ok((m, k, n))
 }
 
-/// The accumulating GEMM core: adds `A (m×k) · b (k×n)` into `out`, which
-/// the caller must have zeroed, reading `A(i, kk)` at `av[i·rs + kk·cs]` —
-/// `(rs, cs) = (k, 1)` for a row-major `a`, `(1, m)` for one stored
-/// transposed as `(k×m)`. Dimensions are trusted (checked by the entry
-/// points); the span is recorded under the entry point's `name`, and the
-/// work is counted here, so every entry point counts alike.
-fn gemm_kernel(
-    name: &'static str,
+/// Opens the span of a GEMM entry point and counts its work, one
+/// `(m×k)·(k×n)` product, so every entry point counts alike.
+fn gemm_span(name: &'static str, m: usize, k: usize, n: usize) -> telemetry::SpanGuard {
+    count_gemm(1, m, n, k);
+    telemetry::span_labeled(name, || format!("{m}x{k}x{n}"))
+}
+
+/// The accumulating GEMM core, on one block of output rows: adds rows
+/// `first..first + orows.len() / n` of `A · B` into `orows`, reading
+/// `A(i, kk)` at `av[i·rs + kk·cs]` — `(rs, cs) = (k, 1)` for a row-major
+/// `a`, `(1, m)` for one stored transposed as `(k×m)` — and row `kk` of
+/// `B` as `brow(kk)`, `n` elements: a row of a dense matrix, or a window
+/// of a convolution's zero-padded plane ([`matmul_planes_slices`]).
+/// Dimensions are trusted (checked by the entry points).
+///
+/// Row-partitioned i-k-j order with k-blocking and 4-row register
+/// blocking: the block's rows stream the same block of `B` rows (L2
+/// resident) while every element's accumulation order stays fixed — `kb`
+/// blocks ascending, `kk` ascending 4 at a time, products folded left to
+/// right — and depends on `k` alone: not on `n`, the block, the strides,
+/// where `B`'s rows live, or whether a row went through the 4-row block or
+/// the single-row tail. So any block of rows has the bits of the same rows
+/// of the whole product.
+fn gemm_kernel<'b>(
     (av, rs, cs): (&[f32], usize, usize),
-    bv: &[f32],
-    m: usize,
+    brow: &impl Fn(usize) -> &'b [f32],
+    first: usize,
+    k: usize,
+    n: usize,
+    orows: &mut [f32],
+) {
+    if n == 0 {
+        return;
+    }
+    let a = |i: usize, kk: usize| av[i * rs + kk * cs];
+    let quad = |i: usize, kk: usize| [a(i, kk), a(i, kk + 1), a(i, kk + 2), a(i, kk + 3)];
+    let rows = orows.len() / n;
+    for kb in (0..k).step_by(BLOCK) {
+        let kend = (kb + BLOCK).min(k);
+        let mut r = 0usize;
+        while r + 4 <= rows {
+            let i = first + r;
+            let (c0, rest) = orows[r * n..(r + 4) * n].split_at_mut(n);
+            let (c1, rest) = rest.split_at_mut(n);
+            let (c2, c3) = rest.split_at_mut(n);
+            let mut kk = kb;
+            while kk + 4 <= kend {
+                axpy4x4(
+                    [&mut c0[..], &mut c1[..], &mut c2[..], &mut c3[..]],
+                    [
+                        quad(i, kk),
+                        quad(i + 1, kk),
+                        quad(i + 2, kk),
+                        quad(i + 3, kk),
+                    ],
+                    brow(kk),
+                    brow(kk + 1),
+                    brow(kk + 2),
+                    brow(kk + 3),
+                );
+                kk += 4;
+            }
+            while kk < kend {
+                axpy1(c0, a(i, kk), brow(kk));
+                axpy1(c1, a(i + 1, kk), brow(kk));
+                axpy1(c2, a(i + 2, kk), brow(kk));
+                axpy1(c3, a(i + 3, kk), brow(kk));
+                kk += 1;
+            }
+            r += 4;
+        }
+        for (rr, orow) in orows[r * n..].chunks_mut(n).enumerate() {
+            let i = first + r + rr;
+            let mut kk = kb;
+            while kk + 4 <= kend {
+                axpy4(
+                    orow,
+                    quad(i, kk),
+                    brow(kk),
+                    brow(kk + 1),
+                    brow(kk + 2),
+                    brow(kk + 3),
+                );
+                kk += 4;
+            }
+            while kk < kend {
+                axpy1(orow, a(i, kk), brow(kk));
+                kk += 1;
+            }
+        }
+    }
+}
+
+/// [`gemm_kernel`] over every row of `out` (`m × n`, zeroed by the
+/// caller), the rows partitioned over the pool.
+fn gemm_parallel<'b>(
+    a: (&[f32], usize, usize),
+    brow: impl Fn(usize) -> &'b [f32] + Sync,
     k: usize,
     n: usize,
     out: &mut [f32],
 ) {
-    let _span = telemetry::span_labeled(name, || format!("{m}x{k}x{n}"));
-    count_gemm(1, m, n, k);
-    let a = |i: usize, kk: usize| av[i * rs + kk * cs];
-    let quad = |i: usize, kk: usize| [a(i, kk), a(i, kk + 1), a(i, kk + 2), a(i, kk + 3)];
-    let brow = |kk: usize| &bv[kk * n..(kk + 1) * n];
-    // Row-partitioned i-k-j order with k-blocking and 4-row register
-    // blocking: each chunk of output rows streams the same block of b rows
-    // (L2 resident) while every row's accumulation order stays fixed — kb
-    // blocks ascending, kk ascending 4 at a time, products folded
-    // left-to-right — independent of the partition, of the strides and of
-    // whether the row went through the blocked or the tail path.
     pool::par_row_chunks_mut(out, n, pool::min_rows(k * n), |first, orows| {
-        let rows = orows.len() / n;
-        for kb in (0..k).step_by(BLOCK) {
-            let kend = (kb + BLOCK).min(k);
-            let mut r = 0usize;
-            while r + 4 <= rows {
-                let i = first + r;
-                let (c0, rest) = orows[r * n..(r + 4) * n].split_at_mut(n);
-                let (c1, rest) = rest.split_at_mut(n);
-                let (c2, c3) = rest.split_at_mut(n);
-                let mut kk = kb;
-                while kk + 4 <= kend {
-                    axpy4x4(
-                        [&mut c0[..], &mut c1[..], &mut c2[..], &mut c3[..]],
-                        [
-                            quad(i, kk),
-                            quad(i + 1, kk),
-                            quad(i + 2, kk),
-                            quad(i + 3, kk),
-                        ],
-                        brow(kk),
-                        brow(kk + 1),
-                        brow(kk + 2),
-                        brow(kk + 3),
-                    );
-                    kk += 4;
-                }
-                while kk < kend {
-                    axpy1(c0, a(i, kk), brow(kk));
-                    axpy1(c1, a(i + 1, kk), brow(kk));
-                    axpy1(c2, a(i + 2, kk), brow(kk));
-                    axpy1(c3, a(i + 3, kk), brow(kk));
-                    kk += 1;
-                }
-                r += 4;
-            }
-            for (rr, orow) in orows[r * n..].chunks_mut(n).enumerate() {
-                let i = first + r + rr;
-                let mut kk = kb;
-                while kk + 4 <= kend {
-                    axpy4(
-                        orow,
-                        quad(i, kk),
-                        brow(kk),
-                        brow(kk + 1),
-                        brow(kk + 2),
-                        brow(kk + 3),
-                    );
-                    kk += 4;
-                }
-                while kk < kend {
-                    axpy1(orow, a(i, kk), brow(kk));
-                    kk += 1;
-                }
-            }
-        }
+        gemm_kernel(a, &brow, first, k, n, orows);
     });
 }
 
@@ -405,7 +438,8 @@ pub fn matmul_slices(
     require_len(b.len(), k * n)?;
     require_len(out.len(), m * n)?;
     out.fill(0.0);
-    gemm_kernel("tensor.ops.matmul", (a, k, 1), b, m, k, n, out);
+    let _span = gemm_span("tensor.ops.matmul", m, k, n);
+    gemm_parallel((a, k, 1), |kk| &b[kk * n..][..n], k, n, out);
     Ok(())
 }
 
@@ -571,7 +605,8 @@ pub fn matmul_transa_slices(
     require_len(b.len(), k * n)?;
     require_len(out.len(), m * n)?;
     out.fill(0.0);
-    gemm_kernel("tensor.ops.matmul_transa", (a, 1, m), b, m, k, n, out);
+    let _span = gemm_span("tensor.ops.matmul_transa", m, k, n);
+    gemm_parallel((a, 1, m), |kk| &b[kk * n..][..n], k, n, out);
     Ok(())
 }
 
@@ -608,6 +643,31 @@ impl ConvGeometry {
         self.channels * self.kernel * self.kernel
     }
 
+    /// Where a panel of `images` images sits in [`pad_planes_slices`]'
+    /// zero-padded planes, for a valid stride-1 geometry: rows of pitch
+    /// `W + b` with `b = max(p, 2p + 1 − K)`, `H + b` plane rows per image.
+    /// `b ≥ p` makes the band between two rows' pixels (and between two
+    /// images' rows) wide enough for both neighbours' padding, and
+    /// `b ≥ 2p + 1 − K` makes an output row fit within one pitch.
+    pub fn padded_planes(&self, images: usize) -> PaddedPlanes {
+        let (k, p) = (self.kernel, self.padding);
+        let band = p.max((2 * p + 1).saturating_sub(k));
+        let (pitch, rows) = (self.width + band, self.height + band);
+        let (grid, len) = match images {
+            0 => (0, 0),
+            _ => {
+                let grid = ((images - 1) * rows + self.out_height() - 1) * pitch + self.out_width();
+                (grid, grid + (k - 1) * (pitch + 1))
+            }
+        };
+        PaddedPlanes {
+            pitch,
+            rows,
+            grid,
+            len,
+        }
+    }
+
     /// Validates that the geometry produces at least one output position.
     ///
     /// # Errors
@@ -632,6 +692,27 @@ impl ConvGeometry {
         }
         Ok(())
     }
+}
+
+/// The layout of a panel of stride-1 images in zero-padded planes, one
+/// plane per channel ([`ConvGeometry::padded_planes`]).
+///
+/// Output `(j, oy, ox)` of the panel's image `j` is grid column
+/// `(j·rows + oy)·pitch + ox`; the grid runs from column 0 to the last
+/// image's last output. Tap `(ky, kx)` of every grid column reads the
+/// plane element `ky·pitch + kx` further on, so row `(c, ky, kx)` of the
+/// convolution's patch matrix is the window of channel `c`'s plane that
+/// starts there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PaddedPlanes {
+    /// Elements per plane row: the image width plus the zero band.
+    pub pitch: usize,
+    /// Plane rows per image: the image height plus the zero band.
+    pub rows: usize,
+    /// Grid columns, i.e. the width of the panel's product.
+    pub grid: usize,
+    /// Elements of one channel's plane.
+    pub len: usize,
 }
 
 /// Output positions `o` in `0..out_len` whose kernel tap `k` reads a real
@@ -838,6 +919,313 @@ pub fn col2im_slices(
     Ok(())
 }
 
+fn require_stride1(g: &ConvGeometry) -> Result<(), TensorError> {
+    g.validate()?;
+    if g.stride != 1 {
+        return Err(TensorError::InvalidArgument(format!(
+            "padded planes serve stride-1 convolutions, not stride {}",
+            g.stride
+        )));
+    }
+    Ok(())
+}
+
+/// Copies `images` consecutive `(C, H, W)` images of a stride-1 geometry
+/// into zero-padded planes, channel after channel, each
+/// [`PaddedPlanes::len`] elements long; every element of `planes` is
+/// overwritten. A plane holds the images stacked in rows of
+/// [`PaddedPlanes::pitch`]: pixel `(y, x)` of image `j` at
+/// `(p + j·rows + y)·pitch + p + x`, and +0.0 everywhere else. One band of
+/// zeros serves as the right pad of a row and the left pad of the next,
+/// and as the bottom pad of an image and the top pad of the next.
+///
+/// The window of channel `c`'s plane from `ky·pitch + kx` then holds at
+/// grid column `(j·rows + oy)·pitch + ox` what [`im2col_slices`] writes at
+/// patch row `(c, ky, kx)`, column `j·span + oy·OW + ox`: the pixel the tap
+/// reads, or +0.0 where it reads padding. The copy is at most
+/// `(H + b)(W + b)/(H·W)` times the images, against im2col's `K²`.
+///
+/// Records under `tensor.ops.im2col` and counts the plane elements written
+/// in `tensor.ops.im2col_elems`; the planes partition over the pool.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] for a degenerate or strided
+/// geometry, and [`TensorError::LengthMismatch`] if `inp` does not hold
+/// `images` images or `planes` is not `C` planes long.
+pub fn pad_planes_slices(
+    inp: &[f32],
+    images: usize,
+    g: &ConvGeometry,
+    planes: &mut [f32],
+) -> Result<(), TensorError> {
+    require_stride1(g)?;
+    let pp = g.padded_planes(images);
+    let (w, p) = (g.width, g.padding);
+    let plane_len = g.height * w;
+    require_len(inp.len(), images * g.channels * plane_len)?;
+    require_len(planes.len(), g.channels * pp.len)?;
+    let _span = telemetry::span("tensor.ops.im2col");
+    IM2COL_ELEMS.add(planes.len() as u64);
+    pool::par_row_chunks_mut(planes, pp.len, pool::min_rows(pp.len), |first, chunk| {
+        for (plane, c) in chunk.chunks_mut(pp.len).zip(first..) {
+            // one pass: the zeros before each pixel row, then the row
+            let mut at = 0;
+            for j in 0..images {
+                let img = &inp[(j * g.channels + c) * plane_len..][..plane_len];
+                for y in 0..g.height {
+                    let start = (p + j * pp.rows + y) * pp.pitch + p;
+                    plane[at..start].fill(0.0);
+                    plane[start..start + w].copy_from_slice(&img[y * w..(y + 1) * w]);
+                    at = start + w;
+                }
+            }
+            plane[at..].fill(0.0);
+        }
+    });
+    Ok(())
+}
+
+/// The stride-1 convolution product over [`pad_planes_slices`]' planes of
+/// `images` images: writes `w (oc × C·K·K) · B` into `out`
+/// (`oc × grid`, [`PaddedPlanes::grid`]), where row `(c, ky, kx)` of `B`
+/// is the window of channel `c`'s plane from `ky·pitch + kx`. Prior
+/// contents of `out` are discarded.
+///
+/// It runs [`matmul_slices`]' core with `B`'s rows read in place, so grid
+/// column `(j·rows + oy)·pitch + ox` holds the bits [`matmul_slices`]
+/// writes at column `j·span + oy·OW + ox` of the weights times
+/// [`im2col_slices`]' panel. The other grid columns, past a row's `OW`
+/// outputs or between images, hold values no output reads. The output
+/// rows partition over the pool. Records under `tensor.ops.matmul` and
+/// counts the convolution's useful work, `2·oc·C·K²·OH·OW` FLOPs per image,
+/// as the panel GEMM does.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] for a degenerate or strided
+/// geometry, and [`TensorError::LengthMismatch`] if a slice disagrees with
+/// `(images, g, oc)`.
+pub fn matmul_planes_slices(
+    w: &[f32],
+    planes: &[f32],
+    images: usize,
+    g: &ConvGeometry,
+    oc: usize,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
+    require_stride1(g)?;
+    let pp = g.padded_planes(images);
+    let (patch, taps) = (g.patch_len(), g.kernel * g.kernel);
+    require_len(w.len(), oc * patch)?;
+    require_len(planes.len(), g.channels * pp.len)?;
+    require_len(out.len(), oc * pp.grid)?;
+    out.fill(0.0);
+    let span = g.out_height() * g.out_width();
+    let _span = gemm_span("tensor.ops.matmul", oc, patch, images * span);
+    let window = |kk: usize| {
+        let (c, t) = (kk / taps, kk % taps);
+        let at = c * pp.len + t / g.kernel * pp.pitch + t % g.kernel;
+        &planes[at..at + pp.grid]
+    };
+    gemm_parallel((w, patch, 1), window, patch, pp.grid, out);
+    Ok(())
+}
+
+thread_local! {
+    /// Four rows of [`conv_input_grad_slices`]' patch gradient: grown to
+    /// the widest panel the thread has run, then reused, so a steady-state
+    /// loop allocates nothing.
+    static GRAD_ROWS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Times a call that interleaves GEMM blocks with scatters of them. Each
+/// task adds the time it spent in either part to a total; when the GEMMs
+/// and scatters end, their wall time records as a
+/// `tensor.ops.matmul_transa` span followed by a `tensor.ops.col2im` span,
+/// split in proportion to the two totals. Without telemetry it reads no
+/// clock.
+struct SplitTimer {
+    start: Option<u64>,
+    parts: [AtomicU64; 2],
+}
+
+impl SplitTimer {
+    fn start() -> SplitTimer {
+        SplitTimer {
+            start: telemetry::enabled().then(telemetry::now_ns),
+            parts: [AtomicU64::new(0), AtomicU64::new(0)],
+        }
+    }
+
+    /// The clock now, if the call is timed.
+    fn now(&self) -> Option<u64> {
+        self.start.map(|_| telemetry::now_ns())
+    }
+
+    /// Adds a task's time in each part.
+    fn add(&self, spent: [u64; 2]) {
+        for (part, ns) in self.parts.iter().zip(spent) {
+            part.fetch_add(ns, Ordering::Relaxed);
+        }
+    }
+
+    fn finish(self, label: impl FnOnce() -> String) {
+        let Some(start) = self.start else { return };
+        let wall = telemetry::now_ns().saturating_sub(start);
+        let [gemm, scatter] = self.parts.map(AtomicU64::into_inner);
+        let gemm_ns = match gemm + scatter {
+            0 => wall,
+            total => (u128::from(wall) * u128::from(gemm) / u128::from(total)) as u64,
+        };
+        telemetry::record_span("tensor.ops.matmul_transa", Some(label()), start, gemm_ns);
+        telemetry::record_span("tensor.ops.col2im", None, start + gemm_ns, wall - gemm_ns);
+    }
+}
+
+/// The input gradient of a stride-1 convolution over a panel of `images`
+/// images, with no patch-gradient panel: `dy` holds the images'
+/// `(oc, OH, OW)` output gradients one after another and `w` the
+/// `(oc × C·K·K)` weights. Writes every image's `(C, H, W)` gradient into
+/// `dx`, prior contents discarded. `scratch` holds `oc` grid rows and `C`
+/// padded planes ([`PaddedPlanes::grid`], [`PaddedPlanes::len`]); its
+/// prior contents do not matter.
+///
+/// `dy` is copied onto the grid of [`matmul_planes_slices`], +0.0 in every
+/// column no output owns, and `Wᵀ · dy` runs there four patch rows at a
+/// time on [`matmul_slices`]' core. Each row `(c, ky, kx)` is added, while
+/// still in L1, into a zero-padded plane of channel `c` laid out as
+/// [`pad_planes_slices`]' planes, at offset `ky·pitch + kx` — the window
+/// the forward reads — and the planes' pixels are copied out to `dx`.
+///
+/// The bits are those of [`matmul_transa_slices`] followed by
+/// [`col2im_slices`]. A product element depends only on its column of
+/// `dy`, so every output's column has [`matmul_transa_slices`]' bits; rows
+/// are added in ascending order, so each pixel adds its taps in
+/// col2im's ascending `(ky, kx)` order from +0.0; and a column whose tap
+/// reads padding lands in the planes' zero band, which is never copied
+/// out. The columns no output owns hold `Σ w·(+0.0) = ±0.0` when every
+/// weight is finite, and a sum that starts at +0.0 never becomes −0.0, so
+/// adding them changes no pixel and each row is added as one contiguous
+/// run. A non-finite weight would make them NaN: then only the output
+/// columns are added, one output row at a time.
+///
+/// The grid copy records under `tensor.ops.im2col` (its elements in
+/// `tensor.ops.im2col_elems`), the GEMM blocks under
+/// `tensor.ops.matmul_transa` and the row adds and the copy out under
+/// `tensor.ops.col2im`; GEMM and scatter work are counted as the panel
+/// route counts them. Input channels partition over the pool: a
+/// channel's `K²` rows add into its own plane only, so each pixel keeps
+/// its tap order at any thread count (inside a pool task the call runs
+/// inline).
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] for a degenerate or strided
+/// geometry, and [`TensorError::LengthMismatch`] if a slice disagrees with
+/// `(images, g, oc)`.
+#[allow(clippy::too_many_arguments)]
+pub fn conv_input_grad_slices(
+    w: &[f32],
+    dy: &[f32],
+    images: usize,
+    g: &ConvGeometry,
+    oc: usize,
+    scratch: &mut [f32],
+    dx: &mut [f32],
+) -> Result<(), TensorError> {
+    require_stride1(g)?;
+    let pp = g.padded_planes(images);
+    let (oh, ow) = (g.out_height(), g.out_width());
+    let (patch, taps, span) = (g.patch_len(), g.kernel * g.kernel, oh * ow);
+    let plane_len = g.height * g.width;
+    require_len(w.len(), oc * patch)?;
+    require_len(dy.len(), images * oc * span)?;
+    require_len(scratch.len(), oc * pp.grid + g.channels * pp.len)?;
+    require_len(dx.len(), images * g.channels * plane_len)?;
+    let (grid, planes) = scratch.split_at_mut(oc * pp.grid);
+    {
+        let _span = telemetry::span("tensor.ops.im2col");
+        IM2COL_ELEMS.add(grid.len() as u64);
+        pool::par_row_chunks_mut(grid, pp.grid, pool::min_rows(pp.grid), |first, rows| {
+            for (grow, o) in rows.chunks_mut(pp.grid).zip(first..) {
+                let mut at = 0;
+                for j in 0..images {
+                    let src = &dy[(j * oc + o) * span..][..span];
+                    for (oy, srow) in src.chunks_exact(ow).enumerate() {
+                        let start = (j * pp.rows + oy) * pp.pitch;
+                        grow[at..start].fill(0.0);
+                        grow[start..start + ow].copy_from_slice(srow);
+                        at = start + ow;
+                    }
+                }
+            }
+        });
+    }
+    count_gemm(1, patch, images * span, oc);
+    COL2IM_ELEMS.add((patch * images * span) as u64);
+    let finite = w.iter().all(|v| v.is_finite());
+    let grid: &[f32] = grid;
+    let dyrow = |kk: usize| &grid[kk * pp.grid..][..pp.grid];
+    let timer = SplitTimer::start();
+    let work = pool::min_rows(taps * oc * pp.grid);
+    pool::par_row_chunks_mut(planes, pp.len, work, |first, chunk| {
+        GRAD_ROWS.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            if scratch.len() < 4 * pp.grid {
+                scratch.resize(4 * pp.grid, 0.0);
+            }
+            chunk.fill(0.0);
+            let mut spent = [0u64; 2];
+            let rows = first * taps..(first + chunk.len() / pp.len) * taps;
+            for r0 in rows.clone().step_by(4) {
+                let block = &mut scratch[..(rows.end - r0).min(4) * pp.grid];
+                block.fill(0.0);
+                let t0 = timer.now();
+                gemm_kernel((w, 1, patch), &dyrow, r0, oc, pp.grid, block);
+                let t1 = timer.now();
+                for (r, row) in (r0..).zip(block.chunks_exact(pp.grid)) {
+                    let (c, t) = (r / taps - first, r % taps);
+                    let at = c * pp.len + t / g.kernel * pp.pitch + t % g.kernel;
+                    let window = &mut chunk[at..at + pp.grid];
+                    if finite {
+                        for (d, &v) in window.iter_mut().zip(row) {
+                            *d += v;
+                        }
+                        continue;
+                    }
+                    for j in 0..images {
+                        for oy in 0..oh {
+                            let col = (j * pp.rows + oy) * pp.pitch;
+                            for (d, &v) in window[col..col + ow].iter_mut().zip(&row[col..]) {
+                                *d += v;
+                            }
+                        }
+                    }
+                }
+                if let (Some(t0), Some(t1)) = (t0, t1) {
+                    spent[0] += t1 - t0;
+                    spent[1] += telemetry::now_ns() - t1;
+                }
+            }
+            timer.add(spent);
+        });
+    });
+    timer.finish(|| format!("{patch}x{oc}x{}", images * span));
+    let _span = telemetry::span("tensor.ops.col2im");
+    let p = g.padding;
+    pool::par_row_chunks_mut(dx, plane_len, pool::min_rows(plane_len), |first, out| {
+        for (dplane, jc) in out.chunks_mut(plane_len).zip(first..) {
+            let (j, c) = (jc / g.channels, jc % g.channels);
+            let plane = &planes[c * pp.len..][..pp.len];
+            for (y, drow) in dplane.chunks_exact_mut(g.width).enumerate() {
+                drow.copy_from_slice(&plane[(p + j * pp.rows + y) * pp.pitch + p..][..g.width]);
+            }
+        }
+    });
+    Ok(())
+}
+
 /// Numerically-stable row-wise softmax: normalizes `out` (which already
 /// holds the logits) in place, row by row.
 fn softmax_kernel(out: &mut [f32], cols: usize) {
@@ -1025,9 +1413,22 @@ mod tests {
             padding: 1,
         };
         let x = rand_tensor(&[8, 32, 32], 53);
+        // planes big enough that the padded copy splits its channels
+        let big = ConvGeometry {
+            channels: 4,
+            height: 128,
+            width: 128,
+            ..g
+        };
+        let xb = rand_tensor(&[4, 128, 128], 54);
+        let planes = || {
+            let mut p = vec![f32::NAN; 4 * big.padded_planes(1).len];
+            pad_planes_slices(xb.as_slice(), 1, &big, &mut p).unwrap();
+            p.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
         let reference = {
             crate::pool::set_thread_override(Some(1));
-            let r = (matmul(&a, &b).unwrap(), im2col(&x, &g).unwrap());
+            let r = (matmul(&a, &b).unwrap(), im2col(&x, &g).unwrap(), planes());
             crate::pool::set_thread_override(None);
             r
         };
@@ -1035,9 +1436,14 @@ mod tests {
             crate::pool::set_thread_override(Some(threads));
             let m = matmul(&a, &b).unwrap();
             let c = im2col(&x, &g).unwrap();
+            let p = planes();
             crate::pool::set_thread_override(None);
             assert_eq!(m, reference.0, "matmul differs at {threads} threads");
             assert_eq!(c, reference.1, "im2col differs at {threads} threads");
+            assert!(
+                p == reference.2,
+                "padded planes differ at {threads} threads"
+            );
         }
     }
 
@@ -1214,6 +1620,33 @@ mod tests {
             Err(TensorError::LengthMismatch { expected: 8, .. })
         ));
         assert!(cross_entropy_with_grad_slices(a.as_slice(), &[0, 1], 3, &mut short).is_err());
+        // padded planes: two images of 1×4×4 under a 3×3 kernel, padding 1
+        let g = ConvGeometry { padding: 1, ..g };
+        let pp = g.padded_planes(2);
+        let (w, dy) = (vec![0.0f32; 9], vec![0.0f32; 32]);
+        let mut planes = vec![0.0f32; pp.len];
+        assert!(matches!(
+            pad_planes_slices(one_image, 2, &g, &mut planes),
+            Err(TensorError::LengthMismatch { expected: 32, .. })
+        ));
+        assert!(matches!(
+            matmul_planes_slices(&w, &planes, 2, &g, 1, &mut short),
+            Err(TensorError::LengthMismatch { .. })
+        ));
+        let mut scratch = vec![0.0f32; pp.grid + pp.len];
+        assert!(matches!(
+            conv_input_grad_slices(&w, &dy, 2, &g, 1, &mut scratch[1..], &mut [0.0; 32]),
+            Err(TensorError::LengthMismatch { .. })
+        ));
+        let strided = ConvGeometry { stride: 2, ..g };
+        assert!(matches!(
+            pad_planes_slices(x.as_slice(), 2, &strided, &mut planes),
+            Err(TensorError::InvalidArgument(_))
+        ));
+        assert!(matches!(
+            conv_input_grad_slices(&w, &dy[..8], 2, &strided, 1, &mut scratch, &mut [0.0; 32]),
+            Err(TensorError::InvalidArgument(_))
+        ));
     }
 
     #[test]

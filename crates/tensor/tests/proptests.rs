@@ -395,6 +395,84 @@ fn folded_weight_gradient_matches_its_serial_definition() {
     });
 }
 
+/// A stride-1 convolution on padded planes gives the panel route's bits.
+/// `matmul_planes_slices` over `pad_planes_slices`' planes holds, at each
+/// output's grid column, what `matmul_slices` over `im2col_slices`' panel
+/// holds at its panel column, and `conv_input_grad_slices` writes what
+/// `matmul_transa_slices` followed by `col2im_slices` write, bit for bit
+/// (NaN payloads included). Kernels 1–5 with padding up to two past the
+/// kernel (outputs that read only padding), 1–12 pixels a side, 1–6
+/// images, channel counts off multiples of 4, operands holding ±0.0 and,
+/// in half the cases, ±∞ and NaN; at 1, 2, 4 and 7 threads, with every
+/// output and scratch buffer starting as NaN.
+#[test]
+fn padded_planes_give_the_panel_routes_bits() {
+    use ahw_tensor::pool;
+    check::cases(64).run("padded_planes", |g| {
+        let kernel = g.usize_in("kernel", 1, 6);
+        let geom = ConvGeometry {
+            channels: g.usize_in("channels", 1, 10),
+            height: g.usize_in("height", 1, 13),
+            width: g.usize_in("width", 1, 13),
+            kernel,
+            stride: 1,
+            padding: g.usize_in("padding", 0, kernel + 2),
+        };
+        check::assume(geom.validate().is_ok())?;
+        let images = g.usize_in("images", 1, 7);
+        let oc = g.usize_in("oc", 1, 8);
+        let specials = g.usize_in("specials", 0, 2) == 1;
+        let mut r = rng::seeded(g.seed("seed"));
+        let (oh, ow) = (geom.out_height(), geom.out_width());
+        let (patch, span) = (geom.patch_len(), oh * ow);
+        let width = images * span;
+        let item = geom.channels * geom.height * geom.width;
+        let x = operand(&mut r, images * item, specials);
+        let w = operand(&mut r, oc * patch, specials);
+        let dy = operand(&mut r, images * oc * span, specials);
+        // the panel route, with dY gathered into the panel's layout
+        let mut panel = vec![f32::NAN; patch * width];
+        ops::im2col_slices(&x, images, &geom, &mut panel).unwrap();
+        let mut prod = vec![f32::NAN; oc * width];
+        ops::matmul_slices(&w, &panel, oc, patch, width, &mut prod).unwrap();
+        let mut dyp = vec![f32::NAN; oc * width];
+        for (e, v) in dy.iter().enumerate() {
+            let (j, o, col) = (e / (oc * span), e / span % oc, e % span);
+            dyp[o * width + j * span + col] = *v;
+        }
+        ops::matmul_transa_slices(&w, &dyp, patch, oc, width, &mut panel).unwrap();
+        let mut dx_panel = vec![f32::NAN; images * item];
+        ops::col2im_slices(&panel, images, &geom, &mut dx_panel).unwrap();
+        let pp = geom.padded_planes(images);
+        for threads in [1usize, 2, 4, 7] {
+            let mut planes = vec![f32::NAN; geom.channels * pp.len];
+            let mut grid = vec![f32::NAN; oc * pp.grid];
+            let mut scratch = vec![f32::NAN; oc * pp.grid + geom.channels * pp.len];
+            let mut dx = vec![f32::NAN; images * item];
+            pool::set_thread_override(Some(threads));
+            ops::pad_planes_slices(&x, images, &geom, &mut planes).unwrap();
+            ops::matmul_planes_slices(&w, &planes, images, &geom, oc, &mut grid).unwrap();
+            ops::conv_input_grad_slices(&w, &dy, images, &geom, oc, &mut scratch, &mut dx).unwrap();
+            pool::set_thread_override(None);
+            for (o, j, oy) in (0..oc)
+                .flat_map(|o| (0..images).flat_map(move |j| (0..oh).map(move |oy| (o, j, oy))))
+            {
+                let at = o * pp.grid + (j * pp.rows + oy) * pp.pitch;
+                let want = &prod[o * width + j * span + oy * ow..][..ow];
+                ensure(
+                    bits(&grid[at..at + ow]) == bits(want),
+                    format!("output ({j}, {o}, {oy}) differs at {threads} threads"),
+                )?;
+            }
+            ensure(
+                bits(&dx) == bits(&dx_panel),
+                format!("input gradient differs at {threads} threads"),
+            )?;
+        }
+        Ok(())
+    });
+}
+
 /// Parallel `matmul`, `matmul_transa` and the panel cores (`im2col` and
 /// `col2im` of a multi-image panel, the weight-gradient fold over it) are
 /// bit-identical to their serial runs for arbitrary shapes across worker

@@ -87,25 +87,19 @@ rm -rf "$exp_dir"
 # Smoke: the kernel bench on a 2-thread pool (tiny effort), run as one
 # A/B pair against HEAD through scripts/ab.sh and the speed judge; a
 # kernel run that fails fails the build. The conv and training rows call
-# their layer at top level, so column panels, the folded weight-gradient
-# kernel and batch norm's per-channel reductions run split over the pool,
-# which the attack shards (nested pool tasks, run inline) never exercise;
-# the attack-path, Fig. 4 search and injector rows run the planned engine,
-# the pool-parallel candidate sweep and the sparse-event flip loop. The
-# builds stay in target/ab, so later runs build incrementally.
+# their layer at top level, so column panels, padded planes, the folded
+# weight-gradient kernel and batch norm's per-channel reductions run split
+# over the pool, which the attack shards (nested pool tasks, run inline)
+# never exercise; the attack-path, Fig. 4 search and injector rows run the
+# planned engine, the pool-parallel candidate sweep and the sparse-event
+# flip loop. The builds stay in target/ab, so later runs build
+# incrementally. The judge's verdicts are printed but gate nothing: at one
+# pair of one-sample runs the base IQR is 0, so any excursion past the
+# 10 % kernel bound reads `worse` even with no code change. A speed claim
+# needs a full scripts/ab.sh session.
 AB_WORK=target/ab AHW_THREADS=2 AHW_BENCH_SAMPLES=1 AHW_BENCH_WARMUP_MS=20 \
     scripts/ab.sh kernels \
     "matmul/32 conv2d/ train/ attacks/pgd_eval selection/fig4_probe sram/inject" 1 HEAD
-# The judge's verdicts are printed, and AHW_VERIFY_COMPARE=1 fails the
-# build on a `worse` one. At one pair of one-sample runs they are noise:
-# the base IQR is 0, so `unresolved` cannot fire and any excursion past
-# the 10 % kernel bound reads `worse`, even with no code change. Judge a
-# speed change with a full scripts/ab.sh session instead.
-if [ "${AHW_VERIFY_COMPARE:-0}" != "0" ] \
-    && ! target/release/ahw_bench --compare --file target/ab/session >/dev/null; then
-    echo "verify: the kernel A/B smoke judged a row worse (AHW_VERIFY_COMPARE=1)" >&2
-    exit 1
-fi
 
 # Smoke: the live telemetry endpoint. Start a real experiment with the
 # metrics server on an OS-assigned port (in a scratch directory so its
