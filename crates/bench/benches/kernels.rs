@@ -12,7 +12,7 @@ use ahw_crossbar::{
 use ahw_nn::layers::{BatchNorm2d, Conv2d, ReLU};
 use ahw_nn::{Layer, Mode, Sequential};
 use ahw_sram::{BitErrorInjector, BitErrorModel, HybridMemoryConfig, HybridWordConfig};
-use ahw_tensor::{ops, rng};
+use ahw_tensor::{ops, rng, Tensor, Workspace};
 
 fn bench_matmul(h: &mut Harness) {
     for n in [32usize, 128, 256] {
@@ -24,27 +24,38 @@ fn bench_matmul(h: &mut Harness) {
     }
 }
 
+/// The conv and training rows run their layers over one `Workspace` kept
+/// per row and recycle every output into it, as the planned engine and
+/// `Trainer` do, so they time the kernels rather than allocation.
 fn bench_conv(h: &mut Harness) {
     let mut rng_ = rng::seeded(3);
     let mut conv = Conv2d::new(16, 32, 3, 1, 1, &mut rng_).unwrap();
     let x = rng::normal(&[4, 16, 32, 32], 0.0, 1.0, &mut rng_);
+    let mut ws = Workspace::new();
     h.bench("conv2d/forward_4x16x32x32", || {
-        black_box(conv.forward(black_box(&x), Mode::Eval).unwrap());
+        let y = conv.forward_ws(black_box(&x), Mode::Eval, &mut ws).unwrap();
+        ws.recycle_tensor(black_box(y));
     });
     // the input-gradient pair of the row above: Eval forward plus backward
     let dy = rng::normal(&[4, 32, 32, 32], 0.0, 1.0, &mut rng_);
+    let mut ws = Workspace::new();
     h.bench("conv2d/input_grad_4x16x32x32", || {
-        conv.forward(black_box(&x), Mode::Eval).unwrap();
-        black_box(conv.backward(black_box(&dy)).unwrap());
+        let y = conv.forward_ws(black_box(&x), Mode::Eval, &mut ws).unwrap();
+        ws.recycle_tensor(y);
+        let dx = conv.backward_ws(black_box(&dy), &mut ws).unwrap();
+        ws.recycle_tensor(black_box(dx));
     });
     // VGG19's last stage at width 0.0625: 32 channels on a 2×2 map, at the
     // attack evaluation's batch of 50
     let mut last = Conv2d::new(32, 32, 3, 1, 1, &mut rng_).unwrap();
     let x = rng::normal(&[50, 32, 2, 2], 0.0, 1.0, &mut rng_);
     let dy = rng::normal(&[50, 32, 2, 2], 0.0, 1.0, &mut rng_);
+    let mut ws = Workspace::new();
     h.bench("conv2d/input_grad_50x32x2x2", || {
-        last.forward(black_box(&x), Mode::Eval).unwrap();
-        black_box(last.backward(black_box(&dy)).unwrap());
+        let y = last.forward_ws(black_box(&x), Mode::Eval, &mut ws).unwrap();
+        ws.recycle_tensor(y);
+        let dx = last.backward_ws(black_box(&dy), &mut ws).unwrap();
+        ws.recycle_tensor(black_box(dx));
     });
 }
 
@@ -61,11 +72,20 @@ fn bench_train(h: &mut Harness) {
         unit.push(ReLU::new());
         let x = rng::normal(&[32, channels, side, side], 0.0, 1.0, &mut rng_);
         let dy = rng::normal(&[32, channels, side, side], 0.0, 1.0, &mut rng_);
+        let mut ws = Workspace::new();
         h.bench(
             &format!("train/conv_bn_relu_32x{channels}x{side}x{side}"),
             || {
-                unit.forward(black_box(&x), Mode::Train).unwrap();
-                black_box(unit.backward(black_box(&dy)).unwrap());
+                let y = unit
+                    .forward_ws(black_box(&x), Mode::Train, &mut ws)
+                    .unwrap();
+                ws.recycle_tensor(y);
+                // backward_ws consumes its gradient and recycles it into ws
+                let mut grad = ws.take(dy.len());
+                grad.copy_from_slice(black_box(dy.as_slice()));
+                let grad = Tensor::from_vec(grad, dy.dims()).unwrap();
+                let dx = unit.backward_ws(grad, &mut ws).unwrap();
+                ws.recycle_tensor(black_box(dx));
             },
         );
     }

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! ahw_bench --compare --file SESSION [--report]
-//! ahw_bench --scrape <host:port> <path>
 //! ahw_bench --calibrate
 //! ```
 //!
@@ -15,11 +14,6 @@
 //! `--report` is given, when a verdict is `worse`; 2 when the session or
 //! the bounds cannot be read.
 //!
-//! `--scrape` GETs a path from the live telemetry endpoint with
-//! [`ahw_bench::http_get`]: prints the response body to stdout and exits
-//! zero only on a 200, so shell scripts can probe `/healthz` and
-//! `/metrics` without curl.
-//!
 //! `--calibrate` measures the machine roof (peak compute GFLOP/s, stream
 //! GB/s — see [`ahw_bench::calibration`]) and prints the
 //! `"calibration/roofline"` JSON row to stdout; `scripts/ab.sh` runs it
@@ -28,9 +22,7 @@
 use ahw_bench::compare;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: ahw_bench --compare --file SESSION [--report]\n       ahw_bench --scrape <host:port> <path>\n       ahw_bench --calibrate"
-    );
+    eprintln!("usage: ahw_bench --compare --file SESSION [--report]\n       ahw_bench --calibrate");
     std::process::exit(2);
 }
 
@@ -43,16 +35,6 @@ fn main() {
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
-    if has("--scrape") {
-        let addr = value("--scrape").unwrap_or_else(|| usage());
-        let path = args
-            .iter()
-            .position(|a| a == "--scrape")
-            .and_then(|i| args.get(i + 2))
-            .cloned()
-            .unwrap_or_else(|| "/healthz".to_string());
-        std::process::exit(scrape(&addr, &path));
-    }
     if has("--calibrate") {
         let cal = ahw_bench::calibration::calibrate();
         eprintln!(
@@ -91,21 +73,4 @@ fn read_or_exit(path: &str) -> String {
         eprintln!("ahw_bench: cannot read {path}: {e}");
         std::process::exit(2);
     })
-}
-
-/// GETs `http://addr{path}` with [`ahw_bench::http_get`]; prints the body
-/// to stdout and the status line to stderr. Exit code 0 iff the status is
-/// 200.
-fn scrape(addr: &str, path: &str) -> i32 {
-    match ahw_bench::http_get(addr, path) {
-        Ok((status_line, body)) => {
-            eprintln!("{status_line}");
-            print!("{body}");
-            i32::from(status_line.split_whitespace().nth(1) != Some("200"))
-        }
-        Err(e) => {
-            eprintln!("ahw_bench: {e}");
-            1
-        }
-    }
 }

@@ -24,8 +24,4 @@ fn main() {
         Some(path) => println!("trace={path}"),
         None => println!("trace=<unset>"),
     }
-    match ahw_telemetry::env_metrics_addr() {
-        Some(addr) => println!("metrics_addr={addr}"),
-        None => println!("metrics_addr=<unset>"),
-    }
 }

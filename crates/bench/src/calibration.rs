@@ -9,9 +9,7 @@
 //!
 //! The measurement deliberately runs with telemetry recording **suspended**
 //! — calibration work must not pollute the FLOP/byte counters or the span
-//! buffers of the run being profiled — and registers the measured roof via
-//! [`ahw_telemetry::set_roofline`] so the `/report` endpoint and the
-//! end-of-run report can score kernels immediately.
+//! buffers of the run being profiled.
 //!
 //! `ahw_bench --calibrate` prints the roof as a JSON row
 //! (`"name":"calibration/roofline"`). `scripts/ab.sh` runs it after every
@@ -75,10 +73,9 @@ impl Calibration {
     }
 }
 
-/// Measures the machine roof at the current `AHW_THREADS` setting and
-/// registers it via [`ahw_telemetry::set_roofline`]. Telemetry recording
-/// is suspended for the duration so the calibration work never shows up in
-/// the profiled run's counters or spans.
+/// Measures the machine roof at the current `AHW_THREADS` setting.
+/// Telemetry recording is suspended for the duration so the calibration
+/// work never shows up in the profiled run's counters or spans.
 pub fn calibrate() -> Calibration {
     let was_enabled = ahw_telemetry::enabled();
     ahw_telemetry::set_enabled(false);
@@ -88,7 +85,6 @@ pub fn calibrate() -> Calibration {
         threads: pool::num_threads(),
     };
     ahw_telemetry::set_enabled(was_enabled);
-    ahw_telemetry::set_roofline(Some(cal.roofline()));
     cal
 }
 
@@ -178,7 +174,7 @@ pub fn roofline_from_env() -> Option<Roofline> {
 /// The newest well-formed `calibration/roofline` row in a
 /// `BENCH_kernels.json` history that was measured at `threads` threads
 /// with FMA chains and has a usable roof (positive and finite), if any —
-/// the offline fallback roof when no live calibration ran in this process.
+/// the roof for reports when the environment sets none.
 /// Rows inside a recorded A/B session line's `output` count; rows with a
 /// `gemm_dim` field timed the GEMM the report scores and are skipped.
 pub fn parse_latest_calibration(history: &str, threads: usize) -> Option<Calibration> {
@@ -202,15 +198,13 @@ pub fn parse_latest_calibration(history: &str, threads: usize) -> Option<Calibra
     })
 }
 
-/// Resolution order for the roof a report should use: an explicitly
-/// registered roof (a live calibration in this process), then the
-/// environment override, then the newest FMA-chain `calibration/roofline`
-/// row in `bench_history` (when provided) measured at `threads`, the pool
-/// width of the run being reported. `None` makes the report say the roof
-/// is not calibrated.
+/// Resolution order for the roof a report should use: the environment
+/// override, then the newest FMA-chain `calibration/roofline` row in
+/// `bench_history` (when provided) measured at `threads`, the pool width of
+/// the run being reported. `None` makes the report say the roof is not
+/// calibrated.
 pub fn resolve_roofline(bench_history: Option<&str>, threads: usize) -> Option<Roofline> {
-    ahw_telemetry::roofline()
-        .or_else(roofline_from_env)
+    roofline_from_env()
         .or_else(|| Some(parse_latest_calibration(bench_history?, threads)?.roofline()))
 }
 
@@ -226,8 +220,8 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// Serializes tests that touch the process-global roofline slot, the
-    /// telemetry enable flag, or the pool thread override.
+    /// Serializes tests that touch the telemetry enable flag or the pool
+    /// thread override.
     static LOCK: Mutex<()> = Mutex::new(());
 
     fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -326,8 +320,6 @@ mod tests {
             let cal = parse_latest_calibration(&format!("{good}\n{bad}\n"), 1).expect("older row");
             assert_eq!((cal.peak_gflops, cal.threads), (9.0, 1), "{bad}");
         }
-        let _g = lock();
-        ahw_telemetry::set_roofline(None);
         if roofline_from_env().is_none() {
             let bad = row(3, "", "-1", "4.0");
             assert_eq!(
@@ -339,10 +331,9 @@ mod tests {
     }
 
     #[test]
-    fn measured_calibration_is_positive_and_registers_the_roof() {
+    fn measured_calibration_is_positive_and_restores_telemetry() {
         let _g = lock();
         pool::set_thread_override(Some(2));
-        ahw_telemetry::set_roofline(None);
         let was_enabled = ahw_telemetry::enabled();
         let cal = calibrate();
         pool::set_thread_override(None);
@@ -354,15 +345,13 @@ mod tests {
             was_enabled,
             "calibration must restore the telemetry enable flag"
         );
-        let roof = ahw_telemetry::roofline().expect("roof registered");
-        assert_eq!(roof.peak_gflops, cal.peak_gflops);
-        ahw_telemetry::set_roofline(None);
     }
 
     #[test]
-    fn resolution_order_prefers_registered_then_history() {
-        let _g = lock();
-        ahw_telemetry::set_roofline(None);
+    fn without_an_env_roof_the_history_row_at_the_run_width_resolves() {
+        if roofline_from_env().is_some() {
+            return;
+        }
         let history = &row(3, "", "9.0", "4.0");
         let from_history = resolve_roofline(Some(history), 3).expect("history roof");
         assert_eq!(from_history.peak_gflops, 9.0);
@@ -371,12 +360,6 @@ mod tests {
             None,
             "the row is at 3 threads"
         );
-        ahw_telemetry::set_roofline(Some(Roofline {
-            peak_gflops: 2.0,
-            stream_gbps: 1.0,
-        }));
-        let registered = resolve_roofline(Some(history), 3).expect("registered roof");
-        assert_eq!(registered.peak_gflops, 2.0, "registered roof wins");
-        ahw_telemetry::set_roofline(None);
+        assert_eq!(resolve_roofline(None, 3), None, "no history, no roof");
     }
 }

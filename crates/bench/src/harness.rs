@@ -34,9 +34,6 @@ pub struct Harness {
     warmup: Duration,
     ran: usize,
     skipped: usize,
-    /// Live metrics server, when `AHW_METRICS_ADDR` is set — held so a
-    /// long bench run can be scraped while it is in flight.
-    _server: Option<ahw_telemetry::MetricsServer>,
 }
 
 impl Default for Harness {
@@ -47,7 +44,6 @@ impl Default for Harness {
             warmup: Duration::from_millis(300),
             ran: 0,
             skipped: 0,
-            _server: None,
         }
     }
 }
@@ -109,7 +105,6 @@ impl Harness {
             .collect();
         let mut h = Harness {
             filters,
-            _server: ahw_telemetry::serve::start_from_env(),
             ..Harness::default()
         };
         if let Some(s) = env_u64("AHW_BENCH_SAMPLES") {

@@ -53,8 +53,8 @@ pub struct Scale {
 
 impl Scale {
     /// The default experiment scale: the `exp_*` suite of
-    /// `run_experiments.sh`, training included, took about 5.5 minutes wall
-    /// from an empty model cache on a 2-vCPU host at `AHW_THREADS=2`. Pass
+    /// `run_experiments.sh`, training included, took 265 s wall from an
+    /// empty model cache on a 2-vCPU AVX-512 host at `AHW_THREADS=2`. Pass
     /// `--full` for the larger networks if you have a many-core machine.
     pub fn standard() -> Self {
         Scale {
@@ -203,23 +203,21 @@ impl Args {
     }
 }
 
-/// RAII guard owning an experiment's telemetry lifecycle: on creation it
-/// starts the live metrics server when `AHW_METRICS_ADDR` is set (the
-/// handle is held so the server keeps serving for the whole of `main`); on
-/// drop it writes the run report (`AHW_REPORT`, or
-/// `results/report_<bin>.md` whenever telemetry is enabled — see
-/// [`report::report_path_from_env`]), scored against the roof
-/// [`calibration::resolve_roofline`] finds at this process's pool width,
-/// and then flushes the exporters — the `AHW_TRACE` trace-event file and
-/// the `AHW_METRICS` stderr summary (all no-ops when telemetry is
-/// disabled). The report renders from
-/// [`ahw_telemetry::peek_spans`] *before* [`ahw_telemetry::finish`]
-/// drains the span buffers. Experiment binaries hold one for the whole of
-/// `main` so traces survive early returns.
+/// RAII guard owning an experiment's telemetry lifecycle: on drop it
+/// writes the run report (`AHW_REPORT`, or `results/report_<bin>.md`
+/// whenever telemetry is enabled — see [`report::report_path_from_env`]),
+/// scored against the roof [`calibration::resolve_roofline`] finds at this
+/// process's pool width, and then flushes the exporters — the `AHW_TRACE`
+/// trace file, which carries the metrics snapshot too, and the
+/// `AHW_METRICS` stderr summary (all no-ops when telemetry is disabled).
+/// The report renders from [`ahw_telemetry::peek_spans`] *before*
+/// [`ahw_telemetry::finish`] drains the span buffers, so `ahw_report
+/// --trace` re-renders it from the trace file. Experiment binaries hold
+/// one for the whole of `main` so traces survive early returns.
 #[must_use = "the flush happens when the guard drops"]
 #[derive(Debug)]
 pub struct TelemetryFlush {
-    _server: Option<ahw_telemetry::MetricsServer>,
+    _private: (),
 }
 
 impl Drop for TelemetryFlush {
@@ -240,59 +238,14 @@ impl Drop for TelemetryFlush {
     }
 }
 
-/// Creates a [`TelemetryFlush`] guard (starting the `AHW_METRICS_ADDR`
-/// server if configured); bind it at the top of `main`. Setting
-/// `AHW_REPORT` to a path force-enables telemetry recording — a report
-/// was asked for, so there must be something to report — and an
-/// `AHW_ROOF_GFLOPS`/`AHW_ROOF_GBPS` override is registered here so the
-/// live `/report` endpoint can score kernels without a calibration run.
+/// Creates a [`TelemetryFlush`] guard; bind it at the top of `main`.
+/// Setting `AHW_REPORT` to a path force-enables telemetry recording — a
+/// report was asked for, so there must be something to report.
 pub fn telemetry_flush() -> TelemetryFlush {
     if std::env::var("AHW_REPORT").is_ok_and(|v| !v.is_empty() && v != "0") {
         ahw_telemetry::set_enabled(true);
     }
-    if ahw_telemetry::roofline().is_none() {
-        if let Some(roof) = calibration::roofline_from_env() {
-            ahw_telemetry::set_roofline(Some(roof));
-        }
-    }
-    TelemetryFlush {
-        _server: ahw_telemetry::serve::start_from_env(),
-    }
-}
-
-/// GETs `http://{addr}{path}` over a plain std `TcpStream`, returning the
-/// response's status line and body whatever the status. This is the scrape
-/// client of `ahw_bench --scrape` and `ahw_report --scrape`, so scripts can
-/// probe the live telemetry endpoint without curl.
-///
-/// # Errors
-///
-/// A message naming the failed step: an unresolvable address, or a failed
-/// connect (5 s timeout), write or read (10 s timeout).
-pub fn http_get(addr: &str, path: &str) -> Result<(String, String), String> {
-    use std::io::{Read, Write};
-    use std::time::Duration;
-    let sock = std::net::ToSocketAddrs::to_socket_addrs(addr)
-        .ok()
-        .and_then(|mut a| a.next())
-        .ok_or_else(|| format!("bad address {addr}"))?;
-    let mut stream = std::net::TcpStream::connect_timeout(&sock, Duration::from_secs(5))
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )
-    .map_err(|e| format!("write {addr}: {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("read {addr}: {e}"))?;
-    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((&response, ""));
-    Ok((
-        head.lines().next().unwrap_or("").to_string(),
-        body.to_string(),
-    ))
+    TelemetryFlush { _private: () }
 }
 
 /// The model-checkpoint cache directory: `$AHW_CACHE` or
@@ -306,17 +259,6 @@ pub fn cache_dir() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn http_get_returns_the_status_line_and_body() {
-        let server = ahw_telemetry::serve::start("127.0.0.1:0").expect("bind 127.0.0.1:0");
-        let addr = server.addr().to_string();
-        let ok = http_get(&addr, "/healthz").unwrap();
-        assert_eq!(ok, ("HTTP/1.1 200 OK".to_string(), "ok\n".to_string()));
-        let (missing, _) = http_get(&addr, "/nope").unwrap();
-        assert_eq!(missing, "HTTP/1.1 404 Not Found");
-        assert!(http_get("no port", "/healthz").is_err());
-    }
 
     #[test]
     fn args_parse_flags_and_values() {

@@ -1,21 +1,21 @@
 //! Run-report plumbing around `ahw_telemetry::render_report_md` (span tree
-//! with self times, worker utilization, roofline scoring): re-parsing a
-//! previous run's exports, and writing the Markdown/HTML pair.
+//! with self times, worker utilization, roofline scoring): reading a run's
+//! trace file back, and writing the Markdown/HTML pair.
 //!
-//! Three ways to get a report:
+//! Two ways to get a report:
 //!
-//! 1. **Live, automatic** — every `exp_*` binary holds a
-//!    [`crate::TelemetryFlush`] guard; when telemetry is enabled the guard
-//!    writes `results/report_<bin>.md` (+ `.html`) at exit, before the
-//!    exporters drain the span buffers. `AHW_REPORT=<path>` overrides the
+//! 1. **At exit** — every `exp_*` binary holds a [`crate::TelemetryFlush`]
+//!    guard; when telemetry is enabled the guard writes
+//!    `results/report_<bin>.md` (+ `.html`) at exit, before the exporters
+//!    drain the span buffers. `AHW_REPORT=<path>` overrides the
 //!    destination (and force-enables telemetry); `AHW_REPORT=0` disables
 //!    the write.
-//! 2. **Live, scraped** — `ahw_report --scrape <host:port>` fetches
-//!    `/report.md` from a running process's metrics server.
-//! 3. **Offline** — `ahw_report --trace trace.json --snapshot
-//!    snapshot.json` re-renders the report from the files a previous run
-//!    exported (`AHW_TRACE`, `/snapshot.json`), re-parsing them with
-//!    `ahw_telemetry::json`.
+//! 2. **From the trace file** — `ahw_report --trace trace.json` re-renders
+//!    the report from the file a run wrote to `AHW_TRACE`. Its trace events
+//!    hold the spans and its `"metrics"` key the snapshot, and
+//!    [`parse_trace`] reads both in one parse with `ahw_telemetry::json`.
+//!    Scored against the same roof, the re-rendered Markdown is the exit
+//!    report byte for byte.
 
 use ahw_telemetry::json::{self, Value};
 use ahw_telemetry::{HistogramSnapshot, MetricsSnapshot, SpanEvent};
@@ -40,17 +40,24 @@ fn intern_name(name: &str) -> &'static str {
     leaked
 }
 
-/// Re-parses a trace-event JSON export (`ahw_telemetry::trace_json`) back
-/// into span events. Metadata (`"ph":"M"`) records and malformed events are
-/// skipped, and an unparsable file yields no spans; `ts`/`dur` are on the
-/// export's µs timebase with 3 decimals, so the ns round-trip is exact.
-pub fn parse_trace_json(text: &str) -> Vec<SpanEvent> {
-    let Ok(doc) = json::parse(text) else {
-        return Vec::new();
-    };
+/// Reads a run's trace file (`ahw_telemetry::trace_json`) back into its
+/// span events and its metrics snapshot, from one parse. Metadata
+/// (`"ph":"M"`) records, malformed events and malformed metric entries are
+/// skipped, and gauges are not read: no report section reads them. A trace
+/// without a `"metrics"` key reads with an empty snapshot. `ts`/`dur` are
+/// on the export's µs timebase with 3 decimals, so the ns round-trip is
+/// exact.
+///
+/// # Errors
+///
+/// A message when `text` is not JSON or holds no `traceEvents` array: a
+/// damaged trace is never read as an empty run.
+pub fn parse_trace(text: &str) -> Result<(Vec<SpanEvent>, MetricsSnapshot), String> {
+    let doc =
+        json::parse(text).map_err(|e| format!("not JSON ({} at byte {})", e.reason, e.offset))?;
     let events = doc.get("traceEvents").and_then(Value::as_array);
     let mut spans: Vec<SpanEvent> = events
-        .unwrap_or_default()
+        .ok_or("no traceEvents array")?
         .iter()
         .filter(|ev| ev.get("ph").and_then(Value::as_str) == Some("X"))
         .filter_map(|ev| {
@@ -75,18 +82,11 @@ pub fn parse_trace_json(text: &str) -> Vec<SpanEvent> {
             .then(a.tid.cmp(&b.tid))
             .then(a.name.cmp(b.name))
     });
-    spans
-}
-
-/// Re-parses a metrics snapshot export (`ahw_telemetry::snapshot_json`).
-/// Gauges are ignored — no report section reads them — malformed entries
-/// are skipped, and an unparsable file yields an empty snapshot.
-pub fn parse_snapshot_json(text: &str) -> MetricsSnapshot {
     let mut snap = MetricsSnapshot::default();
-    let Ok(doc) = json::parse(text) else {
-        return snap;
+    let section = |name: &str| {
+        let map = doc.get("metrics").and_then(|m| m.get(name));
+        map.and_then(Value::as_object).unwrap_or_default()
     };
-    let section = |name: &str| doc.get(name).and_then(Value::as_object).unwrap_or_default();
     for (name, v) in section("counters") {
         if let Some(v) = v.as_u64() {
             snap.counters.insert(name.clone(), v);
@@ -108,7 +108,7 @@ pub fn parse_snapshot_json(text: &str) -> MetricsSnapshot {
         }
         snap.histograms.insert(name.clone(), hist);
     }
-    snap
+    Ok((spans, snap))
 }
 
 /// Writes `md` to `path` and a rendered HTML sibling (`.html`); returns
@@ -150,8 +150,16 @@ pub fn report_path_from_env() -> Option<std::path::PathBuf> {
 mod tests {
     use super::*;
 
+    fn zero_histogram() -> HistogramSnapshot {
+        HistogramSnapshot {
+            count: 0,
+            sum: 0,
+            buckets: [0; ahw_telemetry::metrics::HISTOGRAM_BUCKETS],
+        }
+    }
+
     #[test]
-    fn trace_json_round_trips_through_the_parser() {
+    fn trace_round_trips_spans_counters_and_histograms() {
         let spans = vec![
             SpanEvent {
                 name: "tensor.ops.matmul",
@@ -170,34 +178,30 @@ mod tests {
                 depth: 2,
             },
         ];
-        let parsed = parse_trace_json(&ahw_telemetry::trace_json(&spans));
-        assert_eq!(parsed, spans, "µs-timebase export must round-trip to ns");
-    }
-
-    #[test]
-    fn snapshot_json_round_trips_counters_and_histograms() {
         let mut snap = MetricsSnapshot::default();
         snap.counters
             .insert("tensor.ops.gemm_flops".to_string(), 123_456);
         snap.counters.insert("tensor.pool.jobs".to_string(), 7);
-        let mut h = HistogramSnapshot {
-            count: 3,
-            sum: 999,
-            buckets: [0; ahw_telemetry::metrics::HISTOGRAM_BUCKETS],
-        };
+        let mut h = zero_histogram();
+        h.count = 3;
+        h.sum = 999;
         h.buckets[2] = 3;
         snap.histograms
             .insert("tensor.ops.matmul.dur_ns".to_string(), h);
-        let json = ahw_telemetry::export::metrics_snapshot_json(&snap);
-        let parsed = parse_snapshot_json(&json);
-        assert_eq!(parsed.counters, snap.counters);
-        assert_eq!(parsed.histograms, snap.histograms);
+        let (parsed, metrics) = parse_trace(&ahw_telemetry::trace_json(&spans, &snap)).unwrap();
+        assert_eq!(parsed, spans, "µs-timebase export must round-trip to ns");
+        assert_eq!(metrics.counters, snap.counters);
+        assert_eq!(metrics.histograms, snap.histograms);
     }
 
     #[test]
-    fn reversed_brackets_are_not_a_trace() {
-        assert!(parse_trace_json("][").is_empty());
-        assert!(parse_trace_json("x]y[").is_empty());
+    fn damaged_or_foreign_documents_are_errors() {
+        for text in ["][", "x]y[", "", "{\"traceEvents\":[", "{\"counters\":{}}"] {
+            assert!(parse_trace(text).is_err(), "{text:?}");
+        }
+        let (spans, snap) = parse_trace("{\"traceEvents\":[]}").expect("an empty trace");
+        assert!(spans.is_empty());
+        assert_eq!(snap, MetricsSnapshot::default(), "no metrics key");
     }
 
     #[test]
@@ -205,15 +209,11 @@ mod tests {
         // reset() keeps registrations, so untouched histograms share one
         // all-zero body
         let mut snap = MetricsSnapshot::default();
-        let zero = HistogramSnapshot {
-            count: 0,
-            sum: 0,
-            buckets: [0; ahw_telemetry::metrics::HISTOGRAM_BUCKETS],
-        };
         snap.histograms
-            .insert("a.one.dur_ns".to_string(), zero.clone());
-        snap.histograms.insert("b.two.dur_ns".to_string(), zero);
-        let parsed = parse_snapshot_json(&ahw_telemetry::export::metrics_snapshot_json(&snap));
+            .insert("a.one.dur_ns".to_string(), zero_histogram());
+        snap.histograms
+            .insert("b.two.dur_ns".to_string(), zero_histogram());
+        let (_, parsed) = parse_trace(&ahw_telemetry::trace_json(&[], &snap)).unwrap();
         let names: Vec<&str> = parsed.histograms.keys().map(String::as_str).collect();
         assert_eq!(names, ["a.one.dur_ns", "b.two.dur_ns"]);
     }

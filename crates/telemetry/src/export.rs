@@ -1,5 +1,6 @@
 //! Exporters: JSON metrics snapshot, chrome://tracing / Perfetto
-//! trace-event JSON, and a human-readable stderr summary.
+//! trace-event JSON that carries that snapshot, and a human-readable stderr
+//! summary.
 //!
 //! Strings and floats are written through [`crate::json`]. Output is
 //! deterministic for deterministic input: metric maps are sorted, spans are
@@ -7,7 +8,7 @@
 //! precision.
 
 use crate::json;
-use crate::metrics::{bucket_upper, snapshot, MetricsSnapshot, HISTOGRAM_BUCKETS};
+use crate::metrics::{snapshot, MetricsSnapshot};
 use crate::span::{drain_spans, SpanEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -40,101 +41,13 @@ pub fn metrics_snapshot_json(snap: &MetricsSnapshot) -> String {
     )
 }
 
-/// Maps a dotted `crate.component.metric` name onto the Prometheus metric
-/// charset `[a-zA-Z_:][a-zA-Z0-9_:]*`: every other character becomes `_`,
-/// and a leading digit gains a `_` prefix. `tensor.ops.matmul.dur_ns`
-/// becomes `tensor_ops_matmul_dur_ns`.
-pub fn prometheus_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 1);
-    for (i, c) in name.chars().enumerate() {
-        match c {
-            'a'..='z' | 'A'..='Z' | '_' | ':' => out.push(c),
-            '0'..='9' => {
-                if i == 0 {
-                    out.push('_');
-                }
-                out.push(c);
-            }
-            _ => out.push('_'),
-        }
-    }
-    if out.is_empty() {
-        out.push('_');
-    }
-    out
-}
-
-/// Whether `name` already satisfies the Prometheus metric-name charset.
-pub fn is_prometheus_name(name: &str) -> bool {
-    !name.is_empty()
-        && !name.starts_with(|c: char| c.is_ascii_digit())
-        && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-}
-
-fn prometheus_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else if v.is_nan() {
-        "NaN".to_string()
-    } else if v > 0.0 {
-        "+Inf".to_string()
-    } else {
-        "-Inf".to_string()
-    }
-}
-
-/// Renders the current registry in the Prometheus text exposition format
-/// (version 0.0.4): every counter, gauge, and histogram, in stable sorted
-/// name order, with sanitized names ([`prometheus_name`]).
-///
-/// Histograms export the standard cumulative `_bucket{le="..."}` / `_sum` /
-/// `_count` series (bucket edges are the power-of-four uppers; `le` is
-/// nominally inclusive where our buckets are exclusive at the edge — the
-/// 4x-wide buckets dwarf that off-by-one) **plus** derived `_p50` / `_p95`
-/// / `_p99` gauges ([`crate::HistogramSnapshot::quantile`]), so the
-/// span-latency histograms fed by every closed span surface per-name
-/// latency percentiles directly in a scrape.
-pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for (name, v) in &snap.counters {
-        let n = prometheus_name(name);
-        let _ = writeln!(out, "# TYPE {n} counter\n{n} {v}");
-    }
-    for (name, v) in &snap.gauges {
-        let n = prometheus_name(name);
-        let _ = writeln!(out, "# TYPE {n} gauge\n{n} {}", prometheus_f64(*v));
-    }
-    for (name, h) in &snap.histograms {
-        let n = prometheus_name(name);
-        let _ = writeln!(out, "# TYPE {n} histogram");
-        // The last of the 17 power-of-four buckets is open-ended, so its
-        // exposition edge is `+Inf`; the finite edges are the uppers of the
-        // 16 bounded buckets.
-        let mut cumulative = 0u64;
-        for (i, &c) in h.buckets.iter().enumerate().take(HISTOGRAM_BUCKETS - 1) {
-            cumulative += c;
-            let _ = writeln!(out, "{n}_bucket{{le=\"{}\"}} {cumulative}", bucket_upper(i));
-        }
-        let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {}", h.count);
-        let _ = writeln!(out, "{n}_sum {}\n{n}_count {}", h.sum, h.count);
-        let (p50, p95, p99) = h.percentiles();
-        for (suffix, v) in [("p50", p50), ("p95", p95), ("p99", p99)] {
-            let _ = writeln!(
-                out,
-                "# TYPE {n}_{suffix} gauge\n{n}_{suffix} {}",
-                prometheus_f64(v)
-            );
-        }
-    }
-    out
-}
-
 /// Renders spans as chrome trace-event JSON — complete (`"ph":"X"`) events
 /// on a µs timebase plus one thread-name metadata record per thread — that
-/// loads directly in <https://ui.perfetto.dev> or chrome://tracing.
-pub fn trace_json(spans: &[SpanEvent]) -> String {
+/// loads directly in <https://ui.perfetto.dev> or chrome://tracing. The
+/// metrics snapshot rides along under one more top-level key, `"metrics"`
+/// ([`metrics_snapshot_json`]), which trace viewers ignore, so the one file
+/// holds everything the run report reads.
+pub fn trace_json(spans: &[SpanEvent], snap: &MetricsSnapshot) -> String {
     let mut tids: Vec<u32> = spans.iter().map(|e| e.tid).collect();
     tids.sort_unstable();
     tids.dedup();
@@ -168,8 +81,9 @@ pub fn trace_json(spans: &[SpanEvent]) -> String {
     });
     let records: Vec<String> = threads.chain(events).collect();
     format!(
-        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
-        records.join(",")
+        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\",\"metrics\":{}}}",
+        records.join(","),
+        metrics_snapshot_json(snap)
     )
 }
 
@@ -249,8 +163,9 @@ pub fn render_summary(spans: &[SpanEvent], snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// End-of-process flush: drains spans once, writes the `AHW_TRACE` file if
-/// configured, and prints the `AHW_METRICS` summary to stderr if requested.
+/// End-of-process flush: drains spans once, writes them and the metrics
+/// snapshot to the `AHW_TRACE` file if configured ([`trace_json`]), and
+/// prints the `AHW_METRICS` summary to stderr if requested.
 /// A no-op when telemetry is disabled; safe to call more than once (later
 /// calls see an empty span buffer).
 pub fn finish() {
@@ -262,6 +177,7 @@ pub fn finish() {
     // into a half-drawn sweep status.
     crate::progress::interrupt();
     let spans = drain_spans();
+    let snap = snapshot();
     let dropped = crate::span::dropped_spans();
     if dropped > 0 {
         eprintln!(
@@ -270,19 +186,20 @@ pub fn finish() {
         );
     }
     if let Some(path) = crate::env_trace_path() {
-        match std::fs::write(&path, trace_json(&spans)) {
+        match std::fs::write(&path, trace_json(&spans, &snap)) {
             Ok(()) => eprintln!("[telemetry] wrote {} span(s) to {path}", spans.len()),
             Err(e) => eprintln!("[telemetry] failed to write trace to {path}: {e}"),
         }
     }
     if crate::env_metrics_on() {
-        eprint!("{}", render_summary(&spans, &snapshot()));
+        eprint!("{}", render_summary(&spans, &snap));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::HISTOGRAM_BUCKETS;
     use crate::test_lock;
 
     fn ev(name: &'static str, tid: u32, start: u64, dur: u64) -> SpanEvent {
@@ -305,9 +222,14 @@ mod tests {
                 ..ev("attacks.sweep.epsilon", 1, 4000, 900)
             },
         ];
-        let json = trace_json(&spans);
+        let mut snap = MetricsSnapshot::default();
+        snap.counters.insert("demo.count".to_string(), 3);
+        let json = trace_json(&spans, &snap);
         assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.ends_with("],\"displayTimeUnit\":\"ms\"}"));
+        assert!(json.ends_with(&format!(
+            "],\"displayTimeUnit\":\"ms\",\"metrics\":{}}}",
+            metrics_snapshot_json(&snap)
+        )));
         assert!(json.contains("\"ph\":\"M\""));
         assert!(json.contains("\"name\":\"main\""));
         assert!(json.contains("\"name\":\"worker-1\""));
@@ -347,64 +269,6 @@ mod tests {
         assert!(text.contains("nn.train.batch"));
         assert!(text.contains("2")); // count column
         assert!(text.contains("nn.train.batches"));
-    }
-
-    #[test]
-    fn prometheus_names_sanitize_and_lint() {
-        assert_eq!(
-            prometheus_name("tensor.ops.matmul.dur_ns"),
-            "tensor_ops_matmul_dur_ns"
-        );
-        assert_eq!(prometheus_name("8t.cell-rate"), "_8t_cell_rate");
-        assert!(is_prometheus_name("tensor_ops_matmul_dur_ns"));
-        assert!(is_prometheus_name("a:b_c9"));
-        assert!(!is_prometheus_name("tensor.ops"));
-        assert!(!is_prometheus_name("9lives"));
-        assert!(!is_prometheus_name(""));
-        // sanitizing always yields a valid name
-        for raw in ["nn.train.loss", "8t", "a b\tc", "Ω.µ"] {
-            assert!(is_prometheus_name(&prometheus_name(raw)), "{raw:?}");
-        }
-    }
-
-    #[test]
-    fn prometheus_text_golden_shape() {
-        let mut snap = MetricsSnapshot::default();
-        snap.counters.insert("zz.later".to_string(), 7);
-        snap.counters.insert("aa.first".to_string(), 1);
-        snap.gauges.insert("nn.train.loss".to_string(), 0.5);
-        let mut h = crate::HistogramSnapshot {
-            count: 0,
-            sum: 0,
-            buckets: [0; HISTOGRAM_BUCKETS],
-        };
-        // values 0, 1, 5, 100 — the pinned-percentile fixture
-        for (i, c) in [(0usize, 2u64), (1, 1), (3, 1)] {
-            h.buckets[i] = c;
-        }
-        h.count = 4;
-        h.sum = 106;
-        snap.histograms.insert("demo.span.dur_ns".to_string(), h);
-        let text = prometheus_text(&snap);
-        // counters render in sorted order with TYPE headers
-        let aa = text.find("aa_first 1").unwrap();
-        let zz = text.find("zz_later 7").unwrap();
-        assert!(aa < zz);
-        assert!(text.contains("# TYPE aa_first counter\n"));
-        assert!(text.contains("# TYPE nn_train_loss gauge\nnn_train_loss 0.5\n"));
-        // histogram: cumulative buckets, sum/count, derived percentiles
-        assert!(text.contains("# TYPE demo_span_dur_ns histogram\n"));
-        assert!(text.contains("demo_span_dur_ns_bucket{le=\"4\"} 2\n"));
-        assert!(text.contains("demo_span_dur_ns_bucket{le=\"16\"} 3\n"));
-        assert!(text.contains("demo_span_dur_ns_bucket{le=\"256\"} 4\n"));
-        assert!(text.contains("demo_span_dur_ns_bucket{le=\"+Inf\"} 4\n"));
-        assert!(text.contains("demo_span_dur_ns_sum 106\n"));
-        assert!(text.contains("demo_span_dur_ns_count 4\n"));
-        assert!(text.contains("# TYPE demo_span_dur_ns_p50 gauge\ndemo_span_dur_ns_p50 3\n"));
-        assert!(text.contains("demo_span_dur_ns_p95 160\n"));
-        assert!(text.contains("demo_span_dur_ns_p99 160\n"));
-        // identical input renders byte-identically
-        assert_eq!(text, prometheus_text(&snap));
     }
 
     #[test]

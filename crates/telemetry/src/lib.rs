@@ -4,8 +4,9 @@
 //! wall-clock **spans**, a global registry of atomic **metrics** (counters,
 //! gauges, fixed-bucket histograms), and **exporters** — a human-readable
 //! summary table on stderr, a machine-readable JSON snapshot, and a
-//! chrome://tracing / Perfetto-compatible trace-event file — plus
-//! [`json`], the one JSON reader/writer that re-reads those exports.
+//! chrome://tracing / Perfetto-compatible trace-event file that carries the
+//! snapshot too — plus [`json`], the one JSON reader/writer that re-reads
+//! those exports.
 //!
 //! ## Guarantees
 //!
@@ -29,15 +30,11 @@
 //! Telemetry turns on when either environment variable is set at first use:
 //!
 //! * `AHW_TRACE=<path>` — buffer spans and write a trace-event JSON file to
-//!   `<path>` at [`finish`] (open it in <https://ui.perfetto.dev> or
+//!   `<path>` at [`finish`], with the metrics snapshot under its
+//!   `"metrics"` key (open it in <https://ui.perfetto.dev> or
 //!   chrome://tracing);
 //! * `AHW_METRICS=1` — record metrics and print the summary table to stderr
-//!   at [`finish`] (any non-empty value other than `0` counts);
-//! * `AHW_METRICS_ADDR=<host:port>` — additionally serve the live
-//!   endpoints (`/metrics`, `/snapshot.json`, `/trace.json`, `/healthz`)
-//!   from a background thread once the process calls
-//!   [`serve::start_from_env`] (the experiment binaries and the bench
-//!   harness do this at startup).
+//!   at [`finish`] (any non-empty value other than `0` counts).
 //!
 //! Tests and long-lived processes can override the environment with
 //! [`set_enabled`] and read back state with [`snapshot`] / [`drain_spans`].
@@ -72,23 +69,15 @@ pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod progress;
-pub mod serve;
 pub mod span;
 
-pub use export::{
-    finish, is_prometheus_name, prometheus_name, prometheus_text, render_summary, snapshot_json,
-    trace_json,
-};
+pub use export::{finish, render_summary, snapshot_json, trace_json};
 pub use metrics::{
     counter, gauge, histogram, snapshot, Counter, Gauge, Histogram, HistogramSnapshot, LazyCounter,
     LazyGauge, LazyHistogram, MetricsSnapshot,
 };
-pub use profile::{
-    render_report_html, render_report_md, roofline, set_roofline, span_tree, Roofline, SpanNode,
-    SpanTree,
-};
+pub use profile::{render_report_md, span_tree, Roofline, SpanNode, SpanTree};
 pub use progress::Progress;
-pub use serve::MetricsServer;
 pub use span::{
     drain_spans, dropped_spans, peek_spans, record_span, set_span_cap, span, span_labeled,
     thread_id, SpanEvent, SpanGuard,
@@ -117,12 +106,12 @@ pub fn enabled() -> bool {
     }
 }
 
-/// First-call resolution of the `AHW_TRACE` / `AHW_METRICS` /
-/// `AHW_METRICS_ADDR` environment. Racing initializers read the same
-/// environment, so any winner is correct.
+/// First-call resolution of the `AHW_TRACE` / `AHW_METRICS` environment.
+/// Racing initializers read the same environment, so any winner is
+/// correct.
 #[cold]
 fn init_from_env() -> bool {
-    let on = env_trace_path().is_some() || env_metrics_on() || env_metrics_addr().is_some();
+    let on = env_trace_path().is_some() || env_metrics_on();
     let state = if on { STATE_ON } else { STATE_OFF };
     let _ = STATE.compare_exchange(STATE_UNINIT, state, Ordering::Relaxed, Ordering::Relaxed);
     STATE.load(Ordering::Relaxed) == STATE_ON
@@ -143,16 +132,6 @@ pub fn env_trace_path() -> Option<String> {
 /// Whether `AHW_METRICS` asks for the stderr summary (non-empty, not `0`).
 pub fn env_metrics_on() -> bool {
     std::env::var("AHW_METRICS").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// The `AHW_METRICS_ADDR` bind address for the live metrics server
-/// ([`serve::start_from_env`]), if one is configured. Setting it also
-/// enables telemetry recording at first use — a live endpoint with nothing
-/// to report would be useless.
-pub fn env_metrics_addr() -> Option<String> {
-    std::env::var("AHW_METRICS_ADDR")
-        .ok()
-        .filter(|a| !a.is_empty())
 }
 
 /// Clears every metric value (counters/histograms to zero, gauges to 0.0)

@@ -28,7 +28,6 @@ use crate::metrics::MetricsSnapshot;
 use crate::span::SpanEvent;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 /// Name of the span each pool participant records around a job (see
 /// `ahw_tensor::pool`); the utilization timeline is drawn from these.
@@ -42,27 +41,6 @@ pub struct Roofline {
     pub peak_gflops: f64,
     /// Best measured streaming bandwidth, GB/s.
     pub stream_gbps: f64,
-}
-
-fn roof_slot() -> &'static Mutex<Option<Roofline>> {
-    static ROOF: Mutex<Option<Roofline>> = Mutex::new(None);
-    &ROOF
-}
-
-/// Registers (or clears) the process-wide roofline used by the `/report`
-/// endpoint and the end-of-run report. `ahw_bench` sets this after its
-/// one-shot calibration; tests pin explicit values.
-pub fn set_roofline(roof: Option<Roofline>) {
-    *roof_slot()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = roof;
-}
-
-/// The currently registered roofline, if any.
-pub fn roofline() -> Option<Roofline> {
-    *roof_slot()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// One aggregated node of the span tree: every span instance whose
@@ -300,7 +278,7 @@ pub struct KernelScore {
     /// Achieved GB/s over the kernel's own span time.
     pub gbps: f64,
     /// Achieved over attainable (roofline-limited) throughput, when a
-    /// roof is registered: compute-counted kernels score
+    /// roof is given: compute-counted kernels score
     /// `gflops / min(peak_gflops, intensity * stream_gbps)`; pure-stream
     /// kernels score `gbps / stream_gbps`.
     pub pct_of_roof: Option<f64>,
@@ -640,16 +618,6 @@ pub fn md_to_html(md: &str, title: &str) -> String {
     )
 }
 
-/// Renders the full profiling report as a self-contained HTML document
-/// (the `/report` endpoint body).
-pub fn render_report_html(
-    spans: &[SpanEvent],
-    snap: &MetricsSnapshot,
-    roof: Option<&Roofline>,
-) -> String {
-    md_to_html(&render_report_md(spans, snap, roof), "ahw run report")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -847,7 +815,7 @@ mod tests {
             assert!(md.contains(section), "missing {section:?} in:\n{md}");
         }
         assert_eq!(md, render_report_md(&spans, &snap, Some(&roof)));
-        let html = render_report_html(&spans, &snap, Some(&roof));
+        let html = md_to_html(&md, "ahw run report");
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("<h2>Span tree</h2>"));
         assert!(html.contains("<table>"));
@@ -863,18 +831,5 @@ mod tests {
         assert!(md.contains("7 span(s) dropped"));
         let clean = render_report_md(&[], &MetricsSnapshot::default(), None);
         assert!(!clean.contains("dropped"));
-    }
-
-    #[test]
-    fn roofline_registration_round_trips() {
-        set_roofline(Some(Roofline {
-            peak_gflops: 12.5,
-            stream_gbps: 3.25,
-        }));
-        let r = roofline().expect("registered");
-        assert_eq!(r.peak_gflops, 12.5);
-        assert_eq!(r.stream_gbps, 3.25);
-        set_roofline(None);
-        assert!(roofline().is_none());
     }
 }

@@ -10,7 +10,7 @@
 //! There is only one physical status line — stderr — so the rewrite state
 //! (`last written width`, `line still open`) is process-global rather than
 //! per-reporter. That is what lets *other* stderr writers cooperate: an
-//! exporter (or the metrics server) calls [`interrupt`] before printing,
+//! exporter calls [`interrupt`] before printing,
 //! which terminates any in-flight CR-rewritten line with a newline instead
 //! of splicing its output into the middle of a half-drawn sweep status.
 //!

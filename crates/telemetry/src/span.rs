@@ -11,11 +11,11 @@
 //! indentation and trace viewers reconstruct from the timestamps.
 //!
 //! Every closed span additionally feeds its duration into the registry
-//! histogram `{name}.dur_ns` (power-of-four buckets), so live exporters —
-//! the `/metrics` endpoint and the stderr summary — can report p50/p95/p99
-//! per span name while a run is still in flight, without draining the span
-//! buffers. The histogram handle is cached per thread; the steady-state
-//! close cost is one hash lookup plus three relaxed `fetch_add`s.
+//! histogram `{name}.dur_ns` (power-of-four buckets), so the stderr summary
+//! and the run report can give p50/p95/p99 per span name from the metrics
+//! snapshot alone, exact even when the span buffer hit its cap. The
+//! histogram handle is cached per thread; the steady-state close cost is
+//! one hash lookup plus three relaxed `fetch_add`s.
 
 use crate::metrics::{histogram, Histogram, LazyCounter};
 use crate::now_ns;
@@ -280,9 +280,9 @@ pub fn drain_spans() -> Vec<SpanEvent> {
 }
 
 /// Copies every thread's buffered spans without draining them, in the same
-/// deterministic merge order as [`drain_spans`]. The live `/trace.json`
-/// endpoint uses this so a mid-run scrape does not steal the spans the
-/// end-of-process exporters will flush.
+/// deterministic merge order as [`drain_spans`]. A run report rendered just
+/// before [`crate::finish`] uses this, so the trace file that `finish`
+/// writes still holds every span the report counted.
 pub fn peek_spans() -> Vec<SpanEvent> {
     let bufs: Vec<Arc<ThreadBuf>> = registry()
         .lock()

@@ -3,8 +3,9 @@
 # network access and no external crates, pass clippy at -D warnings on
 # every target (tests, benches, examples), build its rustdoc without
 # warnings, reproduce the end-to-end benchmark's golden digests and every
-# `exp_* --tiny` stdout, and the kernel bench must run under a
-# multi-threaded pool and through an A/B session.
+# `exp_* --tiny` stdout, the kernel bench must run under a multi-threaded
+# pool and through an A/B session, and a traced experiment's exit report
+# must re-render from its trace file.
 set -eu
 cd "$(dirname "$0")/.."
 repo="$(pwd)"
@@ -101,100 +102,53 @@ AB_WORK=target/ab AHW_THREADS=2 AHW_BENCH_SAMPLES=1 AHW_BENCH_WARMUP_MS=20 \
     scripts/ab.sh kernels \
     "matmul/32 conv2d/ train/ attacks/pgd_eval selection/fig4_probe sram/inject" 1 HEAD
 
-# Smoke: the live telemetry endpoint. Start a real experiment with the
-# metrics server on an OS-assigned port (in a scratch directory so its
-# journal/cache never touch the repo), recover the bound port from stderr,
-# scrape /healthz and /metrics with the std-TcpStream client, and require
-# span-latency p99 series from four different crates before killing it.
-# A fixed roofline override is injected so the run-report smoke below also
-# exercises the %-of-roof scoring path.
+# Smoke: telemetry end to end. One real experiment runs with a trace, a
+# report and a fixed roofline override (in a scratch directory so its
+# cache and results never touch the repo). The trace's "metrics" section
+# must hold span-latency histograms (`.dur_ns`) from four crates; the report
+# it wrote at exit must have a span tree with a self-time column, the
+# worker-utilization summary and roofline scoring against the injected roof
+# (in its HTML too); `ahw_report` must re-render that report from the trace
+# file alone byte for byte under the same roof, and with the roof from the
+# committed bench history instead, still render the same sections.
 tmp="$(mktemp -d)"
-( cd "$tmp" && exec env AHW_METRICS_ADDR=127.0.0.1:0 AHW_THREADS=2 \
-    AHW_ROOF_GFLOPS=50 AHW_ROOF_GBPS=20 \
-    "$repo/target/release/exp_table1" --tiny ) \
-    >"$tmp/stdout.log" 2>"$tmp/stderr.log" &
-exp_pid=$!
-addr=""
-i=0
-while [ $i -lt 100 ]; do
-    addr="$(sed -n 's#.*metrics server listening on http://##p' "$tmp/stderr.log" | head -n 1)"
-    [ -n "$addr" ] && break
-    if ! kill -0 "$exp_pid" 2>/dev/null; then break; fi
-    i=$((i + 1))
-    sleep 0.2
-done
-if [ -z "$addr" ]; then
-    echo "verify: metrics server never reported its address" >&2
+(cd "$tmp" && AHW_TRACE="$tmp/trace.json" AHW_REPORT="$tmp/report.md" AHW_THREADS=2 \
+    AHW_ROOF_GFLOPS=50 AHW_ROOF_GBPS=20 "$repo/target/release/exp_table1" --tiny) \
+    >"$tmp/stdout.log" 2>"$tmp/stderr.log" || {
     cat "$tmp/stderr.log" >&2
-    kill "$exp_pid" 2>/dev/null || true
+    echo "verify: traced exp_table1 --tiny failed" >&2
     exit 1
-fi
-target/release/ahw_bench --scrape "$addr" /healthz >/dev/null
-ok=""
-i=0
-while [ $i -lt 240 ]; do
-    if target/release/ahw_bench --scrape "$addr" /metrics >"$tmp/metrics.txt" 2>/dev/null \
-        && grep -q '^nn_[a-z0-9_]*_dur_ns_p99 ' "$tmp/metrics.txt" \
-        && grep -q '^tensor_[a-z0-9_]*_dur_ns_p99 ' "$tmp/metrics.txt" \
-        && grep -q '^attacks_[a-z0-9_]*_dur_ns_p99 ' "$tmp/metrics.txt" \
-        && grep -q '^sram_[a-z0-9_]*_dur_ns_p99 ' "$tmp/metrics.txt"; then
-        ok=1
-        break
+}
+metrics="$(grep -o '"metrics":{.*' "$tmp/trace.json" || true)"
+for crate in nn tensor attacks sram; do
+    if ! printf '%s' "$metrics" | grep -q "\"$crate\\.[a-z0-9_.]*\\.dur_ns\":{\"count\""; then
+        echo "verify: the trace's metrics section has no $crate span-latency histogram" >&2
+        exit 1
     fi
-    if ! kill -0 "$exp_pid" 2>/dev/null; then break; fi
-    i=$((i + 1))
-    sleep 0.5
 done
-# Smoke: the live run report. While the experiment is still running, pull
-# the full report off /report.md via ahw_report and require the profiling
-# sections the ISSUE promises: a span tree with a self-time column, the
-# worker-utilization summary, and roofline scoring against the injected
-# roof.
-report_ok=""
-if [ -n "$ok" ]; then
-    if target/release/ahw_report --scrape "$addr" --out "$tmp/report.md" \
-        && grep -q 'self_ms' "$tmp/report.md" \
-        && grep -q '^## Worker utilization' "$tmp/report.md" \
-        && grep -q '^## Roofline' "$tmp/report.md" \
-        && grep -q '%roof' "$tmp/report.md" \
-        && grep -q '<h2>Roofline</h2>' "$tmp/report.html"; then
-        report_ok=1
-    fi
-fi
-# Smoke: the offline report round-trip. Save the live trace and snapshot,
-# re-render them with ahw_report offline (re-parsed by
-# ahw_telemetry::json, the roof from the committed bench history), and
-# require the same profiling sections.
-offline_ok=""
-if [ -n "$report_ok" ]; then
-    if target/release/ahw_bench --scrape "$addr" /trace.json >"$tmp/trace.json" 2>/dev/null \
-        && target/release/ahw_bench --scrape "$addr" /snapshot.json >"$tmp/snapshot.json" 2>/dev/null \
-        && target/release/ahw_report --trace "$tmp/trace.json" --snapshot "$tmp/snapshot.json" \
-            --bench BENCH_kernels.json --out "$tmp/offline.md" 2>/dev/null \
-        && grep -q 'self_ms' "$tmp/offline.md" \
-        && grep -q '^## Worker utilization' "$tmp/offline.md" \
-        && grep -q '^## Roofline' "$tmp/offline.md"; then
-        offline_ok=1
-    fi
-fi
-kill "$exp_pid" 2>/dev/null || true
-wait "$exp_pid" 2>/dev/null || true
-if [ -z "$ok" ]; then
-    echo "verify: live /metrics never exposed span-latency p99 series from 4 crates" >&2
-    head -n 60 "$tmp/metrics.txt" 2>/dev/null >&2 || true
+sections() {
+    grep -q 'self_ms' "$1" && grep -q '^## Worker utilization' "$1" \
+        && grep -q '^## Roofline' "$1"
+}
+if ! sections "$tmp/report.md" || ! grep -q '%roof' "$tmp/report.md" \
+    || ! grep -q '<h2>Roofline</h2>' "$tmp/report.html"; then
+    echo "verify: the exit report misses span-tree/utilization/roofline sections" >&2
+    head -n 60 "$tmp/report.md" >&2 || true
     exit 1
 fi
-if [ -z "$report_ok" ]; then
-    echo "verify: live run report missing span-tree/utilization/roofline sections" >&2
-    head -n 60 "$tmp/report.md" 2>/dev/null >&2 || true
+AHW_ROOF_GFLOPS=50 AHW_ROOF_GBPS=20 target/release/ahw_report --trace "$tmp/trace.json" \
+    --out "$tmp/rerendered.md"
+if ! cmp -s "$tmp/report.md" "$tmp/rerendered.md"; then
+    echo "verify: ahw_report --trace does not re-render the exit report" >&2
+    diff "$tmp/report.md" "$tmp/rerendered.md" | head -n 20 >&2 || true
     exit 1
 fi
-if [ -z "$offline_ok" ]; then
-    echo "verify: offline run report from saved trace/snapshot missing sections" >&2
-    head -n 60 "$tmp/offline.md" 2>/dev/null >&2 || true
+target/release/ahw_report --trace "$tmp/trace.json" --bench BENCH_kernels.json \
+    --out "$tmp/history.md"
+if ! sections "$tmp/history.md"; then
+    echo "verify: ahw_report --trace --bench misses span-tree/utilization/roofline sections" >&2
+    head -n 60 "$tmp/history.md" >&2 || true
     exit 1
 fi
-echo "verify: live /metrics scrape OK ($addr, span p99 series from nn/tensor/attacks/sram)" >&2
-echo "verify: live run report OK (span tree + utilization + roofline via ahw_report --scrape)" >&2
-echo "verify: offline run report OK (saved trace + snapshot via ahw_report)" >&2
+echo "verify: telemetry OK (trace metrics from nn/tensor/attacks/sram, exit report re-rendered from the trace)" >&2
 rm -rf "$tmp"

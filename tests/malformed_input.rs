@@ -2,29 +2,26 @@
 //!
 //! Every reader of outside JSON — the search journal, the A/B session the
 //! speed judge reads, the bench history's roof calibration rows and the
-//! offline run report's trace and snapshot parsers — goes through
-//! `ahw_telemetry::json`. Fed truncated, bit-flipped, numerically hostile,
-//! absurdly nested or duplicate-keyed documents, the parser must return
-//! `Err` and each reader must skip the input, return `None` or, for a
-//! session, return `Err`: a damaged session is never judged. The live
-//! metrics server must answer any complete request head, valid UTF-8 or
-//! not, with a real status. The checkpoint reader must return `Err`, never
+//! run report's trace reader, which takes the spans and the `"metrics"`
+//! snapshot from one trace file — goes through `ahw_telemetry::json`. Fed
+//! truncated, bit-flipped, numerically hostile, absurdly nested or
+//! duplicate-keyed documents, the parser must return `Err` and each reader
+//! must skip the input, return `None` or, for a session or a trace, return
+//! `Err`: a damaged session is never judged and a damaged trace never
+//! renders as an empty run. The checkpoint reader must return `Err`, never
 //! panic or abort, on a truncated, bit-flipped or hostile-header bundle.
 //!
 //! Cases come from the in-repo `ahw_tensor::check` harness.
 
 use ahw_bench::calibration::{parse_latest_calibration, Calibration};
 use ahw_bench::compare::parse_session;
-use ahw_bench::report::{parse_snapshot_json, parse_trace_json};
+use ahw_bench::report::parse_trace;
 use ahw_core::journal::SearchJournal;
 use ahw_telemetry::{json, MetricsSnapshot};
 use ahw_tensor::check::{self, ensure};
 use ahw_tensor::{io, ops, rng, Tensor, TensorError};
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::Duration;
 
 const FINGERPRINT: &str = "v1 arch=vgg8 malformed-input";
 
@@ -36,8 +33,9 @@ const THREADS: usize = 7;
 /// row and the side's calibration row.
 const SESSION_LINE: &str = r#"{"rev":"ab04c49","side":"base","pair":1,"output":[{"name":"matmul/256","samples":5,"iters":22,"median_ns":650000,"p75_ns":651000,"p95_ns":652000,"min_ns":640000,"max_ns":660000},{"name":"calibration/roofline","threads":7,"peak_gflops":150.125,"stream_gbps":20.5}]}"#;
 
-/// Real exports: a trace and a metrics snapshot of a small instrumented
-/// GEMM, a journal record, an A/B session line and a calibration row.
+/// Real exports: the trace file of a small instrumented GEMM (its spans and
+/// its `"metrics"` snapshot), a journal record, an A/B session line and a
+/// calibration row.
 fn documents() -> &'static [String] {
     static DOCS: OnceLock<Vec<String>> = OnceLock::new();
     DOCS.get_or_init(|| {
@@ -50,8 +48,8 @@ fn documents() -> &'static [String] {
             let a = rng::uniform(&[8, 8], -1.0, 1.0, &mut rng::seeded(1));
             let _ = ops::matmul(&a, &a).unwrap();
         }
-        let trace = ahw_telemetry::trace_json(&ahw_telemetry::drain_spans());
-        let snapshot = ahw_telemetry::snapshot_json();
+        let trace =
+            ahw_telemetry::trace_json(&ahw_telemetry::drain_spans(), &ahw_telemetry::snapshot());
         ahw_telemetry::set_enabled(false);
         let path = temp_path("jsonl");
         let _ = std::fs::remove_file(&path);
@@ -78,13 +76,7 @@ fn documents() -> &'static [String] {
             threads: THREADS,
         }
         .to_json();
-        vec![
-            trace,
-            snapshot,
-            record,
-            SESSION_LINE.to_string(),
-            calibration,
-        ]
+        vec![trace, record, SESSION_LINE.to_string(), calibration]
     })
 }
 
@@ -114,11 +106,13 @@ fn journal_resumes(text: &str) -> usize {
 /// The readers that extracted anything from `text`.
 fn extracted(text: &str) -> Vec<&'static str> {
     let mut got = Vec::new();
-    if !parse_trace_json(text).is_empty() {
-        got.push("trace");
-    }
-    if parse_snapshot_json(text) != MetricsSnapshot::default() {
-        got.push("snapshot");
+    if let Ok((spans, snapshot)) = parse_trace(text) {
+        if !spans.is_empty() {
+            got.push("trace");
+        }
+        if snapshot != MetricsSnapshot::default() {
+            got.push("snapshot");
+        }
     }
     if parse_session(text).is_ok_and(|runs| !runs.is_empty()) {
         got.push("session");
@@ -136,8 +130,7 @@ fn extracted(text: &str) -> Vec<&'static str> {
 fn whole_documents_are_read() {
     let docs = documents();
     let expect = [
-        vec!["trace"],
-        vec!["snapshot"],
+        vec!["trace", "snapshot"],
         vec!["journal"],
         vec!["session", "calibration"],
         vec!["calibration"],
@@ -156,6 +149,7 @@ fn every_truncation_is_rejected() {
             assert!(json::parse(prefix).is_err(), "prefix parsed: {prefix:?}");
             assert_eq!(extracted(prefix), Vec::<&str>::new(), "{prefix:?}");
             assert!(cut == 0 || parse_session(prefix).is_err(), "{prefix:?}");
+            assert!(parse_trace(prefix).is_err(), "{prefix:?}");
         }
     }
 }
@@ -170,8 +164,10 @@ fn flipped_bytes_never_panic_or_read_as_data_when_rejected() {
         bytes[at] = g.u8_in("byte", 0, 255);
         let text = String::from_utf8_lossy(&bytes);
         let got = extracted(&text);
+        let rejected =
+            got.is_empty() && parse_session(&text).is_err() && parse_trace(&text).is_err();
         ensure(
-            json::parse(&text).is_ok() || (got.is_empty() && parse_session(&text).is_err()),
+            json::parse(&text).is_ok() || rejected,
             format!("rejected document read by {got:?}: {text:?}"),
         )
     });
@@ -181,7 +177,7 @@ fn flipped_bytes_never_panic_or_read_as_data_when_rejected() {
 /// field needs an exact integer (or a finite float, for the roof).
 const NUMERIC_TEMPLATES: [&str; 6] = [
     r#"{"traceEvents":[{"ph":"X","name":"a.b","cat":"a","pid":1,"tid":{N},"ts":1.000,"dur":2.500,"args":{"depth":1}}],"displayTimeUnit":"ms"}"#,
-    r#"{"counters":{"a.b":{N}},"gauges":{},"histograms":{}}"#,
+    r#"{"traceEvents":[],"metrics":{"counters":{"a.b":{N}},"gauges":{},"histograms":{}}}"#,
     r#"{"key":"k","clean_bits":{N},"adv_bits":0,"clean":0,"adv":0}"#,
     r#"{"rev":"r","side":"work","pair":1,"output":[{"name":"matmul/32","median_ns":{N},"min_ns":1,"max_ns":1}]}"#,
     r#"{"name":"calibration/roofline","threads":{N},"peak_gflops":1.5,"stream_gbps":1.5}"#,
@@ -219,7 +215,11 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
     let arrays = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
     let objects = format!("{}1{}", "{\"a\":".repeat(10_000), "}".repeat(10_000));
     for deep in [arrays, objects] {
-        for doc in [deep.clone(), format!("{{\"traceEvents\":{deep}}}")] {
+        for doc in [
+            deep.clone(),
+            format!("{{\"traceEvents\":{deep}}}"),
+            format!("{{\"traceEvents\":[],\"metrics\":{deep}}}"),
+        ] {
             assert!(json::parse(&doc).is_err());
             assert_eq!(extracted(&doc), Vec::<&str>::new());
         }
@@ -230,7 +230,7 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
 fn duplicate_keys_reject_the_whole_document() {
     let docs = [
         r#"{"traceEvents":[{"ph":"X","ph":"X","name":"a.b","cat":"a","pid":1,"tid":0,"ts":1.000,"dur":2.500}]}"#,
-        r#"{"counters":{"a.b":1},"gauges":{},"histograms":{"h":{"count":0,"sum":0,"buckets":[]},"h":{"count":0,"sum":0,"buckets":[]}}}"#,
+        r#"{"traceEvents":[],"metrics":{"counters":{"a.b":1},"gauges":{},"histograms":{"h":{"count":0,"sum":0,"buckets":[]},"h":{"count":0,"sum":0,"buckets":[]}}}}"#,
         r#"{"key":"k","clean_bits":1,"adv_bits":0,"key":"j"}"#,
         r#"{"rev":"r","side":"base","side":"work","pair":1,"output":[{"name":"matmul/32","median_ns":1}]}"#,
         r#"{"name":"calibration/roofline","threads":7,"peak_gflops":1.5,"stream_gbps":1.5,"peak_gflops":2.5}"#,
@@ -239,46 +239,6 @@ fn duplicate_keys_reject_the_whole_document() {
         assert!(json::parse(doc).is_err(), "{doc}");
         assert_eq!(extracted(doc), Vec::<&str>::new(), "{doc}");
     }
-}
-
-#[test]
-fn random_request_heads_get_a_real_status() {
-    let server = ahw_telemetry::serve::start("127.0.0.1:0").expect("bind 127.0.0.1:0");
-    let addr = server.addr();
-    check::cases(64).run("random_request_heads", |g| {
-        let methods: [&[u8]; 5] = [b"GET", b"HEAD", b"POST", b"", b"G\xffT"];
-        let paths: [&[u8]; 5] = [b"/healthz", b"/metrics", b"/nope", b"/\xc3\x28", b""];
-        let mut head = methods[g.usize_in("method", 0, methods.len())].to_vec();
-        head.push(b' ');
-        head.extend_from_slice(paths[g.usize_in("path", 0, paths.len())]);
-        head.extend_from_slice(b" HTTP/1.1");
-        // random header lines: any bytes but CR/LF, so the only blank
-        // line is the terminating one
-        for _ in 0..g.usize_in("headers", 0, 4) {
-            head.extend_from_slice(b"\r\nX-Fuzz: ");
-            for _ in 0..g.usize_in("header_len", 0, 200) {
-                let b = g.u8_in("byte", 0, 255);
-                head.push(if b == b'\r' || b == b'\n' { b'~' } else { b });
-            }
-        }
-        head.extend_from_slice(b"\r\n\r\n");
-        let mut stream = TcpStream::connect(addr).map_err(|e| e.to_string())?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .map_err(|e| e.to_string())?;
-        stream.write_all(&head).map_err(|e| e.to_string())?;
-        let mut reply = Vec::new();
-        stream.read_to_end(&mut reply).map_err(|e| e.to_string())?;
-        let status = reply.get(9..12).unwrap_or_default();
-        ensure(
-            reply.starts_with(b"HTTP/1.1 ") && [&b"200"[..], b"404", b"405"].contains(&status),
-            format!(
-                "reply to {:?}: {:?}",
-                String::from_utf8_lossy(&head),
-                String::from_utf8_lossy(&reply[..reply.len().min(64)])
-            ),
-        )
-    });
 }
 
 /// Loads `bytes` as a checkpoint file: its entry count, or the error.

@@ -4,7 +4,8 @@
 //! `tensor.ops.` counters that are not time-valued — is byte-identical
 //! across `AHW_THREADS` ∈ {1, 2, 4, 7}, and the span tree satisfies its
 //! structural invariants (self time ≥ 0, children's inclusive time never
-//! exceeds the parent's) at every thread count.
+//! exceeds the parent's) at every thread count. A trace file re-renders
+//! the report the run wrote at exit, byte for byte.
 //!
 //! Wall-clock columns, pool-worker counters (`tensor.pool.*`), and
 //! per-shard span counts are thread-count-*dependent* by design and are
@@ -225,4 +226,50 @@ fn report_sections_reflect_the_schedule() {
         utilization.contains("timeline (pool participation"),
         "utilization must include the participation timeline"
     );
+}
+
+/// `ahw_report --trace` re-renders the report the run wrote at exit, byte
+/// for byte, when both score against the same roof. The p95 column and,
+/// when the span buffer overflowed, the dropped-span warning come from the
+/// trace's `"metrics"` section, so a capped run is one of the cases.
+#[test]
+fn trace_file_re_renders_the_exit_report_byte_for_byte() {
+    let _g = lock();
+    let roof = Roofline {
+        peak_gflops: 10.0,
+        stream_gbps: 5.0,
+    };
+    for cap in [None, Some(64)] {
+        ahw_telemetry::set_enabled(true);
+        ahw_telemetry::reset();
+        ahw_telemetry::set_span_cap(cap);
+        pipeline(2);
+        // what the exit guard renders, then the file `finish` writes
+        let spans = ahw_telemetry::peek_spans();
+        let exit_md =
+            ahw_telemetry::render_report_md(&spans, &ahw_telemetry::snapshot(), Some(&roof));
+        let spans = ahw_telemetry::drain_spans();
+        let trace = ahw_telemetry::trace_json(&spans, &ahw_telemetry::snapshot());
+        ahw_telemetry::set_span_cap(None);
+        ahw_telemetry::set_enabled(false);
+        let path = std::env::temp_dir().join(format!(
+            "ahw_report_trace_{}_{}.json",
+            std::process::id(),
+            cap.unwrap_or(0)
+        ));
+        std::fs::write(&path, &trace).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let (spans, snap) = ahw_bench::report::parse_trace(&text).expect("a whole trace");
+        let md = ahw_telemetry::render_report_md(&spans, &snap, Some(&roof));
+        assert_eq!(
+            md, exit_md,
+            "re-rendered report differs at span cap {cap:?}"
+        );
+        assert_eq!(
+            md.contains("span(s) dropped"),
+            cap.is_some(),
+            "dropped-span warning at span cap {cap:?}"
+        );
+    }
 }

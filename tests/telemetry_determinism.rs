@@ -171,9 +171,13 @@ fn trace_export_covers_four_crates() {
             "no spans from crate {required:?}; saw {crates:?}"
         );
     }
-    let json = ahw_telemetry::trace_json(&spans);
+    let json = ahw_telemetry::trace_json(&spans, &ahw_telemetry::snapshot());
     assert!(json.starts_with("{\"traceEvents\":["));
-    assert!(json.ends_with("],\"displayTimeUnit\":\"ms\"}"));
+    assert!(json.contains("],\"displayTimeUnit\":\"ms\",\"metrics\":{\"counters\":{"));
+    assert!(
+        ahw_telemetry::json::parse(&json).is_ok(),
+        "trace is not JSON"
+    );
     let path = std::env::temp_dir().join("ahw_telemetry_test_trace.json");
     std::fs::write(&path, &json).unwrap();
     let read_back = std::fs::read_to_string(&path).unwrap();
