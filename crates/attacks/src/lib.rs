@@ -14,10 +14,18 @@
 //! The central metric is *Adversarial Loss* `AL = clean acc − adversarial
 //! acc` (percentage points); smaller AL means a more robust model.
 //!
+//! [`evaluate_attack`] crafts and scores batch by batch. Its two halves are
+//! public too: [`craft_attack`] crafts the whole set's adversarial images
+//! against one model, and [`evaluate_crafted`] scores any model on them.
+//! Attack-SW and SH share their gradient model, so a study that scores one
+//! attack on several models (the Fig. 4 search, the Figs. 6/7 sweep) crafts
+//! once; scored at the crafting batch size, the outcome equals
+//! [`evaluate_attack`]'s bit for bit.
+//!
 //! ## Example
 //!
 //! ```
-//! use ahw_attacks::{Attack, evaluate_attack};
+//! use ahw_attacks::{craft_attack, evaluate_attack, evaluate_crafted, Attack};
 //! use ahw_nn::{Sequential, layers::Linear};
 //! use ahw_tensor::rng;
 //!
@@ -30,6 +38,10 @@
 //! let outcome = evaluate_attack(&model, &model, &x, &labels,
 //!                               Attack::fgsm(0.1), 8)?;
 //! assert!(outcome.adversarial_accuracy <= outcome.clean_accuracy + 1e-6);
+//!
+//! // the same evaluation in two halves: craft once, score any model
+//! let adversarial = craft_attack(&model, &x, &labels, Attack::fgsm(0.1), 8)?;
+//! assert_eq!(evaluate_crafted(&model, &x, &adversarial, &labels, 8)?, outcome);
 //! # Ok(())
 //! # }
 //! ```
@@ -43,5 +55,6 @@ pub use methods::{
 };
 pub use metrics::AttackOutcome;
 pub use modes::{
-    clear_plan_pool, evaluate_attack, evaluate_mode, parked_plan_count, sweep_epsilons, AttackMode,
+    clear_plan_pool, craft_attack, evaluate_attack, evaluate_crafted, evaluate_mode,
+    parked_plan_count, sweep_epsilons, AttackMode,
 };

@@ -251,9 +251,10 @@ pub fn craft<R: Rng>(
     craft_ws(model, x, labels, attack, rng_, &mut PlanCache::new())
 }
 
-/// [`craft`] through a caller-owned plan cache; the shard loops in
-/// [`crate::evaluate_attack`] hold one cache per worker so all
-/// attack steps, batches, and sweep points reuse the same arena.
+/// [`craft`] through a caller-owned plan cache; the shard loops of
+/// [`crate::evaluate_attack`] and [`crate::craft_attack`] hold one cache
+/// per shard so all attack steps, batches, and sweep points reuse the same
+/// arena.
 ///
 /// # Errors
 ///

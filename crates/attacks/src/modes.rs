@@ -80,7 +80,9 @@ pub fn clear_plan_pool() {
     PLAN_POOL_PARKED.set(0.0);
 }
 
-/// Examples attacked and evaluated (clean + adversarial pass pairs).
+/// Examples scored (clean + adversarial pass pairs); crafting alone counts
+/// none, so an image crafted once and scored on several models counts once
+/// per model.
 static EXAMPLES: telemetry::LazyCounter = telemetry::LazyCounter::new("attacks.evaluate.examples");
 /// ε points completed across all sweeps — per-epsilon sweep progress.
 static EPSILONS_DONE: telemetry::LazyCounter =
@@ -110,14 +112,131 @@ impl AttackMode {
     }
 }
 
+/// Checks an attacked set and returns its image count.
+fn check_set(images: &Tensor, labels: &[usize], batch: usize) -> Result<usize, NnError> {
+    let n = images.dims()[0];
+    if labels.len() != n {
+        return Err(NnError::BadConfig(format!(
+            "{} labels for {n} images",
+            labels.len()
+        )));
+    }
+    if batch == 0 || n == 0 {
+        return Err(NnError::BadConfig("empty dataset or zero batch".into()));
+    }
+    Ok(n)
+}
+
+/// Batch `ci` of `set` (rows `ci·batch ..`, the last batch ragged) copied
+/// into an arena buffer, with its labels.
+fn batch_of<'a>(
+    set: &Tensor,
+    labels: &'a [usize],
+    ci: usize,
+    batch: usize,
+    plan: &mut PlanCache,
+) -> Result<(Tensor, &'a [usize]), NnError> {
+    let n = labels.len();
+    let (lo, hi) = (ci * batch, ((ci + 1) * batch).min(n));
+    let item = set.len() / n;
+    let mut dims = set.dims().to_vec();
+    dims[0] = hi - lo;
+    let mut buf = plan.workspace().take((hi - lo) * item);
+    buf.copy_from_slice(&set.as_slice()[lo * item..hi * item]);
+    Ok((Tensor::from_vec(buf, &dims)?, &labels[lo..hi]))
+}
+
+/// The one crafting routine: batch `ci`'s adversarial images against
+/// `grad`. The batch's RNG stream (PGD random starts, random noise) comes
+/// from its index, so any sharding of the batches crafts the same bits.
+fn craft_batch(
+    grad: &mut Sequential,
+    xb: &Tensor,
+    yb: &[usize],
+    attack: Attack,
+    ci: usize,
+    plan: &mut PlanCache,
+) -> Result<Tensor, NnError> {
+    let mut rng = ahw_tensor::rng::stream(ATTACK_STREAM_SEED, ci as u64);
+    craft_ws(grad, xb, yb, attack, &mut rng, plan)
+}
+
+/// The one scoring routine: `eval`'s correct predictions on one clean
+/// batch and on its adversarial counterpart. A hooked model quantizes per
+/// tensor, so callers score the batches [`craft_batch`] crafted, never a
+/// different split.
+fn score_batch(
+    eval: &mut Sequential,
+    xb: &Tensor,
+    adv: &Tensor,
+    yb: &[usize],
+    plan: &mut PlanCache,
+) -> Result<[usize; 2], NnError> {
+    let mut correct = |x: &Tensor| -> Result<usize, NnError> {
+        let preds = eval.predict_planned(x, plan)?;
+        Ok(preds.iter().zip(yb).filter(|(p, l)| p == l).count())
+    };
+    Ok([correct(xb)?, correct(adv)?])
+}
+
+/// Runs `shard` over contiguous ranges of `batches` batch indices on the
+/// shared [`ahw_tensor::pool`], each range under an
+/// `attacks.evaluate.shard` span with one checked-out plan arena reused
+/// across its batches. Ranges are disjoint and each stops at its own first
+/// failing batch, so the failing range with the lowest start holds the
+/// lowest failing batch: that batch's error is returned at any thread
+/// count.
+fn run_shards<F>(batches: usize, shard: F) -> Result<(), NnError>
+where
+    F: Fn(std::ops::Range<usize>, &mut PlanCache) -> Result<(), NnError> + Sync,
+{
+    let err = ErrCell::<NnError>::new();
+    pool::parallel_for_ranges(batches, 1, |range| {
+        err.run(range.start, || {
+            let _span = telemetry::span_labeled("attacks.evaluate.shard", || {
+                format!("batches {}..{}", range.start, range.end)
+            });
+            let mut plan = checkout_plan();
+            let result = shard(range, &mut plan);
+            park_plan(plan);
+            result
+        });
+    });
+    err.into_result()
+}
+
+/// Clean and adversarial correct counts summed over shards. The counts are
+/// integers, so any schedule yields the same totals.
+#[derive(Default)]
+struct Tally([AtomicUsize; 2]);
+
+impl Tally {
+    fn add(&self, counts: [usize; 2]) {
+        for (total, c) in self.0.iter().zip(counts) {
+            total.fetch_add(c, Ordering::Relaxed);
+        }
+    }
+
+    fn outcome(self, n: usize) -> AttackOutcome {
+        let [clean, adv] = self.0.map(AtomicUsize::into_inner);
+        AttackOutcome {
+            clean_accuracy: clean as f32 / n as f32,
+            adversarial_accuracy: adv as f32 / n as f32,
+        }
+    }
+}
+
 /// Attacks `eval_model` with perturbations crafted from `grad_model`'s loss,
 /// over `(images, labels)` in batches of `batch`.
 ///
-/// Batches run on the shared [`ahw_tensor::pool`] worker pool. Per-batch
-/// attack RNG (PGD random starts) is derived from the batch index via the
-/// workspace stream-derivation scheme, and per-batch correct-prediction
-/// counts are integers, so the result is bit-identical for every thread
-/// count and independent of thread scheduling.
+/// Batches run on the shared [`ahw_tensor::pool`] worker pool; each batch
+/// is crafted and scored in turn, so no whole-set adversarial tensor is
+/// ever held. Per-batch attack RNG (PGD random starts) is derived from the
+/// batch index via the workspace stream-derivation scheme, and per-batch
+/// correct-prediction counts are integers, so the result is bit-identical
+/// for every thread count and independent of thread scheduling. It equals
+/// [`evaluate_crafted`] on [`craft_attack`]'s output bit for bit; callers
+/// that score one attack on several models craft once and use those two.
 ///
 /// # Errors
 ///
@@ -131,83 +250,126 @@ pub fn evaluate_attack(
     attack: Attack,
     batch: usize,
 ) -> Result<AttackOutcome, NnError> {
-    let n = images.dims()[0];
-    if labels.len() != n {
-        return Err(NnError::BadConfig(format!(
-            "{} labels for {n} images",
-            labels.len()
-        )));
-    }
-    if batch == 0 || n == 0 {
-        return Err(NnError::BadConfig("empty dataset or zero batch".into()));
-    }
+    let n = check_set(images, labels, batch)?;
     let _span = telemetry::span_labeled("attacks.evaluate", || {
         format!("{} n={n} batch={batch}", attack.name())
     });
     EXAMPLES.add(n as u64);
-    let item = images.len() / n;
-    let chunks: Vec<(usize, usize)> = (0..n)
-        .step_by(batch)
-        .map(|lo| (lo, (lo + batch).min(n)))
-        .collect();
-    let xv = images.as_slice();
-    let dims = images.dims();
-
-    // Every batch is independent: its RNG stream comes from the batch index
-    // and its counts are integers, so any schedule yields the same totals.
-    let shard_range = |range: std::ops::Range<usize>| -> Result<(usize, usize), NnError> {
-        let _span = telemetry::span_labeled("attacks.evaluate.shard", || {
-            format!("batches {}..{}", range.start, range.end)
-        });
-        // each range differentiates and evaluates through its own clones,
-        // with one checked-out plan arena reused across all its batches
+    let tally = Tally::default();
+    run_shards(n.div_ceil(batch), |range, plan| {
+        // each range differentiates and evaluates through its own clones
         let mut grad = grad_model.clone();
         let mut eval = eval_model.clone();
-        let mut plan = checkout_plan();
-        let result = (|| {
-            let (mut clean_ok, mut adv_ok) = (0usize, 0usize);
+        for ci in range {
+            let (xb, yb) = batch_of(images, labels, ci, batch, plan)?;
+            let adv = craft_batch(&mut grad, &xb, yb, attack, ci, plan)?;
+            tally.add(score_batch(&mut eval, &xb, &adv, yb, plan)?);
+            let ws = plan.workspace();
+            ws.recycle_tensor(adv);
+            ws.recycle_tensor(xb);
+        }
+        Ok(())
+    })?;
+    Ok(tally.outcome(n))
+}
+
+/// Crafts `attack`'s adversarial images for the whole set against
+/// `grad_model`'s loss, with [`evaluate_attack`]'s batch boundaries,
+/// per-batch RNG streams and arithmetic, so scoring the result with
+/// [`evaluate_crafted`] at the same `batch` reproduces [`evaluate_attack`]
+/// bit for bit, at any thread count.
+///
+/// This is the first half of an attack evaluation. Crafting depends only on
+/// the gradient model, so SH-mode studies (gradients from the software
+/// model, accuracy on each noisy variant) craft once and score every
+/// variant on the same tensor. The returned tensor has `images`' shape.
+///
+/// # Errors
+///
+/// As [`evaluate_attack`].
+pub fn craft_attack(
+    grad_model: &Sequential,
+    images: &Tensor,
+    labels: &[usize],
+    attack: Attack,
+    batch: usize,
+) -> Result<Tensor, NnError> {
+    let n = check_set(images, labels, batch)?;
+    let _span = telemetry::span_labeled("attacks.craft", || {
+        format!("{} n={n} batch={batch}", attack.name())
+    });
+    let item = images.len() / n;
+    let mut adversarial = vec![0.0f32; images.len()];
+    {
+        // one slot per batch: every batch is written by the one range that
+        // crafts it, so the locks never contend
+        let slots: Vec<Mutex<&mut [f32]>> = adversarial
+            .chunks_mut(batch * item)
+            .map(Mutex::new)
+            .collect();
+        run_shards(slots.len(), |range, plan| {
+            let mut grad = grad_model.clone();
             for ci in range {
-                let (lo, hi) = chunks[ci];
-                let mut bd = dims.to_vec();
-                bd[0] = hi - lo;
-                let mut xbuf = plan.workspace().take((hi - lo) * item);
-                xbuf.copy_from_slice(&xv[lo * item..hi * item]);
-                let xb = Tensor::from_vec(xbuf, &bd)?;
-                let yb = &labels[lo..hi];
-                let mut rng = ahw_tensor::rng::stream(ATTACK_STREAM_SEED, ci as u64);
-                let adv = craft_ws(&mut grad, &xb, yb, attack, &mut rng, &mut plan)?;
-                let clean_preds = eval.predict_planned(&xb, &mut plan)?;
-                let adv_preds = eval.predict_planned(&adv, &mut plan)?;
-                clean_ok += clean_preds.iter().zip(yb).filter(|(p, l)| p == l).count();
-                adv_ok += adv_preds.iter().zip(yb).filter(|(p, l)| p == l).count();
+                let (xb, yb) = batch_of(images, labels, ci, batch, plan)?;
+                let adv = craft_batch(&mut grad, &xb, yb, attack, ci, plan)?;
+                slots[ci]
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .copy_from_slice(adv.as_slice());
                 let ws = plan.workspace();
                 ws.recycle_tensor(adv);
                 ws.recycle_tensor(xb);
             }
-            Ok((clean_ok, adv_ok))
-        })();
-        park_plan(plan);
-        result
-    };
-
-    let clean = AtomicUsize::new(0);
-    let adv = AtomicUsize::new(0);
-    // ranges are disjoint and each stops at its own first failing batch, so
-    // the failing range with the lowest start holds the lowest failing batch
-    let err = ErrCell::<NnError>::new();
-    pool::parallel_for_ranges(chunks.len(), 1, |r| {
-        err.run(r.start, || {
-            let (c, a) = shard_range(r)?;
-            clean.fetch_add(c, Ordering::Relaxed);
-            adv.fetch_add(a, Ordering::Relaxed);
             Ok(())
-        });
+        })?;
+    }
+    Ok(Tensor::from_vec(adversarial, images.dims())?)
+}
+
+/// Scores `eval_model` on clean `images` and on `adversarial` (typically
+/// [`craft_attack`]'s output for the same images), batch by batch: the
+/// second half of an attack evaluation. Pass the `batch` the images were
+/// crafted with: a hooked model quantizes per tensor, so only the same
+/// batches reproduce [`evaluate_attack`]'s bits.
+///
+/// # Errors
+///
+/// Returns [`NnError::BadConfig`] for empty/mismatched data, an
+/// `adversarial` tensor of another shape, or zero batch; propagates the
+/// model error of the first failing batch.
+pub fn evaluate_crafted(
+    eval_model: &Sequential,
+    images: &Tensor,
+    adversarial: &Tensor,
+    labels: &[usize],
+    batch: usize,
+) -> Result<AttackOutcome, NnError> {
+    let n = check_set(images, labels, batch)?;
+    if adversarial.dims() != images.dims() {
+        return Err(NnError::BadConfig(format!(
+            "adversarial images {:?} for clean images {:?}",
+            adversarial.dims(),
+            images.dims()
+        )));
+    }
+    let _span = telemetry::span_labeled("attacks.evaluate", || {
+        format!("crafted n={n} batch={batch}")
     });
-    err.into_result()?;
-    Ok(AttackOutcome {
-        clean_accuracy: clean.into_inner() as f32 / n as f32,
-        adversarial_accuracy: adv.into_inner() as f32 / n as f32,
-    })
+    EXAMPLES.add(n as u64);
+    let tally = Tally::default();
+    run_shards(n.div_ceil(batch), |range, plan| {
+        let mut eval = eval_model.clone();
+        for ci in range {
+            let (xb, yb) = batch_of(images, labels, ci, batch, plan)?;
+            let (adv, _) = batch_of(adversarial, labels, ci, batch, plan)?;
+            tally.add(score_batch(&mut eval, &xb, &adv, yb, plan)?);
+            let ws = plan.workspace();
+            ws.recycle_tensor(adv);
+            ws.recycle_tensor(xb);
+        }
+        Ok(())
+    })?;
+    Ok(tally.outcome(n))
 }
 
 /// Base seed of the per-batch attack-crafting RNG streams. The stream for
@@ -411,6 +573,38 @@ mod tests {
         assert!(evaluate_attack(&model, &model, &x, &[0, 1], Attack::fgsm(0.1), 8).is_err());
         let y: Vec<usize> = (0..x.dims()[0]).map(|i| i % 2).collect();
         assert!(evaluate_attack(&model, &model, &x, &y, Attack::fgsm(0.1), 0).is_err());
+    }
+
+    /// `craft_attack` crafts batch `i` from `rng::stream(ATTACK_STREAM_SEED,
+    /// i)`, with the last batch ragged: the scheme `evaluate_attack` uses.
+    #[test]
+    fn crafted_batches_follow_the_per_batch_streams() {
+        let (model, x, y) = trained_setup();
+        let attack = Attack::pgd(0.1);
+        let adversarial = craft_attack(&model, &x, &y, attack, 16).unwrap();
+        let (n, item) = (y.len(), x.len() / y.len());
+        for (ci, lo) in (0..n).step_by(16).enumerate() {
+            let hi = (lo + 16).min(n);
+            let xb = Tensor::from_vec(x.as_slice()[lo * item..hi * item].to_vec(), &[hi - lo, 4])
+                .unwrap();
+            let mut rng = ahw_tensor::rng::stream(ATTACK_STREAM_SEED, ci as u64);
+            let want = crate::craft(&mut model.clone(), &xb, &y[lo..hi], attack, &mut rng).unwrap();
+            assert_eq!(
+                &adversarial.as_slice()[lo * item..hi * item],
+                want.as_slice(),
+                "batch {ci}"
+            );
+        }
+    }
+
+    #[test]
+    fn evaluate_crafted_rejects_misshaped_adversarial_images() {
+        let (model, x, y) = trained_setup();
+        let short = Tensor::zeros(&[y.len() - 1, 4]);
+        assert!(evaluate_crafted(&model, &x, &short, &y, 16).is_err());
+        let adversarial = craft_attack(&model, &x, &y, Attack::fgsm(0.1), 16).unwrap();
+        assert!(evaluate_crafted(&model, &x, &adversarial, &y[1..], 16).is_err());
+        assert!(evaluate_crafted(&model, &x, &adversarial, &y, 0).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use super::{eps_255, load_trained};
 use crate::Scale;
-use ahw_attacks::{evaluate_mode, Attack, AttackMode};
+use ahw_attacks::{craft_attack, evaluate_crafted, evaluate_mode, Attack, AttackMode};
 use ahw_core::hardware::crossbar_variant;
 use ahw_core::zoo::ArchId;
 use ahw_crossbar::{CrossbarConfig, DeviceParams};
@@ -43,6 +43,11 @@ fn attack_at(kind: &str, eps: f32, pgd_steps: usize) -> Attack {
 /// measure AL of the crossbar-mapped model (or the software baseline for
 /// `Attack-SW`).
 ///
+/// Attack-SW and SH both take their gradients from the software model, so
+/// each (size, attack, ε) is crafted once and both rows are scored on that
+/// tensor; HH crafts against the mapped model. Rows come out in (size,
+/// attack, mode, ε) order.
+///
 /// # Errors
 ///
 /// Propagates zoo/mapping/attack errors.
@@ -62,19 +67,27 @@ pub fn crossbar_mode_sweep(
             report.matrices, report.tiles
         );
         for attack_kind in ["FGSM", "PGD"] {
-            for mode in [AttackMode::AttackSw, AttackMode::Sh, AttackMode::Hh] {
-                for eps in eps_255() {
-                    let attack = attack_at(attack_kind, eps, scale.pgd_steps);
-                    let outcome = evaluate_mode(
-                        software,
-                        &hardware,
-                        mode,
-                        &images,
-                        &labels,
-                        attack,
-                        scale.batch,
-                    )?;
-                    rows.push(CrossbarSweepRow {
+            // one row list per mode, filled ε by ε, appended mode by mode
+            let mut by_mode: [Vec<CrossbarSweepRow>; 3] = Default::default();
+            for eps in eps_255() {
+                let attack = attack_at(attack_kind, eps, scale.pgd_steps);
+                let adversarial = craft_attack(software, &images, &labels, attack, scale.batch)?;
+                let score =
+                    |model| evaluate_crafted(model, &images, &adversarial, &labels, scale.batch);
+                let (sw, sh) = (score(software)?, score(&hardware)?);
+                let hh = evaluate_mode(
+                    software,
+                    &hardware,
+                    AttackMode::Hh,
+                    &images,
+                    &labels,
+                    attack,
+                    scale.batch,
+                )?;
+                let modes = [AttackMode::AttackSw, AttackMode::Sh, AttackMode::Hh];
+                for ((mode_rows, mode), outcome) in by_mode.iter_mut().zip(modes).zip([sw, sh, hh])
+                {
+                    mode_rows.push(CrossbarSweepRow {
                         size,
                         attack: attack_kind.to_string(),
                         mode: mode.label().to_string(),
@@ -85,6 +98,7 @@ pub fn crossbar_mode_sweep(
                     });
                 }
             }
+            rows.extend(by_mode.into_iter().flatten());
         }
     }
     Ok(rows)

@@ -14,17 +14,28 @@
 //!
 //! ## Execution model
 //!
+//! Every candidate is attacked in SH mode, so every candidate sees the same
+//! adversarial images. The search crafts them once, before any candidate
+//! runs: [`craft_attack`] on the clean model, once for the probe set and
+//! once for the full set, on the pool across batches. The baselines, every
+//! sweep and combination candidate and the final plan are then scored on
+//! those tensors with [`evaluate_crafted`], at the crafting batch size (an
+//! SRAM hook quantizes per tensor). Each outcome equals a per-candidate
+//! [`ahw_attacks::evaluate_attack`] bit for bit, so journal keys and the
+//! fingerprint are unchanged; a search makes one gradient pass per batch of
+//! the two sets, however many candidates it scores.
+//!
 //! The `(site, 6T-count)` candidates of step 1 and the subset candidates of
-//! step 3's exhaustive phase are mutually independent, so they are evaluated
+//! step 3's exhaustive phase are mutually independent, so they are scored
 //! concurrently on the [`ahw_tensor::pool`] worker pool
-//! ([`pool::parallel_map`]); each candidate's attack evaluation checks a
+//! ([`pool::parallel_map`]); each candidate's scoring checks a
 //! `PlanCache` arena out of the `ahw-attacks` plan pool for its batches.
 //! Results come back **in candidate order** and every argmax folds that
 //! fixed order with a strict `>` comparison, so the selected plan and all
 //! reported accuracies are bit-identical at any `AHW_THREADS` value. The
 //! greedy fallback of step 3 is sequential by construction (each acceptance
-//! changes the next trial), but its candidate evaluations still parallelize
-//! internally across attack batches.
+//! changes the next trial), but its candidate scoring still parallelizes
+//! internally across batches.
 //!
 //! ## Resumability
 //!
@@ -38,9 +49,9 @@
 
 use crate::hardware::{apply_noise_plan, NoisePlan, PlannedSite};
 use crate::journal::SearchJournal;
-use ahw_attacks::{evaluate_attack, Attack, AttackOutcome};
+use ahw_attacks::{craft_attack, evaluate_crafted, Attack, AttackOutcome};
 use ahw_nn::archs::ModelSpec;
-use ahw_nn::NnError;
+use ahw_nn::{NnError, Sequential};
 use ahw_sram::{HybridMemoryConfig, HybridWordConfig, SramError, WORD_BITS};
 use ahw_telemetry as telemetry;
 use ahw_tensor::{pool, Tensor};
@@ -228,46 +239,46 @@ pub fn select_noise_sites(
     };
     let progress = telemetry::Progress::stderr();
 
-    // noise-free baseline: attack the software model directly
-    let baseline = cached_eval(&journal, "baseline full", || {
-        let _span = telemetry::span("core.search.baseline");
-        evaluate_attack(
-            &spec.model,
-            &spec.model,
-            images,
-            labels,
-            config.attack,
-            config.batch,
-        )
-    })?;
-
-    // probe subset for the sweep (ranking only)
+    // craft once per set, score every candidate on it (module docs)
     let n = images.dims()[0];
     let probe_n = if config.search_subset == 0 {
         n
     } else {
         config.search_subset.min(n)
     };
-    let item = images.len() / n.max(1);
-    let probe_images = Tensor::from_vec(images.as_slice()[..probe_n * item].to_vec(), &{
-        let mut d = images.dims().to_vec();
-        d[0] = probe_n;
-        d
-    })?;
+    let craft =
+        |x: &Tensor, y: &[usize]| craft_attack(&spec.model, x, y, config.attack, config.batch);
+    let adversarial = craft(images, labels)?;
+    // probe subset for the sweep (ranking only): the first `probe_n` images
+    let (probe_images, probe_adversarial);
     let probe_labels = &labels[..probe_n];
+    let (probe_x, probe_adv) = if probe_n == n {
+        (images, &adversarial)
+    } else {
+        let item = images.len() / n;
+        let mut dims = images.dims().to_vec();
+        dims[0] = probe_n;
+        probe_images = Tensor::from_vec(images.as_slice()[..probe_n * item].to_vec(), &dims)?;
+        probe_adversarial = craft(&probe_images, probe_labels)?;
+        (&probe_images, &probe_adversarial)
+    };
+    let score_full =
+        |model: &Sequential| evaluate_crafted(model, images, &adversarial, labels, config.batch);
+    let score_probe = |model: &Sequential| {
+        evaluate_crafted(model, probe_x, probe_adv, probe_labels, config.batch)
+    };
+
+    // noise-free baseline: the software model scored on its own attack
+    let baseline = cached_eval(&journal, "baseline full", || {
+        let _span = telemetry::span("core.search.baseline");
+        score_full(&spec.model)
+    })?;
     let probe_baseline = if probe_n == n {
         baseline
     } else {
         cached_eval(&journal, "baseline probe", || {
             let _span = telemetry::span("core.search.baseline");
-            evaluate_attack(
-                &spec.model,
-                &spec.model,
-                &probe_images,
-                probe_labels,
-                config.attack,
-                config.batch,
-            )
+            score_probe(&spec.model)
         })?
     };
 
@@ -300,16 +311,7 @@ pub fn select_noise_sites(
                             config: mem,
                         }],
                     };
-                    let hardware = apply_noise_plan(spec, &plan, config.seed)?;
-                    // gradients from the clean model, evaluation on the noisy one
-                    evaluate_attack(
-                        &spec.model,
-                        &hardware,
-                        &probe_images,
-                        probe_labels,
-                        config.attack,
-                        config.batch,
-                    )
+                    score_probe(&apply_noise_plan(spec, &plan, config.seed)?)
                 },
             )?;
             let done = sweep_done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -372,15 +374,7 @@ pub fn select_noise_sites(
                     })
                     .collect(),
             };
-            let hardware = apply_noise_plan(spec, &plan, config.seed)?;
-            evaluate_attack(
-                &spec.model,
-                &hardware,
-                &probe_images,
-                probe_labels,
-                config.attack,
-                config.batch,
-            )
+            score_probe(&apply_noise_plan(spec, &plan, config.seed)?)
         })
     };
 
@@ -434,7 +428,7 @@ pub fn select_noise_sites(
     } else {
         // greedy forward selection, best-gain-first: sequential by
         // construction (each acceptance changes the next trial), but every
-        // trial's attack evaluation still parallelizes over batches
+        // trial's scoring still parallelizes over batches
         let _span = telemetry::span_labeled("core.search.combine", || {
             format!("greedy shortlist={}", shortlisted.len())
         });
@@ -495,15 +489,7 @@ pub fn select_noise_sites(
         let indices: Vec<usize> = plan.sites.iter().map(|s| s.site_index).collect();
         cached_eval(&journal, &format!("final {}", combo_key(&indices)), || {
             let _span = telemetry::span("core.search.final");
-            let hardware = apply_noise_plan(spec, &plan, config.seed)?;
-            evaluate_attack(
-                &spec.model,
-                &hardware,
-                images,
-                labels,
-                config.attack,
-                config.batch,
-            )
+            score_full(&apply_noise_plan(spec, &plan, config.seed)?)
         })?
     };
     Ok(SelectionOutcome {

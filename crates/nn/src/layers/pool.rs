@@ -80,38 +80,86 @@ impl MaxPool2d {
     /// Fills `out` (already sized `n·c·oh·ow`) and rewrites `self.argmax`
     /// to the same length.
     fn run_core(&mut self, x: &Tensor, out: &mut [f32]) {
-        let [n, c, oh, ow] = pool_out_dims(x.dims(), self.kernel, self.stride);
-        let (h, w) = (x.dims()[2], x.dims()[3]);
-        let xv = x.as_slice();
-        let argmax = &mut self.argmax;
-        argmax.clear();
-        argmax.resize(out.len(), 0);
-        let mut o = 0usize;
-        for i in 0..n {
-            for ch in 0..c {
-                let base = (i * c + ch) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        // a window with nothing above −∞ keeps its own
-                        // first element, so its gradient stays in its plane
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = base + oy * self.stride * w + ox * self.stride;
-                        for ky in 0..self.kernel {
-                            let iy = oy * self.stride + ky;
-                            for kx in 0..self.kernel {
-                                let ix = ox * self.stride + kx;
-                                let idx = base + iy * w + ix;
-                                if xv[idx] > best {
-                                    best = xv[idx];
-                                    best_idx = idx;
-                                }
+        self.argmax.clear();
+        self.argmax.resize(out.len(), 0);
+        if self.kernel == 2 && self.stride == 2 {
+            max_pool_2x2(x, out, &mut self.argmax);
+        } else {
+            max_pool_scan(x, self.kernel, self.stride, out, &mut self.argmax);
+        }
+    }
+}
+
+/// The reference max pool: scans each window in (ky, kx) order and keeps
+/// the first element strictly above everything before it. NaN never wins,
+/// of equal values (±0 included) the first is kept, and a window with
+/// nothing above −∞ keeps its own first element, so its gradient stays in
+/// its plane.
+fn max_pool_scan(x: &Tensor, kernel: usize, stride: usize, out: &mut [f32], argmax: &mut [u32]) {
+    let [n, c, oh, ow] = pool_out_dims(x.dims(), kernel, stride);
+    let (h, w) = (x.dims()[2], x.dims()[3]);
+    let xv = x.as_slice();
+    let mut o = 0usize;
+    for i in 0..n {
+        for ch in 0..c {
+            let base = (i * c + ch) * h * w;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = base + oy * stride * w + ox * stride;
+                    for ky in 0..kernel {
+                        let iy = oy * stride + ky;
+                        for kx in 0..kernel {
+                            let ix = ox * stride + kx;
+                            let idx = base + iy * w + ix;
+                            if xv[idx] > best {
+                                best = xv[idx];
+                                best_idx = idx;
                             }
                         }
-                        out[o] = best;
-                        argmax[o] = best_idx as u32;
-                        o += 1;
                     }
+                    out[o] = best;
+                    argmax[o] = best_idx as u32;
+                    o += 1;
                 }
+            }
+        }
+    }
+}
+
+/// [`max_pool_scan`] for the 2×2 stride-2 window of every VGG pool, with
+/// the same visiting order and strict `>`, so the same outputs and argmax
+/// bits. Each comparison selects instead of branching, and the fixed window
+/// lets a row of outputs vectorize.
+fn max_pool_2x2(x: &Tensor, out: &mut [f32], argmax: &mut [u32]) {
+    let [_, _, oh, ow] = pool_out_dims(x.dims(), 2, 2);
+    let (h, w) = (x.dims()[2], x.dims()[3]);
+    let w32 = w as u32;
+    let planes = x.as_slice().chunks_exact(h * w).zip(0u32..);
+    let out_planes = out
+        .chunks_exact_mut(oh * ow)
+        .zip(argmax.chunks_exact_mut(oh * ow));
+    for ((plane, p), (out_plane, arg_plane)) in planes.zip(out_planes) {
+        // an odd last row or column belongs to no window
+        let row_pairs = plane.chunks_exact(2 * w).zip(0u32..);
+        let out_rows = out_plane
+            .chunks_exact_mut(ow)
+            .zip(arg_plane.chunks_exact_mut(ow));
+        for ((pair, oy), (out_row, arg_row)) in row_pairs.zip(out_rows) {
+            let first = p * (h * w) as u32 + 2 * oy * w32;
+            let upper = pair[..2 * ow].chunks_exact(2);
+            let lower = pair[w..w + 2 * ow].chunks_exact(2);
+            let cells = out_row.iter_mut().zip(arg_row.iter_mut());
+            for (((u, l), ox), (o, a)) in upper.zip(lower).zip(0u32..).zip(cells) {
+                let window = [(u[0], 0), (u[1], 1), (l[0], w32), (l[1], w32 + 1)];
+                let (mut best, mut offset) = (f32::NEG_INFINITY, 0);
+                for (v, k) in window {
+                    let above = v > best;
+                    best = if above { v } else { best };
+                    offset = if above { k } else { offset };
+                }
+                *o = best;
+                *a = first + 2 * ox + offset;
             }
         }
     }
@@ -339,6 +387,65 @@ mod tests {
             assert_eq!(y.as_slice(), &[4.0, inf]);
             let dy = Tensor::from_vec(vec![10.0, 100.0], y.dims()).unwrap();
             assert_eq!(pool.backward(&dy).unwrap().as_slice(), &want);
+        }
+    }
+
+    /// The 2×2 select path against the reference scan, bit for bit, on
+    /// windows of NaN, ±0, ±∞ and ties, including all −∞ (and all NaN)
+    /// windows and odd heights and widths whose last row or column belongs
+    /// to no window.
+    #[test]
+    fn two_by_two_path_matches_the_reference_scan_bitwise() {
+        use ahw_tensor::rng::{seeded, Rng};
+        let inf = f32::INFINITY;
+        let palette = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            -inf,
+            inf,
+            1.0,
+            -1.0,
+            0.5,
+            f32::MIN_POSITIVE,
+        ];
+        let mut r = seeded(0x9001);
+        for dims in [
+            [1, 1, 2, 2],
+            [2, 3, 5, 7],
+            [3, 2, 9, 4],
+            [1, 2, 33, 31],
+            [4, 1, 3, 3],
+        ] {
+            let len: usize = dims.iter().product();
+            let mut values: Vec<f32> = (0..len)
+                .map(|_| palette[r.gen_range(0..palette.len())])
+                .collect();
+            // the first window of every plane all −∞, the last all NaN
+            let (h, w) = (dims[2], dims[3]);
+            for plane in values.chunks_exact_mut(h * w) {
+                let last = (h / 2 - 1) * 2 * w + (w / 2 - 1) * 2;
+                for (start, v) in [(0, -inf), (last, f32::NAN)] {
+                    for idx in [start, start + 1, start + w, start + w + 1] {
+                        plane[idx] = v;
+                    }
+                }
+            }
+            let x = Tensor::from_vec(values, &dims).unwrap();
+            let out_len = pool_out_dims(&dims, 2, 2).iter().product();
+            let (mut want, mut want_arg) = (vec![0.0; out_len], vec![0; out_len]);
+            let (mut got, mut got_arg) = (vec![1.0; out_len], vec![7; out_len]);
+            max_pool_scan(&x, 2, 2, &mut want, &mut want_arg);
+            max_pool_2x2(&x, &mut got, &mut got_arg);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "outputs differ for {dims:?}");
+            assert_eq!(got_arg, want_arg, "argmax differs for {dims:?}");
+            // and the layer takes the 2×2 path
+            let mut pool = MaxPool2d::new(2, 2);
+            let y = pool.forward(&x, Mode::Eval).unwrap();
+            assert_eq!(bits(y.as_slice()), bits(&want));
+            assert_eq!(pool.argmax, want_arg);
         }
     }
 

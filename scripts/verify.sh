@@ -104,7 +104,9 @@ AB_WORK=target/ab AHW_THREADS=2 AHW_BENCH_SAMPLES=1 AHW_BENCH_WARMUP_MS=20 \
 
 # Smoke: telemetry end to end. One real experiment runs with a trace, a
 # report and a fixed roofline override (in a scratch directory so its
-# cache and results never touch the repo). The trace's "metrics" section
+# cache and results never touch the repo). It must fit the default span
+# cap: a run that drops spans has a partial trace, span tree and
+# utilization timeline. The trace's "metrics" section
 # must hold span-latency histograms (`.dur_ns`) from four crates; the report
 # it wrote at exit must have a span tree with a self-time column, the
 # worker-utilization summary and roofline scoring against the injected roof
@@ -119,6 +121,10 @@ tmp="$(mktemp -d)"
     echo "verify: traced exp_table1 --tiny failed" >&2
     exit 1
 }
+if grep 'span(s) dropped' "$tmp/stderr.log" >&2; then
+    echo "verify: the traced exp_table1 --tiny run overflowed the default span cap" >&2
+    exit 1
+fi
 metrics="$(grep -o '"metrics":{.*' "$tmp/trace.json" || true)"
 for crate in nn tensor attacks sram; do
     if ! printf '%s' "$metrics" | grep -q "\"$crate\\.[a-z0-9_.]*\\.dur_ns\":{\"count\""; then

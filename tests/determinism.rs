@@ -4,7 +4,9 @@
 //! paper number in `ahw-bench` reproducible on any machine.
 
 use adversarial_hw::prelude::*;
-use ahw_attacks::{evaluate_attack, sweep_epsilons, Attack, AttackOutcome};
+use ahw_attacks::{
+    craft_attack, evaluate_attack, evaluate_crafted, sweep_epsilons, Attack, AttackOutcome,
+};
 use ahw_crossbar::{map_model, CrossbarError, CrossbarTile, SolverKind};
 use ahw_nn::train::{TrainConfig, Trainer};
 use ahw_nn::NnError;
@@ -84,6 +86,76 @@ fn worker_count_does_not_change_the_result() {
                 "{} adversarial accuracy differs at {threads} threads",
                 attack.name()
             );
+        }
+    }
+}
+
+/// `model(seed)` with a bit-error injector on its ReLU output: a hooked
+/// "hardware" model whose 8-bit quantization scale is set per tensor, so
+/// its predictions depend on how the images are split into batches.
+fn hooked_model(seed: u64) -> Sequential {
+    let mut m = model(seed);
+    let cfg = HybridMemoryConfig::new(HybridWordConfig::new(4, 4).unwrap(), 0.60).unwrap();
+    let injector = BitErrorInjector::new(cfg, &BitErrorModel::srinivasan22nm(), seed ^ 0x600C);
+    m.set_hook(ahw_nn::Site::output(1), Some(std::sync::Arc::new(injector)))
+        .unwrap();
+    m
+}
+
+/// Crafting once and scoring the crafted images is the same computation as
+/// attacking and scoring batch by batch: `evaluate_crafted` on
+/// `craft_attack`'s output equals `evaluate_attack` bit for bit, for every
+/// attack kind, an even and a ragged batch split, the SW, SH and HH
+/// pairings (the hooked model quantizes per batch) and every worker count;
+/// and the crafted images themselves are bit-identical at any worker count.
+#[test]
+fn crafting_once_scores_like_attacking_per_batch() {
+    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let software = model(SEED);
+    let hardware = hooked_model(SEED);
+    let images = noisy_images(SEED);
+    let labels: Vec<usize> = (0..24).map(|i| i % 3).collect();
+    let pairings = [
+        ("SW", &software, &software),
+        ("SH", &software, &hardware),
+        ("HH", &hardware, &hardware),
+    ];
+    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for attack in [Attack::fgsm(0.06), Attack::pgd(0.06), Attack::random(0.06)] {
+        for batch in [6usize, 5] {
+            let mut crafted_at_one = Vec::new();
+            for threads in [1usize, 2, 4, 7] {
+                with_threads(threads, || {
+                    for (k, (mode, grad, eval)) in pairings.iter().enumerate() {
+                        let context = format!(
+                            "{} {mode} batch {batch} at {threads} threads",
+                            attack.name()
+                        );
+                        let adversarial =
+                            craft_attack(grad, &images, &labels, attack, batch).unwrap();
+                        assert_eq!(adversarial.dims(), images.dims(), "{context}");
+                        if threads == 1 {
+                            crafted_at_one.push(bits(&adversarial));
+                        } else {
+                            assert_eq!(bits(&adversarial), crafted_at_one[k], "{context}");
+                        }
+                        let split =
+                            evaluate_crafted(eval, &images, &adversarial, &labels, batch).unwrap();
+                        let whole =
+                            evaluate_attack(grad, eval, &images, &labels, attack, batch).unwrap();
+                        assert_eq!(
+                            split.clean_accuracy.to_bits(),
+                            whole.clean_accuracy.to_bits(),
+                            "clean accuracy, {context}"
+                        );
+                        assert_eq!(
+                            split.adversarial_accuracy.to_bits(),
+                            whole.adversarial_accuracy.to_bits(),
+                            "adversarial accuracy, {context}"
+                        );
+                    }
+                });
+            }
         }
     }
 }

@@ -124,3 +124,31 @@ fn killed_search_resumes_to_the_uninterrupted_result() {
 
     let _ = std::fs::remove_file(&path);
 }
+
+/// The search crafts each adversarial set once from the clean model: one
+/// `select_noise_sites` call spends as many gradient passes as the probe
+/// set (16 images: batches of 12 and 4) and the full set (24 images: two
+/// batches of 12) have batches, 4 here, however many candidates it scores
+/// and at any worker count.
+#[test]
+fn search_crafts_each_set_once() {
+    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let (spec, x, y) = setup();
+    let cfg = config(None);
+    for threads in [1usize, 2, 4, 7] {
+        ahw_telemetry::set_enabled(true);
+        ahw_telemetry::reset();
+        with_threads(threads, || select_noise_sites(&spec, &x, &y, &cfg).unwrap());
+        let snap = ahw_telemetry::snapshot();
+        ahw_telemetry::set_enabled(false);
+        let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        assert_eq!(
+            count("attacks.methods.gradient_queries"),
+            4,
+            "gradient passes at {threads} threads"
+        );
+        // every candidate was still scored: 8 six-T counts per site
+        assert!(count("core.search.candidates_done") >= 8 * spec.sites.len() as u64);
+    }
+    let _ = ahw_telemetry::drain_spans();
+}
