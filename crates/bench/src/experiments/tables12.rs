@@ -71,10 +71,11 @@ pub fn hybrid_config_table(
                 improvement_threshold: threshold,
                 batch: scale.batch,
                 // write-ahead search journal: a killed table run resumes
-                // from completed candidates instead of restarting the sweep
+                // from completed candidates instead of restarting the sweep,
+                // and a relaxed threshold replays the sweep (no record
+                // depends on the threshold)
                 journal: Some(std::path::PathBuf::from(format!(
-                    "results/search/{plan_key}_thr{}.jsonl",
-                    (threshold * 100.0).round() as u32
+                    "results/search/{plan_key}.jsonl"
                 ))),
                 ..SelectionConfig::default()
             };

@@ -13,16 +13,16 @@
 //! The file is self-describing and append-only during a run:
 //!
 //! ```text
-//! {"fingerprint":"v1 arch=vgg19 sites=16 ..."}
+//! {"fingerprint":"v2 arch=vgg19 classes=10 sites=21 ..."}
 //! {"key":"sweep site=3 six_t=5","clean_bits":1061997773,"adv_bits":1056964608,"clean":0.75,"adv":0.5}
 //! ```
 //!
 //! Every line is valid JSON (non-finite `clean`/`adv` are written as
 //! `null`; only the `_bits` fields are read back) and is read with
-//! [`ahw_telemetry::json`]. A fingerprint mismatch (different model, data,
-//! or search configuration) discards the stale journal and starts a fresh
-//! one — resuming across *different* searches would silently splice wrong
-//! numbers into a table.
+//! [`ahw_telemetry::json`]. A fingerprint mismatch (different model state,
+//! data, or search configuration) discards the stale journal and starts a
+//! fresh one — resuming across *different* searches would silently splice
+//! wrong numbers into a table.
 //!
 //! [`SelectionConfig::journal`]: crate::selection::SelectionConfig::journal
 

@@ -16,14 +16,30 @@
 //!
 //! Every candidate is attacked in SH mode, so every candidate sees the same
 //! adversarial images. The search crafts them once, before any candidate
-//! runs: [`craft_attack`] on the clean model, once for the probe set and
-//! once for the full set, on the pool across batches. The baselines, every
-//! sweep and combination candidate and the final plan are then scored on
-//! those tensors with [`evaluate_crafted`], at the crafting batch size (an
-//! SRAM hook quantizes per tensor). Each outcome equals a per-candidate
-//! [`ahw_attacks::evaluate_attack`] bit for bit, so journal keys and the
-//! fingerprint are unchanged; a search makes one gradient pass per batch of
-//! the two sets, however many candidates it scores.
+//! runs: [`craft_attack`] on the clean model, once for the full set and,
+//! unless the probe is the full set's first whole batches (`search_subset`
+//! a multiple of `batch`, whose bits it then slices out), once for the probe
+//! set, on the pool across batches. The baselines, every sweep and
+//! combination candidate and the final plan are then scored on those
+//! tensors with [`evaluate_crafted`], at the crafting batch size (an SRAM
+//! hook quantizes per tensor). Each outcome equals a per-candidate
+//! [`ahw_attacks::evaluate_attack`] bit for bit; a search makes one
+//! gradient pass per batch it crafts, however many candidates it scores.
+//!
+//! A candidate is the clean model with hooks from one site onwards, so the
+//! layers in front of its first hook repeat the clean model's work. The
+//! search runs them once: it computes the clean model's activations of both
+//! probe sets (clean and adversarial) at every distinct top-level layer
+//! holding a site, walking the layers in ascending order batch by batch at
+//! the scoring batch's boundaries, and scores each probe candidate on only
+//! its hooked model's layers from its first hooked layer on
+//! ([`Sequential::split_off`]); a combination starts from its lowest site
+//! layer. An `Eval` forward is a plain loop over the layers, the skipped
+//! layers are the clean model's and act on each image on its own, and the
+//! suffix receives the same batch tensors, so every outcome is bit for bit
+//! the whole hooked model's. The activations are held for the whole search:
+//! two probe sets at every site layer. The baselines and the final
+//! full-set score run the whole model.
 //!
 //! The `(site, 6T-count)` candidates of step 1 and the subset candidates of
 //! step 3's exhaustive phase are mutually independent, so they are scored
@@ -43,7 +59,12 @@
 //! appended to a write-ahead JSON journal ([`crate::journal`]); an
 //! interrupted Table I/II run replays completed candidates on restart
 //! instead of re-attacking them, and the bit-exact journal payload makes
-//! the resumed outcome identical to an uninterrupted run. Progress is
+//! the resumed outcome identical to an uninterrupted run. The journal's
+//! fingerprint digests the model's state tensors, every image value and
+//! label and the sites beside the search parameters, so another model's or
+//! image set's journal is discarded. It leaves out the shortlist
+//! threshold, which no record depends on: a relaxed-threshold rerun over
+//! the same journal replays the sweep. Progress is
 //! reported through a tty-aware status line ([`telemetry::Progress`]) and
 //! the `core.search.*` telemetry counters/spans.
 
@@ -51,7 +72,7 @@ use crate::hardware::{apply_noise_plan, NoisePlan, PlannedSite};
 use crate::journal::SearchJournal;
 use ahw_attacks::{craft_attack, evaluate_crafted, Attack, AttackOutcome};
 use ahw_nn::archs::ModelSpec;
-use ahw_nn::{NnError, Sequential};
+use ahw_nn::{Mode, NnError, Sequential};
 use ahw_sram::{HybridMemoryConfig, HybridWordConfig, SramError, WORD_BITS};
 use ahw_telemetry as telemetry;
 use ahw_tensor::{pool, Tensor};
@@ -143,40 +164,121 @@ fn to_nn_err(e: SramError) -> NnError {
     NnError::BadConfig(format!("hybrid memory config: {e}"))
 }
 
-/// Identity of one search under the journal: any field that changes a
-/// candidate's outcome must appear here, so a stale journal can never be
-/// replayed into a different search.
+/// Order-sensitive FNV-1a digest over 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn fold(&mut self, word: u64) {
+        self.0 ^= word;
+        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+
+    fn fold_f32s(&mut self, values: &[f32]) {
+        for &v in values {
+            self.fold(u64::from(v.to_bits()));
+        }
+    }
+}
+
+/// Identity of one search under the journal: everything a recorded outcome
+/// depends on (the model's state tensors, every image value and label, the
+/// sites and the search parameters), so a stale journal can never be
+/// replayed into a different search. The shortlist threshold is left out:
+/// no record depends on it, so a relaxed-threshold rerun replays the sweep.
 fn search_fingerprint(
     spec: &ModelSpec,
     images: &Tensor,
     labels: &[usize],
     config: &SelectionConfig,
 ) -> String {
-    // cheap order-sensitive label digest (FNV-1a)
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut digest = Fnv::new();
     for &l in labels {
-        digest ^= l as u64;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
+        digest.fold(l as u64);
     }
-    for &v in images.as_slice().iter().take(256) {
-        digest ^= u64::from(v.to_bits());
-        digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
+    digest.fold_f32s(images.as_slice());
+    for site in &spec.sites {
+        digest.fold(site.site.layer as u64);
+        digest.fold(site.site.slot as u64);
     }
+    // weights, biases and batch-norm running statistics, by name
+    spec.model.clone().visit_state(&mut |name, t| {
+        for b in name.bytes() {
+            digest.fold(u64::from(b));
+        }
+        digest.fold(t.len() as u64);
+        digest.fold_f32s(t.as_slice());
+    });
     format!(
-        "v1 arch={} classes={} sites={} n={} data={:016x} vdd={} attack={:?} thr={} maxex={} batch={} subset={} seed={:x}",
+        "v2 arch={} classes={} sites={} n={} data={:016x} vdd={} attack={:?} maxex={} batch={} subset={} seed={:x}",
         spec.name,
         spec.num_classes,
         spec.sites.len(),
         images.dims()[0],
-        digest,
+        digest.0,
         config.vdd,
         config.attack,
-        config.improvement_threshold,
         config.max_exhaustive_sites,
         config.batch,
         config.search_subset,
         config.seed,
     )
+}
+
+/// Rows `lo..hi` (along the first axis) of `t`, copied.
+fn rows(t: &Tensor, lo: usize, hi: usize) -> Result<Tensor, NnError> {
+    let item = t.len() / t.dims()[0].max(1);
+    let mut dims = t.dims().to_vec();
+    dims[0] = hi - lo;
+    Ok(Tensor::from_vec(
+        t.as_slice()[lo * item..hi * item].to_vec(),
+        &dims,
+    )?)
+}
+
+/// The clean model's `Eval` activations of `set` at each top-level layer of
+/// `layers` (ascending, distinct): entry `k` holds the inputs of layer
+/// `layers[k]`. Batches follow `batch`'s boundaries, and each batch walks
+/// the layers once, so every layer runs once per image.
+fn activations_at(
+    model: &Sequential,
+    set: &Tensor,
+    layers: &[usize],
+    batch: usize,
+) -> Result<Vec<Tensor>, NnError> {
+    let n = set.dims()[0];
+    let per_batch: Vec<Result<Vec<Tensor>, NnError>> =
+        pool::parallel_map(n.div_ceil(batch), 1, |ci| {
+            let x = rows(set, ci * batch, ((ci + 1) * batch).min(n))?;
+            let (mut rest, mut at) = (model.clone(), 0);
+            let mut out: Vec<Tensor> = Vec::with_capacity(layers.len());
+            for &layer in layers {
+                let tail = rest.split_off(layer - at)?;
+                let next = rest.forward(out.last().unwrap_or(&x), Mode::Eval)?;
+                out.push(next);
+                (rest, at) = (tail, layer);
+            }
+            Ok(out)
+        });
+    let mut per_batch: Vec<Vec<Tensor>> = per_batch.into_iter().collect::<Result<_, _>>()?;
+    if per_batch.len() == 1 {
+        return Ok(per_batch.swap_remove(0));
+    }
+    (0..layers.len())
+        .map(|k| {
+            let mut dims = per_batch[0][k].dims().to_vec();
+            dims[0] = n;
+            let data = per_batch
+                .iter()
+                .flat_map(|b| b[k].as_slice())
+                .copied()
+                .collect();
+            Ok(Tensor::from_vec(data, &dims)?)
+        })
+        .collect()
 }
 
 /// Canonical journal key for a combination of sites (sorted, in plan form).
@@ -255,17 +357,49 @@ pub fn select_noise_sites(
     let (probe_x, probe_adv) = if probe_n == n {
         (images, &adversarial)
     } else {
-        let item = images.len() / n;
-        let mut dims = images.dims().to_vec();
-        dims[0] = probe_n;
-        probe_images = Tensor::from_vec(images.as_slice()[..probe_n * item].to_vec(), &dims)?;
-        probe_adversarial = craft(&probe_images, probe_labels)?;
+        probe_images = rows(images, 0, probe_n)?;
+        // whole batches are crafted from the same images, batch indices and
+        // streams as the full set's first batches: reuse those bits
+        probe_adversarial = if probe_n % config.batch == 0 {
+            rows(&adversarial, 0, probe_n)?
+        } else {
+            craft(&probe_images, probe_labels)?
+        };
         (&probe_images, &probe_adversarial)
     };
     let score_full =
         |model: &Sequential| evaluate_crafted(model, images, &adversarial, labels, config.batch);
-    let score_probe = |model: &Sequential| {
-        evaluate_crafted(model, probe_x, probe_adv, probe_labels, config.batch)
+
+    // every probe candidate runs from its first hooked layer on, fed the
+    // clean model's activations there (module docs)
+    let mut site_layers: Vec<usize> = spec.sites.iter().map(|s| s.site.layer).collect();
+    site_layers.sort_unstable();
+    site_layers.dedup();
+    let (probe_x_at, probe_adv_at) = {
+        let _span = telemetry::span_labeled("core.search.activations", || {
+            format!("layers={}", site_layers.len())
+        });
+        let at = |set: &Tensor| activations_at(&spec.model, set, &site_layers, config.batch);
+        (at(probe_x)?, at(probe_adv)?)
+    };
+    let score_probe_plan = |plan: &NoisePlan| -> Result<AttackOutcome, NnError> {
+        let first = plan
+            .sites
+            .iter()
+            .filter_map(|p| spec.sites.get(p.site_index))
+            .map(|s| s.site.layer)
+            .min();
+        let k = first
+            .and_then(|layer| site_layers.binary_search(&layer).ok())
+            .ok_or_else(|| NnError::BadConfig("noise plan hooks no searched site".into()))?;
+        let suffix = apply_noise_plan(spec, plan, config.seed)?.split_off(site_layers[k])?;
+        evaluate_crafted(
+            &suffix,
+            &probe_x_at[k],
+            &probe_adv_at[k],
+            probe_labels,
+            config.batch,
+        )
     };
 
     // noise-free baseline: the software model scored on its own attack
@@ -278,7 +412,7 @@ pub fn select_noise_sites(
     } else {
         cached_eval(&journal, "baseline probe", || {
             let _span = telemetry::span("core.search.baseline");
-            score_probe(&spec.model)
+            evaluate_crafted(&spec.model, probe_x, probe_adv, probe_labels, config.batch)
         })?
     };
 
@@ -304,14 +438,13 @@ pub fn select_noise_sites(
                 &journal,
                 &format!("sweep site={site_index} six_t={six_t}"),
                 || {
-                    let plan = NoisePlan {
+                    score_probe_plan(&NoisePlan {
                         vdd: config.vdd,
                         sites: vec![PlannedSite {
                             site_index,
                             config: mem,
                         }],
-                    };
-                    score_probe(&apply_noise_plan(spec, &plan, config.seed)?)
+                    })
                 },
             )?;
             let done = sweep_done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -364,7 +497,7 @@ pub fn select_noise_sites(
         let key = combo_key(&indices);
         let _span = telemetry::span_labeled("core.search.candidate", || key.clone());
         cached_eval(&journal, &key, || {
-            let plan = NoisePlan {
+            score_probe_plan(&NoisePlan {
                 vdd: config.vdd,
                 sites: combo
                     .iter()
@@ -373,8 +506,7 @@ pub fn select_noise_sites(
                         config: s.config,
                     })
                     .collect(),
-            };
-            score_probe(&apply_noise_plan(spec, &plan, config.seed)?)
+            })
         })
     };
 

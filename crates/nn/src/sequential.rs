@@ -106,6 +106,28 @@ impl Sequential {
         &mut self.layers[i]
     }
 
+    /// Splits the model at top-level index `at`: `self` keeps layers
+    /// `0..at` and the returned model holds layers `at..`, hooks included.
+    /// A forward pass is a plain loop over the layers, so running the two
+    /// halves one after the other gives the whole model's outputs bit for
+    /// bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidSite`] if `at` is past the end; `self` is
+    /// then unchanged.
+    pub fn split_off(&mut self, at: usize) -> Result<Sequential, NnError> {
+        if at > self.layers.len() {
+            return Err(NnError::InvalidSite(format!(
+                "split index {at} out of range ({} layers)",
+                self.layers.len()
+            )));
+        }
+        Ok(Sequential {
+            layers: self.layers.split_off(at),
+        })
+    }
+
     /// Caching forward pass through every layer:
     /// [`forward_ws`](Sequential::forward_ws) over a throwaway arena.
     ///
@@ -593,6 +615,60 @@ mod tests {
             )
             .is_err());
         assert!(m.set_hook(Site::output(1), None).is_ok());
+    }
+
+    #[test]
+    fn split_halves_chain_to_the_whole_forward() {
+        use crate::layer::ActivationHook;
+        use crate::layers::{BatchNorm2d, Conv2d, Flatten, MaxPool2d};
+        use crate::BasicBlock;
+        struct Negate;
+        impl ActivationHook for Negate {
+            fn apply(&self, x: &Tensor, _ws: &mut Workspace) -> Tensor {
+                x.scale(-1.0)
+            }
+        }
+        let mut rng = seeded(70);
+        let mut m = Sequential::new();
+        m.push(Conv2d::new(2, 4, 3, 1, 1, &mut rng).unwrap());
+        m.push(BatchNorm2d::new(4));
+        m.push(ReLU::new());
+        m.push(BasicBlock::new(4, 4, 2, &mut rng).unwrap());
+        m.push(MaxPool2d::new(2, 2));
+        m.push(Flatten::new());
+        m.push(Linear::new(4 * 2 * 2, 3, &mut rng).unwrap());
+        for site in [
+            Site::output(2),
+            Site {
+                layer: 3,
+                slot: HookSlot::BlockConv1,
+            },
+            Site {
+                layer: 3,
+                slot: HookSlot::BlockShortcut,
+            },
+            Site::output(4),
+        ] {
+            m.set_hook(site, Some(Arc::new(Negate))).unwrap();
+        }
+        let x = normal(&[3, 2, 8, 8], 0.0, 1.0, &mut seeded(71));
+        let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let whole = m.forward(&x, Mode::Eval).unwrap();
+        for at in 0..=m.len() {
+            let mut head = m.clone();
+            let mut tail = head.split_off(at).unwrap();
+            assert_eq!((head.len(), tail.len()), (at, m.len() - at));
+            let mid = head.forward(&x, Mode::Eval).unwrap();
+            let out = tail.forward(&mid, Mode::Eval).unwrap();
+            assert_eq!(out.dims(), whole.dims(), "split at {at}");
+            assert_eq!(bits(&out), bits(&whole), "split at {at}");
+        }
+        let mut past = m.clone();
+        assert!(matches!(
+            past.split_off(m.len() + 1),
+            Err(NnError::InvalidSite(_))
+        ));
+        assert_eq!(past.len(), m.len(), "a failed split keeps every layer");
     }
 
     #[test]
