@@ -1,7 +1,8 @@
 //! Benchmarks for the hardware-simulation kernels: the hot paths behind
 //! every experiment (GEMM, im2col convolution, mesh solvers, bit-error
-//! injection, attack crafting). Runs on the std-only harness
-//! ([`ahw_bench::harness`]); see that module for filters and env knobs.
+//! injection, attack crafting, synthetic data generation). Runs on the
+//! std-only harness ([`ahw_bench::harness`]); see that module for filters
+//! and env knobs.
 
 use ahw_attacks::{evaluate_attack, Attack};
 use ahw_bench::harness::{black_box, Harness};
@@ -9,6 +10,7 @@ use ahw_core::selection::{select_noise_sites, SelectionConfig};
 use ahw_crossbar::{
     extract_effective_conductance, CrossbarConfig, NonIdealities, SolverKind, TiledMatrix,
 };
+use ahw_datasets::{DatasetConfig, SyntheticCifar};
 use ahw_nn::layers::{BatchNorm2d, Conv2d, ReLU};
 use ahw_nn::{Layer, Mode, Sequential};
 use ahw_sram::{BitErrorInjector, BitErrorModel, HybridMemoryConfig, HybridWordConfig};
@@ -207,6 +209,16 @@ fn bench_fig4_probe(h: &mut Harness) {
     });
 }
 
+fn bench_datasets(h: &mut Harness) {
+    // The synthetic CIFAR-10 stand-in at the benchmark workloads' split
+    // sizes (800 training, 150 test images): every benchmark setup and
+    // every experiment run generates its data first.
+    let config = DatasetConfig::cifar10_like().with_sizes(800, 150);
+    h.bench("datasets/cifar10_800x150", || {
+        black_box(SyntheticCifar::generate(black_box(&config)));
+    });
+}
+
 fn main() {
     let mut h = Harness::from_env();
     bench_matmul(&mut h);
@@ -218,5 +230,6 @@ fn main() {
     bench_fgsm(&mut h);
     bench_pgd_eval(&mut h);
     bench_fig4_probe(&mut h);
+    bench_datasets(&mut h);
     h.finish();
 }

@@ -3,10 +3,10 @@
 //!
 //! Every builder takes a *width multiplier*: the paper's full-width networks
 //! (64…512 channels) are impractical to train on a CPU in minutes, so the
-//! experiment binaries default to 1/8 width. The topology — layer counts,
-//! pooling positions, shortcut structure, i.e. everything the noise-injection
-//! methodology and the crossbar tiling interact with — is unchanged
-//! (see DESIGN.md §3).
+//! experiment binaries default to 1/16 width (1/8 with `--full`). The
+//! topology — layer counts, pooling positions, shortcut structure, i.e.
+//! everything the noise-injection methodology and the crossbar tiling
+//! interact with — is unchanged (see DESIGN.md §3).
 
 use crate::block::BasicBlock;
 use crate::layer::HookSlot;

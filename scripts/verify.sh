@@ -93,14 +93,16 @@ rm -rf "$exp_dir"
 # over the pool, which the attack shards (nested pool tasks, run inline)
 # never exercise; the attack-path, Fig. 4 search and injector rows run the
 # planned engine, the pool-parallel candidate sweep and the sparse-event
-# flip loop. The builds stay in target/ab, so later runs build
+# flip loop, and the dataset row renders images in parallel from copies of
+# one stream. The builds stay in target/ab, so later runs build
 # incrementally. The judge's verdicts are printed but gate nothing: at one
 # pair of one-sample runs the base IQR is 0, so any excursion past the
 # 10 % kernel bound reads `worse` even with no code change. A speed claim
 # needs a full scripts/ab.sh session.
 AB_WORK=target/ab AHW_THREADS=2 AHW_BENCH_SAMPLES=1 AHW_BENCH_WARMUP_MS=20 \
     scripts/ab.sh kernels \
-    "matmul/32 conv2d/ train/ attacks/pgd_eval selection/fig4_probe sram/inject" 1 HEAD
+    "matmul/32 conv2d/ train/ attacks/pgd_eval selection/fig4_probe sram/inject datasets/" \
+    1 HEAD
 
 # Smoke: telemetry end to end. One real experiment runs with a trace, a
 # report and a fixed roofline override (in a scratch directory so its

@@ -12,12 +12,18 @@ use ahw_nn::train::{TrainConfig, Trainer};
 use ahw_nn::NnError;
 use ahw_sram::{HybridMemoryConfig, HybridWordConfig};
 use ahw_tensor::{pool, rng, Tensor, TensorError};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const SEED: u64 = 0x000D_E7E2;
 
 /// Serializes tests that pin the process-global worker-count override.
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`OVERRIDE_LOCK`]; a test that failed while holding it does not
+/// fail the others.
+fn serial() -> MutexGuard<'static, ()> {
+    OVERRIDE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Runs `f` with the kernel pool pinned to `threads` workers.
 fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
@@ -69,7 +75,7 @@ fn same_seed_is_bit_identical() {
 
 #[test]
 fn worker_count_does_not_change_the_result() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let _guard = serial();
     for attack in [Attack::Fgsm { epsilon: 0.06 }, Attack::pgd(0.06)] {
         let reference = with_threads(1, || run(SEED, attack));
         for threads in [2usize, 4, 7] {
@@ -110,7 +116,7 @@ fn hooked_model(seed: u64) -> Sequential {
 /// and the crafted images themselves are bit-identical at any worker count.
 #[test]
 fn crafting_once_scores_like_attacking_per_batch() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let _guard = serial();
     let software = model(SEED);
     let hardware = hooked_model(SEED);
     let images = noisy_images(SEED);
@@ -165,7 +171,7 @@ fn crafting_once_scores_like_attacking_per_batch() {
 /// whichever failing batch finished first.
 #[test]
 fn attack_error_is_the_first_failing_batchs() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let _guard = serial();
     let m = model(SEED);
     let images = noisy_images(SEED);
     let mut labels: Vec<usize> = (0..24).map(|i| i % 3).collect();
@@ -189,7 +195,7 @@ fn attack_error_is_the_first_failing_batchs() {
 /// error at every thread count and on every run.
 #[test]
 fn accuracy_error_is_the_first_failing_batchs() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let _guard = serial();
     let m = model(SEED);
     let images = Tensor::zeros(&[24, 2, 8, 8]);
     let labels = vec![0usize; 24];
@@ -208,7 +214,7 @@ fn accuracy_error_is_the_first_failing_batchs() {
 
 #[test]
 fn conv_forward_is_bit_identical_across_thread_counts() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let _guard = serial();
     let mut m = model(SEED);
     let x = noisy_images(SEED);
     let reference = with_threads(1, || m.forward(&x, Mode::Eval).unwrap());
@@ -226,7 +232,7 @@ fn conv_forward_is_bit_identical_across_thread_counts() {
 /// sharding.
 #[test]
 fn training_and_epsilon_sweep_are_bit_identical_1_vs_4_threads() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let _guard = serial();
     let run = |threads: usize| {
         with_threads(threads, || {
             let mut m = model(SEED);
@@ -295,7 +301,7 @@ fn weight_bits(model: &mut Sequential) -> Vec<u32> {
 /// mapping report are bit-identical at any worker count.
 #[test]
 fn crossbar_mapping_is_bit_identical_across_thread_counts() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let _guard = serial();
     let software = vgg8();
     let config = CrossbarConfig::paper_default(16);
     let map = |threads: usize| {
@@ -317,7 +323,7 @@ fn crossbar_mapping_is_bit_identical_across_thread_counts() {
 /// count and leaves the model's weights as they were.
 #[test]
 fn crossbar_mapping_error_is_the_first_tiles() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let _guard = serial();
     let config = CrossbarConfig {
         solver: SolverKind::Relaxation { sweeps: 1 },
         ..CrossbarConfig::paper_default(4)

@@ -37,21 +37,41 @@ fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// A tiny spec + synthetic batch so the full search runs in test time.
+/// A tiny VGG8, trained (see [`trained`]) so its candidates score apart,
+/// searched over all its sites with 24 images, so the full search runs in
+/// test time.
 fn setup() -> (ModelSpec, Tensor, Vec<usize>) {
     let spec = archs::vgg8(4, 0.0625, &mut rng::seeded(11)).unwrap();
-    let x = rng::uniform(&[24, 3, 32, 32], 0.0, 1.0, &mut rng::seeded(12));
-    let labels = (0..24).map(|i| i % 4).collect();
-    (spec, x, labels)
+    let sites: Vec<usize> = (0..spec.sites.len()).collect();
+    trained(spec, &sites)
 }
 
+/// The search at Vdd 0.6 under FGSM at ε = 0.03, where the trained
+/// fixture's sites move its adversarial accuracy.
 fn config(journal: Option<PathBuf>) -> SelectionConfig {
     SelectionConfig {
+        vdd: 0.6,
+        attack: Attack::fgsm(0.03),
         batch: 12,
         search_subset: 16,
         journal,
         ..SelectionConfig::default()
     }
+}
+
+/// Fails if the outcome is one constant: every site scoring the baseline
+/// would make a comparison of two searches vacuous.
+fn assert_not_degenerate(outcome: &SelectionOutcome) {
+    let baseline = outcome.baseline.adversarial_accuracy;
+    let scores: Vec<f32> = outcome
+        .per_site
+        .iter()
+        .map(|s| s.adversarial_accuracy)
+        .collect();
+    assert!(
+        scores.iter().any(|&a| a != scores[0]) || scores.iter().any(|&a| a != baseline),
+        "every site scored the baseline {baseline}: {scores:?}"
+    );
 }
 
 /// Runs `f` with telemetry recording and returns its result with the
@@ -130,6 +150,7 @@ fn search_is_bit_identical_across_thread_counts() {
     let (spec, x, y) = setup();
     let cfg = config(None);
     let reference = with_threads(1, || select_noise_sites(&spec, &x, &y, &cfg).unwrap());
+    assert_not_degenerate(&reference);
     for threads in [2usize, 4, 7] {
         let out = with_threads(threads, || select_noise_sites(&spec, &x, &y, &cfg).unwrap());
         assert_bit_identical(&reference, &out, &format!("{threads} threads"));
@@ -145,6 +166,7 @@ fn killed_search_resumes_to_the_uninterrupted_result() {
 
     // the uninterrupted run, journaling as it goes
     let uninterrupted = with_threads(2, || select_noise_sites(&spec, &x, &y, &cfg).unwrap());
+    assert_not_degenerate(&uninterrupted);
     let full_journal = std::fs::read_to_string(&path).unwrap();
     let lines: Vec<&str> = full_journal.lines().collect();
     assert!(
@@ -351,8 +373,6 @@ fn search_scores_like_attacking_each_whole_hooked_model() {
         ("resnet18", trained(resnet18, &[0, 1, 6, 8])),
     ] {
         let cfg = SelectionConfig {
-            vdd: 0.6,
-            attack: Attack::fgsm(0.03),
             improvement_threshold: -1.0,
             max_exhaustive_sites: spec.sites.len(),
             ..config(None)
