@@ -64,9 +64,10 @@ fn bench_conv(h: &mut Harness) {
 fn bench_train(h: &mut Harness) {
     // One VGG19 conv unit (conv, batch norm, ReLU) at width 0.0625 and the
     // training batch of 32, on the first stage (4 channels, 32×32) and the
-    // last (32 channels, 2×2): a `Train` forward and backward, which runs
-    // the folded weight-gradient kernel and batch norm's batch statistics.
-    for (channels, side) in [(4usize, 32usize), (32, 2)] {
+    // last two (32 channels, 4×4 and 2×2): a `Train` forward and backward,
+    // which runs the folded weight-gradient kernel (pair lanes at span 1024,
+    // column lanes at spans 16 and 4) and batch norm's batch statistics.
+    for (channels, side) in [(4usize, 32usize), (32, 4), (32, 2)] {
         let mut rng_ = rng::seeded(5);
         let mut unit = Sequential::new();
         unit.push(Conv2d::new(channels, channels, 3, 1, 1, &mut rng_).unwrap());

@@ -96,7 +96,10 @@ impl ZooConfig {
 pub struct TrainedModel {
     /// The spec with trained weights.
     pub spec: ModelSpec,
-    /// The dataset (same config the model was trained with).
+    /// The dataset (same config the model was trained with). After a cache
+    /// hit only its test split is rendered and `data.train()` is empty:
+    /// training is the split's only reader, and the test split comes from
+    /// its own stream, so it has the same bits either way.
     pub data: SyntheticCifar,
     /// Whether the checkpoint came from the cache.
     pub from_cache: bool,
@@ -105,7 +108,7 @@ pub struct TrainedModel {
 }
 
 /// Loads the checkpoint for `config` from `cache_dir`, or trains it (saving
-/// the checkpoint afterwards).
+/// the checkpoint afterwards). Only a miss renders the training split.
 ///
 /// # Errors
 ///
@@ -113,12 +116,17 @@ pub struct TrainedModel {
 pub fn train_or_load(cache_dir: &Path, config: &ZooConfig) -> Result<TrainedModel, NnError> {
     std::fs::create_dir_all(cache_dir)
         .map_err(|e| NnError::BadConfig(format!("cannot create cache dir: {e}")))?;
-    let data = SyntheticCifar::generate(&config.dataset);
+    let path = config.cache_path(cache_dir);
+    let from_cache = path.exists();
+    let data = if from_cache {
+        let test_size = config.dataset.test_size;
+        SyntheticCifar::generate(&config.dataset.clone().with_sizes(0, test_size))
+    } else {
+        SyntheticCifar::generate(&config.dataset)
+    };
     let mut spec = config
         .arch
         .build(config.dataset.num_classes, config.width, config.seed)?;
-    let path = config.cache_path(cache_dir);
-    let from_cache = path.exists();
     if from_cache {
         nn_io::load_model(&mut spec.model, &path)?;
     } else {
@@ -197,6 +205,14 @@ mod tests {
         assert!(!first.from_cache);
         let mut second = train_or_load(&dir, &cfg).unwrap();
         assert!(second.from_cache);
+        // a hit renders no training split, and the same test split
+        assert!(second.data.train().is_empty());
+        let bits = |t: &ahw_tensor::Tensor| -> Vec<u32> {
+            t.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        let (test, hit_test) = (first.data.test(), second.data.test());
+        assert_eq!(bits(hit_test.images()), bits(test.images()));
+        assert_eq!(hit_test.labels(), test.labels());
         let x = first.data.test().images();
         let a = first.spec.model.forward(x, Mode::Eval).unwrap();
         let b = second.spec.model.forward(x, Mode::Eval).unwrap();

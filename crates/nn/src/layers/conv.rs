@@ -767,7 +767,7 @@ mod tests {
     /// Square input sizes whose 3×3 same-padded span is below, at, and
     /// above [`PANEL_COLS`] per image, with `g` images per full panel.
     fn panel_cases() -> Vec<(usize, usize)> {
-        [2usize, 8, 32]
+        [2usize, 4, 8, 32]
             .into_iter()
             .map(|size| (size, (PANEL_COLS / (size * size)).max(1)))
             .collect()
@@ -841,11 +841,14 @@ mod tests {
     #[test]
     fn panel_param_grads_are_thread_count_invariant() {
         // 2→3 and 3→5 channels: weight gradients of 18×3 and 27×5, so the
-        // folded kernel's ragged rows and columns run at top level too
-        for ((size, g), (cin, cout)) in panel_cases()
-            .into_iter()
-            .flat_map(|case| [(case, (2, 3)), (case, (3, 5))])
-        {
+        // folded kernel's ragged rows and columns run at top level too; on
+        // the 2×2 and 4×4 maps (spans 4 and 16) also 3→19, a 27×19
+        // gradient on the column-lane core: two full lane blocks, a ragged
+        // one and a ragged block of rows
+        for ((size, g), (cin, cout)) in panel_cases().into_iter().flat_map(|case| {
+            let wide = (case.0 <= 4).then_some((case, (3, 19)));
+            [(case, (2, 3)), (case, (3, 5))].into_iter().chain(wide)
+        }) {
             let n = 2 * g + 3;
             let mut r = seeded(20 + size as u64);
             let conv = Conv2d::new(cin, cout, 3, 1, 1, &mut r).unwrap();

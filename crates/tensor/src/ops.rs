@@ -37,9 +37,15 @@
 //! panel back to the images. [`matmul_transb_fold_slices`] reads a batch's
 //! panels in place: a convolution's weight gradient is one call per layer
 //! that takes every image's `dot4` over its own column block and folds the
-//! images in fixed chunks. Its output elements partition over the pool,
-//! four rows by four columns at a time through a lane-packed microkernel
-//! whose sixteen results are the bits of sixteen `dot4` calls.
+//! images in fixed chunks. Its output rows partition over the pool, four at
+//! a time, on one of two lane-packed microkernels chosen by the shape, each
+//! giving the bits of `dot4` calls. Pair lanes hold four rows' four partial
+//! sums against one `b` row at a time, sixteen `dot4`s per block. Column
+//! lanes, for short spans (`k ≤ 16`) and at least eight output columns,
+//! hold eight output columns (a convolution's output channels): each
+//! image's `b` block is transposed once, every `a` element is one
+//! broadcast, and lane `c` of partial sum `t` adds `a[r][4q + t] ·
+//! bᵀ[4q + t][c]`, the very terms `dot4`'s `acc[t]` adds, in its order.
 //!
 //! A stride-1 convolution needs no column panel: [`pad_planes_slices`]
 //! copies the images once into zero-padded planes whose windows are the
@@ -212,6 +218,132 @@ fn dot4x4_steps(a: &[&[f32]; 4], b: &[&[f32]; 4], q: usize) -> [[f32; 16]; 4] {
         kk += 4;
     }
     acc
+}
+
+/// Output columns one lane vector of [`dot4_lanes`] holds.
+const LANES: usize = 8;
+
+/// Whether [`matmul_transb_fold_slices`] folds on the column-lane core
+/// ([`dot4_lanes`]) rather than the pair-lane one ([`dot4x4`]): at least
+/// `LANES` output columns and a span of 1 to 16.
+///
+/// Measured on the fold shapes VGG19 trains (`m×k×n`, 32 images, best of
+/// 5 rounds interleaved with the pair lanes, 1 and 2 threads, 2-vCPU
+/// AVX-512 host), the column lanes are 2.8–4.9× faster at `k ≤ 16`
+/// (144×16×32, 288×16×32, 288×4×32). Forced onto every shape, they were
+/// still 18–45 % faster at `k = 64` (72×64×16, 144×64×16), but lost at `k =
+/// 256` on two threads (36×256×8 +27 %), where the serial transpose of `b`
+/// no longer hides behind the products, and at `n = 4` (27×1024×4,
+/// 36×1024×4: 1.6–2.6× slower), where half their lanes idle. The bound
+/// stops at 16 so that VGG8's convolutions (spans 64–1024) keep the pair
+/// lanes.
+fn column_lanes(k: usize, n: usize) -> bool {
+    n >= LANES && (1..=16).contains(&k)
+}
+
+thread_local! {
+    /// The `b` blocks [`matmul_transb_fold_slices`] folds on the column-lane
+    /// core, transposed by [`lane_panels`]: grown to the largest batch the
+    /// thread has folded, then reused, so a steady-state loop allocates
+    /// nothing. The calling thread holds it for the whole fold, and the
+    /// pool's tasks only read it.
+    static LANE_PANELS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Transposes each image's `(n×k)` block of `b` into `n.div_ceil(LANES)`
+/// panels of `(k × LANES)`, image after image: row `kk` of panel `cb`
+/// holds element `kk` of columns `cb·LANES..(cb + 1)·LANES`, +0.0 past `n`.
+fn lane_panels<'p>(
+    b: &[f32],
+    images: usize,
+    k: usize,
+    n: usize,
+    panels: &'p mut Vec<f32>,
+) -> &'p [f32] {
+    let width = n.div_ceil(LANES) * LANES;
+    let len = images * width * k;
+    if panels.len() < len {
+        panels.resize(len, 0.0);
+    }
+    let panels = &mut panels[..len];
+    for (img, dst) in b
+        .chunks_exact(n * k)
+        .zip(panels.chunks_exact_mut(width * k))
+    {
+        // the image's columns cb·LANES.., `w` of them (fewer in the last panel)
+        for (cols, panel) in img.chunks(LANES * k).zip(dst.chunks_exact_mut(LANES * k)) {
+            let w = cols.len() / k;
+            for (kk, row) in panel.chunks_exact_mut(LANES).enumerate() {
+                for (l, v) in row.iter_mut().enumerate() {
+                    *v = if l < w { cols[l * k + kk] } else { 0.0 };
+                }
+            }
+        }
+    }
+    panels
+}
+
+/// Row `i` of a panel of `LANES`-wide rows.
+#[inline(always)]
+fn lane_row(panel: &[f32], i: usize) -> &[f32; LANES] {
+    panel[i * LANES..(i + 1) * LANES]
+        .try_into()
+        .expect("a row of LANES elements")
+}
+
+/// `acc[l] += x · b[l]` in every lane.
+#[inline(always)]
+fn mul_add_lanes(acc: &mut [f32; LANES], x: f32, b: &[f32; LANES]) {
+    for (o, &y) in acc.iter_mut().zip(b) {
+        *o += x * y;
+    }
+}
+
+/// The [`dot4`]s of four `a` rows (all of one length `k`) with `LANES`
+/// columns, bit for bit: `bt` holds the columns transposed, its row `kk`
+/// being element `kk` of every column, and element `r·LANES + l` of the
+/// result is `dot4(a[r], column l)`.
+///
+/// Lane `l` of `acc_t[r]` adds `a[r][4q + t] · bt[4q + t][l]` from +0.0 in
+/// ascending `q`, which is `dot4`'s `acc[t]` for that pair, and the lanes
+/// combine as `dot4` combines, `((acc0 + acc1) + (acc2 + acc3)) + tail`
+/// with the tail a serial sum from +0.0. No lane reads another, so nothing
+/// moves across lanes: the sixteen accumulators are sixteen vector
+/// registers, and each `a` element is one broadcast. Inlined on purpose:
+/// inside the fold's image loop the accumulators and the chunk sums stay
+/// in registers, where a call per image returns its lanes through memory.
+#[inline(always)]
+fn dot4_lanes(a: [&[f32]; 4], bt: &[f32]) -> [f32; 4 * LANES] {
+    let k = a[0].len();
+    let q = k - k % 4;
+    let a = a.map(|row| &row[..k]);
+    let bt = &bt[..k * LANES];
+    let mut acc0 = [[0.0f32; LANES]; 4];
+    let mut acc1 = [[0.0f32; LANES]; 4];
+    let mut acc2 = [[0.0f32; LANES]; 4];
+    let mut acc3 = [[0.0f32; LANES]; 4];
+    for (j, quad) in bt[..q * LANES].chunks_exact(4 * LANES).enumerate() {
+        let (b0, b1) = (lane_row(quad, 0), lane_row(quad, 1));
+        let (b2, b3) = (lane_row(quad, 2), lane_row(quad, 3));
+        for r in 0..4 {
+            let x: &[f32; 4] = a[r][4 * j..4 * j + 4].try_into().expect("4 elements");
+            mul_add_lanes(&mut acc0[r], x[0], b0);
+            mul_add_lanes(&mut acc1[r], x[1], b1);
+            mul_add_lanes(&mut acc2[r], x[2], b2);
+            mul_add_lanes(&mut acc3[r], x[3], b3);
+        }
+    }
+    let mut out = [0.0f32; 4 * LANES];
+    for (r, out) in out.chunks_exact_mut(LANES).enumerate() {
+        let mut tail = [0.0f32; LANES];
+        for (kk, &x) in a[r].iter().enumerate().skip(q) {
+            mul_add_lanes(&mut tail, x, lane_row(bt, kk));
+        }
+        for (l, o) in out.iter_mut().enumerate() {
+            *o = (acc0[r][l] + acc1[r][l]) + (acc2[r][l] + acc3[r][l]) + tail[l];
+        }
+    }
+    out
 }
 
 /// Upper bound on the chunks [`fold_images`] folds images into.
@@ -494,10 +626,23 @@ pub fn matmul_transb_slices(
 /// Element `(r, c)` is image `i`'s `dot4(a row r, b row c)`, folded over
 /// the images by [`fold_images`]: each chunk's sum starts at +0.0 and adds
 /// its images in ascending order, and the chunk sums fold left to right
-/// onto chunk 0's. The output rows partition over the pool,
-/// four at a time through the lane-packed `dot4x4` microkernel, with one
-/// `dot4` per element on the ragged edges; each element's arithmetic is
-/// the same on either path and at any thread count.
+/// onto chunk 0's. The output rows partition over the pool, four at a
+/// time, and the shape picks the lanes:
+///
+/// - **Column lanes** (`n ≥ 8` and `1 ≤ k ≤ 16`: a convolution's 4×4 and
+///   2×2 maps). Each image's `(n×k)` block of `b` is transposed once into
+///   panels of eight columns, and a block of four rows runs against each
+///   panel with one output column per vector lane: lane `c` of partial sum
+///   `t` adds `a[r][4q + t] · bᵀ[4q + t][c]` from +0.0 in ascending `q`,
+///   the lanes combine as `((acc0 + acc1) + (acc2 + acc3)) + tail`, and the
+///   result adds to its fold chunk's sum. Those are exactly `dot4`'s and
+///   `fold_images`' IEEE operations, in their order.
+/// - **Pair lanes** (every other shape). A block of four rows by four
+///   columns runs through a 4×4 microkernel whose lanes hold each row's
+///   four partial sums, with one `dot4` per element on the ragged edges.
+///
+/// Each element's arithmetic is the same on every path and at any thread
+/// count.
 ///
 /// # Errors
 ///
@@ -527,14 +672,26 @@ pub fn matmul_transb_fold_slices(
         format!("{m}x{k}x{n}, {images} images")
     });
     count_gemm(images, m, n, k);
-    // row r of image i's block of `a`: image i is the (i − first)-th of
-    // the panel starting at image `first`, whose rows hold its images' `k`
-    // columns side by side
-    let a_row = |i: usize, r: usize| {
+    // image i's block of `a` starts at `at` with rows `pitch` apart: image
+    // i is the (i − first)-th of the panel starting at image `first`,
+    // whose rows hold its images' `k` columns side by side
+    let a_block = |i: usize| {
         let first = i / per * per;
-        let pitch = per.min(images - first) * k;
-        &a[first * m * k + r * pitch + (i - first) * k..][..k]
+        (first * m * k + (i - first) * k, per.min(images - first) * k)
     };
+    let a_row = |i: usize, r: usize| {
+        let (at, pitch) = a_block(i);
+        &a[at + r * pitch..][..k]
+    };
+    if column_lanes(k, n) {
+        let a_rows = |i: usize, [r0, r1, r2, r3]: [usize; 4]| {
+            let (at, pitch) = a_block(i);
+            let row = |r: usize| &a[at + r * pitch..][..k];
+            [row(r0), row(r1), row(r2), row(r3)]
+        };
+        fold_column_lanes(&a_rows, b, (images, k, n), out);
+        return Ok(());
+    }
     let b_row = |i: usize, c: usize| &b[(i * n + c) * k..][..k];
     let one = |r: usize, c: usize| fold_images(images, |i| [dot4(a_row(i, r), b_row(i, c))])[0];
     // blocks of four output rows; the last block may be short
@@ -580,6 +737,41 @@ pub fn matmul_transb_fold_slices(
         },
     );
     Ok(())
+}
+
+/// [`matmul_transb_fold_slices`] on the column-lane core: `a_rows(i,
+/// rows)` gives four rows of image `i`'s block of `a`. The images' `b`
+/// blocks are transposed once into [`lane_panels`]; each block of four
+/// output rows then takes its columns `LANES` at a time, folding the
+/// images' [`dot4_lanes`] by [`fold_images`]. A short last block of rows
+/// repeats its last row and drops the copies' results, and the columns past
+/// `n` of the last lane block read +0.0 and are dropped too.
+fn fold_column_lanes<'a>(
+    a_rows: &(impl Fn(usize, [usize; 4]) -> [&'a [f32]; 4] + Sync),
+    b: &[f32],
+    (images, k, n): (usize, usize, usize),
+    out: &mut [f32],
+) {
+    LANE_PANELS.with(|panels| {
+        let mut panels = panels.borrow_mut();
+        let panels = lane_panels(b, images, k, n, &mut panels);
+        let panel = |i: usize, cb: usize| &panels[(i * n.div_ceil(LANES) + cb) * k * LANES..];
+        let min_rows = pool::min_rows(4 * images * k * n);
+        pool::par_row_chunks_mut(out, 4 * n, min_rows, |first, blocks| {
+            for (bi, block) in blocks.chunks_mut(4 * n).enumerate() {
+                let r0 = 4 * (first + bi);
+                let last = r0 + block.len() / n - 1;
+                let rows = [r0, r0 + 1, r0 + 2, r0 + 3].map(|r| r.min(last));
+                for (cb, c0) in (0..n).step_by(LANES).enumerate() {
+                    let t = fold_images(images, |i| dot4_lanes(a_rows(i, rows), panel(i, cb)));
+                    let width = LANES.min(n - c0);
+                    for (orow, t) in block.chunks_exact_mut(n).zip(t.chunks_exact(LANES)) {
+                        orow[c0..c0 + width].copy_from_slice(&t[..width]);
+                    }
+                }
+            }
+        });
+    });
 }
 
 /// `aᵀ · b` on raw slices, where `a` is stored `(k×m)` and `b` is `(k×n)` —

@@ -352,18 +352,25 @@ fn operand(r: &mut impl Rng, len: usize, specials: bool) -> Vec<f32> {
 }
 
 /// The folded weight-gradient kernel gives its serial definition's bits
-/// (NaN payloads aside) at 1, 2, 4 and 7 threads: `m`, `k` and `n` in every
-/// residue mod 4 (the microkernel's ragged edges), 1–7 images and batches
-/// whose last fold chunk is short, panels whose rows are wider than `k`
-/// with a short last panel, and operands holding ±0.0, ±∞ and NaN.
-/// `matmul_transb_slices` is still one `dot4` per element.
+/// (NaN payloads aside) at 1, 2, 4 and 7 threads, on both of its cores:
+/// `m` up to 300 and `n` up to 40, so every residue of the four-row blocks
+/// and of the pair-lane (4) and column-lane (8) column blocks comes up,
+/// with several full blocks of each; `k` from 1 to 39 (every residue mod
+/// 4, both sides of the column-lane rule's `k ≤ 16`) or a VGG span of 4, 16
+/// or 64; 1–7 images and batches whose last fold chunk is short, panels
+/// whose rows are wider than `k` with a short last panel, and operands
+/// holding ±0.0, ±∞ and NaN. `matmul_transb_slices` is still one `dot4` per
+/// element.
 #[test]
 fn folded_weight_gradient_matches_its_serial_definition() {
     use ahw_tensor::pool;
     check::cases(96).run("folded_weight_gradient", |g| {
-        let m = g.usize_in("m", 1, 72);
-        let k = g.usize_in("k", 1, 40);
-        let n = g.usize_in("n", 1, 14);
+        let m = g.usize_in("m", 1, 301);
+        let k = match g.usize_in("k_kind", 0, 3) {
+            0 => [4, 16, 64][g.usize_in("span_at", 0, 3)],
+            _ => g.usize_in("k", 1, 40),
+        };
+        let n = g.usize_in("n", 1, 41);
         let images = [1, 2, 3, 4, 5, 6, 7, 17, 19, 23, 35, 37][g.usize_in("images_at", 0, 12)];
         let per = g.usize_in("per", 1, images + 1);
         let specials = g.usize_in("specials", 0, 2) == 1;
