@@ -9,9 +9,14 @@ fn main() {
     let _telemetry = ahw_bench::telemetry_flush();
     let args = Args::from_env();
     let scale = args.scale();
-    let weight_noise = args
-        .get::<String>("noise-target")
-        .is_some_and(|t| t == "weights");
+    let weight_noise = match args.get::<String>("noise-target").as_deref() {
+        None | Some("activations") => false,
+        Some("weights") => true,
+        Some(other) => {
+            eprintln!("--noise-target: expected activations or weights, got {other:?}");
+            std::process::exit(2);
+        }
+    };
     println!("Fig. 5 — AL vs FGSM epsilon, baseline vs bit-error noise");
     if weight_noise {
         println!("(ablation: noise injected into parameter memories)");

@@ -7,8 +7,8 @@
 //! 3. crossbar **ADC calibration** modes (none / per-layer / per-column);
 //! 4. **searched hybrid plan vs homogeneous all-6T** memories everywhere.
 
-use super::{load_plan, load_trained};
-use crate::{cache_dir, Scale};
+use super::load_trained;
+use crate::Scale;
 use ahw_attacks::{evaluate_attack, Attack, AttackOutcome};
 use ahw_core::hardware::{
     apply_noise_plan, apply_weight_noise_plan, crossbar_variant, NoisePlan, PlannedSite,
@@ -57,24 +57,18 @@ pub fn run_ablations(scale: &Scale) -> Result<Vec<AblationRow>, NnError> {
     let attack = Attack::fgsm(0.1);
     let mut rows = Vec::new();
 
-    // shared: a noise plan (cached from the table runs when present)
-    let plan_key = format!("vgg8_10c_w{:.4}_plan", scale.width);
-    let mut plan = match load_plan(&cache_dir(), &plan_key) {
-        Some(p) if !p.sites.is_empty() => p,
-        _ => {
-            let outcome = select_noise_sites(
-                spec,
-                &images,
-                &labels,
-                &SelectionConfig {
-                    improvement_threshold: 0.0,
-                    batch: scale.batch,
-                    ..SelectionConfig::default()
-                },
-            )?;
-            outcome.plan
-        }
-    };
+    // shared: a noise plan from a fixed-ε (FGSM 0.1) search
+    let mut plan = select_noise_sites(
+        spec,
+        &images,
+        &labels,
+        &SelectionConfig {
+            improvement_threshold: 0.0,
+            batch: scale.batch,
+            ..SelectionConfig::default()
+        },
+    )?
+    .plan;
     if plan.sites.is_empty() {
         // the search can legitimately come up empty (no site beats the
         // baseline); the ablations still need *some* noise to contrast, so

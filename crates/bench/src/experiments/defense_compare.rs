@@ -31,22 +31,7 @@ pub struct DefenseRow {
 ///
 /// Propagates zoo/defense/attack errors.
 pub fn defense_comparison(scale: &Scale, epsilon: f32) -> Result<Vec<DefenseRow>, NnError> {
-    defense_comparison_on(ArchId::Vgg16, 100, scale, epsilon)
-}
-
-/// As [`defense_comparison`] on an arbitrary architecture/dataset pair
-/// (used by tests and the miniature benches).
-///
-/// # Errors
-///
-/// Propagates zoo/defense/attack errors.
-pub fn defense_comparison_on(
-    arch: ArchId,
-    num_classes: usize,
-    scale: &Scale,
-    epsilon: f32,
-) -> Result<Vec<DefenseRow>, NnError> {
-    let (trained, images, labels) = load_trained(arch, num_classes, scale)?;
+    let (trained, images, labels) = load_trained(ArchId::Vgg16, 100, scale)?;
     let software = &trained.spec.model;
 
     // hardware and defended variants, built once

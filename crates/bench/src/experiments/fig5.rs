@@ -1,11 +1,10 @@
 //! Fig. 5 — Adversarial Loss vs FGSM ε, baseline vs bit-error-noise models,
 //! for VGG19 and ResNet18 on both datasets.
 
-use super::{load_plan, load_trained, FIG5_EPSILONS};
-use crate::{cache_dir, Scale};
+use super::{fig4_search, load_trained, FIG5_EPSILONS};
+use crate::Scale;
 use ahw_attacks::{sweep_epsilons, Attack};
-use ahw_core::hardware::{apply_noise_plan, apply_weight_noise_plan, NoisePlan};
-use ahw_core::selection::{select_noise_sites, SelectionConfig};
+use ahw_core::hardware::{apply_noise_plan, apply_weight_noise_plan};
 use ahw_core::zoo::ArchId;
 use ahw_nn::NnError;
 
@@ -29,24 +28,12 @@ pub struct Fig5Series {
     pub noise_target: String,
 }
 
-/// Regenerates one Fig. 5 curve pair. Reuses a cached Fig.-4 plan from a
-/// previous `exp_table1`/`exp_table2` run when available (same plan key),
-/// otherwise runs the search with the paper's settings.
-///
-/// # Errors
-///
-/// Propagates zoo/selection/attack errors.
-pub fn fig5_al_sweep(
-    arch: ArchId,
-    num_classes: usize,
-    scale: &Scale,
-) -> Result<Fig5Series, NnError> {
-    fig5_al_sweep_target(arch, num_classes, scale, false)
-}
-
-/// As [`fig5_al_sweep`], with the paper's activations-vs-weights ablation:
-/// when `weight_noise` is true the plan corrupts parameter memories instead
-/// of activation memories (§III-A reports this as the weaker defense).
+/// Regenerates one Fig. 5 curve pair on the plan the Tables I/II search
+/// selects for the model (`fig4_search`; after a table run of the same
+/// model, its journal replays that search). When `weight_noise` is true the
+/// plan corrupts parameter memories instead of activation memories — the
+/// paper's activations-vs-weights ablation (§III-A reports it as the weaker
+/// defense).
 ///
 /// # Errors
 ///
@@ -59,30 +46,7 @@ pub fn fig5_al_sweep_target(
 ) -> Result<Fig5Series, NnError> {
     let (trained, images, labels) = load_trained(arch, num_classes, scale)?;
     let spec = &trained.spec;
-    let plan_key = format!("{}_{}c_w{:.4}_plan", arch.name(), num_classes, scale.width);
-    let plan: NoisePlan = match load_plan(&cache_dir(), &plan_key) {
-        Some(plan) => {
-            eprintln!(
-                "fig5: using cached plan {plan_key} ({} sites)",
-                plan.sites.len()
-            );
-            plan
-        }
-        None => {
-            eprintln!("fig5: no cached plan, running Fig. 4 search for {plan_key}");
-            let probe_eps = super::adaptive_probe_eps(&spec.model, &images, &labels, scale.batch)?;
-            let config = SelectionConfig {
-                vdd: 0.68,
-                attack: Attack::fgsm(probe_eps),
-                improvement_threshold: 0.0,
-                batch: scale.batch,
-                ..SelectionConfig::default()
-            };
-            let outcome = select_noise_sites(spec, &images, &labels, &config)?;
-            super::store_plan(&cache_dir(), &plan_key, &outcome.plan).ok();
-            outcome.plan
-        }
-    };
+    let plan = fig4_search(spec, &images, &labels, scale)?.outcome.plan;
     let hardware = if weight_noise {
         apply_weight_noise_plan(spec, &plan, 0xF165 ^ num_classes as u64)?
     } else {

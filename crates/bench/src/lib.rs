@@ -5,9 +5,9 @@
 //! the judge of interleaved A/B sessions of them (see [`compare`]).
 //!
 //! Each experiment lives in [`experiments`] as a parameterized function
-//! returning structured rows; the `exp_*` binaries print them paper-style
-//! and the `figures` bench exercises miniature versions. Scale
-//! knobs (`--quick`, `--width`, …) are shared through [`Scale`] / [`Args`].
+//! returning structured rows; the `exp_*` binaries print them paper-style.
+//! Scale knobs (`--quick`, `--width`, …) are shared through [`Scale`] /
+//! [`Args`].
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -53,7 +53,7 @@ pub struct Scale {
 
 impl Scale {
     /// The default experiment scale: the `exp_*` suite of
-    /// `run_experiments.sh`, training included, took 265 s wall from an
+    /// `run_experiments.sh`, training included, took 133.8 s wall from an
     /// empty model cache on a 2-vCPU AVX-512 host at `AHW_THREADS=2`. Pass
     /// `--full` for the larger networks if you have a many-core machine.
     pub fn standard() -> Self {
@@ -165,14 +165,31 @@ impl Args {
         self.raw.iter().any(|a| a == &format!("--{name}"))
     }
 
-    /// The value following `--name`, parsed.
+    /// The value following `--name`, parsed; `None` when the flag is
+    /// absent. A present flag whose value is missing or does not parse ends
+    /// the process with exit code 2 and a message naming the flag, rather
+    /// than running with the default.
     pub fn get<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.try_get(name).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`Args::get`] without the exit: `Err` names the flag. A value that
+    /// is itself a `--flag` counts as missing.
+    fn try_get<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
         let key = format!("--{name}");
-        self.raw
-            .iter()
-            .position(|a| a == &key)
-            .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
+        let Some(i) = self.raw.iter().position(|a| a == &key) else {
+            return Ok(None);
+        };
+        match self.raw.get(i + 1) {
+            Some(v) if !v.starts_with("--") => v
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("{key}: cannot parse {v:?}")),
+            _ => Err(format!("{key}: missing value")),
+        }
     }
 
     /// The scale selected by `--quick` / `--tiny` (default standard), with
@@ -285,8 +302,55 @@ mod tests {
     }
 
     #[test]
-    fn missing_value_is_none() {
-        let a = Args::from_vec(vec!["--width".into()]);
+    fn absent_flag_is_none() {
+        let a = Args::from_vec(vec!["--tiny".into()]);
+        assert_eq!(a.try_get::<f32>("width"), Ok(None));
         assert_eq!(a.get::<f32>("width"), None);
+    }
+
+    #[test]
+    fn missing_value_is_an_error_naming_the_flag() {
+        for raw in [vec!["--width"], vec!["--width", "--tiny"]] {
+            let a = Args::from_vec(raw.into_iter().map(String::from).collect());
+            assert_eq!(
+                a.try_get::<f32>("width"),
+                Err("--width: missing value".into())
+            );
+        }
+        let a = Args::from_vec(vec!["--trace".into(), "--out".into(), "r.md".into()]);
+        assert_eq!(
+            a.try_get::<String>("trace"),
+            Err("--trace: missing value".into())
+        );
+    }
+
+    #[test]
+    fn unparsable_value_is_an_error_naming_the_flag() {
+        let a = Args::from_vec(vec![
+            "--epsilon".into(),
+            "4/255".into(),
+            "--width".into(),
+            "0,125".into(),
+            "--epochs".into(),
+            "-1".into(),
+        ]);
+        assert_eq!(
+            a.try_get::<f32>("epsilon"),
+            Err("--epsilon: cannot parse \"4/255\"".into())
+        );
+        assert_eq!(
+            a.try_get::<f32>("width"),
+            Err("--width: cannot parse \"0,125\"".into())
+        );
+        assert_eq!(
+            a.try_get::<usize>("epochs"),
+            Err("--epochs: cannot parse \"-1\"".into())
+        );
+    }
+
+    #[test]
+    fn negative_numbers_are_values() {
+        let a = Args::from_vec(vec!["--epsilon".into(), "-0.5".into()]);
+        assert_eq!(a.try_get::<f32>("epsilon"), Ok(Some(-0.5)));
     }
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Regenerates every paper table/figure at the default scale.
-# Outputs land in results/. Order matters: the table runs cache the
-# Fig. 4 plans that exp_fig5 reuses.
+# Outputs land in results/. Every output depends only on its binary's
+# arguments; the order only decides how much comes from the model cache
+# and the search journal (exp_fig5 replays the table runs' Fig. 4 search).
 set -e
 BIN=target/release
 # Propagate the worker-count knob explicitly (only when actually set — an

@@ -83,7 +83,20 @@ for bin in exp_fig2 exp_table1 exp_table2 exp_fig5 exp_fig6 exp_table3 exp_fig7 
         exit 1
     fi
     echo "verify: $bin --tiny stdout: $status" >&2
+    if [ "$bin" = exp_fig5 ]; then fig5_digest="$digest"; fi
 done
+rm -rf "$exp_dir"
+# No exp_* output may depend on what ran before it: exp_fig5, which runs
+# the table runs' Fig. 4 search (replaying their journal in the loop
+# above), must print the same digest alone, in a fresh directory with an
+# empty model cache.
+exp_dir="$(mktemp -d)"
+digest="$(exp exp_fig5 2)"
+if [ "$digest" != "$fig5_digest" ]; then
+    echo "verify: exp_fig5 --tiny alone printed $digest, after the table runs $fig5_digest" >&2
+    exit 1
+fi
+echo "verify: exp_fig5 --tiny stdout alone: match" >&2
 rm -rf "$exp_dir"
 # Smoke: the kernel bench on a 2-thread pool (tiny effort), run as one
 # A/B pair against HEAD through scripts/ab.sh and the speed judge; a
