@@ -17,7 +17,8 @@
 //!
 //! Without `--out` the Markdown goes to stdout; with it, the file is
 //! written along with a rendered `.html` sibling. A trace or history that
-//! cannot be read, or a trace that is not a whole trace document, exits 2.
+//! cannot be read, a trace that is not a whole trace document, or an
+//! argument it does not take exits 2.
 
 use ahw_bench::{calibration, report};
 
@@ -30,18 +31,19 @@ fn usage() -> ! {
 
 fn main() {
     let args = ahw_bench::Args::from_env();
-    let value = |flag: &str| args.get::<String>(flag);
-    let trace = value("trace").unwrap_or_else(|| usage());
+    let [trace, bench, out] = ["trace", "bench", "out"].map(|flag| args.get::<String>(flag));
+    args.reject_unread();
+    let trace = trace.unwrap_or_else(|| usage());
     let (spans, snap) = report::parse_trace(&read_or_die(&trace)).unwrap_or_else(|e| {
         eprintln!("ahw_report: {trace}: {e}");
         std::process::exit(2);
     });
-    let history = value("bench").map(|path| read_or_die(&path));
+    let history = bench.map(|path| read_or_die(&path));
     let threads = calibration::snapshot_threads(&snap);
     let roof = calibration::resolve_roofline(history.as_deref(), threads);
     let md = ahw_telemetry::render_report_md(&spans, &snap, roof.as_ref());
 
-    match value("out") {
+    match out {
         Some(path) => {
             let path = std::path::PathBuf::from(path);
             match report::write_report_files(&path, &md) {

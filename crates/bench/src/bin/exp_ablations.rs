@@ -9,6 +9,7 @@ fn main() {
     let _telemetry = ahw_bench::telemetry_flush();
     let args = Args::from_env();
     let scale = args.scale();
+    args.reject_unread();
     println!("Ablations (VGG8 / CIFAR10, FGSM eps=0.1)");
     println!();
     let rows = match run_ablations(&scale) {

@@ -2,10 +2,15 @@
 //! ratio, one column per scaled supply voltage.
 
 use ahw_bench::experiments::fig2_mu_sweep;
-use ahw_bench::table;
+use ahw_bench::{table, Args};
 
 fn main() {
     let _telemetry = ahw_bench::telemetry_flush();
+    // Fig. 2 trains nothing, so it has no scale, but it takes the suite's
+    // scale options as every `exp_*` binary does
+    let args = Args::from_env();
+    args.scale();
+    args.reject_unread();
     let vdds = [0.60f32, 0.65, 0.70, 0.75, 0.80];
     let rows = fig2_mu_sweep(&vdds);
     let headers: Vec<String> = std::iter::once("8T/6T".to_string())

@@ -17,6 +17,7 @@ fn main() {
             std::process::exit(2);
         }
     };
+    args.reject_unread();
     println!("Fig. 5 — AL vs FGSM epsilon, baseline vs bit-error noise");
     if weight_noise {
         println!("(ablation: noise injected into parameter memories)");

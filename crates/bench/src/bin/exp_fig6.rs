@@ -9,6 +9,7 @@ fn main() {
     let _telemetry = ahw_bench::telemetry_flush();
     let args = Args::from_env();
     let scale = args.scale();
+    args.reject_unread();
     println!("Fig. 6 — AL vs epsilon on crossbars, VGG8 / CIFAR10");
     println!();
     let rows = match crossbar_mode_sweep(ArchId::Vgg8, 10, &[16, 32], &scale) {

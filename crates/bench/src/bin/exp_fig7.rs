@@ -8,6 +8,7 @@ fn main() {
     let _telemetry = ahw_bench::telemetry_flush();
     let args = Args::from_env();
     let scale = args.scale();
+    args.reject_unread();
     println!("Fig. 7 — AL vs epsilon on crossbars, VGG16 / CIFAR100");
     println!();
     let rows = match crossbar_mode_sweep(ArchId::Vgg16, 100, &[16, 32], &scale) {

@@ -9,6 +9,7 @@ fn main() {
     let args = Args::from_env();
     let scale = args.scale();
     let epsilon = args.get::<f32>("epsilon").unwrap_or(8.0 / 255.0);
+    args.reject_unread();
     println!(
         "Fig. 8(a) — R_MIN study (PGD @ eps={:.4}), VGG8 / CIFAR10, 32x32 crossbars",
         epsilon

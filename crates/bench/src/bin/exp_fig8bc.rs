@@ -9,6 +9,7 @@ fn main() {
     let args = Args::from_env();
     let scale = args.scale();
     let epsilon = args.get::<f32>("epsilon").unwrap_or(8.0 / 255.0);
+    args.reject_unread();
     println!(
         "Fig. 8(b,c) — defense comparison (eps={:.4}), VGG16 / CIFAR100",
         epsilon

@@ -9,6 +9,7 @@ fn main() {
     let _telemetry = ahw_bench::telemetry_flush();
     let args = Args::from_env();
     let scale = args.scale();
+    args.reject_unread();
     println!("Table II — ResNet18 hybrid 8T-6T activation-memory configurations");
     println!("(S marks residual-shortcut activation memories)");
     println!();

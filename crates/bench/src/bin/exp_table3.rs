@@ -8,6 +8,7 @@ fn main() {
     let _telemetry = ahw_bench::telemetry_flush();
     let args = Args::from_env();
     let scale = args.scale();
+    args.reject_unread();
     println!("Table III — AL (%) for HH attack (PGD) across crossbar sizes, VGG8 / CIFAR10");
     println!();
     let rows = match table3_size_study(&scale) {

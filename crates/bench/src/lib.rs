@@ -31,6 +31,7 @@ pub mod table;
 use ahw_core::zoo::{ArchId, ZooConfig};
 use ahw_datasets::DatasetConfig;
 use ahw_nn::train::TrainConfig;
+use std::cell::RefCell;
 use std::path::PathBuf;
 
 /// Experiment sizing: the same experiments run at paper scale, quick scale
@@ -142,27 +143,40 @@ impl Scale {
 
 /// Minimal `--key value` / `--flag` argument parser for the experiment
 /// binaries (no CLI crate in the offline set).
+///
+/// Every lookup marks the tokens it reads, and [`Args::reject_unread`]
+/// ends the process when a token was never read: a misspelt flag or a
+/// stray value is an error, not a silent fall-back to the defaults.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     raw: Vec<String>,
+    /// Whether a lookup read `raw[i]`: a flag, or a value's key or value.
+    read: RefCell<Vec<bool>>,
 }
 
 impl Args {
     /// Parses the process arguments.
     pub fn from_env() -> Self {
-        Args {
-            raw: std::env::args().skip(1).collect(),
-        }
+        Args::from_vec(std::env::args().skip(1).collect())
     }
 
     /// Parses a provided list (tests).
     pub fn from_vec(raw: Vec<String>) -> Self {
-        Args { raw }
+        let read = RefCell::new(vec![false; raw.len()]);
+        Args { raw, read }
     }
 
     /// Whether `--name` is present.
     pub fn flag(&self, name: &str) -> bool {
-        self.raw.iter().any(|a| a == &format!("--{name}"))
+        let key = format!("--{name}");
+        let mut found = false;
+        for (a, read) in self.raw.iter().zip(self.read.borrow_mut().iter_mut()) {
+            if *a == key {
+                *read = true;
+                found = true;
+            }
+        }
+        found
     }
 
     /// The value following `--name`, parsed; `None` when the flag is
@@ -170,10 +184,7 @@ impl Args {
     /// the process with exit code 2 and a message naming the flag, rather
     /// than running with the default.
     pub fn get<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
-        self.try_get(name).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        self.try_get(name).unwrap_or_else(|e| exit_usage(&e))
     }
 
     /// [`Args::get`] without the exit: `Err` names the flag. A value that
@@ -183,23 +194,47 @@ impl Args {
         let Some(i) = self.raw.iter().position(|a| a == &key) else {
             return Ok(None);
         };
+        self.read.borrow_mut()[i] = true;
         match self.raw.get(i + 1) {
-            Some(v) if !v.starts_with("--") => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("{key}: cannot parse {v:?}")),
+            Some(v) if !v.starts_with("--") => {
+                self.read.borrow_mut()[i + 1] = true;
+                v.parse()
+                    .map(Some)
+                    .map_err(|_| format!("{key}: cannot parse {v:?}"))
+            }
             _ => Err(format!("{key}: missing value")),
         }
+    }
+
+    /// Ends the process with exit code 2 and a message naming the token
+    /// when a token was read by no lookup so far: an unknown `--flag`, or a
+    /// value no `--key` took. Call it once every option has been looked up.
+    pub fn reject_unread(&self) {
+        if let Some(token) = self.unread() {
+            exit_usage(&format!("unknown argument {token:?}"));
+        }
+    }
+
+    /// The first token no lookup has read.
+    fn unread(&self) -> Option<&str> {
+        let read = self.read.borrow();
+        self.raw
+            .iter()
+            .zip(read.iter())
+            .find(|(_, &read)| !read)
+            .map(|(a, _)| a.as_str())
     }
 
     /// The scale selected by `--quick` / `--tiny` (default standard), with
     /// `--width`, `--test-size`, `--epochs`, `--pgd-steps` overrides.
     pub fn scale(&self) -> Scale {
-        let mut s = if self.flag("tiny") {
+        // every scale flag is read, so a second one is no unknown argument
+        let (tiny, quick, full) = (self.flag("tiny"), self.flag("quick"), self.flag("full"));
+        let mut s = if tiny {
             Scale::tiny()
-        } else if self.flag("quick") {
+        } else if quick {
             Scale::quick()
-        } else if self.flag("full") {
+        } else if full {
             Scale::full()
         } else {
             Scale::standard()
@@ -218,6 +253,12 @@ impl Args {
         }
         s
     }
+}
+
+/// Prints `message` and ends the process with exit code 2.
+fn exit_usage(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
 /// RAII guard owning an experiment's telemetry lifecycle: on drop it
@@ -352,5 +393,47 @@ mod tests {
     fn negative_numbers_are_values() {
         let a = Args::from_vec(vec!["--epsilon".into(), "-0.5".into()]);
         assert_eq!(a.try_get::<f32>("epsilon"), Ok(Some(-0.5)));
+    }
+
+    fn args(raw: &[&str]) -> Args {
+        Args::from_vec(raw.iter().map(|a| a.to_string()).collect())
+    }
+
+    #[test]
+    fn a_misspelt_scale_flag_is_unread() {
+        for typo in ["--tyni", "--qucik", "--tiyn"] {
+            let a = args(&["--width", "0.25", typo]);
+            assert_eq!(
+                a.scale(),
+                Scale {
+                    width: 0.25,
+                    ..Scale::standard()
+                }
+            );
+            assert_eq!(a.unread(), Some(typo), "{typo} was read");
+        }
+    }
+
+    #[test]
+    fn a_stray_value_is_unread() {
+        // `--quick` is a flag, so the token after it is no value of it
+        let a = args(&["--quick", "3", "--epochs", "2"]);
+        assert_eq!(a.scale().epochs, 2);
+        assert_eq!(a.unread(), Some("3"));
+        let a = args(&["--epsilon", "0.1", "0.2"]);
+        assert_eq!(a.get::<f32>("epsilon"), Some(0.1));
+        assert_eq!(a.unread(), Some("0.2"));
+    }
+
+    #[test]
+    fn every_read_token_passes() {
+        let a = args(&["--tiny", "--epsilon", "0.1", "--noise-target", "weights"]);
+        assert_eq!(a.unread(), Some("--tiny"));
+        assert_eq!(a.scale(), Scale::tiny());
+        assert_eq!(a.get::<f32>("epsilon"), Some(0.1));
+        assert_eq!(a.unread(), Some("--noise-target"));
+        assert_eq!(a.get::<String>("noise-target").as_deref(), Some("weights"));
+        assert_eq!(a.unread(), None);
+        assert_eq!(args(&[]).unread(), None);
     }
 }

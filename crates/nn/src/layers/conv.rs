@@ -21,16 +21,6 @@ fn panel_images(n: usize, span: usize) -> usize {
     n.div_ceil(panels.max(1)).max(1)
 }
 
-/// Where a pass's column panels live: in the batch's cached panels after a
-/// `Train` forward (`dL/dW` reads them again), else in one slot per pool
-/// range that every panel of the range reuses.
-fn panels_part(cached: &mut Option<Vec<f32>>, item_cols: usize) -> Part<'_> {
-    match cached {
-        Some(cols) => Part::Items(cols, item_cols),
-        None => Part::Slot(item_cols),
-    }
-}
-
 /// 2-D convolution with square kernels, computed as GEMMs over the input
 /// lowered one of two ways.
 ///
@@ -51,7 +41,9 @@ fn panels_part(cached: &mut Option<Vec<f32>>, item_cols: usize) -> Part<'_> {
 /// - **Column panels** (`Train` passes and strided convolutions): panel
 ///   `p` is a `(C·k·k) × (images·span)` im2col matrix with image `j`'s
 ///   columns at offset `j·span`; the input gradient writes its `dcols`
-///   panel and scatters it with col2im.
+///   panel and scatters it with col2im. Each pool range lowers its panels
+///   one after another into one workspace slot, so no pass holds a
+///   batch-sized lowering.
 ///
 /// A GEMM element's accumulation order depends only on the inner
 /// dimension, never on the column count or where `B`'s rows live, and both
@@ -59,12 +51,14 @@ fn panels_part(cached: &mut Option<Vec<f32>>, item_cols: usize) -> Part<'_> {
 /// the two routes give the same bits, which are the bits a one-image-at-a-
 /// time lowering produces.
 ///
-/// After a `Train` forward the backward takes the weight gradient in one
-/// [`ops::matmul_transb_fold_slices`] call over the cached panels: every
-/// image's product element is one `dot4` over its own column block, and
-/// the images fold in fixed chunks ([`ops::fold_images`]). The bias
-/// gradient folds the images' `dY` sums the same way, one channel per pool
-/// slot, so both are bit-identical at any thread count.
+/// A `Train` forward caches a copy of its input, and the backward takes
+/// the weight gradient from it in one [`ops::conv_weight_grad_slices`]
+/// call, which lowers the batch again, one block of whole fold chunks at a
+/// time, into one L2-sized workspace slot: every image's product element
+/// is one `dot4` over its own column block, and the images fold in fixed
+/// chunks ([`ops::fold_images`]). The bias gradient folds the images' `dY`
+/// sums the same way, one channel per pool slot, so both are bit-identical
+/// at any thread count.
 #[derive(Clone)]
 pub struct Conv2d {
     weight: Param,
@@ -76,11 +70,11 @@ pub struct Conv2d {
     padding: usize,
     hook: HookCell,
     /// What `backward_ws` reads: the forward's geometry and batch size and,
-    /// after a `Train` forward only, the batch's im2col panels
-    /// (`n · patch · span` elements, panel after panel) for `dL/dW`. An
-    /// `Eval` forward never lowers the whole batch, since `dL/dx` needs only
-    /// the weights: each pool range copies (or lowers) its panels one after
-    /// another into one panel-sized workspace slot.
+    /// after a `Train` forward only, a copy of its input (`n · C · H · W`
+    /// elements), which `dL/dW` lowers again block by block. No forward
+    /// keeps a lowering: `dL/dx` needs only the weights, and each pool range
+    /// copies (or lowers) its panels one after another into one panel-sized
+    /// workspace slot.
     cache: Option<(ConvGeometry, usize, Option<Vec<f32>>)>,
 }
 
@@ -181,14 +175,13 @@ impl Conv2d {
     }
 
     /// Forward on column panels into `out`: each panel of images is
-    /// lowered by im2col (into the cached panels in `Train`, into its
-    /// range's slot in `Eval`) and multiplied by the weights.
+    /// lowered by im2col into its range's slot and multiplied by the
+    /// weights.
     fn forward_panels(
         &self,
         x: &Tensor,
         g: &ConvGeometry,
         out: &mut [f32],
-        panels: &mut Option<Vec<f32>>,
         ws: &mut Workspace,
     ) -> Result<(), NnError> {
         let n = x.dims()[0];
@@ -210,7 +203,7 @@ impl Conv2d {
             per,
             [
                 Part::Items(out, item_out),
-                panels_part(panels, patch * span),
+                Part::Slot(patch * span),
                 Part::Slot(scratch),
             ],
             ws,
@@ -311,26 +304,27 @@ impl Conv2d {
     }
 
     /// Backward from the forward's cache. After a `Train` forward, `dL/dW`
-    /// reads the cached panels first and `dL/dx` then overwrites each panel
-    /// in place with its `dcols` before scattering it back to input
-    /// geometry. After a stride-1 `Eval` forward, `dL/dx` runs on padded
-    /// planes with no `dcols` at all ([`ops::conv_input_grad_slices`]);
-    /// after a strided one, each pool range's slot takes the panels' place.
-    /// Besides `dx`, the backward takes only per-range slots from the
-    /// workspace.
+    /// lowers the cached input again ([`ops::conv_weight_grad_slices`]),
+    /// and the copy's buffer is recycled before `dx` is taken. After a
+    /// stride-1 `Eval` forward, `dL/dx` runs on padded planes with no
+    /// `dcols` at all ([`ops::conv_input_grad_slices`]); after any other,
+    /// each pool range writes its panels' `dcols` into its slot and
+    /// scatters them back to input geometry. Besides `dx`, the backward
+    /// takes only slots from the workspace.
     fn backward_from_cache(
         &mut self,
         grad_out: &Tensor,
-        (g, n, mut panels): (ConvGeometry, usize, Option<Vec<f32>>),
+        (g, n, input): (ConvGeometry, usize, Option<Vec<f32>>),
         ws: &mut Workspace,
     ) -> Result<Tensor, NnError> {
         let span = g.out_height() * g.out_width();
         let patch = g.patch_len();
         let item_in = g.channels * g.height * g.width;
         let item_out = self.out_channels * span;
+        let train = input.is_some();
         if grad_out.len() != n * item_out {
-            if let Some(cols) = panels {
-                ws.recycle(cols);
+            if let Some(x) = input {
+                ws.recycle(x);
             }
             return Err(NnError::Tensor(ahw_tensor::TensorError::ShapeMismatch {
                 op: "conv2d",
@@ -342,22 +336,22 @@ impl Conv2d {
         let oc = self.out_channels;
         let per = panel_images(n, span);
 
-        // pass 1, `Train` only: dL/dW, dL/db from the cached panels (must
-        // run before the dx pass overwrites them). One folded kernel call
-        // takes every image's weight gradient, one dot4 per element over
-        // its own column block, and folds the images in fixed chunks; each
-        // channel's bias gradient folds the images' dY sums by the same
-        // chunks. Both partition their outputs over the pool, so gradients
-        // are bit-identical at any thread count and any panel width.
-        if let Some(colsv) = panels.as_deref() {
+        // pass 1, `Train` only: dL/dW, dL/db from the cached input. One
+        // call lowers it block by block into one slot and takes every
+        // image's weight gradient, one dot4 per element over its own column
+        // block, folding the images in fixed chunks; each channel's bias
+        // gradient folds the images' dY sums by the same chunks. Both
+        // partition their outputs over the pool, so gradients are
+        // bit-identical at any thread count and any slot length.
+        if let Some(xv) = input {
             // (dL/dW)ᵀ: patch × oc
             let mut dwt = ws.take(patch * oc);
-            let res = ops::matmul_transb_fold_slices(colsv, dyv, n, per, patch, span, oc, &mut dwt);
+            let mut slot = ws.take(g.weight_grad_slot(n, oc));
+            let res = ops::conv_weight_grad_slices(&xv, dyv, n, &g, oc, &mut slot, &mut dwt);
+            ws.recycle(slot);
+            ws.recycle(xv);
             if let Err(e) = res {
                 ws.recycle(dwt);
-                if let Some(cols) = panels {
-                    ws.recycle(cols);
-                }
                 return Err(e.into());
             }
             let grad = self.weight.grad.as_mut_slice();
@@ -382,7 +376,7 @@ impl Conv2d {
         let mut dx = ws.take(n * item_in);
         let wv = self.weight.value.as_slice();
         let err = ErrCell::new();
-        if panels.is_none() && g.stride == 1 {
+        if !train && g.stride == 1 {
             // a stride-1 `Eval` input gradient runs on padded planes: each
             // panel's dY goes onto its range's grid, and each dcols row is
             // added into a padded plane as soon as it is computed
@@ -407,18 +401,17 @@ impl Conv2d {
             );
         } else {
             // One GEMM writes the panel's dcols from dY in the panel's
-            // (oc × images·span) layout, over its cached columns after a
-            // `Train` forward and into its range's slot after a strided
-            // `Eval` one, and one col2im scatters the whole panel back to
-            // its images. A one-image panel reads its dY where it is; a
-            // wider one gathers it into its range's slot.
+            // (oc × images·span) layout into its range's slot, and one
+            // col2im scatters the whole panel back to its images. A
+            // one-image panel reads its dY where it is; a wider one gathers
+            // it into its range's slot.
             let gathered = if per > 1 { item_out } else { 0 };
             par_groups_mut(
                 n,
                 per,
                 [
                     Part::Items(&mut dx, item_in),
-                    panels_part(&mut panels, patch * span),
+                    Part::Slot(patch * span),
                     Part::Slot(gathered),
                 ],
                 ws,
@@ -443,11 +436,7 @@ impl Conv2d {
                 },
             );
         }
-        let res = err.into_result();
-        if let Some(cols) = panels {
-            ws.recycle(cols);
-        }
-        if let Err(e) = res {
+        if let Err(e) = err.into_result() {
             ws.recycle(dx);
             return Err(e);
         }
@@ -466,21 +455,21 @@ impl Layer for Conv2d {
         let n = x.dims()[0];
         let span = g.out_height() * g.out_width();
         let mut out = ws.take(n * self.out_channels * span);
-        let mut panels = None;
         let res = if mode == Mode::Eval && self.stride == 1 {
             self.forward_padded(x, &g, &mut out, ws)
         } else {
-            panels = (mode == Mode::Train).then(|| ws.take(n * g.patch_len() * span));
-            self.forward_panels(x, &g, &mut out, &mut panels, ws)
+            self.forward_panels(x, &g, &mut out, ws)
         };
         if let Err(e) = res {
             ws.recycle(out);
-            if let Some(cols) = panels {
-                ws.recycle(cols);
-            }
             return Err(e);
         }
-        self.cache = Some((g, n, panels));
+        let input = (mode == Mode::Train).then(|| {
+            let mut xc = ws.take(x.len());
+            xc.copy_from_slice(x.as_slice());
+            xc
+        });
+        self.cache = Some((g, n, input));
         let y = Tensor::from_vec(out, &[n, self.out_channels, g.out_height(), g.out_width()])?;
         Ok(self.hook.apply(y, ws))
     }
@@ -587,7 +576,7 @@ mod tests {
     }
 
     #[test]
-    fn backward_rejects_misshaped_grad_and_recycles_columns() {
+    fn backward_rejects_misshaped_grad_and_recycles_its_cache() {
         let mut rng = seeded(11);
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng).unwrap();
         let x = ahw_tensor::rng::normal(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
@@ -600,7 +589,7 @@ mod tests {
                 ahw_tensor::TensorError::ShapeMismatch { .. }
             ))
         ));
-        assert_eq!(ws.outstanding(), 0, "cached columns not recycled");
+        assert_eq!(ws.outstanding(), 0, "cached input copy not recycled");
     }
 
     #[test]
@@ -781,8 +770,7 @@ mod tests {
     #[test]
     fn panel_outputs_and_input_grads_match_one_image_batches() {
         // The batched pass runs at top level at each thread count, so its
-        // panels run in parallel over the pool on distinct slots (an
-        // `Eval` pass) or on their cached columns (a `Train` pass).
+        // panels run in parallel over the pool on distinct slots.
         for (size, g) in panel_cases() {
             let mut batches = vec![1, g.saturating_sub(1), g, g + 1, 2 * g + 3];
             batches.retain(|&n| n > 0);
@@ -844,70 +832,80 @@ mod tests {
         // folded kernel's ragged rows and columns run at top level too; on
         // the 2×2 and 4×4 maps (spans 4 and 16) also 3→19, a 27×19
         // gradient on the column-lane core: two full lane blocks, a ragged
-        // one and a ragged block of rows
+        // one and a ragged block of rows. Each runs at stride 1 and 2, on
+        // 2g + 3 images and on 33: fold chunks of 3 images, of which the
+        // weight gradient's slot holds 4 (2→3) or 3 (3→5) at 32×32, so its
+        // last block of chunks is short.
         for ((size, g), (cin, cout)) in panel_cases().into_iter().flat_map(|case| {
             let wide = (case.0 <= 4).then_some((case, (3, 19)));
             [(case, (2, 3)), (case, (3, 5))].into_iter().chain(wide)
         }) {
-            let n = 2 * g + 3;
-            let mut r = seeded(20 + size as u64);
-            let conv = Conv2d::new(cin, cout, 3, 1, 1, &mut r).unwrap();
-            let x = ahw_tensor::rng::normal(&[n, cin, size, size], 0.0, 1.0, &mut r);
-            let dy = ahw_tensor::rng::normal(&[n, cout, size, size], 0.0, 1.0, &mut r);
-            for mode in [Mode::Train, Mode::Eval] {
-                let grads = |threads: usize| {
-                    let mut c = conv.clone();
-                    let dx = at_threads(threads, || {
-                        c.forward(&x, mode).unwrap();
-                        c.backward(&dy).unwrap()
-                    });
-                    (
-                        bits(c.weight.grad.as_slice()),
-                        bits(c.bias.grad.as_slice()),
-                        bits(dx.as_slice()),
-                    )
-                };
-                let reference = grads(1);
-                for threads in [2usize, 4, 7] {
-                    assert_eq!(
-                        grads(threads),
-                        reference,
-                        "{cin}->{cout} on {size}x{size}, n = {n}, {mode:?}: \
-                         dW/db/dx differ at {threads} threads"
-                    );
+            for (n, stride) in [2 * g + 3, 33].into_iter().flat_map(|n| [(n, 1), (n, 2)]) {
+                let mut r = seeded(20 + size as u64);
+                let conv = Conv2d::new(cin, cout, 3, stride, 1, &mut r).unwrap();
+                let side = (size - 1) / stride + 1;
+                let x = ahw_tensor::rng::normal(&[n, cin, size, size], 0.0, 1.0, &mut r);
+                let dy = ahw_tensor::rng::normal(&[n, cout, side, side], 0.0, 1.0, &mut r);
+                for mode in [Mode::Train, Mode::Eval] {
+                    let grads = |threads: usize| {
+                        let mut c = conv.clone();
+                        let dx = at_threads(threads, || {
+                            c.forward(&x, mode).unwrap();
+                            c.backward(&dy).unwrap()
+                        });
+                        (
+                            bits(c.weight.grad.as_slice()),
+                            bits(c.bias.grad.as_slice()),
+                            bits(dx.as_slice()),
+                        )
+                    };
+                    let reference = grads(1);
+                    for threads in [2usize, 4, 7] {
+                        assert_eq!(
+                            grads(threads),
+                            reference,
+                            "{cin}->{cout} s{stride} on {size}x{size}, n = {n}, {mode:?}: \
+                             dW/db/dx differ at {threads} threads"
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn eval_scratch_does_not_grow_with_the_batch() {
-        // One range (one thread) lowers every panel into the same slot, so
-        // the bytes an `Eval` forward+backward parks in its workspace grow
-        // with `n` only by the output and the input gradient.
+    fn scratch_does_not_grow_with_the_batch() {
+        // One range (one thread) lowers every panel into the same slot, and
+        // a `Train` backward lowers its cached input again block by block
+        // into one slot of fixed length, whose buffer then serves as the
+        // input gradient. So the bytes a forward+backward parks in its
+        // workspace grow with `n` only by the output and the input
+        // gradient, in either mode.
         for size in [32usize, 8] {
             let mut r = seeded(30 + size as u64);
             let mut conv = Conv2d::new(4, 6, 3, 1, 1, &mut r).unwrap();
             let (item_in, item_out) = (4 * size * size, 6 * size * size);
-            let mut parked = |n: usize| {
-                let x = ahw_tensor::rng::normal(&[n, 4, size, size], 0.0, 1.0, &mut seeded(1));
-                let dy = ahw_tensor::rng::normal(&[n, 6, size, size], 0.0, 1.0, &mut seeded(2));
-                let mut ws = Workspace::new();
-                at_threads(1, || {
-                    let y = conv.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
-                    let dx = conv.backward_ws(&dy, &mut ws).unwrap();
-                    ws.recycle_tensor(y);
-                    ws.recycle_tensor(dx);
-                });
-                assert_eq!(ws.outstanding(), 0);
-                ws.resident_bytes()
-            };
-            let (small, large) = (parked(8), parked(64));
-            assert_eq!(
-                large - small,
-                4 * (64 - 8) * (item_in + item_out),
-                "{size}x{size}: Eval conv scratch grows with the batch"
-            );
+            for mode in [Mode::Eval, Mode::Train] {
+                let mut parked = |n: usize| {
+                    let x = ahw_tensor::rng::normal(&[n, 4, size, size], 0.0, 1.0, &mut seeded(1));
+                    let dy = ahw_tensor::rng::normal(&[n, 6, size, size], 0.0, 1.0, &mut seeded(2));
+                    let mut ws = Workspace::new();
+                    at_threads(1, || {
+                        let y = conv.forward_ws(&x, mode, &mut ws).unwrap();
+                        let dx = conv.backward_ws(&dy, &mut ws).unwrap();
+                        ws.recycle_tensor(y);
+                        ws.recycle_tensor(dx);
+                    });
+                    assert_eq!(ws.outstanding(), 0);
+                    ws.resident_bytes()
+                };
+                let (small, large) = (parked(8), parked(64));
+                assert_eq!(
+                    large - small,
+                    4 * (64 - 8) * (item_in + item_out),
+                    "{size}x{size}: {mode:?} conv scratch grows with the batch"
+                );
+            }
         }
     }
 }

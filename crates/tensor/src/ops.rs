@@ -28,24 +28,25 @@
 //! kernels run on the same accumulating GEMM core as [`matmul_slices`],
 //! which works on any block of output rows, reads its left operand through
 //! a (row stride, column stride) pair and its right operand's rows through
-//! an accessor; [`matmul_transb_fold_slices`] runs on the same dot-product
+//! an accessor; [`conv_weight_grad_slices`] runs on the same dot-product
 //! core as [`matmul_transb_slices`].
 //!
 //! The lowering cores take a count of consecutive images: [`im2col_slices`]
 //! writes their dense `(C·K·K) × (images·span)` column panel, image `j` in
 //! columns `j·span..(j + 1)·span`, and [`col2im_slices`] scatters such a
-//! panel back to the images. [`matmul_transb_fold_slices`] reads a batch's
-//! panels in place: a convolution's weight gradient is one call per layer
-//! that takes every image's `dot4` over its own column block and folds the
-//! images in fixed chunks. Its output rows partition over the pool, four at
-//! a time, on one of two lane-packed microkernels chosen by the shape, each
-//! giving the bits of `dot4` calls. Pair lanes hold four rows' four partial
-//! sums against one `b` row at a time, sixteen `dot4`s per block. Column
-//! lanes, for short spans (`k ≤ 16`) and at least eight output columns,
-//! hold eight output columns (a convolution's output channels): each
-//! image's `b` block is transposed once, every `a` element is one
-//! broadcast, and lane `c` of partial sum `t` adds `a[r][4q + t] ·
-//! bᵀ[4q + t][c]`, the very terms `dot4`'s `acc[t]` adds, in its order.
+//! panel back to the images. [`conv_weight_grad_slices`] takes a
+//! convolution's weight gradient from its input, in one call per layer that
+//! lowers the batch block by block into one slot, takes every image's
+//! `dot4` over its own column block and folds the images in fixed chunks.
+//! Its output rows partition over the pool, four at a time, on one of two
+//! lane-packed microkernels chosen by the shape, each giving the bits of
+//! `dot4` calls. Pair lanes hold four rows' four partial sums against one
+//! `b` row at a time, sixteen `dot4`s per block. Column lanes, for short
+//! spans (`k ≤ 16`) and at least eight output columns, hold eight output
+//! columns (a convolution's output channels): each image's `b` block is
+//! transposed once, every `a` element is one broadcast, and lane `c` of
+//! partial sum `t` adds `a[r][4q + t] · bᵀ[4q + t][c]`, the very terms
+//! `dot4`'s `acc[t]` adds, in its order.
 //!
 //! A stride-1 convolution needs no column panel: [`pad_planes_slices`]
 //! copies the images once into zero-padded planes whose windows are the
@@ -197,33 +198,50 @@ fn pair_sums(x: &[f32; 16], y: &[f32; 16]) -> [f32; 16] {
 /// `dot4`'s `acc[t]`. Four independent 16-lane accumulators keep the FP
 /// units busy where one `dot4` waits on its own add chain.
 ///
-/// Out of line on purpose: inlined into the image loops that call it, the
-/// compiler keeps the accumulators in memory and the loop runs at a third
-/// of the speed.
+/// The accumulators are locals and the eight rows are walked as zipped
+/// arrays of quads, so the step loop keeps them in registers and checks no
+/// bounds; they are stored once, on return. Out of line on purpose:
+/// inlined into the image loops that call it, the compiler keeps the
+/// accumulators in memory and the loop runs at a third of the speed.
 #[inline(never)]
 fn dot4x4_steps(a: &[&[f32]; 4], b: &[&[f32]; 4], q: usize) -> [[f32; 16]; 4] {
-    let mut acc = [[0.0f32; 16]; 4];
-    let mut kk = 0;
-    while kk < q {
-        let mut quads = [0.0f32; 16];
-        for r in 0..4 {
-            quads[4 * r..4 * r + 4].copy_from_slice(&a[r][kk..kk + 4]);
-        }
-        for c in 0..4 {
-            let bq: [f32; 4] = b[c][kk..kk + 4].try_into().expect("a 4-element slice");
-            for l in 0..16 {
-                acc[c][l] += quads[l] * bq[l % 4];
-            }
-        }
-        kk += 4;
+    let (a0, _) = a[0][..q].as_chunks::<4>();
+    let (a1, _) = a[1][..q].as_chunks::<4>();
+    let (a2, _) = a[2][..q].as_chunks::<4>();
+    let (a3, _) = a[3][..q].as_chunks::<4>();
+    let (b0, _) = b[0][..q].as_chunks::<4>();
+    let (b1, _) = b[1][..q].as_chunks::<4>();
+    let (b2, _) = b[2][..q].as_chunks::<4>();
+    let (b3, _) = b[3][..q].as_chunks::<4>();
+    let rows = a0.iter().zip(a1).zip(a2).zip(a3);
+    let cols = b0.iter().zip(b1).zip(b2).zip(b3);
+    let [mut acc0, mut acc1, mut acc2, mut acc3] = [[0.0f32; 16]; 4];
+    for ((((x0, x1), x2), x3), (((y0, y1), y2), y3)) in rows.zip(cols) {
+        let mut x = [0.0f32; 16];
+        x[..4].copy_from_slice(x0);
+        x[4..8].copy_from_slice(x1);
+        x[8..12].copy_from_slice(x2);
+        x[12..].copy_from_slice(x3);
+        mul_add_quads(&mut acc0, &x, y0);
+        mul_add_quads(&mut acc1, &x, y1);
+        mul_add_quads(&mut acc2, &x, y2);
+        mul_add_quads(&mut acc3, &x, y3);
     }
-    acc
+    [acc0, acc1, acc2, acc3]
+}
+
+/// `acc[l] += x[l] · y[l % 4]` in every lane.
+#[inline(always)]
+fn mul_add_quads(acc: &mut [f32; 16], x: &[f32; 16], y: &[f32; 4]) {
+    for l in 0..16 {
+        acc[l] += x[l] * y[l % 4];
+    }
 }
 
 /// Output columns one lane vector of [`dot4_lanes`] holds.
 const LANES: usize = 8;
 
-/// Whether [`matmul_transb_fold_slices`] folds on the column-lane core
+/// Whether [`conv_weight_grad_slices`] folds on the column-lane core
 /// ([`dot4_lanes`]) rather than the pair-lane one ([`dot4x4`]): at least
 /// `LANES` output columns and a span of 1 to 16.
 ///
@@ -241,46 +259,19 @@ fn column_lanes(k: usize, n: usize) -> bool {
     n >= LANES && (1..=16).contains(&k)
 }
 
-thread_local! {
-    /// The `b` blocks [`matmul_transb_fold_slices`] folds on the column-lane
-    /// core, transposed by [`lane_panels`]: grown to the largest batch the
-    /// thread has folded, then reused, so a steady-state loop allocates
-    /// nothing. The calling thread holds it for the whole fold, and the
-    /// pool's tasks only read it.
-    static LANE_PANELS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Transposes each image's `(n×k)` block of `b` into `n.div_ceil(LANES)`
-/// panels of `(k × LANES)`, image after image: row `kk` of panel `cb`
+/// Transposes one image's `(n×k)` block of `b` into the `n.div_ceil(LANES)`
+/// panels of `(k × LANES)` that fill `panels`: row `kk` of panel `cb`
 /// holds element `kk` of columns `cb·LANES..(cb + 1)·LANES`, +0.0 past `n`.
-fn lane_panels<'p>(
-    b: &[f32],
-    images: usize,
-    k: usize,
-    n: usize,
-    panels: &'p mut Vec<f32>,
-) -> &'p [f32] {
-    let width = n.div_ceil(LANES) * LANES;
-    let len = images * width * k;
-    if panels.len() < len {
-        panels.resize(len, 0.0);
-    }
-    let panels = &mut panels[..len];
-    for (img, dst) in b
-        .chunks_exact(n * k)
-        .zip(panels.chunks_exact_mut(width * k))
-    {
-        // the image's columns cb·LANES.., `w` of them (fewer in the last panel)
-        for (cols, panel) in img.chunks(LANES * k).zip(dst.chunks_exact_mut(LANES * k)) {
-            let w = cols.len() / k;
-            for (kk, row) in panel.chunks_exact_mut(LANES).enumerate() {
-                for (l, v) in row.iter_mut().enumerate() {
-                    *v = if l < w { cols[l * k + kk] } else { 0.0 };
-                }
+fn lane_panels(b: &[f32], k: usize, panels: &mut [f32]) {
+    // the image's columns cb·LANES.., `w` of them (fewer in the last panel)
+    for (cols, panel) in b.chunks(LANES * k).zip(panels.chunks_exact_mut(LANES * k)) {
+        let w = cols.len() / k;
+        for (kk, row) in panel.chunks_exact_mut(LANES).enumerate() {
+            for (l, v) in row.iter_mut().enumerate() {
+                *v = if l < w { cols[l * k + kk] } else { 0.0 };
             }
         }
     }
-    panels
 }
 
 /// Row `i` of a panel of `LANES`-wide rows.
@@ -349,25 +340,43 @@ fn dot4_lanes(a: [&[f32]; 4], bt: &[f32]) -> [f32; 4 * LANES] {
 /// Upper bound on the chunks [`fold_images`] folds images into.
 const FOLD_CHUNKS: usize = 16;
 
+/// Images per [`fold_images`] chunk of a batch of `images`.
+fn fold_len(images: usize) -> usize {
+    images.div_ceil(FOLD_CHUNKS).max(1)
+}
+
 /// Folds `value(i)` over `images` images in fixed chunks: chunk `j` holds
 /// images `j·len..(j + 1)·len` with `len = images.div_ceil(16)` (the last
 /// chunk may be shorter), each chunk's sum starts at +0.0 and adds its
 /// images' values in ascending image order, chunk 0's sum is the running
 /// total, and later chunks' sums are added to it left to right (+0.0 for
 /// no images). The order depends only on `images`, never on the thread
-/// count. [`matmul_transb_fold_slices`] folds its sixteen-element blocks
-/// this way; a conv bias gradient folds its per-image sums by the same
-/// rule.
+/// count. [`conv_weight_grad_slices`] folds its output blocks this way; a
+/// conv bias gradient folds its per-image sums by the same rule.
 #[inline]
 pub fn fold_images<const L: usize>(
     images: usize,
+    value: impl FnMut(usize) -> [f32; L],
+) -> [f32; L] {
+    fold_chunks(fold_len(images), 0..images, [0.0; L], value)
+}
+
+/// Continues a [`fold_images`] fold of chunks of `len` images: adds the
+/// chunks that start in `images` (which starts on a chunk boundary) onto
+/// `total`, the fold of the chunks before them. Chunk 0's sum replaces
+/// `total`, and every later chunk's sum is added to it. So folding a
+/// batch's chunks in blocks, each block continuing the total the one before
+/// it left, gives the bits of folding them all at once.
+#[inline]
+fn fold_chunks<const L: usize>(
+    len: usize,
+    images: Range<usize>,
+    mut total: [f32; L],
     mut value: impl FnMut(usize) -> [f32; L],
 ) -> [f32; L] {
-    let len = images.div_ceil(FOLD_CHUNKS).max(1);
-    let mut total = [0.0f32; L];
-    for start in (0..images).step_by(len) {
+    for start in images.clone().step_by(len) {
         let mut sum = [0.0f32; L];
-        for i in start..(start + len).min(images) {
+        for i in start..(start + len).min(images.end) {
             for (s, v) in sum.iter_mut().zip(value(i)) {
                 *s += v;
             }
@@ -594,8 +603,8 @@ pub fn matmul_transb(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
 
 /// [`matmul_transb`] on raw slices: `a` is `(m×k)` and `b` is `(n×k)`.
 /// Fully overwrites `out`; every element is one split-accumulator dot
-/// product of `k` terms. It runs [`matmul_transb_fold_slices`]' core on a
-/// single image, whose fold of one value is that value.
+/// product of `k` terms. It runs [`conv_weight_grad_slices`]' pair-lane
+/// core on a single image, whose fold of one value is that value.
 ///
 /// # Errors
 ///
@@ -609,168 +618,207 @@ pub fn matmul_transb_slices(
     n: usize,
     out: &mut [f32],
 ) -> Result<(), TensorError> {
-    matmul_transb_fold_slices(a, b, 1, 1, m, k, n, out)
-}
-
-/// `Σᵢ aᵢ · bᵢᵀ` over `images` images, folded in fixed chunks: the weight
-/// gradient of a convolution, `(dL/dW)ᵀ = Σᵢ colsᵢ · dYᵢᵀ`, in one call.
-///
-/// `a` holds the images' `(m×k)` blocks as column panels of `per`
-/// consecutive images (the last panel may hold fewer), panel after panel:
-/// a panel of `j` images is an `(m × j·k)` matrix with its `t`-th image in
-/// columns `t·k..(t + 1)·k` — the layout [`im2col_slices`] writes with
-/// `m = C·K·K` and `k` the output span. `b` holds the images' dense
-/// `(n×k)` blocks one after another. `out` is fully overwritten with the
-/// `(m×n)` fold.
-///
-/// Element `(r, c)` is image `i`'s `dot4(a row r, b row c)`, folded over
-/// the images by [`fold_images`]: each chunk's sum starts at +0.0 and adds
-/// its images in ascending order, and the chunk sums fold left to right
-/// onto chunk 0's. The output rows partition over the pool, four at a
-/// time, and the shape picks the lanes:
-///
-/// - **Column lanes** (`n ≥ 8` and `1 ≤ k ≤ 16`: a convolution's 4×4 and
-///   2×2 maps). Each image's `(n×k)` block of `b` is transposed once into
-///   panels of eight columns, and a block of four rows runs against each
-///   panel with one output column per vector lane: lane `c` of partial sum
-///   `t` adds `a[r][4q + t] · bᵀ[4q + t][c]` from +0.0 in ascending `q`,
-///   the lanes combine as `((acc0 + acc1) + (acc2 + acc3)) + tail`, and the
-///   result adds to its fold chunk's sum. Those are exactly `dot4`'s and
-///   `fold_images`' IEEE operations, in their order.
-/// - **Pair lanes** (every other shape). A block of four rows by four
-///   columns runs through a 4×4 microkernel whose lanes hold each row's
-///   four partial sums, with one `dot4` per element on the ragged edges.
-///
-/// Each element's arithmetic is the same on every path and at any thread
-/// count.
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] if any slice length disagrees
-/// with `(images, m, k, n)`, and [`TensorError::InvalidArgument`] if
-/// `per` is zero.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_transb_fold_slices(
-    a: &[f32],
-    b: &[f32],
-    images: usize,
-    per: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) -> Result<(), TensorError> {
-    if per == 0 {
-        return Err(TensorError::InvalidArgument(
-            "a column panel must hold at least one image".into(),
-        ));
-    }
-    require_len(a.len(), images * m * k)?;
-    require_len(b.len(), images * n * k)?;
+    require_len(a.len(), m * k)?;
+    require_len(b.len(), n * k)?;
     require_len(out.len(), m * n)?;
-    let _span = telemetry::span_labeled("tensor.ops.matmul_transb", || {
-        format!("{m}x{k}x{n}, {images} images")
-    });
-    count_gemm(images, m, n, k);
-    // image i's block of `a` starts at `at` with rows `pitch` apart: image
-    // i is the (i − first)-th of the panel starting at image `first`,
-    // whose rows hold its images' `k` columns side by side
-    let a_block = |i: usize| {
-        let first = i / per * per;
-        (first * m * k + (i - first) * k, per.min(images - first) * k)
-    };
-    let a_row = |i: usize, r: usize| {
-        let (at, pitch) = a_block(i);
-        &a[at + r * pitch..][..k]
-    };
-    if column_lanes(k, n) {
-        let a_rows = |i: usize, [r0, r1, r2, r3]: [usize; 4]| {
-            let (at, pitch) = a_block(i);
-            let row = |r: usize| &a[at + r * pitch..][..k];
-            [row(r0), row(r1), row(r2), row(r3)]
-        };
-        fold_column_lanes(&a_rows, b, (images, k, n), out);
-        return Ok(());
-    }
-    let b_row = |i: usize, c: usize| &b[(i * n + c) * k..][..k];
-    let one = |r: usize, c: usize| fold_images(images, |i| [dot4(a_row(i, r), b_row(i, c))])[0];
-    // blocks of four output rows; the last block may be short
-    pool::par_row_chunks_mut(
-        out,
-        4 * n,
-        pool::min_rows(4 * images * k * n),
-        |first, blocks| {
-            for (bi, block) in blocks.chunks_mut(4 * n).enumerate() {
-                let r0 = 4 * (first + bi);
-                // a block of four rows takes its columns four at a time
-                let mut c0 = 0;
-                while block.len() == 4 * n && c0 + 4 <= n {
-                    let t = fold_images(images, |i| {
-                        dot4x4(
-                            [
-                                a_row(i, r0),
-                                a_row(i, r0 + 1),
-                                a_row(i, r0 + 2),
-                                a_row(i, r0 + 3),
-                            ],
-                            [
-                                b_row(i, c0),
-                                b_row(i, c0 + 1),
-                                b_row(i, c0 + 2),
-                                b_row(i, c0 + 3),
-                            ],
-                        )
-                    });
-                    for (r, orow) in block.chunks_exact_mut(n).enumerate() {
-                        for (c, o) in orow[c0..c0 + 4].iter_mut().enumerate() {
-                            *o = t[4 * c + r];
-                        }
-                    }
-                    c0 += 4;
-                }
-                for (r, orow) in block.chunks_exact_mut(n).enumerate() {
-                    for (c, o) in orow.iter_mut().enumerate().skip(c0) {
-                        *o = one(r0 + r, c);
-                    }
-                }
-            }
-        },
-    );
+    let _span = gemm_span("tensor.ops.matmul_transb", m, k, n);
+    let a_row = |_: usize, r: usize| &a[r * k..][..k];
+    let b_row = |_: usize, c: usize| &b[c * k..][..k];
+    fold_pair_lanes(&a_row, &b_row, (0..1, 1), (k, n), out);
     Ok(())
 }
 
-/// [`matmul_transb_fold_slices`] on the column-lane core: `a_rows(i,
-/// rows)` gives four rows of image `i`'s block of `a`. The images' `b`
-/// blocks are transposed once into [`lane_panels`]; each block of four
-/// output rows then takes its columns `LANES` at a time, folding the
-/// images' [`dot4_lanes`] by [`fold_images`]. A short last block of rows
-/// repeats its last row and drops the copies' results, and the columns past
-/// `n` of the last lane block read +0.0 and are dropped too.
-fn fold_column_lanes<'a>(
-    a_rows: &(impl Fn(usize, [usize; 4]) -> [&'a [f32]; 4] + Sync),
-    b: &[f32],
-    (images, k, n): (usize, usize, usize),
+/// Slot elements [`ConvGeometry::weight_grad_slot`] asks for at least:
+/// 1 MiB, half of one core's 2 MiB L2 on the 2-vCPU AVX-512 host the
+/// benchmarks were measured on. It holds one block of a batch lowered, and
+/// every convolution whose fold chunk fits it asks for this one length.
+const FOLD_SLOT: usize = 1 << 18;
+
+/// The weight gradient of a convolution over `images` images, `(dL/dW)ᵀ =
+/// Σᵢ colsᵢ · dYᵢᵀ` with `colsᵢ` image `i`'s [`im2col`] lowering, with no
+/// batch-sized lowering: `x` holds the images' `(C, H, W)` inputs and `dy`
+/// their `(oc, OH, OW)` output gradients, one after another, and `out` is
+/// fully overwritten with the `(C·K·K × oc)` fold. `slot` is scratch of at
+/// least one fold chunk's lowering ([`ConvGeometry::weight_grad_slot`]);
+/// its prior contents do not matter.
+///
+/// The images run in blocks of whole [`fold_images`] chunks, as many as the
+/// slot holds. [`im2col_slices`] lowers a block into one column panel in
+/// the slot, and the block's chunks fold onto the total the blocks before
+/// it left in `out`. Element `(r, c)` is image `i`'s `dot4(cols row r, dY
+/// row c)` folded over the images: each chunk of `images.div_ceil(16)`
+/// images sums from +0.0 in ascending order, and the chunk sums add left to
+/// right onto chunk 0's. So the bits depend neither on the slot's length
+/// nor on the thread count. The output rows partition over the pool, four
+/// at a time, and the shape picks the lanes:
+///
+/// - **Column lanes** (`oc ≥ 8` and a span of 1 to 16: a convolution's 4×4
+///   and 2×2 maps). Each image's `dY` block is transposed into panels of
+///   eight channels in the slot, every pool range transposing its own
+///   images' blocks, and a block of four rows runs against each panel with
+///   one output channel per vector lane: lane `c` of partial sum `t` adds
+///   `a[r][4q + t] · bᵀ[4q + t][c]` from +0.0 in ascending `q`, the lanes
+///   combine as `((acc0 + acc1) + (acc2 + acc3)) + tail`, and the result
+///   adds to its fold chunk's sum. Those are exactly `dot4`'s and
+///   `fold_images`' IEEE operations, in their order.
+/// - **Pair lanes** (every other shape). A block of four rows by four
+///   channels runs through a 4×4 microkernel whose lanes hold each row's
+///   four partial sums, with one `dot4` per element on the ragged edges.
+///
+/// The lowering records under `tensor.ops.im2col`, and each block's fold
+/// under `tensor.ops.matmul_transb`, with the GEMM work of its images.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] for a degenerate geometry, and
+/// [`TensorError::LengthMismatch`] if a slice disagrees with `(images, g,
+/// oc)` or `slot` is shorter than one fold chunk's lowering.
+#[allow(clippy::too_many_arguments)]
+pub fn conv_weight_grad_slices(
+    x: &[f32],
+    dy: &[f32],
+    images: usize,
+    g: &ConvGeometry,
+    oc: usize,
+    slot: &mut [f32],
     out: &mut [f32],
-) {
-    LANE_PANELS.with(|panels| {
-        let mut panels = panels.borrow_mut();
-        let panels = lane_panels(b, images, k, n, &mut panels);
-        let panel = |i: usize, cb: usize| &panels[(i * n.div_ceil(LANES) + cb) * k * LANES..];
-        let min_rows = pool::min_rows(4 * images * k * n);
-        pool::par_row_chunks_mut(out, 4 * n, min_rows, |first, blocks| {
-            for (bi, block) in blocks.chunks_mut(4 * n).enumerate() {
-                let r0 = 4 * (first + bi);
-                let last = r0 + block.len() / n - 1;
-                let rows = [r0, r0 + 1, r0 + 2, r0 + 3].map(|r| r.min(last));
-                for (cb, c0) in (0..n).step_by(LANES).enumerate() {
-                    let t = fold_images(images, |i| dot4_lanes(a_rows(i, rows), panel(i, cb)));
-                    let width = LANES.min(n - c0);
-                    for (orow, t) in block.chunks_exact_mut(n).zip(t.chunks_exact(LANES)) {
-                        orow[c0..c0 + width].copy_from_slice(&t[..width]);
-                    }
-                }
+) -> Result<(), TensorError> {
+    g.validate()?;
+    let (patch, span) = (g.patch_len(), g.out_height() * g.out_width());
+    let item_in = g.channels * g.height * g.width;
+    require_len(x.len(), images * item_in)?;
+    require_len(dy.len(), images * oc * span)?;
+    require_len(out.len(), patch * oc)?;
+    let (len, item) = (fold_len(images), g.weight_grad_item(oc));
+    if slot.len() < len * item {
+        return Err(TensorError::LengthMismatch {
+            expected: len * item,
+            actual: slot.len(),
+        });
+    }
+    // what an empty batch folds to; a batch's chunk 0 replaces it
+    out.fill(0.0);
+    let (block_len, lane_len) = (slot.len() / (len * item) * len, item - patch * span);
+    for start in (0..images).step_by(block_len) {
+        let block = start..(start + block_len).min(images);
+        let width = block.len() * span;
+        let (cols, panels) = slot.split_at_mut(patch * width);
+        im2col_slices(
+            &x[start * item_in..block.end * item_in],
+            block.len(),
+            g,
+            cols,
+        )?;
+        let _span = telemetry::span_labeled("tensor.ops.matmul_transb", || {
+            format!("{patch}x{span}x{oc}, {} images", block.len())
+        });
+        count_gemm(block.len(), patch, oc, span);
+        let cols: &[f32] = cols;
+        let a_row = |i: usize, r: usize| &cols[r * width + (i - start) * span..][..span];
+        if lane_len == 0 {
+            let b_row = |i: usize, c: usize| &dy[(i * oc + c) * span..][..span];
+            fold_pair_lanes(&a_row, &b_row, (block, len), (span, oc), out);
+            continue;
+        }
+        let panels = &mut panels[..block.len() * lane_len];
+        pool::par_row_chunks_mut(panels, lane_len, pool::min_rows(lane_len), |first, own| {
+            for (i, p) in (start + first..).zip(own.chunks_exact_mut(lane_len)) {
+                lane_panels(&dy[i * oc * span..][..oc * span], span, p);
             }
         });
+        let panels: &[f32] = panels;
+        let panel = |i: usize, cb: usize| &panels[(i - start) * lane_len + cb * span * LANES..];
+        let a_rows = |i: usize, rows: [usize; 4]| rows.map(|r| a_row(i, r));
+        fold_column_lanes(&a_rows, &panel, (block, len), (span, oc), out);
+    }
+    Ok(())
+}
+
+/// Adds the fold chunks of `images` (chunks of `len` images, the range
+/// starting on a chunk boundary) of `Σᵢ aᵢ · bᵢᵀ` onto the `(m×n)` fold the
+/// chunks before them left in `out`, on the pair-lane core: `a_row(i, r)`
+/// and `b_row(i, c)` are row `r` of image `i`'s `(m×k)` block of `a` and
+/// row `c` of its `(n×k)` block of `b`. Output rows partition over the
+/// pool, four at a time; a block of four rows takes its columns four at a
+/// time through [`dot4x4`], and the ragged edges one [`dot4`] per element.
+fn fold_pair_lanes<'a>(
+    a_row: &(impl Fn(usize, usize) -> &'a [f32] + Sync),
+    b_row: &(impl Fn(usize, usize) -> &'a [f32] + Sync),
+    (images, len): (Range<usize>, usize),
+    (k, n): (usize, usize),
+    out: &mut [f32],
+) {
+    let min_rows = pool::min_rows(4 * images.len() * k * n);
+    pool::par_row_chunks_mut(out, 4 * n, min_rows, |first, blocks| {
+        for (bi, block) in blocks.chunks_mut(4 * n).enumerate() {
+            let r0 = 4 * (first + bi);
+            // a block of four rows takes its columns four at a time
+            let mut c0 = 0;
+            while block.len() == 4 * n && c0 + 4 <= n {
+                let mut t = [0.0f32; 16];
+                for (r, orow) in block.chunks_exact(n).enumerate() {
+                    for (c, &o) in orow[c0..c0 + 4].iter().enumerate() {
+                        t[4 * c + r] = o;
+                    }
+                }
+                let t = fold_chunks(len, images.clone(), t, |i| {
+                    dot4x4(
+                        [r0, r0 + 1, r0 + 2, r0 + 3].map(|r| a_row(i, r)),
+                        [c0, c0 + 1, c0 + 2, c0 + 3].map(|c| b_row(i, c)),
+                    )
+                });
+                for (r, orow) in block.chunks_exact_mut(n).enumerate() {
+                    for (c, o) in orow[c0..c0 + 4].iter_mut().enumerate() {
+                        *o = t[4 * c + r];
+                    }
+                }
+                c0 += 4;
+            }
+            for (r, orow) in block.chunks_exact_mut(n).enumerate() {
+                for (c, o) in orow.iter_mut().enumerate().skip(c0) {
+                    [*o] = fold_chunks(len, images.clone(), [*o], |i| {
+                        [dot4(a_row(i, r0 + r), b_row(i, c))]
+                    });
+                }
+            }
+        }
+    });
+}
+
+/// [`fold_pair_lanes`] on the column-lane core: `a_rows(i, rows)` gives
+/// four rows of image `i`'s block of `a`, and `panel(i, cb)` its `b` block's
+/// [`lane_panels`] from column `cb·LANES` on. Each block of four output
+/// rows takes its columns `LANES` at a time, folding the images'
+/// [`dot4_lanes`]. A short last block of rows repeats its last row and
+/// drops the copies' results, and the columns past `n` of the last lane
+/// block read +0.0 and are dropped too.
+fn fold_column_lanes<'a>(
+    a_rows: &(impl Fn(usize, [usize; 4]) -> [&'a [f32]; 4] + Sync),
+    panel: &(impl Fn(usize, usize) -> &'a [f32] + Sync),
+    (images, len): (Range<usize>, usize),
+    (k, n): (usize, usize),
+    out: &mut [f32],
+) {
+    let min_rows = pool::min_rows(4 * images.len() * k * n);
+    pool::par_row_chunks_mut(out, 4 * n, min_rows, |first, blocks| {
+        for (bi, block) in blocks.chunks_mut(4 * n).enumerate() {
+            let r0 = 4 * (first + bi);
+            let last = r0 + block.len() / n - 1;
+            let rows = [r0, r0 + 1, r0 + 2, r0 + 3].map(|r| r.min(last));
+            for (cb, c0) in (0..n).step_by(LANES).enumerate() {
+                let width = LANES.min(n - c0);
+                let mut t = [0.0f32; 4 * LANES];
+                for (orow, t) in block.chunks_exact(n).zip(t.chunks_exact_mut(LANES)) {
+                    t[..width].copy_from_slice(&orow[c0..c0 + width]);
+                }
+                let t = fold_chunks(len, images.clone(), t, |i| {
+                    dot4_lanes(a_rows(i, rows), panel(i, cb))
+                });
+                for (orow, t) in block.chunks_exact_mut(n).zip(t.chunks_exact(LANES)) {
+                    orow[c0..c0 + width].copy_from_slice(&t[..width]);
+                }
+            }
+        }
     });
 }
 
@@ -858,6 +906,26 @@ impl ConvGeometry {
             grid,
             len,
         }
+    }
+
+    /// Elements of the slot [`conv_weight_grad_slices`] takes for `images`
+    /// images of `oc` output channels: 1 MiB of them, or one fold chunk's
+    /// lowering where that is more. Every convolution whose chunk fits asks
+    /// for the same length, so one workspace buffer serves them all.
+    pub fn weight_grad_slot(&self, images: usize, oc: usize) -> usize {
+        FOLD_SLOT.max(fold_len(images) * self.weight_grad_item(oc))
+    }
+
+    /// Slot elements [`conv_weight_grad_slices`] lowers one image into: its
+    /// patch matrix and, on the column lanes, its `dY` block's lane panels.
+    fn weight_grad_item(&self, oc: usize) -> usize {
+        let span = self.out_height() * self.out_width();
+        let lanes = if column_lanes(span, oc) {
+            oc.div_ceil(LANES) * LANES * span
+        } else {
+            0
+        };
+        self.patch_len() * span + lanes
     }
 
     /// Validates that the geometry produces at least one output position.
@@ -985,9 +1053,14 @@ pub fn im2col_slices(
             let kx = row % g.kernel;
             let ys = tap_range(ky, g.height, oh, g);
             let xs = tap_range(kx, g.width, ow, g);
+            // output and input rows of one pitch (stride 1, `OW = W`): the
+            // tap's rows are one contiguous run of the plane
+            let run = g.stride == 1 && ow == g.width && !ys.is_empty();
             // padding taps read zero: clear the row, then copy the taps
-            // that read real pixels
-            orow.fill(0.0);
+            // that read real pixels (a run clears only what it skips)
+            if !run || xs.is_empty() {
+                orow.fill(0.0);
+            }
             if xs.is_empty() {
                 continue;
             }
@@ -995,6 +1068,19 @@ pub fn im2col_slices(
             let ix0 = xs.start * g.stride + kx - g.padding;
             for (j, oblock) in orow.chunks_exact_mut(span).enumerate() {
                 let plane = &inp[(j * g.channels + c) * plane_len..][..plane_len];
+                if run {
+                    // copy the run whole, then zero the padding before and
+                    // after it and what it wrapped in between the rows
+                    let (first, last) = (ys.start * ow + xs.start, (ys.end - 1) * ow + xs.end);
+                    let at = (ys.start + ky - g.padding) * g.width + ix0;
+                    oblock[..first].fill(0.0);
+                    oblock[first..last].copy_from_slice(&plane[at..at + (last - first)]);
+                    oblock[last..].fill(0.0);
+                    for oy in ys.start..ys.end - 1 {
+                        oblock[oy * ow + xs.end..(oy + 1) * ow + xs.start].fill(0.0);
+                    }
+                    continue;
+                }
                 for oy in ys.clone() {
                     let iy = oy * g.stride + ky - g.padding;
                     let irow = &plane[iy * g.width..(iy + 1) * g.width];
@@ -1796,21 +1882,28 @@ mod tests {
             Err(TensorError::LengthMismatch { expected: 32, .. })
         ));
         assert!(matmul_transb_slices(a.as_slice(), &cols, 2, 3, 4, &mut short).is_err());
-        // the fold reads 2 images of (2×3) and (4×3) blocks into a (2×4)
-        // output, and a panel must hold an image
-        let (a2, b2) = (vec![0.0f32; 12], vec![0.0f32; 24]);
+        // the weight gradient of the two images with 4 output channels:
+        // dY of 2·4·(2×2), a (9×4) output, and a slot that holds at least
+        // one fold chunk (one image's 9×4 patch matrix)
+        let dy4 = vec![0.0f32; 32];
+        let mut slot = vec![0.0f32; 36];
+        assert!(
+            conv_weight_grad_slices(x.as_slice(), &dy4, 2, &g, 4, &mut slot, &mut [0.0; 36])
+                .is_ok()
+        );
         assert!(matches!(
-            matmul_transb_fold_slices(&a2, &b2, 2, 0, 2, 3, 4, &mut [0.0; 8]),
-            Err(TensorError::InvalidArgument(_))
+            conv_weight_grad_slices(x.as_slice(), &dy4, 2, &g, 4, &mut slot[1..], &mut [0.0; 36]),
+            Err(TensorError::LengthMismatch { expected: 36, .. })
         ));
         assert!(matches!(
-            matmul_transb_fold_slices(&a2, &b2[1..], 2, 1, 2, 3, 4, &mut [0.0; 8]),
-            Err(TensorError::LengthMismatch { expected: 24, .. })
+            conv_weight_grad_slices(x.as_slice(), &dy4[1..], 2, &g, 4, &mut slot, &mut [0.0; 36]),
+            Err(TensorError::LengthMismatch { expected: 32, .. })
         ));
         assert!(matches!(
-            matmul_transb_fold_slices(&a2, &b2, 2, 2, 2, 3, 4, &mut short),
-            Err(TensorError::LengthMismatch { expected: 8, .. })
+            conv_weight_grad_slices(x.as_slice(), &dy4, 2, &g, 4, &mut slot, &mut [0.0; 35]),
+            Err(TensorError::LengthMismatch { expected: 36, .. })
         ));
+        assert_eq!(g.weight_grad_slot(2, 4), FOLD_SLOT);
         assert!(cross_entropy_with_grad_slices(a.as_slice(), &[0, 1], 3, &mut short).is_err());
         // padded planes: two images of 1×4×4 under a 3×3 kernel, padding 1
         let g = ConvGeometry { padding: 1, ..g };

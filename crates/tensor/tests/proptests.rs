@@ -208,9 +208,10 @@ fn lowering_is_adjoint() {
 /// A column panel is its images' one-image lowerings side by side, bit for
 /// bit: `im2col_slices` of `images` images is the column-wise concatenation
 /// of their `im2col`s, `col2im_slices` of a panel is the `col2im` of each
-/// image's column block, and `matmul_transb_fold_slices` reading the images'
-/// blocks of a panel in place gives the bits it gives on their dense copies
-/// (one-image panels).
+/// image's column block, and `conv_weight_grad_slices`, which lowers the
+/// images block by block into its slot, gives the bits of the serial fold
+/// over their one-image lowerings, with a slot of one image or of the
+/// whole batch.
 #[test]
 fn a_panel_is_its_images_lowered_side_by_side() {
     check::cases(128).run("a_panel_is_its_images_lowered_side_by_side", |g| {
@@ -249,19 +250,42 @@ fn a_panel_is_its_images_lowered_side_by_side() {
                     == bits(ops::col2im(&cj, &geom).unwrap().as_slice()),
                 format!("col2im image {j} of a {images}-image panel"),
             )?;
-            dense.extend_from_slice(cj.as_slice());
+            dense.extend_from_slice(lowered.as_slice());
         }
         let dy = rng::uniform(&[images * m * span], -1.0, 1.0, &mut r);
-        let fold = |a: &[f32], per: usize| {
+        let expect = bits(&folded_reference(
+            &dense,
+            dy.as_slice(),
+            images,
+            (patch, span, m),
+        ));
+        // one image's share of the slot: its patch matrix, and on the
+        // column lanes its dY block's panels of eight channels
+        let one = patch * span
+            + if m >= 8 && span <= 16 {
+                m.div_ceil(8) * 8 * span
+            } else {
+                0
+            };
+        for slot_len in [one, geom.weight_grad_slot(images, m)] {
             let mut out = vec![f32::NAN; patch * m];
-            ops::matmul_transb_fold_slices(a, dy.as_slice(), images, per, patch, span, m, &mut out)
-                .unwrap();
-            bits(&out)
-        };
-        ensure(
-            fold(c.as_slice(), images) == fold(&dense, 1),
-            format!("the fold over a {images}-image panel differs from its dense copies"),
-        )
+            let mut slot = vec![f32::NAN; slot_len];
+            ops::conv_weight_grad_slices(
+                x.as_slice(),
+                dy.as_slice(),
+                images,
+                &geom,
+                m,
+                &mut slot,
+                &mut out,
+            )
+            .unwrap();
+            ensure(
+                bits(&out) == expect,
+                format!("the weight gradient of {images} images in a slot of {slot_len} differs"),
+            )?;
+        }
+        Ok(())
     });
 }
 
@@ -283,29 +307,25 @@ fn dot4(x: &[f32], y: &[f32]) -> f32 {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
-/// `matmul_transb_fold_slices` by its definition: image `i`'s product
-/// element `(r, c)` is `dot4(row r of its block of a, row c of its block of
-/// b)`; each chunk of `images.div_ceil(16)` consecutive images sums its
-/// images' products from +0.0 in image order, and the chunk sums fold left
-/// to right onto chunk 0's.
+/// `conv_weight_grad_slices` by its definition, on the images' dense
+/// `(m×k)` lowerings in `a`: image `i`'s product element `(r, c)` is
+/// `dot4(row r of its block of a, row c of its block of b)`; each chunk of
+/// `images.div_ceil(16)` consecutive images sums its images' products from
+/// +0.0 in image order, and the chunk sums fold left to right onto chunk
+/// 0's.
 fn folded_reference(
     a: &[f32],
     b: &[f32],
     images: usize,
-    per: usize,
     (m, k, n): (usize, usize, usize),
 ) -> Vec<f32> {
     let chunk = images.div_ceil(16).max(1);
     let chunk_sums = (0..images).step_by(chunk).map(|start| {
         let mut sum = vec![0.0f32; m * n];
         for i in start..(start + chunk).min(images) {
-            // image i's block is columns (i − first)·k.. of its panel
-            let first = i / per * per;
-            let width = per.min(images - first) * k;
             for (e, s) in sum.iter_mut().enumerate() {
                 let (r, c) = (e / n, e % n);
-                let arow = &a[first * m * k + r * width + (i - first) * k..][..k];
-                *s += dot4(arow, &b[(i * n + c) * k..][..k]);
+                *s += dot4(&a[(i * m + r) * k..][..k], &b[(i * n + c) * k..][..k]);
             }
         }
         sum
@@ -353,12 +373,15 @@ fn operand(r: &mut impl Rng, len: usize, specials: bool) -> Vec<f32> {
 
 /// The folded weight-gradient kernel gives its serial definition's bits
 /// (NaN payloads aside) at 1, 2, 4 and 7 threads, on both of its cores:
-/// `m` up to 300 and `n` up to 40, so every residue of the four-row blocks
-/// and of the pair-lane (4) and column-lane (8) column blocks comes up,
-/// with several full blocks of each; `k` from 1 to 39 (every residue mod
-/// 4, both sides of the column-lane rule's `k ≤ 16`) or a VGG span of 4, 16
-/// or 64; 1–7 images and batches whose last fold chunk is short, panels
-/// whose rows are wider than `k` with a short last panel, and operands
+/// `conv_weight_grad_slices` of a 1×1 convolution over `m` channels of
+/// `1 × k` images, whose lowering is each image itself, so the fold reads
+/// arbitrary `(m×k)` blocks. `m` up to 300 and `n` up to 40, so every
+/// residue of the four-row blocks and of the pair-lane (4) and column-lane
+/// (8) column blocks comes up, with several full blocks of each; `k` from
+/// 1 to 39 (every residue mod 4, both sides of the column-lane rule's `k ≤
+/// 16`) or a VGG span of 4, 16 or 64; 1–37 images, batches whose last fold
+/// chunk is short, slots of one fold chunk to the whole batch (so the last
+/// block may be short, and a slot may end in part of a chunk), and operands
 /// holding ±0.0, ±∞ and NaN. `matmul_transb_slices` is still one `dot4` per
 /// element.
 #[test]
@@ -371,22 +394,36 @@ fn folded_weight_gradient_matches_its_serial_definition() {
             _ => g.usize_in("k", 1, 40),
         };
         let n = g.usize_in("n", 1, 41);
-        let images = [1, 2, 3, 4, 5, 6, 7, 17, 19, 23, 35, 37][g.usize_in("images_at", 0, 12)];
-        let per = g.usize_in("per", 1, images + 1);
+        let images: usize = [1, 2, 3, 4, 5, 6, 7, 17, 19, 23, 35, 37][g.usize_in("images_at", 0, 12)];
+        let len = images.div_ceil(16);
+        // one image's share of the slot: its patch matrix, and on the
+        // column lanes its dY block's panels of eight channels
+        let one = m * k + if n >= 8 && k <= 16 { n.div_ceil(8) * 8 * k } else { 0 };
+        let chunks = g.usize_in("chunks", 1, images.div_ceil(len) + 1);
+        let slot_len = chunks * len * one + g.usize_in("extra", 0, len * one);
         let specials = g.usize_in("specials", 0, 2) == 1;
         let mut r = rng::seeded(g.seed("seed"));
         let a = operand(&mut r, images * m * k, specials);
         let b = operand(&mut r, images * n * k, specials);
-        let expect = value_bits(&folded_reference(&a, &b, images, per, (m, k, n)));
+        let expect = value_bits(&folded_reference(&a, &b, images, (m, k, n)));
+        let geom = ConvGeometry {
+            channels: m,
+            height: 1,
+            width: k,
+            kernel: 1,
+            stride: 1,
+            padding: 0,
+        };
         for threads in [1usize, 2, 4, 7] {
             let mut out = vec![f32::NAN; m * n];
+            let mut slot = vec![f32::NAN; slot_len];
             pool::set_thread_override(Some(threads));
-            let res = ops::matmul_transb_fold_slices(&a, &b, images, per, m, k, n, &mut out);
+            let res = ops::conv_weight_grad_slices(&a, &b, images, &geom, n, &mut slot, &mut out);
             pool::set_thread_override(None);
             res.unwrap();
             ensure(
                 value_bits(&out) == expect,
-                format!("fold of {images} images ({per} per panel) differs at {threads} threads"),
+                format!("fold of {images} images ({chunks} chunks per block) differs at {threads} threads"),
             )?;
         }
         let (x, w) = (&a[..m * k], &b[..n * k]);
@@ -481,7 +518,7 @@ fn padded_planes_give_the_panel_routes_bits() {
 }
 
 /// Parallel `matmul`, `matmul_transa` and the panel cores (`im2col` and
-/// `col2im` of a multi-image panel, the weight-gradient fold over it) are
+/// `col2im` of a multi-image panel, the weight gradient of its images) are
 /// bit-identical to their serial runs for arbitrary shapes across worker
 /// counts 1, 2, 4 and 7 (shapes range from pool-bypassing tiny to large
 /// enough that the row partition engages).
@@ -512,8 +549,9 @@ fn kernels_thread_count_invariant() {
             let mut img = vec![0.0f32; x.len()];
             ops::col2im_slices(c.as_slice(), images, &geom, &mut img).unwrap();
             let mut dw = vec![0.0f32; patch * m];
-            let (c, dy) = (c.as_slice(), dy.as_slice());
-            ops::matmul_transb_fold_slices(c, dy, images, images, patch, span, m, &mut dw).unwrap();
+            let mut slot = vec![0.0f32; geom.weight_grad_slot(images, m)];
+            let (x, dy) = (x.as_slice(), dy.as_slice());
+            ops::conv_weight_grad_slices(x, dy, images, &geom, m, &mut slot, &mut dw).unwrap();
             [
                 bits(ops::matmul(&a, &b).unwrap().as_slice()),
                 bits(&ta),
@@ -534,7 +572,7 @@ fn kernels_thread_count_invariant() {
                 "matmul_transa",
                 "im2col",
                 "col2im",
-                "matmul_transb_fold",
+                "conv_weight_grad",
             ];
             for (name, (x, y)) in names.iter().zip(got.iter().zip(&reference)) {
                 ensure(x == y, format!("{name} differs at {threads} threads"))?;

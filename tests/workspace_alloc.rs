@@ -1,15 +1,17 @@
 //! Proves the planned attack path is allocation-free in the steady state.
 //!
 //! A counting global allocator wraps the system allocator and counts each
-//! thread's allocations apart, so the harness starting or reporting the
-//! other test on its own thread never lands in a measurement; after two
+//! thread's allocations apart, so the harness starting or reporting
+//! another test on its own thread never lands in a measurement; after two
 //! warm-up PGD crafts on the VGG conv unit (with a bit-error injector)
 //! populate the plan cache's arena (and the ReLU/max-pool index buffers),
 //! a further craft of the same geometry must perform **zero** heap
 //! allocations, and a forward-only `Eval` pass must leave no arena buffer
 //! checked out. This pins the core contract of the planned execution
 //! engine — regressions that sneak a `Vec` allocation into a hot loop fail
-//! this test rather than just slowing a benchmark down.
+//! this test rather than just slowing a benchmark down. A conv's training
+//! step (a `Train` forward and backward on one arena) must be heap-free
+//! too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -58,7 +60,7 @@ fn alloc_count() -> u64 {
 
 use ahw_attacks::{craft_ws, Attack};
 use ahw_nn::layers::{BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU};
-use ahw_nn::{Mode, PlanCache, Sequential, Site};
+use ahw_nn::{Layer, Mode, PlanCache, Sequential, Site};
 use ahw_sram::{BitErrorInjector, BitErrorModel, HybridMemoryConfig, HybridWordConfig};
 use ahw_tensor::{pool, rng};
 use std::sync::{Arc, Mutex};
@@ -166,6 +168,46 @@ fn steady_state_hooked_sh_eval_allocates_nothing() {
         after - before,
         0,
         "steady-state hooked SH evaluation performed {} heap allocations",
+        after - before
+    );
+}
+
+#[test]
+fn steady_state_conv_train_step_allocates_nothing() {
+    let _g = lock();
+    // A conv's training step, forward and backward on one arena, the way
+    // the trainer runs it: the conv lowers its panels into slots, caches a
+    // copy of its input and lowers it again into one slot for dL/dW, all
+    // taken from the workspace, so after warm-up a step is heap-free.
+    pool::set_thread_override(Some(1));
+    ahw_telemetry::set_enabled(false);
+
+    let mut r = rng::seeded(44);
+    let mut conv = Conv2d::new(2, 4, 3, 1, 1, &mut r).unwrap();
+    let x = rng::uniform(&[4, 2, 8, 8], 0.0, 1.0, &mut rng::seeded(45));
+    let dy = rng::uniform(&[4, 4, 8, 8], -1.0, 1.0, &mut rng::seeded(46));
+    let mut ws = ahw_tensor::Workspace::new();
+    let mut step = |ws: &mut ahw_tensor::Workspace| {
+        let y = conv.forward_ws(&x, Mode::Train, ws).unwrap();
+        ws.recycle_tensor(y);
+        let dx = conv.backward_ws(&dy, ws).unwrap();
+        ws.recycle_tensor(dx);
+    };
+    for _ in 0..2 {
+        step(&mut ws);
+    }
+    assert_eq!(ws.outstanding(), 0);
+
+    let before = alloc_count();
+    step(&mut ws);
+    let after = alloc_count();
+
+    pool::set_thread_override(None);
+    assert_eq!(ws.outstanding(), 0, "a training step kept an arena buffer");
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state conv training step performed {} heap allocations",
         after - before
     );
 }
