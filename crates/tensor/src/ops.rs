@@ -38,9 +38,10 @@
 //! convolution's weight gradient from its input, in one call per layer that
 //! lowers the batch block by block into one slot, takes every image's
 //! `dot4` over its own column block and folds the images in fixed chunks.
-//! Its output rows partition over the pool, four at a time, on one of two
-//! lane-packed microkernels chosen by the shape, each giving the bits of
-//! `dot4` calls. Pair lanes hold four rows' four partial sums against one
+//! Its output rows partition over the pool, four at a time, each task
+//! lowering the four patch rows it folds just before it folds them, on one
+//! of two lane-packed microkernels chosen by the shape, each giving the
+//! bits of `dot4` calls. Pair lanes hold four rows' four partial sums against one
 //! `b` row at a time, sixteen `dot4`s per block. Column lanes, for short
 //! spans (`k ≤ 16`) and at least eight output columns, hold eight output
 //! columns (a convolution's output channels): each image's `b` block is
@@ -624,7 +625,11 @@ pub fn matmul_transb_slices(
     let _span = gemm_span("tensor.ops.matmul_transb", m, k, n);
     let a_row = |_: usize, r: usize| &a[r * k..][..k];
     let b_row = |_: usize, c: usize| &b[c * k..][..k];
-    fold_pair_lanes(&a_row, &b_row, (0..1, 1), (k, n), out);
+    pool::par_row_chunks_mut(out, 4 * n, pool::min_rows(4 * k * n), |first, blocks| {
+        for (bi, block) in blocks.chunks_mut(4 * n).enumerate() {
+            pair_lanes_block(block, 4 * (first + bi), &a_row, &b_row, (0..1, 1), n);
+        }
+    });
     Ok(())
 }
 
@@ -643,14 +648,15 @@ const FOLD_SLOT: usize = 1 << 18;
 /// its prior contents do not matter.
 ///
 /// The images run in blocks of whole [`fold_images`] chunks, as many as the
-/// slot holds. [`im2col_slices`] lowers a block into one column panel in
-/// the slot, and the block's chunks fold onto the total the blocks before
-/// it left in `out`. Element `(r, c)` is image `i`'s `dot4(cols row r, dY
-/// row c)` folded over the images: each chunk of `images.div_ceil(16)`
+/// slot holds, and each block's chunks fold onto the total the blocks
+/// before it left in `out`. Element `(r, c)` is image `i`'s `dot4(cols row
+/// r, dY row c)` folded over the images: each chunk of `images.div_ceil(16)`
 /// images sums from +0.0 in ascending order, and the chunk sums add left to
 /// right onto chunk 0's. So the bits depend neither on the slot's length
 /// nor on the thread count. The output rows partition over the pool, four
-/// at a time, and the shape picks the lanes:
+/// at a time, and each task lowers its own four patch rows of the block
+/// into their rows of the slot's column panel just before it folds them,
+/// so the rows it reads are still in its cache. The shape picks the lanes:
 ///
 /// - **Column lanes** (`oc ≥ 8` and a span of 1 to 16: a convolution's 4×4
 ///   and 2×2 maps). Each image's `dY` block is transposed into panels of
@@ -665,8 +671,10 @@ const FOLD_SLOT: usize = 1 << 18;
 ///   channels runs through a 4×4 microkernel whose lanes hold each row's
 ///   four partial sums, with one `dot4` per element on the ragged edges.
 ///
-/// The lowering records under `tensor.ops.im2col`, and each block's fold
-/// under `tensor.ops.matmul_transb`, with the GEMM work of its images.
+/// Each block records under `tensor.ops.matmul_transb`, its lowering
+/// included, with the GEMM work of its images. The lowering counts no
+/// `tensor.ops.im2col_elems`, whose rate is taken over `tensor.ops.im2col`
+/// spans alone.
 ///
 /// # Errors
 ///
@@ -702,24 +710,8 @@ pub fn conv_weight_grad_slices(
     for start in (0..images).step_by(block_len) {
         let block = start..(start + block_len).min(images);
         let width = block.len() * span;
+        let xb = &x[start * item_in..block.end * item_in];
         let (cols, panels) = slot.split_at_mut(patch * width);
-        im2col_slices(
-            &x[start * item_in..block.end * item_in],
-            block.len(),
-            g,
-            cols,
-        )?;
-        let _span = telemetry::span_labeled("tensor.ops.matmul_transb", || {
-            format!("{patch}x{span}x{oc}, {} images", block.len())
-        });
-        count_gemm(block.len(), patch, oc, span);
-        let cols: &[f32] = cols;
-        let a_row = |i: usize, r: usize| &cols[r * width + (i - start) * span..][..span];
-        if lane_len == 0 {
-            let b_row = |i: usize, c: usize| &dy[(i * oc + c) * span..][..span];
-            fold_pair_lanes(&a_row, &b_row, (block, len), (span, oc), out);
-            continue;
-        }
         let panels = &mut panels[..block.len() * lane_len];
         pool::par_row_chunks_mut(panels, lane_len, pool::min_rows(lane_len), |first, own| {
             for (i, p) in (start + first..).zip(own.chunks_exact_mut(lane_len)) {
@@ -727,99 +719,120 @@ pub fn conv_weight_grad_slices(
             }
         });
         let panels: &[f32] = panels;
-        let panel = |i: usize, cb: usize| &panels[(i - start) * lane_len + cb * span * LANES..];
-        let a_rows = |i: usize, rows: [usize; 4]| rows.map(|r| a_row(i, r));
-        fold_column_lanes(&a_rows, &panel, (block, len), (span, oc), out);
+        let _span = telemetry::span_labeled("tensor.ops.matmul_transb", || {
+            format!("{patch}x{span}x{oc}, {} images", block.len())
+        });
+        count_gemm(block.len(), patch, oc, span);
+        let min_rows = pool::min_rows(4 * width * oc);
+        pool::par_row_pairs_mut(
+            out,
+            4 * oc,
+            cols,
+            4 * width,
+            min_rows,
+            |first, outs, rows| {
+                let blocks = outs.chunks_mut(4 * oc).zip(rows.chunks_mut(4 * width));
+                for (bi, (oblock, rows)) in blocks.enumerate() {
+                    let r0 = 4 * (first + bi);
+                    for (r, row) in rows.chunks_exact_mut(width).enumerate() {
+                        lower_row(xb, g, r0 + r, row);
+                    }
+                    let rows: &[f32] = rows;
+                    let a_row =
+                        |i: usize, r: usize| &rows[(r - r0) * width + (i - start) * span..][..span];
+                    let images = (block.clone(), len);
+                    if lane_len == 0 {
+                        let b_row = |i: usize, c: usize| &dy[(i * oc + c) * span..][..span];
+                        pair_lanes_block(oblock, r0, &a_row, &b_row, images, oc);
+                    } else {
+                        let a_rows = |i: usize, rows: [usize; 4]| rows.map(|r| a_row(i, r));
+                        let panel = |i: usize, cb: usize| {
+                            &panels[(i - start) * lane_len + cb * span * LANES..]
+                        };
+                        column_lanes_block(oblock, r0, &a_rows, &panel, images, oc);
+                    }
+                }
+            },
+        );
     }
     Ok(())
 }
 
 /// Adds the fold chunks of `images` (chunks of `len` images, the range
-/// starting on a chunk boundary) of `Σᵢ aᵢ · bᵢᵀ` onto the `(m×n)` fold the
-/// chunks before them left in `out`, on the pair-lane core: `a_row(i, r)`
-/// and `b_row(i, c)` are row `r` of image `i`'s `(m×k)` block of `a` and
-/// row `c` of its `(n×k)` block of `b`. Output rows partition over the
-/// pool, four at a time; a block of four rows takes its columns four at a
+/// starting on a chunk boundary) of `Σᵢ aᵢ · bᵢᵀ` onto the rows `r0..` of
+/// an `(m×n)` fold that `block` holds (up to four rows of `n`, the total
+/// the chunks before them left), on the pair-lane core: `a_row(i, r)` and
+/// `b_row(i, c)` are row `r` of image `i`'s `(m×k)` block of `a` and row
+/// `c` of its `(n×k)` block of `b`. Four rows take their columns four at a
 /// time through [`dot4x4`], and the ragged edges one [`dot4`] per element.
-fn fold_pair_lanes<'a>(
-    a_row: &(impl Fn(usize, usize) -> &'a [f32] + Sync),
-    b_row: &(impl Fn(usize, usize) -> &'a [f32] + Sync),
+fn pair_lanes_block<'a>(
+    block: &mut [f32],
+    r0: usize,
+    a_row: &impl Fn(usize, usize) -> &'a [f32],
+    b_row: &impl Fn(usize, usize) -> &'a [f32],
     (images, len): (Range<usize>, usize),
-    (k, n): (usize, usize),
-    out: &mut [f32],
+    n: usize,
 ) {
-    let min_rows = pool::min_rows(4 * images.len() * k * n);
-    pool::par_row_chunks_mut(out, 4 * n, min_rows, |first, blocks| {
-        for (bi, block) in blocks.chunks_mut(4 * n).enumerate() {
-            let r0 = 4 * (first + bi);
-            // a block of four rows takes its columns four at a time
-            let mut c0 = 0;
-            while block.len() == 4 * n && c0 + 4 <= n {
-                let mut t = [0.0f32; 16];
-                for (r, orow) in block.chunks_exact(n).enumerate() {
-                    for (c, &o) in orow[c0..c0 + 4].iter().enumerate() {
-                        t[4 * c + r] = o;
-                    }
-                }
-                let t = fold_chunks(len, images.clone(), t, |i| {
-                    dot4x4(
-                        [r0, r0 + 1, r0 + 2, r0 + 3].map(|r| a_row(i, r)),
-                        [c0, c0 + 1, c0 + 2, c0 + 3].map(|c| b_row(i, c)),
-                    )
-                });
-                for (r, orow) in block.chunks_exact_mut(n).enumerate() {
-                    for (c, o) in orow[c0..c0 + 4].iter_mut().enumerate() {
-                        *o = t[4 * c + r];
-                    }
-                }
-                c0 += 4;
-            }
-            for (r, orow) in block.chunks_exact_mut(n).enumerate() {
-                for (c, o) in orow.iter_mut().enumerate().skip(c0) {
-                    [*o] = fold_chunks(len, images.clone(), [*o], |i| {
-                        [dot4(a_row(i, r0 + r), b_row(i, c))]
-                    });
-                }
+    let mut c0 = 0;
+    while block.len() == 4 * n && c0 + 4 <= n {
+        let mut t = [0.0f32; 16];
+        for (r, orow) in block.chunks_exact(n).enumerate() {
+            for (c, &o) in orow[c0..c0 + 4].iter().enumerate() {
+                t[4 * c + r] = o;
             }
         }
-    });
+        let t = fold_chunks(len, images.clone(), t, |i| {
+            dot4x4(
+                [r0, r0 + 1, r0 + 2, r0 + 3].map(|r| a_row(i, r)),
+                [c0, c0 + 1, c0 + 2, c0 + 3].map(|c| b_row(i, c)),
+            )
+        });
+        for (r, orow) in block.chunks_exact_mut(n).enumerate() {
+            for (c, o) in orow[c0..c0 + 4].iter_mut().enumerate() {
+                *o = t[4 * c + r];
+            }
+        }
+        c0 += 4;
+    }
+    for (r, orow) in block.chunks_exact_mut(n).enumerate() {
+        for (c, o) in orow.iter_mut().enumerate().skip(c0) {
+            [*o] = fold_chunks(len, images.clone(), [*o], |i| {
+                [dot4(a_row(i, r0 + r), b_row(i, c))]
+            });
+        }
+    }
 }
 
-/// [`fold_pair_lanes`] on the column-lane core: `a_rows(i, rows)` gives
-/// four rows of image `i`'s block of `a`, and `panel(i, cb)` its `b` block's
-/// [`lane_panels`] from column `cb·LANES` on. Each block of four output
-/// rows takes its columns `LANES` at a time, folding the images'
-/// [`dot4_lanes`]. A short last block of rows repeats its last row and
-/// drops the copies' results, and the columns past `n` of the last lane
-/// block read +0.0 and are dropped too.
-fn fold_column_lanes<'a>(
-    a_rows: &(impl Fn(usize, [usize; 4]) -> [&'a [f32]; 4] + Sync),
-    panel: &(impl Fn(usize, usize) -> &'a [f32] + Sync),
+/// [`pair_lanes_block`] on the column-lane core: `a_rows(i, rows)` gives
+/// four rows of image `i`'s block of `a`, and `panel(i, cb)` its `b`
+/// block's [`lane_panels`] from column `cb·LANES` on. The block's rows
+/// take their columns `LANES` at a time, folding the images'
+/// [`dot4_lanes`]. A short block of rows repeats its last row and drops
+/// the copies' results, and the columns past `n` of the last lane block
+/// read +0.0 and are dropped too.
+fn column_lanes_block<'a>(
+    block: &mut [f32],
+    r0: usize,
+    a_rows: &impl Fn(usize, [usize; 4]) -> [&'a [f32]; 4],
+    panel: &impl Fn(usize, usize) -> &'a [f32],
     (images, len): (Range<usize>, usize),
-    (k, n): (usize, usize),
-    out: &mut [f32],
+    n: usize,
 ) {
-    let min_rows = pool::min_rows(4 * images.len() * k * n);
-    pool::par_row_chunks_mut(out, 4 * n, min_rows, |first, blocks| {
-        for (bi, block) in blocks.chunks_mut(4 * n).enumerate() {
-            let r0 = 4 * (first + bi);
-            let last = r0 + block.len() / n - 1;
-            let rows = [r0, r0 + 1, r0 + 2, r0 + 3].map(|r| r.min(last));
-            for (cb, c0) in (0..n).step_by(LANES).enumerate() {
-                let width = LANES.min(n - c0);
-                let mut t = [0.0f32; 4 * LANES];
-                for (orow, t) in block.chunks_exact(n).zip(t.chunks_exact_mut(LANES)) {
-                    t[..width].copy_from_slice(&orow[c0..c0 + width]);
-                }
-                let t = fold_chunks(len, images.clone(), t, |i| {
-                    dot4_lanes(a_rows(i, rows), panel(i, cb))
-                });
-                for (orow, t) in block.chunks_exact_mut(n).zip(t.chunks_exact(LANES)) {
-                    orow[c0..c0 + width].copy_from_slice(&t[..width]);
-                }
-            }
+    let last = r0 + block.len() / n - 1;
+    let rows = [r0, r0 + 1, r0 + 2, r0 + 3].map(|r| r.min(last));
+    for (cb, c0) in (0..n).step_by(LANES).enumerate() {
+        let width = LANES.min(n - c0);
+        let mut t = [0.0f32; 4 * LANES];
+        for (orow, t) in block.chunks_exact(n).zip(t.chunks_exact_mut(LANES)) {
+            t[..width].copy_from_slice(&orow[c0..c0 + width]);
         }
-    });
+        let t = fold_chunks(len, images.clone(), t, |i| {
+            dot4_lanes(a_rows(i, rows), panel(i, cb))
+        });
+        for (orow, t) in block.chunks_exact_mut(n).zip(t.chunks_exact(LANES)) {
+            orow[c0..c0 + width].copy_from_slice(&t[..width]);
+        }
+    }
 }
 
 /// `aᵀ · b` on raw slices, where `a` is stored `(k×m)` and `b` is `(k×n)` —
@@ -1034,70 +1047,77 @@ pub fn im2col_slices(
     out: &mut [f32],
 ) -> Result<(), TensorError> {
     g.validate()?;
-    let (oh, ow) = (g.out_height(), g.out_width());
-    let span = oh * ow;
-    let width = images * span;
-    let plane_len = g.height * g.width;
-    require_len(inp.len(), images * g.channels * plane_len)?;
+    let width = images * g.out_height() * g.out_width();
+    require_len(inp.len(), images * g.channels * g.height * g.width)?;
     require_len(out.len(), g.patch_len() * width)?;
     let _span = telemetry::span("tensor.ops.im2col");
     IM2COL_ELEMS.add((g.patch_len() * width) as u64);
-    // Each patch row (c, ky, kx) gathers into a disjoint panel row, so the
-    // rows partition freely over the pool. A row's tap and its valid
-    // ranges are worked out once and serve every image's column block.
+    // Each patch row gathers into a disjoint panel row, so the rows
+    // partition freely over the pool.
     pool::par_row_chunks_mut(out, width, pool::min_rows(width), |first, orows| {
         for (r, orow) in orows.chunks_mut(width).enumerate() {
-            let row = first + r;
-            let c = row / (g.kernel * g.kernel);
-            let ky = (row / g.kernel) % g.kernel;
-            let kx = row % g.kernel;
-            let ys = tap_range(ky, g.height, oh, g);
-            let xs = tap_range(kx, g.width, ow, g);
-            // output and input rows of one pitch (stride 1, `OW = W`): the
-            // tap's rows are one contiguous run of the plane
-            let run = g.stride == 1 && ow == g.width && !ys.is_empty();
-            // padding taps read zero: clear the row, then copy the taps
-            // that read real pixels (a run clears only what it skips)
-            if !run || xs.is_empty() {
-                orow.fill(0.0);
-            }
-            if xs.is_empty() {
-                continue;
-            }
-            // first input column the tap reads; in range by `tap_range`
-            let ix0 = xs.start * g.stride + kx - g.padding;
-            for (j, oblock) in orow.chunks_exact_mut(span).enumerate() {
-                let plane = &inp[(j * g.channels + c) * plane_len..][..plane_len];
-                if run {
-                    // copy the run whole, then zero the padding before and
-                    // after it and what it wrapped in between the rows
-                    let (first, last) = (ys.start * ow + xs.start, (ys.end - 1) * ow + xs.end);
-                    let at = (ys.start + ky - g.padding) * g.width + ix0;
-                    oblock[..first].fill(0.0);
-                    oblock[first..last].copy_from_slice(&plane[at..at + (last - first)]);
-                    oblock[last..].fill(0.0);
-                    for oy in ys.start..ys.end - 1 {
-                        oblock[oy * ow + xs.end..(oy + 1) * ow + xs.start].fill(0.0);
-                    }
-                    continue;
-                }
-                for oy in ys.clone() {
-                    let iy = oy * g.stride + ky - g.padding;
-                    let irow = &plane[iy * g.width..(iy + 1) * g.width];
-                    let o = &mut oblock[oy * ow + xs.start..oy * ow + xs.end];
-                    if g.stride == 1 {
-                        // contiguous span of the input row
-                        o.copy_from_slice(&irow[ix0..ix0 + o.len()]);
-                    } else {
-                        for (v, &p) in o.iter_mut().zip(irow[ix0..].iter().step_by(g.stride)) {
-                            *v = p;
-                        }
-                    }
-                }
-            }
+            lower_row(inp, g, first + r, orow);
         }
     });
     Ok(())
+}
+
+/// Writes patch row `row`, i.e. tap `(c, ky, kx)`, of the consecutive
+/// `(C, H, W)` images in `inp` into `orow`, image `j`'s `span` columns at
+/// `j·span`: row `row` of their [`im2col_slices`] panel. Every element is
+/// overwritten, padding taps with zero. The tap and its valid ranges are
+/// worked out once and serve every image's column block.
+fn lower_row(inp: &[f32], g: &ConvGeometry, row: usize, orow: &mut [f32]) {
+    let (oh, ow) = (g.out_height(), g.out_width());
+    let span = oh * ow;
+    let plane_len = g.height * g.width;
+    let c = row / (g.kernel * g.kernel);
+    let ky = (row / g.kernel) % g.kernel;
+    let kx = row % g.kernel;
+    let ys = tap_range(ky, g.height, oh, g);
+    let xs = tap_range(kx, g.width, ow, g);
+    // output and input rows of one pitch (stride 1, `OW = W`): the tap's
+    // rows are one contiguous run of the plane
+    let run = g.stride == 1 && ow == g.width && !ys.is_empty();
+    // padding taps read zero: clear the row, then copy the taps that read
+    // real pixels (a run clears only what it skips)
+    if !run || xs.is_empty() {
+        orow.fill(0.0);
+    }
+    if xs.is_empty() {
+        return;
+    }
+    // first input column the tap reads; in range by `tap_range`
+    let ix0 = xs.start * g.stride + kx - g.padding;
+    for (j, oblock) in orow.chunks_exact_mut(span).enumerate() {
+        let plane = &inp[(j * g.channels + c) * plane_len..][..plane_len];
+        if run {
+            // copy the run whole, then zero the padding before and after
+            // it and what it wrapped in between the rows
+            let (first, last) = (ys.start * ow + xs.start, (ys.end - 1) * ow + xs.end);
+            let at = (ys.start + ky - g.padding) * g.width + ix0;
+            oblock[..first].fill(0.0);
+            oblock[first..last].copy_from_slice(&plane[at..at + (last - first)]);
+            oblock[last..].fill(0.0);
+            for oy in ys.start..ys.end - 1 {
+                oblock[oy * ow + xs.end..(oy + 1) * ow + xs.start].fill(0.0);
+            }
+            continue;
+        }
+        for oy in ys.clone() {
+            let iy = oy * g.stride + ky - g.padding;
+            let irow = &plane[iy * g.width..(iy + 1) * g.width];
+            let o = &mut oblock[oy * ow + xs.start..oy * ow + xs.end];
+            if g.stride == 1 {
+                // contiguous span of the input row
+                o.copy_from_slice(&irow[ix0..ix0 + o.len()]);
+            } else {
+                for (v, &p) in o.iter_mut().zip(irow[ix0..].iter().step_by(g.stride)) {
+                    *v = p;
+                }
+            }
+        }
+    }
 }
 
 /// Scatters a `(C·K·K, OH·OW)` patch-gradient matrix back to a `(C, H, W)`

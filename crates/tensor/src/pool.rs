@@ -445,6 +445,50 @@ where
     });
 }
 
+/// [`par_row_chunks_mut`] over two buffers of one row count: splits `a`
+/// into rows of `a_row` elements and `b` into rows of `b_row` (the last
+/// row of each may be shorter) and calls `body(first_row, a_rows, b_rows)`
+/// with the same disjoint block of rows of both.
+///
+/// # Panics
+///
+/// Panics if the two row counts differ; propagates panics from `body`.
+pub fn par_row_pairs_mut<T, U, F>(
+    a: &mut [T],
+    a_row: usize,
+    b: &mut [U],
+    b_row: usize,
+    min_rows: usize,
+    body: F,
+) where
+    T: Send,
+    U: Send,
+    F: Fn(usize, &mut [T], &mut [U]) + Sync,
+{
+    let rows = a.len().div_ceil(a_row.max(1));
+    assert_eq!(
+        rows,
+        b.len().div_ceil(b_row.max(1)),
+        "par_row_pairs_mut: row counts differ"
+    );
+    let (a_len, b_len) = (a.len(), b.len());
+    let (a_base, b_base) = (SendPtr(a.as_mut_ptr()), SendPtr(b.as_mut_ptr()));
+    let (a_base, b_base) = (&a_base, &b_base);
+    parallel_for_ranges(rows, min_rows.max(1), |r: Range<usize>| {
+        let (a_start, a_end) = (r.start * a_row, (r.end * a_row).min(a_len));
+        let (b_start, b_end) = (r.start * b_row, (r.end * b_row).min(b_len));
+        // SAFETY: as in `par_row_chunks_mut`, each task gets disjoint,
+        // in-bounds row ranges of both buffers.
+        let (a_rows, b_rows) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(a_base.0.add(a_start), a_end - a_start),
+                std::slice::from_raw_parts_mut(b_base.0.add(b_start), b_end - b_start),
+            )
+        };
+        body(r.start, a_rows, b_rows);
+    });
+}
+
 /// Raw mutable pointer that may cross threads; safe because the pool hands
 /// every range to exactly one task.
 struct SendPtr<T>(*mut T);
