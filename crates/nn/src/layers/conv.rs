@@ -54,7 +54,8 @@ fn panel_images(n: usize, span: usize) -> usize {
 /// A `Train` forward caches a copy of its input, and the backward takes
 /// the weight gradient from it in one [`ops::conv_weight_grad_slices`]
 /// call, which lowers the batch again, one block of whole fold chunks at a
-/// time, into one L2-sized workspace slot: every image's product element
+/// time, into one workspace slot that every layer shares (1 MiB, or one
+/// chunk's lowering where that is more): every image's product element
 /// is one `dot4` over its own column block, and the images fold in fixed
 /// chunks ([`ops::fold_images`]). The bias gradient folds the images' `dY`
 /// sums the same way, one channel per pool slot, so both are bit-identical

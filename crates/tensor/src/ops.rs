@@ -633,10 +633,13 @@ pub fn matmul_transb_slices(
     Ok(())
 }
 
-/// Slot elements [`ConvGeometry::weight_grad_slot`] asks for at least:
-/// 1 MiB, half of one core's 2 MiB L2 on the 2-vCPU AVX-512 host the
-/// benchmarks were measured on. It holds one block of a batch lowered, and
-/// every convolution whose fold chunk fits it asks for this one length.
+/// Slot elements [`ConvGeometry::weight_grad_slot`] asks for at least
+/// (1 MiB): every convolution whose fold chunk fits asks for this one
+/// length, so a network's layers share one workspace buffer. Each fold
+/// task reads back only the rows it has just lowered, so the length does
+/// not decide cache reuse; it sets how many blocks a batch folds in, each
+/// one pool dispatch and one `dY` transpose pass. No other length was
+/// measured.
 const FOLD_SLOT: usize = 1 << 18;
 
 /// The weight gradient of a convolution over `images` images, `(dL/dW)ᵀ =
@@ -660,8 +663,8 @@ const FOLD_SLOT: usize = 1 << 18;
 ///
 /// - **Column lanes** (`oc ≥ 8` and a span of 1 to 16: a convolution's 4×4
 ///   and 2×2 maps). Each image's `dY` block is transposed into panels of
-///   eight channels in the slot, every pool range transposing its own
-///   images' blocks, and a block of four rows runs against each panel with
+///   eight channels in the slot, on the calling thread before the block's
+///   fold, and a block of four rows runs against each panel with
 ///   one output channel per vector lane: lane `c` of partial sum `t` adds
 ///   `a[r][4q + t] · bᵀ[4q + t][c]` from +0.0 in ascending `q`, the lanes
 ///   combine as `((acc0 + acc1) + (acc2 + acc3)) + tail`, and the result
@@ -713,11 +716,13 @@ pub fn conv_weight_grad_slices(
         let xb = &x[start * item_in..block.end * item_in];
         let (cols, panels) = slot.split_at_mut(patch * width);
         let panels = &mut panels[..block.len() * lane_len];
-        pool::par_row_chunks_mut(panels, lane_len, pool::min_rows(lane_len), |first, own| {
-            for (i, p) in (start + first..).zip(own.chunks_exact_mut(lane_len)) {
+        // serial: a block's panels, about `oc/(C·K·K + oc)` of the slot,
+        // are less work than the pool hands one task
+        if lane_len > 0 {
+            for (i, p) in (start..).zip(panels.chunks_exact_mut(lane_len)) {
                 lane_panels(&dy[i * oc * span..][..oc * span], span, p);
             }
-        });
+        }
         let panels: &[f32] = panels;
         let _span = telemetry::span_labeled("tensor.ops.matmul_transb", || {
             format!("{patch}x{span}x{oc}, {} images", block.len())
@@ -1076,14 +1081,9 @@ fn lower_row(inp: &[f32], g: &ConvGeometry, row: usize, orow: &mut [f32]) {
     let kx = row % g.kernel;
     let ys = tap_range(ky, g.height, oh, g);
     let xs = tap_range(kx, g.width, ow, g);
-    // output and input rows of one pitch (stride 1, `OW = W`): the tap's
-    // rows are one contiguous run of the plane
-    let run = g.stride == 1 && ow == g.width && !ys.is_empty();
     // padding taps read zero: clear the row, then copy the taps that read
-    // real pixels (a run clears only what it skips)
-    if !run || xs.is_empty() {
-        orow.fill(0.0);
-    }
+    // real pixels
+    orow.fill(0.0);
     if xs.is_empty() {
         return;
     }
@@ -1091,19 +1091,6 @@ fn lower_row(inp: &[f32], g: &ConvGeometry, row: usize, orow: &mut [f32]) {
     let ix0 = xs.start * g.stride + kx - g.padding;
     for (j, oblock) in orow.chunks_exact_mut(span).enumerate() {
         let plane = &inp[(j * g.channels + c) * plane_len..][..plane_len];
-        if run {
-            // copy the run whole, then zero the padding before and after
-            // it and what it wrapped in between the rows
-            let (first, last) = (ys.start * ow + xs.start, (ys.end - 1) * ow + xs.end);
-            let at = (ys.start + ky - g.padding) * g.width + ix0;
-            oblock[..first].fill(0.0);
-            oblock[first..last].copy_from_slice(&plane[at..at + (last - first)]);
-            oblock[last..].fill(0.0);
-            for oy in ys.start..ys.end - 1 {
-                oblock[oy * ow + xs.end..(oy + 1) * ow + xs.start].fill(0.0);
-            }
-            continue;
-        }
         for oy in ys.clone() {
             let iy = oy * g.stride + ky - g.padding;
             let irow = &plane[iy * g.width..(iy + 1) * g.width];
